@@ -4,6 +4,11 @@ The sign convention: at a vertex whose facet normals are eta_{i_1..i_n}, a
 circle direction xi = sum a_j eta_{i_j} has weight -a_j on the direction
 transverse to the facet D_{i_j}.  This makes a facet's own circle have that
 facet as its maximum.
+
+Every public call solves xi once per vertex it needs (`coordinates`) and
+reads all circle data from that table.  A face's isotropy order is the gcd
+of xi's coordinates off the face's facets at any one of its vertices, and a
+gcd of 0 means the face is fixed.
 """
 
 from dataclasses import dataclass
@@ -47,24 +52,17 @@ def moment_value(poly, xi, face):
     return vals.pop()
 
 
-def is_fixed_face(poly, xi, face):
-    normals = [poly.normal(i) for i in sorted(face.facets)]
-    return linalg.in_span(normals, xi)
+def _table(poly, xi, vids=None):
+    """Coordinates of xi at the given vertices (default: all), by vertex id."""
+    if vids is None:
+        vids = range(len(poly.vertices))
+    return {vid: poly.coordinates(vid, xi) for vid in vids}
 
 
-def weights(poly, xi, face):
-    """Weight data of the circle xi along a fixed face.
-
-    Solves xi in the outward-normal basis at every vertex of the face and
-    asserts the answers agree; nonzero weights sit exactly on the facets
-    containing the face.
-    """
-    xi = _check_xi(xi)
+def _weights(table, face):
     result = None
     for vid in face.vertex_ids:
-        idx = sorted(poly.vertex_facets(vid))
-        coeffs = linalg.solve_unimodular([poly.normal(i) for i in idx], xi)
-        w = {i: -c for i, c in zip(idx, coeffs) if c != 0}
+        w = {i: -c for i, c in table[vid].items() if c != 0}
         if any(i not in face.facets for i in w):
             raise InconsistentWeights(
                 f"nonzero weight off the fixed face at vertex {vid}")
@@ -76,38 +74,47 @@ def weights(poly, xi, face):
     return result
 
 
-def _component_from_face(poly, xi, face):
-    w = weights(poly, xi, face)
-    negatives = sum(1 for x in w.values() if x < 0)
-    positives = sum(1 for x in w.values() if x > 0)
-    return FixedComponentData(
-        face=face,
-        K=moment_value(poly, xi, face),
-        weights=w,
-        m=sum(w.values()),
-        index=2 * negatives,
-        coindex=2 * positives,
-        semifree=all(abs(x) == 1 for x in w.values()),
-        dimF=2 * face.dim,
-    )
+def weights(poly, xi, face):
+    """Weight data of the circle xi along a fixed face.
+
+    Reads xi's coordinates at every vertex of the face and checks the
+    answers agree; nonzero weights sit exactly on the facets containing the
+    face.
+    """
+    xi = _check_xi(xi)
+    return _weights(_table(poly, xi, face.vertex_ids), face)
+
+
+def _fixed_components(poly, xi, table):
+    # the fixed component through a vertex is cut out by the facets on
+    # which xi has a nonzero coordinate there
+    keys = {frozenset(i for i, c in coords.items() if c != 0)
+            for coords in table.values()}
+    comps = []
+    for key in keys:
+        face = poly.faces[key]
+        w = _weights(table, face)
+        comps.append(FixedComponentData(
+            face=face,
+            K=moment_value(poly, xi, face),
+            weights=w,
+            m=sum(w.values()),
+            index=2 * sum(1 for x in w.values() if x < 0),
+            coindex=2 * sum(1 for x in w.values() if x > 0),
+            semifree=all(abs(x) == 1 for x in w.values()),
+            dimF=2 * face.dim,
+        ))
+    comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
+    assert len({v for c in comps for v in c.face.vertex_ids}) == \
+        sum(len(c.face.vertex_ids) for c in comps), "fixed faces overlap"
+    return comps
 
 
 def fixed_components(poly, xi):
     """Maximal faces on which <xi, .> is constant, with weight data, sorted
     by decreasing moment value."""
     xi = _check_xi(xi)
-    fixed = []
-    for face in sorted(poly.faces.values(), key=lambda f: -f.dim):
-        if not is_fixed_face(poly, xi, face):
-            continue
-        if any(other.facets <= face.facets for other in fixed):
-            continue  # contained in a bigger fixed face
-        fixed.append(face)
-    comps = [_component_from_face(poly, xi, f) for f in fixed]
-    comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
-    assert len({v for c in comps for v in c.face.vertex_ids}) == \
-        sum(len(c.face.vertex_ids) for c in comps), "fixed faces overlap"
-    return comps
+    return _fixed_components(poly, xi, _table(poly, xi))
 
 
 def extrema(poly, xi):
@@ -120,22 +127,26 @@ def extrema(poly, xi):
 FIXED = "fixed"
 
 
+def _order(coords, face):
+    g = 0
+    for i, c in coords.items():
+        if i not in face.facets:
+            g = gcd(g, c)
+    return g or FIXED
+
+
+def _orders(poly, xi):
+    """Face key -> isotropy order, read at each face's first vertex."""
+    table = _table(poly, xi)
+    return {key: _order(table[face.vertex_ids[0]], face)
+            for key, face in poly.faces.items()}
+
+
 def isotropy_order(poly, xi, face):
     """Order of the generic stabilizer along a face: FIXED if the face is
     fixed, else the content of the image of xi in the quotient lattice by
     the face's normal directions."""
-    xi = _check_xi(xi)
-    if is_fixed_face(poly, xi, face):
-        return FIXED
-    vid = poly.lex_least_vertex_of(face)
-    idx = sorted(poly.vertex_facets(vid))
-    coeffs = linalg.solve_unimodular([poly.normal(i) for i in idx], xi)
-    rest = [c for i, c in zip(idx, coeffs) if i not in face.facets]
-    g = 0
-    for c in rest:
-        g = gcd(g, abs(c))
-    assert g > 0
-    return g
+    return _order(poly.coordinates(face.vertex_ids[0], _check_xi(xi)), face)
 
 
 @dataclass(frozen=True)
@@ -145,20 +156,14 @@ class IsotropyStratum:
     components: tuple  # tuple of frozensets of face keys
 
 
-def isotropy_components(poly, xi, q):
-    """Connected components (by face containment) of the locus with
-    stabilizer divisible by q, including all fixed faces."""
-    xi = _check_xi(xi)
-    qualifying = []
-    for key, face in poly.faces.items():
-        order = isotropy_order(poly, xi, face)
-        if order is FIXED or order % q == 0:
-            qualifying.append(key)
+def _stratum(orders, q):
+    qualifying = [key for key, order in orders.items()
+                  if order is FIXED or order % q == 0]
     qual = set(qualifying)
     # closure under subfaces: a subface has facet set containing the face's,
     # and its stabilizer order is a multiple, so it must qualify too
     for key in qual:
-        for other in poly.faces:
+        for other in orders:
             if key < other:
                 assert other in qual, "stratum not closed under subfaces"
     seen = set()
@@ -182,49 +187,40 @@ def isotropy_components(poly, xi, q):
                            components=tuple(components))
 
 
+def isotropy_components(poly, xi, q):
+    """Connected components (by face containment) of the locus with
+    stabilizer divisible by q, including all fixed faces."""
+    return _stratum(_orders(poly, _check_xi(xi)), q)
+
+
 def q_pair(poly, xi, face_a, face_b):
     """Largest q so that both faces lie in one component of the q-isotropy
     stratum; at least 1, since the whole manifold is the 1-stratum."""
-    candidates = {1}
-    for face in poly.faces.values():
-        order = isotropy_order(poly, xi, face)
-        if order is not FIXED:
-            for d in range(2, order + 1):
-                if order % d == 0:
-                    candidates.add(d)
-    key_a, key_b = face_a.facets, face_b.facets
-    best = 1
+    orders = _orders(poly, _check_xi(xi))
+    candidates = {d for order in orders.values() if order is not FIXED
+                  for d in range(2, order + 1) if order % d == 0}
     for q in sorted(candidates, reverse=True):
-        stratum = isotropy_components(poly, xi, q)
-        for comp in stratum.components:
-            if key_a in comp and key_b in comp:
-                best = q
-                break
-        if best == q:
-            break
-    return best
+        for comp in _stratum(orders, q).components:
+            if face_a.facets in comp and face_b.facets in comp:
+                return q
+    return 1
 
 
 def global_isotropy_bound(poly, xi):
     """Largest finite stabilizer order on the manifold (1 if semifree)."""
-    best = 1
-    for face in poly.faces.values():
-        order = isotropy_order(poly, xi, face)
-        if order is not FIXED:
-            best = max(best, order)
-    return best
+    orders = _orders(poly, _check_xi(xi)).values()
+    return max([1] + [order for order in orders if order is not FIXED])
 
 
 def superlevel_isotropy_bound(poly, xi, c):
     """Max finite isotropy over faces whose moment maximum exceeds c."""
     xi = _check_xi(xi)
     best = 1
-    for face in poly.faces.values():
-        order = isotropy_order(poly, xi, face)
+    for key, order in _orders(poly, xi).items():
         if order is FIXED:
             continue
         top = max(linalg.vec_dot(xi, poly.vertex_point(v))
-                  for v in face.vertex_ids)
+                  for v in poly.faces[key].vertex_ids)
         if top > c:
             best = max(best, order)
     return best
@@ -240,13 +236,10 @@ def action_invariant(poly, xi):
     xi = _check_xi(xi)
     lattice_rows = [(b.omega(poly), Fraction(b.c1()))
                     for b in h2_lattice(poly)]
-    values = []
-    for vid in range(len(poly.vertices)):
-        idx = sorted(poly.vertex_facets(vid))
-        coeffs = linalg.solve_unimodular([poly.normal(i) for i in idx], xi)
-        K = linalg.vec_dot(xi, poly.vertex_point(vid))
-        m = -sum(coeffs)
-        values.append((K, Fraction(-m)))
+    table = _table(poly, xi)
+    values = [(linalg.vec_dot(xi, poly.vertex_point(vid)),
+               Fraction(sum(coords.values())))
+              for vid, coords in table.items()]
     base = max(values)
     for val in values:
         diff = (val[0] - base[0], val[1] - base[1])
@@ -254,5 +247,5 @@ def action_invariant(poly, xi):
             raise InvariantMismatch(
                 f"vertex values {val} and {base} differ by {diff}, outside "
                 "the (omega, c1) lattice")
-    fmax, _ = extrema(poly, xi)
+    fmax = _fixed_components(poly, xi, table)[0]
     return (fmax.K, -fmax.m)

@@ -23,14 +23,15 @@ from .exprparse import parse_expression
 from .novikov import NovScalar
 from .obstructions import analyze
 from .oracle import verify_all
-from .polynomials import mono_degree
-from .polytope import centroid, primitive_sets, validate_delzant
+from .polytope import centroid, normalize, validate_delzant
 from .quantum import (
     QClass,
     default_cutoff,
     fano_presentation,
+    kept_qpoly,
     nef_presentation,
     qpoly_atoms,
+    qprod,
     quantum_nf,
 )
 from .seidel import (
@@ -208,14 +209,7 @@ def qclass_from_json(data, qp):
         mono = tuple(int(x) for x in item["m"])
         key = (mono, int(item["q"]), Fraction(item["t"]))
         terms[key] = terms.get(key, Fraction(0)) + Fraction(item["c"])
-    out = qp.zero().coeffs
-    coeffs = {}
-    for (mono, d, kappa), c in terms.items():
-        kept = qp.ring.substitute({mono: c})
-        for m, cc in kept.items():
-            scalar = NovScalar.monomial(cc, d, kappa, qp.cutoff)
-            cur = coeffs.get(m)
-            coeffs[m] = scalar if cur is None else cur + scalar
+    coeffs = _kept_terms(qp, terms)
     if data.get("truncated"):
         coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
     return quantum_nf(coeffs, qp)
@@ -233,16 +227,16 @@ def build_presentation(poly, mode, y_table_path=None, cutoff=None):
     return fano_presentation(poly, cutoff)
 
 
+def _kept_terms(qp, terms):
+    """Kept-variable form of {(full monomial, d, kappa): coefficient}."""
+    return kept_qpoly(qp.ring, [
+        (mono, NovScalar.monomial(c, d, kappa, qp.cutoff))
+        for (mono, d, kappa), c in terms.items()])
+
+
 def lift_expression(qp, text):
     parsed = parse_expression(text, qp.polytope.num_facets)
-    coeffs = {}
-    for (mono, d, kappa), c in parsed.items():
-        kept = qp.ring.substitute({mono: c})
-        for m, cc in kept.items():
-            scalar = NovScalar.monomial(cc, d, kappa, qp.cutoff)
-            cur = coeffs.get(m)
-            coeffs[m] = scalar if cur is None else cur + scalar
-    return quantum_nf(coeffs, qp)
+    return quantum_nf(_kept_terms(qp, parsed), qp)
 
 
 # -------------------------------------------------------------- subcommands
@@ -307,7 +301,6 @@ def cmd_quantum(args):
 
 
 def cmd_product(args):
-    from .quantum import qprod
     poly = load_polytope(args.file)
     qp = build_presentation(poly, args.mode, args.y_table, args.cutoff)
     a = lift_expression(qp, args.lhs)
@@ -408,7 +401,8 @@ def cmd_analyze(args):
     xi = parse_xi(args.xi, poly.n)
     qp = None
     if not args.no_quantum:
-        qp = build_presentation(poly, args.mode, args.y_table, args.cutoff)
+        qp = build_presentation(normalize(poly), args.mode, args.y_table,
+                                args.cutoff)
     report = analyze(poly, xi, qp)
     if args.format == "structured":
         payload = {

@@ -9,6 +9,7 @@ Stanley-Reisner generators, which the quantum layer consumes.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import (
@@ -18,7 +19,6 @@ from .errors import (
 )
 from .polynomials import (
     TracedBasis,
-    grevlex_key,
     mono_degree,
     poly_add,
     poly_const,
@@ -260,10 +260,7 @@ def build_ring(poly):
 def vertex_weights(poly, vid, xi):
     """Weights of the circle xi at a vertex: minus the coefficients of xi in
     the vertex's outward normal basis, keyed by facet index."""
-    idx = sorted(poly.vertex_facets(vid))
-    cols = [poly.normal(i) for i in idx]
-    coeffs = linalg.solve_unimodular(cols, xi)
-    return {i: -c for i, c in zip(idx, coeffs)}
+    return {i: -c for i, c in poly.coordinates(vid, xi).items()}
 
 
 def betti_morse(poly, xi):
@@ -287,7 +284,7 @@ def generic_vector(poly):
     for vid in range(len(poly.vertices)):
         for x in poly.vertex_point(vid):
             d = Fraction(x).denominator
-            den = den * d // __import__("math").gcd(den, d)
+            den = den * d // gcd(den, d)
     magnitude = max((abs(int(x * den)) for vid in range(len(poly.vertices))
                      for x in poly.vertex_point(vid)), default=1)
     M = 1 + magnitude

@@ -104,6 +104,10 @@ class MissingYEntry(ToricError):
     pass
 
 
+class MomentDataMismatch(ToricError):
+    pass
+
+
 # ------------------------------------------------------------------- seidel
 
 class NoEligibleVertex(ToricError):

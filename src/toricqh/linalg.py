@@ -9,16 +9,8 @@ from fractions import Fraction
 from math import gcd
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def vec_dot(u, v):
@@ -31,10 +23,6 @@ def vec_content(u):
     for a in u:
         g = gcd(g, abs(a))
     return g
-
-
-def mat_vec(m, v):
-    return tuple(vec_dot(row, v) for row in m)
 
 
 def det(m):

@@ -136,10 +136,6 @@ class NovScalar:
         v = self.valuation()
         return {d: c for (d, k), c in self.terms.items() if k == v}
 
-    def degrees(self):
-        """Set of total degrees 2d over the terms (for grading checks)."""
-        return {2 * d for (d, _) in self.terms}
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (item[0][1], item[0][0]))
 
@@ -194,22 +190,6 @@ class NovScalar:
         for (d, k), c in self.sorted_terms():
             bits.append(f"{c}*q^{d}*t^{k}")
         return "NovScalar(" + " + ".join(bits) + ")"
-
-
-def nov_add(a, b):
-    return a + b
-
-
-def nov_mul(a, b):
-    return a * b
-
-
-def valuation(a):
-    return a.valuation()
-
-
-def nov_invert(a):
-    return a.invert()
 
 
 def serialize(a):

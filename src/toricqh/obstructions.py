@@ -6,6 +6,7 @@ vocabulary is essential / inconclusive only.  Rules never certify that a
 loop is contractible.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -14,12 +15,11 @@ from .actions import (
     fixed_components,
     global_isotropy_bound,
     isotropy_components,
-    isotropy_order,
     q_pair,
     superlevel_isotropy_bound,
-    FIXED,
 )
 from .cohomology import build_ring, face_betti, restrict_to_face
+from .errors import MomentDataMismatch
 from .polynomials import poly_mul, poly_const
 from .polytope import centroid, normalize
 from .quantum import qsub
@@ -57,7 +57,6 @@ def _euler_class_nonzero(ring, comp):
     over the negative-weight facets."""
     poly = ring.polytope
     face = comp.face
-    face_ring, value = None, None
     product_full = poly_const(1, poly.num_facets)
     rank = 0
     for i, w in comp.weights.items():
@@ -247,9 +246,7 @@ def chain_bound(poly, xi):
             return None
         return abs(dk) / qmat[(i, j)]
 
-    best = {0: Fraction(0)}
     # positive edge costs on a tiny complete graph: plain Dijkstra
-    import heapq
     heap = [(Fraction(0), 0)]
     dist = {}
     while heap:
@@ -352,7 +349,7 @@ def analyze(poly, xi, qp=None):
             [f.normal for f in qp.polytope.facets] == \
             [f.normal for f in poly.facets]
         if not same:
-            raise ValueError(
+            raise MomentDataMismatch(
                 "the quantum presentation was built on different moment "
                 "data; rebuild it on the normalized polytope")
     xi = tuple(int(x) for x in xi)

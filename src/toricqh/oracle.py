@@ -12,17 +12,20 @@ from fractions import Fraction
 from .actions import fixed_components
 from .cohomology import betti_morse, generic_vector
 from .errors import NonGenericVector, ToricError
-from .linalg import solve_unimodular
 from .novikov import NovScalar
 from .polynomials import mono_degree
 from .quantum import (
     QClass,
     classical_limit_defect,
     qinv,
+    qpoly_add,
+    qpoly_atoms,
+    qpoly_from_poly,
+    qpoly_scale,
     qpow,
     qprod,
-    qpoly_atoms,
     qsub,
+    quantum_nf,
 )
 from .seidel import facet_seidel, seidel_element
 
@@ -122,10 +125,8 @@ def check_vertex_independence(qp, trials=6, seed=DEFAULT_SEED):
         xi = _random_xi(rng, poly.n)
         reference = None
         for vid in range(len(poly.vertices)):
-            idx = sorted(poly.vertex_facets(vid))
-            coeffs = solve_unimodular([poly.normal(i) for i in idx], xi)
             out = qp.one()
-            for i, a in zip(idx, coeffs):
+            for i, a in poly.coordinates(vid, xi).items():
                 base = facet_seidel(qp, i).qclass
                 if a > 0:
                     out = qprod(out, qpow(base, a, qp), qp)
@@ -177,7 +178,6 @@ def check_grading_and_betti(poly, qp):
 
 def check_relations_vanish(qp):
     """Every quantum Stanley-Reisner generator reduces to zero."""
-    from .quantum import quantum_nf, qpoly_from_poly, qpoly_scale, qpoly_add
     violations = []
     for p in qp.prims:
         full = [0] * qp.polytope.num_facets

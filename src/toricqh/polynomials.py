@@ -38,10 +38,6 @@ def grevlex_key(m):
 
 # --------------------------------------------------------------- polynomials
 
-def poly_zero():
-    return {}
-
-
 def poly_const(c, width):
     c = Fraction(c)
     return {(0,) * width: c} if c else {}
@@ -102,11 +98,6 @@ def poly_term_mul(f, mono, coeff):
 def poly_is_homogeneous(f):
     degs = {mono_degree(m) for m in f}
     return len(degs) <= 1
-
-
-def poly_degree(f):
-    """Total degree, or None for the zero polynomial."""
-    return max((mono_degree(m) for m in f), default=None)
 
 
 def leading_monomial(f):

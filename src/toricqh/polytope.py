@@ -8,7 +8,6 @@ exact.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from . import linalg
 from .errors import (
@@ -77,6 +76,13 @@ class DelzantPolytope:
 
     def vertex_normal_columns(self, vid):
         return [self.normal(i) for i in sorted(self.vertex_facets(vid))]
+
+    def coordinates(self, vid, v):
+        """Coefficients of the integer vector v in the unimodular normal
+        basis at vertex vid, keyed by facet index in increasing order."""
+        idx = sorted(self.vertex_facets(vid))
+        return dict(zip(idx, linalg.solve_unimodular(
+            self.vertex_normal_columns(vid), v)))
 
     def lex_least_vertex_of(self, face):
         return min(face.vertex_ids, key=lambda v: self.vertex_point(v))
@@ -229,10 +235,6 @@ def _build_faces(poly):
     return faces
 
 
-def faces(poly):
-    return poly.faces
-
-
 # ---------------------------------------------------------------- dual cones
 
 def dual_cone_face(poly, v):
@@ -244,11 +246,9 @@ def dual_cone_face(poly, v):
     """
     v = tuple(int(x) for x in v)
     for vid in range(len(poly.vertices)):
-        idx = sorted(poly.vertex_facets(vid))
-        cols = [poly.normal(i) for i in idx]
-        coeffs = linalg.solve_unimodular(cols, v)
-        if all(c >= 0 for c in coeffs):
-            support = {i: c for i, c in zip(idx, coeffs) if c > 0}
+        coeffs = poly.coordinates(vid, v)
+        if all(c >= 0 for c in coeffs.values()):
+            support = {i: c for i, c in coeffs.items() if c > 0}
             return poly.face(frozenset(support)), support
     raise AssertionError("complete fan does not cover %r" % (v,))
 

@@ -66,6 +66,20 @@ def qpoly_mul(a, b):
     return {m: s for m, s in out.items() if not s.is_zero() or s.truncated}
 
 
+def kept_qpoly(ring, terms):
+    """Sum of (full-variable monomial, NovScalar) terms as a quantum
+    polynomial in the kept variables; truncation flags carry over."""
+    out = {}
+    for mono, s in terms:
+        if s.is_zero() and not s.truncated:
+            continue
+        for m, c in ring.substitute({mono: Fraction(1)}).items():
+            term = s.scale(c)
+            cur = out.get(m)
+            out[m] = term if cur is None else cur + term
+    return out
+
+
 def qpoly_atoms(a):
     for m, s in a.items():
         for (d, kappa), c in s.terms.items():
@@ -193,14 +207,8 @@ def _validate_y_correction(ring, i, correction, cutoff):
                 raise BadCorrectionDegree(
                     f"Y correction for facet {i + 1} has an atom of degree "
                     f"{2 * mono_degree(m) + 2 * d} with q-exponent {d}")
-    kept = {}
-    for m, s in correction.items():
-        sub = ring.substitute({m: Fraction(1)})
-        for km, c in sub.items():
-            cur = kept.get(km)
-            term = s.scale(c)
-            kept[km] = term if cur is None else cur + term
-    kept = {m: s for m, s in kept.items() if not s.is_zero() or s.truncated}
+    kept = {m: s for m, s in kept_qpoly(ring, correction.items()).items()
+            if not s.is_zero() or s.truncated}
     val = qpoly_valuation(kept)
     if val is not None and val <= 0:
         raise BadCorrectionValuation(
@@ -331,8 +339,6 @@ def quantum_nf(z, qp):
     for m, s in result.items():
         if not s.is_zero():
             coeffs[m] = s.with_truncated(s.truncated or truncated)
-        elif s.truncated or truncated:
-            pass
     if truncated and coeffs:
         coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
     if truncated and not coeffs:
@@ -345,10 +351,9 @@ def quantum_nf(z, qp):
 def lift(qp, full_poly, d=0, kappa=0, coeff=1):
     """Quantum class of a polynomial expression in the full facet variables,
     times an optional Novikov monomial."""
-    kept = qp.ring.substitute(full_poly)
-    return quantum_nf(qpoly_from_poly(
-        {m: Fraction(coeff) * c for m, c in kept.items()},
-        qp.cutoff, d=d, kappa=kappa), qp)
+    return quantum_nf(kept_qpoly(qp.ring, [
+        (m, NovScalar.monomial(Fraction(coeff) * c, d, kappa, qp.cutoff))
+        for m, c in full_poly.items()]), qp)
 
 
 def qprod(a, b, qp):
@@ -521,8 +526,6 @@ def _solve_unit_system(qp, slots, columns, strict_cut, vala):
         assign[j] = piv
     # inconsistency: a row with zero coefficients but nonzero rhs
     for r in range(len(active)):
-        if r not in used_rows and not active[r] and b[r]:
-            return None
         if r not in used_rows and b[r] and all(
                 v == 0 for v in active[r].values()):
             return None

@@ -10,11 +10,10 @@ dimension two, where a Seidel element of an eligible vertex determines it.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .actions import extrema, fixed_components
 from .errors import DictionaryIncomplete, MissingYEntry, NoEligibleVertex
 from .novikov import NovScalar
-from .polynomials import mono_degree, poly_sub
+from .polynomials import mono_degree
 from .polytope import H2Class
 from .quantum import (
     QClass,
@@ -25,7 +24,6 @@ from .quantum import (
     qscale,
     quantum_nf,
     qpoly_scale,
-    qpoly_atoms,
 )
 
 
@@ -51,10 +49,7 @@ def edge_class(poly, edge):
     (fa,) = poly.vertex_facets(va) - edge.facets
     (fb,) = poly.vertex_facets(vb) - edge.facets
     assert fa != fb, "an edge has two distinct endpoint facets"
-    idx = sorted(poly.vertex_facets(va))
-    coeffs = linalg.solve_unimodular([poly.normal(i) for i in idx],
-                                     poly.normal(fb))
-    by_facet = dict(zip(idx, coeffs))
+    by_facet = poly.coordinates(va, poly.normal(fb))
     assert by_facet.get(fa) == -1, "adjacent vertex relation is degenerate"
     pairings = [0] * poly.num_facets
     pairings[fa] = 1
@@ -94,7 +89,6 @@ def facet_seidel(qp, i):
         shifted = qpoly_scale(qp.y_classes[i],
                               NovScalar.monomial(1, -1, -support, qp.cutoff))
         qclass = quantum_nf(shifted, qp)
-    face = poly.face(frozenset({i}))
     element = SeidelElement(qclass=qclass, xi=poly.normal(i), mode=qp.mode,
                             leading_face=frozenset({i}), m_max=-1,
                             K_max=support)
@@ -118,10 +112,8 @@ def seidel_element(qp, xi):
     poly = qp.polytope
     xi = tuple(int(x) for x in xi)
     fmax, _ = extrema(poly, xi)
-    idx = sorted(poly.vertex_facets(0))
-    coeffs = linalg.solve_unimodular([poly.normal(i) for i in idx], xi)
     out = qp.one()
-    for i, a in zip(idx, coeffs):
+    for i, a in poly.coordinates(0, xi).items():
         if a > 0:
             out = qprod(out, qpow(facet_seidel(qp, i).qclass, a, qp), qp)
         elif a < 0:

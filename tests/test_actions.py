@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -16,6 +18,8 @@ from toricqh.actions import (
     weights,
 )
 from toricqh.errors import ZeroVector
+from toricqh.linalg import in_span
+from toricqh.polytope import validate_delzant
 
 F = Fraction
 EPS = F(7, 20)  # blowup at mu = 1/2
@@ -192,3 +196,41 @@ def test_weight_multiset_vertex_independent(blow, hirz):
     for poly, xi in ((blow, (-1, 0)), (hirz, (0, 1)), (hirz, (1, 0))):
         for comp in fixed_components(poly, xi):
             weights(poly, xi, comp.face)  # raises on inconsistency
+
+
+def _reference_corpus():
+    """Bundled examples with xi in [-2, 2]^n, plus cp3 and the 3-cube with
+    xi in [-1, 1]^3."""
+    cp3 = validate_delzant(
+        [((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1), ((1, 1, 1), 1)])
+    cube3 = validate_delzant(
+        [(tuple(s if j == i else 0 for j in range(3)), 1)
+         for i in range(3) for s in (1, -1)])
+    for name in sorted(examples.BUILDERS):
+        poly = examples.build(name)
+        for xi in product(range(-2, 3), repeat=poly.n):
+            if any(xi):
+                yield poly, xi
+    for poly in (cp3, cube3):
+        for xi in product(range(-1, 2), repeat=3):
+            if any(xi):
+                yield poly, xi
+
+
+def test_isotropy_order_matches_span_reference():
+    """Fixed iff xi lies in the span of the face's normals (rank test), and
+    a finite order is the same gcd of off-face coordinates at every vertex
+    of the face."""
+    for poly, xi in _reference_corpus():
+        for key, face in poly.faces.items():
+            order = isotropy_order(poly, xi, face)
+            fixed = in_span([poly.normal(i) for i in sorted(key)], xi)
+            assert (order is FIXED) == fixed, (poly.name, xi, sorted(key))
+            if fixed:
+                continue
+            for vid in face.vertex_ids:
+                g = 0
+                for i, c in poly.coordinates(vid, xi).items():
+                    if i not in key:
+                        g = gcd(g, c)
+                assert g == order, (poly.name, xi, sorted(key), vid)

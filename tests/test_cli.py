@@ -191,3 +191,19 @@ def test_nef_cli_with_y_table_file(tmp_path, capsys):
     assert "O(t^{4})" in out  # truncated series marked
     assert main(["quantum", str(poly_path),
                  "--mode", "nef", "--y-table", str(table_path)]) == 0
+
+
+def test_analyze_normalizes_raw_polytope_with_quantum(tmp_path, capsys):
+    # a unit square in [0, 1]^2: not mean normalized, quantum rule on
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "name": "unit_square", "dim": 2,
+        "facets": [{"normal": [1, 0], "support": "1"},
+                   {"normal": [-1, 0], "support": "0"},
+                   {"normal": [0, 1], "support": "1"},
+                   {"normal": [0, -1], "support": "0"}]}))
+    assert main(["analyze", str(path), "--xi", "1,0",
+                 "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["normalized"] is True
+    assert "SD" in [f["rule"] for f in payload["findings"]]

@@ -154,3 +154,12 @@ def test_analyze_normalizes_offset_polytope():
     report = analyze(shifted, (1, 1))
     assert report.normalized
     assert report.verdict == "essential"
+
+
+def test_analyze_rejects_presentation_on_raw_moment_data():
+    from toricqh.errors import MomentDataMismatch
+    from toricqh.polytope import validate_delzant
+    shifted = validate_delzant(
+        [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
+    with pytest.raises(MomentDataMismatch):
+        analyze(shifted, (1, 0), fano_presentation(shifted))
