@@ -13,6 +13,7 @@ gcd of 0 means the face is fixed.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from . import linalg
@@ -193,17 +194,25 @@ def isotropy_components(poly, xi, q):
     return _stratum(_orders(poly, _check_xi(xi)), q)
 
 
-def q_pair(poly, xi, face_a, face_b):
-    """Largest q so that both faces lie in one component of the q-isotropy
-    stratum; at least 1, since the whole manifold is the 1-stratum."""
+def q_pairs(poly, xi, faces):
+    """{(i, j): q} for i < j: the largest q so that faces[i] and faces[j]
+    lie in one component of the q-isotropy stratum; at least 1, since the
+    whole manifold is the 1-stratum.  Each stratum is built once."""
     orders = _orders(poly, _check_xi(xi))
     candidates = {d for order in orders.values() if order is not FIXED
                   for d in range(2, order + 1) if order % d == 0}
-    for q in sorted(candidates, reverse=True):
+    pairs = dict.fromkeys(combinations(range(len(faces)), 2), 1)
+    for q in sorted(candidates):  # ascending: a larger q overwrites
         for comp in _stratum(orders, q).components:
-            if face_a.facets in comp and face_b.facets in comp:
-                return q
-    return 1
+            inside = [k for k, face in enumerate(faces) if face.facets in comp]
+            for pair in combinations(inside, 2):
+                pairs[pair] = q
+    return pairs
+
+
+def q_pair(poly, xi, face_a, face_b):
+    """The q of one pair of faces, as in `q_pairs`."""
+    return q_pairs(poly, xi, (face_a, face_b))[(0, 1)]
 
 
 def global_isotropy_bound(poly, xi):

@@ -489,6 +489,13 @@ def parse_xi(text, n):
 
 # ------------------------------------------------------------------- driver
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return value
+
+
 def _add_presentation_flags(sub):
     sub.add_argument("--mode", choices=("fano", "nef"), default="fano")
     sub.add_argument("--y-table", default=None, metavar="FILE")
@@ -550,7 +557,7 @@ def build_arg_parser():
     p = subs.add_parser("verify", help="run the oracle suite")
     p.add_argument("file")
     _add_presentation_flags(p)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=7193)
     p.add_argument("--format", choices=("text", "structured"),
                    default="text")

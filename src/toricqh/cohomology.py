@@ -137,17 +137,6 @@ class ClassicalRing:
         """Rewrite a full-variable polynomial in the kept variables."""
         return poly_substitute(full_poly, self.images, self.width)
 
-    def embed(self, kept_poly):
-        """Express a kept-variable polynomial in the full variables."""
-        N = self.polytope.num_facets
-        out = {}
-        for m, c in kept_poly.items():
-            full = [0] * N
-            for k, e in enumerate(m):
-                full[self.kept[k]] = e
-            out[tuple(full)] = c
-        return out
-
     def var(self, i):
         """Kept-variable image of the facet class x_i (0-based facet index)."""
         return dict(self.images[i])

@@ -9,13 +9,12 @@ loop is contractible.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .actions import (
     fixed_components,
     global_isotropy_bound,
     isotropy_components,
-    q_pair,
+    q_pairs,
     superlevel_isotropy_bound,
 )
 from .cohomology import build_ring, face_betti, restrict_to_face
@@ -230,73 +229,55 @@ class ChainBound:
 def chain_bound(poly, xi):
     """Cheapest chain of fixed components from the maximum to the minimum,
     with cost |dK| / q over each hop, and whether some cheapest chain also
-    realizes the weight-sum condition.  Chains visit each component at most
-    once."""
+    realizes the weight-sum condition.
+
+    Hop costs are positive and symmetric, so one Dijkstra from the minimum
+    gives each component's cheapest remaining cost `rest`.  The cheapest
+    chains are exactly the walks from the maximum along tight hops (those
+    with cost(u, v) + rest[v] == rest[u]); `rest` falls strictly along them,
+    so they visit each component at most once.
+    """
     comps = fixed_components(poly, xi)
     n = len(comps)
-    fmax, fmin = comps[0], comps[-1]
-    qmat = {}
-    for i, j in combinations(range(n), 2):
-        qmat[(i, j)] = qmat[(j, i)] = q_pair(
-            poly, xi, comps[i].face, comps[j].face)
-
-    def cost(i, j):
-        dk = comps[i].K - comps[j].K
-        if dk == 0:
-            return None
-        return abs(dk) / qmat[(i, j)]
-
-    # positive edge costs on a tiny complete graph: plain Dijkstra
-    heap = [(Fraction(0), 0)]
-    dist = {}
+    fmax = comps[0]
+    keys = [tuple(sorted(c.facets)) for c in comps]
+    qs = q_pairs(poly, xi, [c.face for c in comps])
+    # comps run by decreasing K, so a hop i -> j with i < j goes down; the
+    # cost and the m-step (m_i - m_j) / q are the same in both directions
+    hops = {u: [] for u in range(n)}  # u -> [(v, cost, m-step)], v ascending
+    for (i, j), q in qs.items():
+        if comps[i].K != comps[j].K:
+            hop = ((comps[i].K - comps[j].K) / q,
+                   Fraction(comps[i].m - comps[j].m, q))
+            hops[i].append((j, *hop))
+            hops[j].append((i, *hop))
+    rest = {}
+    heap = [(Fraction(0), n - 1)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in dist:
+        if u in rest:
             continue
-        dist[u] = d
-        for v in range(n):
-            if v == u or v in dist:
-                continue
-            c = cost(u, v)
-            if c is None:
-                continue
-            heapq.heappush(heap, (d + c, v))
-    min_cost = dist[n - 1]
+        rest[u] = d
+        for v, cost, _ in hops[u]:
+            if v not in rest:
+                heapq.heappush(heap, (d + cost, v))
+    tight = {u: [(v, step) for v, cost, step in edges
+                 if cost + rest[v] == rest[u]] for u, edges in hops.items()}
+    walks = []
 
-    paths = []
-    achieved = []
-
-    def dfs(u, visited, acc_cost, acc_m, path):
-        if acc_cost > min_cost:
-            return
+    def walk(u, path, m):
         if u == n - 1:
-            if acc_cost == min_cost:
-                paths.append(tuple(path))
-                achieved.append(acc_m == fmax.m)
-            return
-        for v in range(n):
-            if v in visited:
-                continue
-            c = cost(u, v)
-            if c is None:
-                continue
-            du = comps[u].K - comps[v].K
-            sign = 1 if du > 0 else -1
-            step_m = Fraction(comps[u].m - comps[v].m, qmat[(u, v)]) * sign
-            visited.add(v)
-            path.append(tuple(sorted(comps[v].facets)))
-            dfs(v, visited, acc_cost + c, acc_m + step_m, path)
-            path.pop()
-            visited.discard(v)
+            walks.append((path, m))
+        for v, step in tight[u]:
+            walk(v, path + (keys[v],), m + step)
 
-    dfs(0, {0}, Fraction(0), Fraction(0), [tuple(sorted(fmax.facets))])
-    m_ok = any(achieved)
-    return ChainBound(min_cost=min_cost, K_max=fmax.K,
-                      optimal_paths=tuple(paths),
-                      m_condition_achievable=m_ok,
-                      q_values={(tuple(sorted(comps[i].facets)),
-                                 tuple(sorted(comps[j].facets))): q
-                                for (i, j), q in qmat.items() if i < j})
+    walk(0, (keys[0],), Fraction(0))
+    return ChainBound(min_cost=rest[0], K_max=fmax.K,
+                      optimal_paths=tuple(path for path, _ in walks),
+                      m_condition_achievable=any(m == fmax.m
+                                                 for _, m in walks),
+                      q_values={(keys[i], keys[j]): q
+                                for (i, j), q in qs.items()})
 
 
 def _rule_p6(poly, xi):
@@ -313,7 +294,7 @@ def _rule_p6(poly, xi):
                                 "K_max": bound.K_max,
                                 "m_condition": bound.m_condition_achievable,
                                 "optimal_paths": bound.optimal_paths,
-                                "note": why}), bound
+                                "note": why})
 
 
 def _rule_sd(qp, xi):
@@ -363,8 +344,7 @@ def analyze(poly, xi, qp=None):
         _rule_s2(poly, xi, comps),
         _rule_c(poly, xi, comps),
     ]
-    p6, _ = _rule_p6(poly, xi)
-    findings.append(p6)
+    findings.append(_rule_p6(poly, xi))
     element = None
     if qp is not None:
         sd, element = _rule_sd(qp, xi)

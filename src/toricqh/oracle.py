@@ -17,17 +17,15 @@ from .polynomials import mono_degree
 from .quantum import (
     QClass,
     classical_limit_defect,
-    qinv,
     qpoly_add,
     qpoly_atoms,
     qpoly_from_poly,
     qpoly_scale,
-    qpow,
     qprod,
     qsub,
     quantum_nf,
 )
-from .seidel import facet_seidel, seidel_element
+from .seidel import facet_product, facet_seidel, seidel_element
 
 DEFAULT_SEED = 7193
 
@@ -125,13 +123,7 @@ def check_vertex_independence(qp, trials=6, seed=DEFAULT_SEED):
         xi = _random_xi(rng, poly.n)
         reference = None
         for vid in range(len(poly.vertices)):
-            out = qp.one()
-            for i, a in poly.coordinates(vid, xi).items():
-                base = facet_seidel(qp, i).qclass
-                if a > 0:
-                    out = qprod(out, qpow(base, a, qp), qp)
-                elif a < 0:
-                    out = qprod(out, qpow(qinv(base, qp), -a, qp), qp)
+            out = facet_product(qp, poly.coordinates(vid, xi))
             if reference is None:
                 reference = out
             elif not _agree(qp, out, reference):

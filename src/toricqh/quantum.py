@@ -169,9 +169,6 @@ class QuantumPresentation:
         one = NovScalar.one(self.cutoff)
         return QClass({(0,) * self.ring.width: one}, self.cutoff)
 
-    def scalar_class(self, s):
-        return QClass({(0,) * self.ring.width: s}, self.cutoff)
-
 
 def default_cutoff(poly):
     """Four times the largest relation energy."""

@@ -156,6 +156,18 @@ def test_verify_command(tmp_path, capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(tmp_path, capsys, trials):
+    path = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert "--trials" in captured.err
+
+
 def test_expression_lift_matches_relations(blow_file):
     qp = fano_presentation(examples.blowup_cp2(F(1, 2)))
     lhs = lift_expression(qp, "x3*x4")

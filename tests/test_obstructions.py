@@ -1,14 +1,40 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from toricqh import examples
+from toricqh.actions import (
+    fixed_components,
+    global_isotropy_bound,
+    isotropy_components,
+    q_pair,
+    q_pairs,
+)
 from toricqh.obstructions import analyze, chain_bound
+from toricqh.polytope import normalize, validate_delzant
 from toricqh.quantum import fano_presentation
 
 F = Fraction
 MU = F(1, 2)
 EPS = F(7, 20)
+
+
+def simplex(n):
+    """CP^n: the standard simplex with every support 1/4, mean normalized."""
+    specs = [(tuple(-1 if j == i else 0 for j in range(n)), F(1, 4))
+             for i in range(n)]
+    specs.append(((1,) * n, F(1, 4)))
+    return normalize(validate_delzant(specs, name=f"cp{n}"))
+
+
+def box(n):
+    """The box with support 1/2 + i/7 on both facets of axis i = 1..n,
+    mean normalized."""
+    specs = [(tuple(s if j == i else 0 for j in range(n)),
+              F(1, 2) + F(i + 1, 7))
+             for i in range(n) for s in (1, -1)]
+    return normalize(validate_delzant(specs, name=f"cube{n}"))
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +189,90 @@ def test_analyze_rejects_presentation_on_raw_moment_data():
         [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
     with pytest.raises(MomentDataMismatch):
         analyze(shifted, (1, 0), fano_presentation(shifted))
+
+
+def _chain_reference(poly, xi):
+    """Every simple chain from the maximum to the minimum, by brute force:
+    (min cost, the cheapest chains in lexicographic order of component
+    indices, whether one of them meets the weight-sum condition, the q of
+    each pair).  A pair's q is the largest q whose stratum has a component
+    holding both faces, found by trying every q from the global bound down."""
+    comps = fixed_components(poly, xi)
+    n = len(comps)
+    strata = [(k, isotropy_components(poly, xi, k).components)
+              for k in range(global_isotropy_bound(poly, xi), 1, -1)]
+    q = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[(i, j)] = q[(j, i)] = next(
+                (k for k, components in strata
+                 if any(comps[i].facets in c and comps[j].facets in c
+                        for c in components)), 1)
+    chains = []
+
+    def extend(path):
+        if path[-1] == n - 1:
+            chains.append(path)
+            return
+        for v in range(n):
+            if v not in path and comps[v].K != comps[path[-1]].K:
+                extend(path + [v])
+
+    extend([0])
+
+    def cost(path):
+        return sum(abs(comps[u].K - comps[v].K) / q[(u, v)]
+                   for u, v in zip(path, path[1:]))
+
+    def m_sum(path):
+        return sum(F(comps[u].m - comps[v].m, q[(u, v)])
+                   * (1 if comps[u].K > comps[v].K else -1)
+                   for u, v in zip(path, path[1:]))
+
+    best = min(cost(path) for path in chains)
+    optimal = sorted(path for path in chains if cost(path) == best)
+    keys = [tuple(sorted(c.facets)) for c in comps]
+    return (best,
+            tuple(tuple(keys[v] for v in path) for path in optimal),
+            any(m_sum(path) == comps[0].m for path in optimal),
+            {(i, j): q[(i, j)] for i in range(n) for j in range(i + 1, n)})
+
+
+def _chain_corpus():
+    """The bundled examples with xi in [-2, 2]^n and the 3-box with xi in
+    [-1, 1]^3, plus three circles with climbing cheapest chains."""
+    for name in sorted(examples.BUILDERS):
+        poly = normalize(examples.build(name))
+        for xi in product(range(-2, 3), repeat=poly.n):
+            if any(xi):
+                yield poly, xi
+    cube3 = box(3)
+    for xi in product(range(-1, 2), repeat=3):
+        if any(xi):
+            yield cube3, xi
+    # circles whose cheapest chains climb to a higher K on the way down
+    yield normalize(examples.s2xs2()), (1, 3)
+    yield cube3, (1, 1, 2)
+    yield cube3, (-1, 1, -2)
+
+
+def test_chain_bound_matches_brute_force():
+    for poly, xi in _chain_corpus():
+        best, optimal, m_ok, qs = _chain_reference(poly, xi)
+        comps = fixed_components(poly, xi)
+        assert q_pairs(poly, xi, [c.face for c in comps]) == qs, \
+            (poly.name, xi)
+        for (i, j), q in qs.items():
+            assert q_pair(poly, xi, comps[i].face, comps[j].face) == q
+        bound = chain_bound(poly, xi)
+        assert bound.min_cost == best, (poly.name, xi)
+        assert bound.optimal_paths == optimal, (poly.name, xi)
+        assert bound.m_condition_achievable == m_ok, (poly.name, xi)
+
+
+def test_chain_bound_cube4_diagonal():
+    bound = chain_bound(box(4), (1, 1, 1, 1))
+    assert len(bound.optimal_paths) == 12288
+    assert len(set(bound.optimal_paths)) == 12288
+    assert bound.min_cost == F(48, 7) > bound.K_max == F(24, 7)
+    assert not bound.m_condition_achievable

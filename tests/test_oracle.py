@@ -17,6 +17,7 @@ from toricqh.oracle import (
 )
 from toricqh.quantum import default_cutoff, fano_presentation, nef_presentation
 
+from test_obstructions import box, simplex
 from test_quantum import hirz_y_table
 
 F = Fraction
@@ -120,3 +121,8 @@ def test_verify_all_smoke(blow):
     report = verify_all(blow.polytope, blow, trials=6)
     assert report["ok"]
     assert report["seed"] == 7193
+
+
+@pytest.mark.parametrize("poly", [simplex(3), box(3)], ids=["cp3", "cube3"])
+def test_verify_all_three_dimensional(poly):
+    assert verify_all(poly, fano_presentation(poly), trials=4)["ok"]
