@@ -221,18 +221,22 @@ def global_isotropy_bound(poly, xi):
     return max([1] + [order for order in orders if order is not FIXED])
 
 
+def superlevel_isotropy_bounds(poly, xi, levels):
+    """{c: max finite isotropy over faces whose moment maximum exceeds c}
+    for every c in levels (1 where no such face), from one orders map and
+    one moment value per vertex."""
+    xi = _check_xi(xi)
+    values = [linalg.vec_dot(xi, poly.vertex_point(v))
+              for v in range(len(poly.vertices))]
+    tops = [(max(values[v] for v in poly.faces[key].vertex_ids), order)
+            for key, order in _orders(poly, xi).items() if order is not FIXED]
+    return {c: max([1] + [order for top, order in tops if top > c])
+            for c in levels}
+
+
 def superlevel_isotropy_bound(poly, xi, c):
     """Max finite isotropy over faces whose moment maximum exceeds c."""
-    xi = _check_xi(xi)
-    best = 1
-    for key, order in _orders(poly, xi).items():
-        if order is FIXED:
-            continue
-        top = max(linalg.vec_dot(xi, poly.vertex_point(v))
-                  for v in poly.faces[key].vertex_ids)
-        if top > c:
-            best = max(best, order)
-    return best
+    return superlevel_isotropy_bounds(poly, xi, (c,))[c]
 
 
 # ------------------------------------------------------- the (K, -m) invariant

@@ -496,10 +496,21 @@ def positive_int(text):
     return value
 
 
+def positive_rational(text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return value
+
+
 def _add_presentation_flags(sub):
     sub.add_argument("--mode", choices=("fano", "nef"), default="fano")
     sub.add_argument("--y-table", default=None, metavar="FILE")
-    sub.add_argument("--cutoff", default=None, metavar="RAT")
+    sub.add_argument("--cutoff", type=positive_rational, default=None,
+                     metavar="RAT")
 
 
 def build_arg_parser():

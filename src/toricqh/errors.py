@@ -118,6 +118,10 @@ class DictionaryIncomplete(ToricError):
     pass
 
 
+class PointLiftUnnormalized(ToricError):
+    pass
+
+
 # ---------------------------------------------------------------------- cli
 
 class ExprSyntaxError(ToricError):

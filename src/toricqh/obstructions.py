@@ -15,7 +15,7 @@ from .actions import (
     global_isotropy_bound,
     isotropy_components,
     q_pairs,
-    superlevel_isotropy_bound,
+    superlevel_isotropy_bounds,
 )
 from .cohomology import build_ring, face_betti, restrict_to_face
 from .errors import MomentDataMismatch
@@ -96,20 +96,23 @@ def _rule_t1(comps):
 
 def _rule_t2(poly, ring, xi, comps):
     fmax = comps[0]
+    visible = [all(w == 1 for w in comp.weights.values() if w > 0)
+               and _euler_class_nonzero(ring, comp) for comp in comps]
+    levels = [comp.K for comp, vis in zip(comps, visible)
+              if vis and comp is not fmax]
+    bounds = superlevel_isotropy_bounds(poly, xi, levels) if levels else {}
     details = []
     triggered = False
-    for comp in comps:
-        positive_ok = all(w == 1 for w in comp.weights.values() if w > 0)
-        visible = positive_ok and _euler_class_nonzero(ring, comp)
+    for comp, vis in zip(comps, visible):
         entry = {"face": sorted(comp.facets), "K": comp.K, "m": comp.m,
-                 "visible": visible, "semifree": comp.semifree}
-        if visible:
+                 "visible": vis, "semifree": comp.semifree}
+        if vis:
             if comp is fmax:
                 entry["case"] = "maximum"
                 entry["triggered"] = True
                 triggered = True
             else:
-                bound = superlevel_isotropy_bound(poly, xi, comp.K)
+                bound = bounds[comp.K]
                 entry["superlevel_isotropy"] = bound
                 if bound <= 2:
                     bad = comp.K != 0 or comp.m != 0 or not comp.semifree

@@ -115,19 +115,33 @@ def check_inverse_law(qp, trials=10, seed=DEFAULT_SEED):
 
 
 def check_vertex_independence(qp, trials=6, seed=DEFAULT_SEED):
-    """The Seidel element must not depend on which vertex decomposes xi."""
+    """The Seidel element must not depend on which vertex decomposes xi.
+
+    Fano mode checks every vertex against the element with no inverse: the
+    facet elements to the positive coordinates there must equal S(xi) times
+    those to the negated negative coordinates.  NEF mode compares every
+    vertex's product with vertex 0's."""
     rng = random.Random(seed + 2)
     poly = qp.polytope
     violations = []
     for _ in range(trials):
         xi = _random_xi(rng, poly.n)
-        reference = None
-        for vid in range(len(poly.vertices)):
-            out = facet_product(qp, poly.coordinates(vid, xi))
-            if reference is None:
-                reference = out
-            elif not _agree(qp, out, reference):
-                violations.append({"xi": xi, "vertex": vid})
+        table = [poly.coordinates(vid, xi)
+                 for vid in range(len(poly.vertices))]
+        if qp.mode == "fano":
+            element = seidel_element(qp, xi).qclass
+            for vid, coords in enumerate(table):
+                plus = facet_product(
+                    qp, {i: a for i, a in coords.items() if a > 0})
+                minus = facet_product(
+                    qp, {i: -a for i, a in coords.items() if a < 0})
+                if not _agree(qp, plus, qprod(element, minus, qp)):
+                    violations.append({"xi": xi, "vertex": vid})
+        else:
+            reference = facet_product(qp, table[0])
+            for vid, coords in enumerate(table[1:], 1):
+                if not _agree(qp, facet_product(qp, coords), reference):
+                    violations.append({"xi": xi, "vertex": vid})
     return violations
 
 

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import extrema, fixed_components
-from .errors import DictionaryIncomplete, MissingYEntry, NoEligibleVertex
+from .errors import (
+    DictionaryIncomplete,
+    MissingYEntry,
+    NoEligibleVertex,
+    PointLiftUnnormalized,
+    WrongDegree,
+)
 from .novikov import NovScalar
 from .polynomials import mono_degree
 from .polytope import H2Class
@@ -119,18 +125,29 @@ def facet_product(qp, coords):
 
 
 def seidel_element(qp, xi):
-    """Seidel element of the circle with direction xi, evaluated through the
-    decomposition of xi at the lex-least vertex; the result is independent
-    of that choice (checked by the oracle suite)."""
+    """Seidel element of the circle with direction xi, the product of the
+    facet elements over a decomposition of xi at one vertex; the result is
+    independent of that choice (checked by the oracle suite).
+
+    Fano mode decomposes at F_max, where the coordinates are minus the
+    weights, all positive: S(xi) is one normal form of x^a q^m t^-K, with no
+    inverse, and exact to the cutoff since reduction only raises
+    t-exponents.  NEF mode multiplies out the decomposition at vertex 0."""
     poly = qp.polytope
     xi = tuple(int(x) for x in xi)
     fmax, _ = extrema(poly, xi)
-    out = facet_product(qp, poly.coordinates(0, xi))
-    element = SeidelElement(qclass=out, xi=xi, mode=qp.mode,
-                            leading_face=fmax.facets, m_max=fmax.m,
-                            K_max=fmax.K)
-    assert element.qclass.degree() in (0,), "Seidel elements have degree zero"
-    return element
+    if qp.mode == "fano":
+        full = [0] * poly.num_facets
+        for i, w in fmax.weights.items():
+            full[i] = -w
+        out = lift(qp, {tuple(full): Fraction(1)}, d=fmax.m, kappa=-fmax.K)
+    else:
+        out = facet_product(qp, poly.coordinates(0, xi))
+    if out.degree() != 0:
+        raise WrongDegree(f"the Seidel element of {xi} has degree "
+                          f"{out.degree()}, not zero")
+    return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
+                         leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K)
 
 
 # ------------------------------------------------------------- leading terms
@@ -253,8 +270,11 @@ def build_dictionary(qp):
             classical = {m: s.terms[(0, Fraction(0))]
                          for m, s in point.coeffs.items()
                          if (0, Fraction(0)) in s.terms}
-            assert ring.integrate(classical) == 1, \
-                "point lift fails the normalization pairing"
+            pairing = ring.integrate(classical)
+            if pairing != 1:
+                raise PointLiftUnnormalized(
+                    f"the point lift from the Seidel element of {xi} pairs "
+                    f"to {pairing}, not 1, at cutoff {qp.cutoff}")
             dictionary.point_lift = point
             dictionary.point_vertex = tuple(sorted(vertex_face.facets))
             dictionary.point_xi = xi

@@ -168,6 +168,34 @@ def test_verify_rejects_nonpositive_trials(tmp_path, capsys, trials):
     assert "--trials" in captured.err
 
 
+@pytest.mark.parametrize("cutoff", ["abc", "1/0", "0", "-1"])
+def test_cutoff_must_be_a_positive_rational(tmp_path, capsys, cutoff):
+    path = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        main(["seidel", str(path), "--xi=1,0", f"--cutoff={cutoff}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--cutoff" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_point_lift_below_its_energy_is_a_typed_error(tmp_path, capsys):
+    # the point lift of cp2 is S(-1,-1) times t^{2/3}, a monomial above the
+    # cutoff 1/2, so it loses its classical part; the exactness check of a
+    # vertex maximum needs that lift
+    path = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(path)])
+    assert main(["seidel", str(path), "--xi=1,0", "--cutoff", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert "PointLiftUnnormalized" in captured.err
+    assert "Traceback" not in captured.err
+    # a facet maximum needs no lift: only the homology line is given up
+    assert main(["seidel", str(path), "--xi=-1,0", "--cutoff", "1/2"]) == 0
+    captured = capsys.readouterr()
+    assert "homology report unavailable" in captured.out
+
+
 def test_expression_lift_matches_relations(blow_file):
     qp = fano_presentation(examples.blowup_cp2(F(1, 2)))
     lhs = lift_expression(qp, "x3*x4")

@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from toricqh import examples
+from toricqh import quantum as quantum_module
+from toricqh import seidel as seidel_module
 from toricqh.novikov import NovScalar
 from toricqh.oracle import (
     check_associativity,
@@ -15,7 +19,13 @@ from toricqh.oracle import (
     check_vertex_independence,
     verify_all,
 )
-from toricqh.quantum import default_cutoff, fano_presentation, nef_presentation
+from toricqh.quantum import (
+    default_cutoff,
+    fano_presentation,
+    nef_presentation,
+    qscale,
+)
+from toricqh.seidel import facet_seidel, seidel_element
 
 from test_obstructions import box, simplex
 from test_quantum import hirz_y_table
@@ -126,3 +136,29 @@ def test_verify_all_smoke(blow):
 @pytest.mark.parametrize("poly", [simplex(3), box(3)], ids=["cp3", "cube3"])
 def test_verify_all_three_dimensional(poly):
     assert verify_all(poly, fano_presentation(poly), trials=4)["ok"]
+
+
+@pytest.mark.parametrize("poly", [examples.blowup_cp2(F(1, 2)), simplex(3)],
+                         ids=["blowup_cp2", "cp3"])
+def test_fano_seidel_path_takes_no_inverse(monkeypatch, poly):
+    def refuse(*args):
+        raise AssertionError("qinv called")
+
+    monkeypatch.setattr(seidel_module, "qinv", refuse)
+    monkeypatch.setattr(quantum_module, "qinv", refuse)
+    qp = fano_presentation(poly)
+    for xi in itertools.product((-1, 0, 1), repeat=poly.n):
+        if any(xi):
+            assert seidel_element(qp, xi).qclass.degree() == 0
+    assert verify_all(poly, qp, trials=4)["ok"]
+
+
+def test_vertex_independence_catches_a_corrupted_facet_element():
+    qp = fano_presentation(examples.blowup_cp2(F(1, 2)))
+    assert check_vertex_independence(qp) == []
+    key = ("facet_seidel", 0)
+    element = facet_seidel(qp, 0)
+    qp._cache[key] = dataclasses.replace(
+        element, qclass=qscale(element.qclass,
+                               NovScalar.monomial(2, 0, 0, qp.cutoff)))
+    assert check_vertex_independence(qp) != []

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from toricqh.quantum import (
     fano_presentation,
     lift,
     nef_presentation,
+    qinv,
+    qpow,
     qprod,
     qscale,
     qsub,
@@ -22,6 +25,7 @@ from toricqh.seidel import (
     verify_leading_term,
 )
 
+from test_obstructions import box, simplex
 from test_quantum import hirz_y_table
 
 F = Fraction
@@ -242,3 +246,40 @@ def test_vertex_independence_manual(blow):
             elif a < 0:
                 out = qprod(out, qpow(qinv(base, blow), -a, blow), blow)
         assert qsub(out, reference).is_zero()
+
+
+def _vertex_zero_inverse_formula(qp, xi, inverses):
+    """S(xi) as the product over xi's coordinates at vertex 0, with the
+    inverse facet element for a negative coordinate."""
+    out = qp.one()
+    for i, a in qp.polytope.coordinates(0, xi).items():
+        base = facet_seidel(qp, i).qclass
+        if a < 0:
+            if i not in inverses:
+                inverses[i] = qinv(base, qp)
+            base = inverses[i]
+        out = qprod(out, qpow(base, abs(a), qp), qp)
+    return out
+
+
+def _directions(n, r):
+    return [xi for xi in itertools.product(range(-r, r + 1), repeat=n)
+            if any(xi)]
+
+
+@pytest.mark.parametrize("poly, radius", [
+    (examples.s2(F(3)), 2),
+    (examples.cp2(), 2),
+    (examples.blowup_cp2(MU), 2),
+    (examples.s2xs2(F(2)), 2),
+    (simplex(3), 1),
+    (box(3), 1),
+], ids=["s2", "cp2", "blowup_cp2", "s2xs2", "cp3", "cube3"])
+def test_fano_element_matches_vertex_zero_inverse_formula(poly, radius):
+    qp = fano_presentation(poly)
+    inverses = {}
+    for xi in _directions(poly.n, radius):
+        got = seidel_element(qp, xi).qclass
+        want = _vertex_zero_inverse_formula(qp, xi, inverses)
+        assert got == want, xi
+        assert got.truncated == want.truncated, xi
