@@ -106,8 +106,9 @@ def _fixed_components(poly, xi, table):
             dimF=2 * face.dim,
         ))
     comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
-    assert len({v for c in comps for v in c.face.vertex_ids}) == \
-        sum(len(c.face.vertex_ids) for c in comps), "fixed faces overlap"
+    if len({v for c in comps for v in c.face.vertex_ids}) != \
+            sum(len(c.face.vertex_ids) for c in comps):
+        raise InconsistentWeights("fixed faces overlap")
     return comps
 
 

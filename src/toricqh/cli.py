@@ -1,12 +1,13 @@
 """Command-line front end: file formats, bundled examples, reports.
 
-Polytope files are JSON with rationals as "p/q" strings; no floating point
-appears anywhere.  Domain errors exit with status 1 and a structured
-message; usage errors exit with status 2.
+Every value read from a file or a flag is an int or a "p/q" rational; no
+floating point appears anywhere.  Domain errors, malformed files among them,
+exit with status 1 and a structured message; usage errors exit with 2.
 """
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -44,6 +45,50 @@ from .seidel import (
 
 # ------------------------------------------------------------------ file I/O
 
+# every value read from a file or a flag goes through _integer or _rational
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _integer(value, what):
+    """A JSON int that is not a bool, or an integral string."""
+    return _number(value, _INTEGER, int, what, "an integer")
+
+
+def _rational(value, what):
+    """A JSON int that is not a bool, or a "p" or "p/q" string, q != 0."""
+    return _number(value, _RATIONAL, Fraction, what,
+                   'an int or a "p/q" string with q != 0')
+
+
+def _number(value, pattern, parse, what, kind):
+    if type(value) is int or (isinstance(value, str)
+                              and pattern.fullmatch(value)):
+        try:
+            return parse(value)
+        except (ValueError, ZeroDivisionError):  # q = 0, or too many digits
+            pass
+    raise FileFormatError(f"{what} must be {kind}, not {value!r}")
+
+
+def _expect(value, kind, what):
+    """value, if it is a JSON list, object (dict), string or bool."""
+    if not isinstance(value, kind):
+        raise FileFormatError(
+            f"{what} must be a JSON {kind.__name__}, not {value!r}")
+    return value
+
+
+def _read_json(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise FileFormatError(f"cannot read {path}: {err}")
+    except ValueError as err:  # bad JSON, bad UTF-8, an oversized integer
+        raise FileFormatError(f"{path} is not valid JSON: {err}")
+
+
 def polytope_to_json(poly):
     return {
         "name": poly.name,
@@ -56,64 +101,88 @@ def polytope_to_json(poly):
 
 
 def polytope_from_json(data):
-    if not isinstance(data, dict) or "facets" not in data:
-        raise FileFormatError("polytope files need a 'facets' list")
+    data = _expect(data, dict, "a polytope file")
     specs = []
-    for entry in data["facets"]:
-        try:
-            normal = tuple(int(x) for x in entry["normal"])
-            support = Fraction(str(entry["support"]))
-        except (KeyError, ValueError, TypeError) as err:
-            raise FileFormatError(f"bad facet entry {entry!r}: {err}")
-        specs.append((normal, support, entry.get("label", "")))
-    poly = validate_delzant(specs, name=str(data.get("name", "")))
-    if "dim" in data and int(data["dim"]) != poly.n:
-        raise FileFormatError(
-            f"declared dim {data['dim']} does not match the normals")
+    for k, entry in enumerate(_expect(data.get("facets"), list, "'facets'")):
+        what = f"facet {k + 1}"
+        entry = _expect(entry, dict, what)
+        normal = tuple(_integer(x, f"{what} normal entry")
+                       for x in _expect(entry.get("normal"), list,
+                                      f"{what} normal"))
+        specs.append((normal,
+                       _rational(entry.get("support"), f"{what} support"),
+                       _expect(entry.get("label", ""), str, f"{what} label")))
+    dim = _integer(data["dim"], "dim") if "dim" in data else None
+    poly = validate_delzant(specs,
+                            name=_expect(data.get("name", ""), str, "name"))
+    if dim is not None and dim != poly.n:
+        raise FileFormatError(f"declared dim {dim} does not match the normals")
     return poly
 
 
 def load_polytope(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise FileFormatError(f"cannot read {path}: {err}")
-    except json.JSONDecodeError as err:
-        raise FileFormatError(f"{path} is not valid JSON: {err}")
-    return polytope_from_json(data)
+    return polytope_from_json(_read_json(path))
+
+
+def _term(item, num_facets, what):
+    """One {"m": [N exponents >= 0], "q": int, "t": rational, "c":
+    rational} term, as (monomial, q, t, c)."""
+    item = _expect(item, dict, what)
+    if set(item) != {"m", "q", "t", "c"}:
+        raise FileFormatError(f"{what} needs exactly the keys m, q, t, c")
+    mono = tuple(_integer(x, f"{what} exponent")
+                 for x in _expect(item["m"], list, f"{what} m"))
+    if len(mono) != num_facets or any(e < 0 for e in mono):
+        raise FileFormatError(f"{what} m must hold {num_facets} exponents "
+                              f">= 0, not {list(mono)}")
+    return (mono, _integer(item["q"], f"{what} q"),
+            _rational(item["t"], f"{what} t"),
+            _rational(item["c"], f"{what} c"))
 
 
 def load_y_table(path, poly, cutoff):
     """Y-table files map 1-based facet indices to correction term lists:
-    {"2": [{"m": [0,1,0,0], "q": 0, "t": "1", "c": "-1"}], ...}."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise FileFormatError(f"cannot read {path}: {err}")
-    except json.JSONDecodeError as err:
-        raise FileFormatError(f"{path} is not valid JSON: {err}")
-    table = {i: {} for i in range(poly.num_facets)}
+    {"2": [{"m": [0,1,0,0], "q": 0, "t": "1", "c": "-1"}], ...}.  A facet
+    without an entry stays out of the table, for nef_presentation to
+    report."""
+    data = _expect(_read_json(path), dict, "a Y-table file")
+    index = {str(i + 1): i for i in range(poly.num_facets)}
+    table = {}
     for key, items in data.items():
-        i = int(key) - 1
-        if not 0 <= i < poly.num_facets:
-            raise FileFormatError(f"facet index {key} out of range")
+        if key not in index:
+            raise FileFormatError(
+                f"Y-table key {key!r} is not a facet index "
+                f"1..{poly.num_facets}")
         terms = {}
-        for item in items:
-            mono = tuple(int(x) for x in item["m"])
-            if len(mono) != poly.num_facets:
-                raise FileFormatError(f"monomial {mono} has wrong length")
-            scalar = NovScalar.monomial(Fraction(str(item["c"])),
-                                        int(item["q"]),
-                                        Fraction(str(item["t"])), cutoff)
-            cur = terms.get(mono)
-            terms[mono] = scalar if cur is None else cur + scalar
-        table[i] = terms
+        for item in _expect(items, list, f"Y-table entry {key}"):
+            mono, d, kappa, c = _term(item, poly.num_facets,
+                                      f"a term of Y-table entry {key}")
+            terms[mono] = terms.get(mono, NovScalar.zero(cutoff)) \
+                + NovScalar.monomial(c, d, kappa, cutoff)
+        table[index[key]] = terms
     return table
 
 
 # ----------------------------------------------------------------- rendering
+
+def to_plain(value):
+    """Report data made JSON-ready: Fractions become "p/q" strings, tuples
+    and lists become lists, dicts keep their keys, and anything else is
+    returned unchanged."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is dict:
+        return {k: to_plain(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [to_plain(v) for v in value]
+    return value
+
+
+def print_structured(report):
+    """The one writer of structured (JSON) reports."""
+    print(json.dumps(to_plain(report), indent=2))
+
 
 def frac_str(x):
     return str(Fraction(x))
@@ -145,28 +214,30 @@ def mono_str(mono, kept=None):
     return "*".join(names) if names else "1"
 
 
+def _coeff_str(c):
+    return "" if c == 1 else ("- " if c == -1 else f"{frac_str(c)} ")
+
+
+def _sum_str(bits, truncated, cutoff):
+    text = " + ".join(bits).replace("+ - ", "- ")
+    if truncated:
+        text += " + O(t^{%s})" % frac_str(cutoff)
+    return text
+
+
 def qclass_text(qclass, ring):
     """Canonical rendering: terms by (valuation, q-degree, monomial)."""
-    atoms = sorted(qpoly_atoms(qclass.coeffs),
-                   key=lambda a: (a[2], a[1], a[0]))
-    if not atoms:
-        return "0" + (" + O(t^{%s})" % frac_str(qclass.cutoff)
-                      if qclass.truncated else "")
     bits = []
-    for m, d, kappa, c in atoms:
+    for m, d, kappa, c in sorted(qpoly_atoms(qclass.coeffs),
+                                 key=lambda a: (a[2], a[1], a[0])):
         body = mono_str(m, ring.kept)
         tail = nov_monomial_str(d, kappa)
         if body == "1" and tail:
-            head = tail if c == 1 else (
-                f"- {tail}" if c == -1 else f"{frac_str(c)} {tail}")
+            bits.append(_coeff_str(c) + tail)
         else:
-            coeff = "" if c == 1 else ("- " if c == -1 else f"{frac_str(c)} ")
-            head = f"{coeff}{body}" + (f" (x) {tail}" if tail else "")
-        bits.append(head)
-    text = " + ".join(bits).replace("+ - ", "- ")
-    if qclass.truncated:
-        text += " + O(t^{%s})" % frac_str(qclass.cutoff)
-    return text
+            bits.append(_coeff_str(c) + body
+                        + (f" (x) {tail}" if tail else ""))
+    return _sum_str(bits or ["0"], qclass.truncated, qclass.cutoff)
 
 
 def homology_text(report):
@@ -175,17 +246,12 @@ def homology_text(report):
     bits = []
     for name, c, d, kappa in report.entries:
         tail = nov_monomial_str(d, kappa)
-        coeff = "" if c == 1 else ("- " if c == -1 else f"{frac_str(c)} ")
-        body = f"{coeff}{name}"
-        bits.append(body + (f" (x) {tail}" if tail else ""))
+        bits.append(_coeff_str(c) + name + (f" (x) {tail}" if tail else ""))
     for m, d, kappa, c in report.raw:
         tail = nov_monomial_str(-d, -kappa)
         bits.append(f"{frac_str(c)} <mono {m}>" + (f" (x) {tail}" if tail
                                                    else ""))
-    text = " + ".join(bits).replace("+ - ", "- ")
-    if report.truncated:
-        text += " + O(t^{%s})" % frac_str(report.cutoff)
-    return text
+    return _sum_str(bits, report.truncated, report.cutoff)
 
 
 def qclass_to_json(qclass, ring):
@@ -204,13 +270,14 @@ def qclass_to_json(qclass, ring):
 
 
 def qclass_from_json(data, qp):
+    data = _expect(data, dict, "a class")
     terms = {}
-    for item in data["terms"]:
-        mono = tuple(int(x) for x in item["m"])
-        key = (mono, int(item["q"]), Fraction(item["t"]))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(item["c"])
+    for item in _expect(data.get("terms"), list, "'terms'"):
+        mono, d, kappa, c = _term(item, qp.polytope.num_facets, "a term")
+        terms[mono, d, kappa] = terms.get((mono, d, kappa), Fraction(0)) + c
+    truncated = _expect(data.get("truncated", False), bool, "'truncated'")
     coeffs = _kept_terms(qp, terms)
-    if data.get("truncated"):
+    if truncated:
         coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
     return quantum_nf(coeffs, qp)
 
@@ -307,8 +374,7 @@ def cmd_product(args):
     b = lift_expression(qp, args.rhs)
     product = qprod(a, b, qp)
     if args.format == "structured":
-        print(json.dumps({"product": qclass_to_json(product, qp.ring)},
-                         indent=2))
+        print_structured({"product": qclass_to_json(product, qp.ring)})
         return 0
     print(f"cohomology: {qclass_text(product, qp.ring)}")
     try:
@@ -337,20 +403,13 @@ def cmd_seidel(args):
     element = seidel_element(qp, xi)
     ok, report = verify_leading_term(qp, xi, element=element)
     if args.format == "structured":
-        payload = {
-            "xi": list(xi),
-            "element": qclass_to_json(element.qclass, qp.ring),
-            "leading": {
-                "f_max": [i + 1 for i in report["f_max"]],
-                "m_max": report["m_max"],
-                "K_max": frac_str(report["K_max"]),
-                "leading_ok": report["leading_ok"],
-                "exactness": report["exactness"],
-                "exact_ok": report["exact_ok"],
-                "assumptions": report["assumptions"],
-            },
-        }
-        print(json.dumps(payload, indent=2))
+        leading = {key: report[key] for key in (
+            "f_max", "m_max", "K_max", "leading_ok", "exactness", "exact_ok",
+            "assumptions")}
+        leading["f_max"] = [i + 1 for i in report["f_max"]]
+        print_structured({"xi": xi,
+                          "element": qclass_to_json(element.qclass, qp.ring),
+                          "leading": leading})
         return 0
     print(f"S(xi) for xi = {list(xi)} on {poly.name or args.file} "
           f"({qp.mode} mode)")
@@ -405,19 +464,16 @@ def cmd_analyze(args):
                                 args.cutoff)
     report = analyze(poly, xi, qp)
     if args.format == "structured":
-        payload = {
+        print_structured({
             "verdict": report.verdict,
             "normalized": report.normalized,
             "triggered": report.triggered_rules(),
             "findings": [
                 {"rule": f.rule, "triggered": f.triggered,
-                 "definitive": f.definitive,
-                 "assumptions": list(f.assumptions),
-                 "certificate": json.loads(json.dumps(
-                     f.certificate, default=str))}
+                 "definitive": f.definitive, "assumptions": f.assumptions,
+                 "certificate": f.certificate}
                 for f in report.findings],
-        }
-        print(json.dumps(payload, indent=2))
+        })
         return 0
     verdict = report.verdict.upper()
     rules = ", ".join(report.triggered_rules())
@@ -427,21 +483,10 @@ def cmd_analyze(args):
         kind = "definitive" if f.definitive else "conditional"
         print(f"  {f.rule}: {mark} ({kind})")
         for key, value in f.certificate.items():
-            print(f"      {key}: {_plain(value)}")
+            print(f"      {key}: {to_plain(value)}")
         for note in f.assumptions:
             print(f"      assumption: {note}")
     return 0
-
-
-def _plain(value):
-    """Render certificate data with rationals as p/q strings."""
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, dict):
-        return {_plain(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def cmd_verify(args):
@@ -449,8 +494,7 @@ def cmd_verify(args):
     qp = build_presentation(poly, args.mode, args.y_table, args.cutoff)
     report = verify_all(poly, qp, trials=args.trials, seed=args.seed)
     if args.format == "structured":
-        print(json.dumps(json.loads(json.dumps(report, default=str)),
-                         indent=2))
+        print_structured(report)
     else:
         print(f"oracle suite on {poly.name or args.file} "
               f"({qp.mode} mode, seed {report['seed']})")
@@ -465,23 +509,19 @@ def cmd_verify(args):
 
 
 def cmd_example(args):
-    poly = bundled.build(args.name, args.mu)
-    data = polytope_to_json(poly)
-    text = json.dumps(data, indent=2)
+    data = polytope_to_json(bundled.build(args.name, args.mu))
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(json.dumps(data, indent=2) + "\n")
         print(f"wrote {args.output}")
     else:
-        print(text)
+        print_structured(data)
     return 0
 
 
 def parse_xi(text, n):
-    try:
-        xi = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise FileFormatError(f"--xi needs comma-separated integers: {text}")
+    xi = tuple(_integer(x.strip(), "each --xi component")
+               for x in text.split(","))
     if len(xi) != n:
         raise FileFormatError(f"--xi needs {n} components")
     return xi
@@ -489,21 +529,23 @@ def parse_xi(text, n):
 
 # ------------------------------------------------------------------- driver
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
-    return value
+def _flag_type(reader, positive=False):
+    """An argparse type that reads a flag value with `reader`; a malformed
+    or, if asked, non-positive value is a usage error."""
+    def read(text):
+        try:
+            value = reader(text, "the value")
+        except FileFormatError as err:
+            raise argparse.ArgumentTypeError(str(err))
+        if positive and value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        return value
+    return read
 
 
-def positive_rational(text):
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
+integer = _flag_type(_integer)
+positive_int = _flag_type(_integer, positive=True)
+positive_rational = _flag_type(_rational, positive=True)
 
 
 def _add_presentation_flags(sub):
@@ -569,14 +611,15 @@ def build_arg_parser():
     p.add_argument("file")
     _add_presentation_flags(p)
     p.add_argument("--trials", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=7193)
+    p.add_argument("--seed", type=integer, default=7193)
     p.add_argument("--format", choices=("text", "structured"),
                    default="text")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("example", help="emit a bundled polytope")
     p.add_argument("name", choices=sorted(bundled.BUILDERS))
-    p.add_argument("--mu", default=None, metavar="RAT")
+    p.add_argument("--mu", type=positive_rational, default=None,
+                   metavar="RAT")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_example)
 

@@ -91,4 +91,4 @@ def build(name, mu=None):
     except KeyError:
         raise FileFormatError(
             f"unknown example {name!r}; choose from {sorted(BUILDERS)}")
-    return builder() if mu is None else builder(Fraction(mu))
+    return builder() if mu is None else builder(mu)

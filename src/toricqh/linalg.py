@@ -8,6 +8,8 @@ so clarity beats asymptotics throughout.
 from fractions import Fraction
 from math import gcd
 
+from .errors import NotSmooth
+
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
@@ -50,11 +52,10 @@ def solve_unimodular(cols, target):
     n = len(cols)
     m = [[cols[j][i] for j in range(n)] for i in range(n)]
     sol = solve_rational(m, target)
-    out = []
-    for x in sol:
-        assert x.denominator == 1, "unimodular system produced a fraction"
-        out.append(int(x))
-    return tuple(out)
+    if any(x.denominator != 1 for x in sol):
+        raise NotSmooth(f"the columns {cols} are not a unimodular basis: "
+                        f"{target} has coordinates {sol}")
+    return tuple(int(x) for x in sol)
 
 
 def solve_rational(m, target):

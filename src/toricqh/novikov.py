@@ -191,16 +191,3 @@ class NovScalar:
             bits.append(f"{c}*q^{d}*t^{k}")
         return "NovScalar(" + " + ".join(bits) + ")"
 
-
-def serialize(a):
-    """Terms as a list of {"q": d, "t": "p/q", "c": "p/q"} sorted by (t, q)."""
-    return [{"q": d, "t": str(k), "c": str(c)}
-            for (d, k), c in a.sorted_terms()]
-
-
-def deserialize(items, cutoff, truncated=False):
-    terms = {}
-    for item in items:
-        key = (int(item["q"]), Fraction(item["t"]))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(item["c"])
-    return NovScalar(terms, cutoff, truncated)

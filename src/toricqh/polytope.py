@@ -92,46 +92,31 @@ def _feasible(point, facets):
     return all(linalg.vec_dot(f.normal, point) <= f.support for f in facets)
 
 
-def _positive_kernel_exists(normals):
-    """Is there lambda > 0 with sum lambda_i eta_i = 0?
+def _check_edges_bounded(vlist, normals, n):
+    """Raise Unbounded unless every edge at every vertex ends at a second
+    vertex; for a nonempty region whose normals span, that is boundedness.
 
-    Works on the polytope {lambda >= 0, sum lambda = 1, N lambda = 0} whose
-    vertices are basic feasible solutions with support of size <= n+1; an
-    all-positive point exists iff every coordinate is positive somewhere.
+    The edges at a vertex lie in the kernels of (n-1)-subsets of its
+    facets.  At a vertex on exactly n facets each subset is an edge; on
+    more facets a subset is one only when its kernel is a line with d or -d
+    feasible for every facet at the vertex.
     """
-    n = len(normals[0])
-    N = len(normals)
-    hit = [False] * N
-    for size in range(1, min(N, n + 1) + 1):
-        for supp in combinations(range(N), size):
-            # solve: sum_{j in supp} lam_j eta_j = 0, sum lam_j = 1
-            rows = [[normals[j][k] for j in supp] for k in range(n)]
-            rows.append([1] * size)
-            rhs = [0] * n + [1]
-            # least-squares-free exact solve: system may be over/under
-            # determined; try square subsystems of the row set
-            sol = None
-            for rsel in combinations(range(n + 1), size):
-                if n not in rsel:
-                    continue  # need the normalization row
-                sub = [rows[r] for r in rsel]
-                try:
-                    cand = linalg.solve_rational(sub, [rhs[r] for r in rsel])
-                except ValueError:
+    for vid, (point, active) in enumerate(vlist):
+        for sub in combinations(sorted(active), n - 1):
+            if len(active) > n:
+                kernel = linalg.kernel_basis_int(
+                    [normals[i] for i in sub]) if sub else [(1,)]
+                if len(kernel) != 1:
                     continue
-                # verify against all rows
-                if all(sum(rows[r][j] * cand[j] for j in range(size)) == rhs[r]
-                       for r in range(n + 1)):
-                    sol = cand
-                    break
-            if sol is None or any(x < 0 for x in sol):
-                continue
-            for j, lam in zip(supp, sol):
-                if lam > 0:
-                    hit[j] = True
-        if all(hit):
-            return True
-    return all(hit)
+                dots = [linalg.vec_dot(normals[i], kernel[0])
+                        for i in active]
+                if min(dots) < 0 < max(dots):
+                    continue
+            if not any(other != vid and active_other.issuperset(sub)
+                       for other, (_, active_other) in enumerate(vlist)):
+                raise Unbounded(
+                    f"the edge of vertex {point} along facets "
+                    f"{list(sub)} has no second vertex")
 
 
 def validate_delzant(facet_specs, name=""):
@@ -145,11 +130,8 @@ def validate_delzant(facet_specs, name=""):
     for spec in facet_specs:
         if isinstance(spec, Facet):
             facets.append(spec)
-        else:
-            normal, support = spec[0], spec[1]
-            label = spec[2] if len(spec) > 2 else ""
-            facets.append(Facet(tuple(int(x) for x in normal),
-                                Fraction(support), label))
+        else:  # Facet makes the support a Fraction
+            facets.append(Facet(tuple(int(x) for x in spec[0]), *spec[1:]))
     if not facets:
         raise NotFullDimensional("no facets given")
     n = len(facets[0].normal)
@@ -157,14 +139,7 @@ def validate_delzant(facet_specs, name=""):
         raise NotFullDimensional("dimension must be at least 1")
     if any(len(f.normal) != n for f in facets):
         raise NotFullDimensional("normals of mixed dimension")
-    if len(facets) < n + 1:
-        raise Unbounded(f"need at least {n + 1} facets in dimension {n}")
-
     normals = [f.normal for f in facets]
-    if linalg.rank([list(v) for v in normals]) < n:
-        raise Unbounded("facet normals do not span; recession cone is nontrivial")
-    if not _positive_kernel_exists(normals):
-        raise Unbounded("facet normals do not positively span the space")
 
     # candidate vertices: n-subsets with invertible normal matrix
     points = {}
@@ -175,15 +150,14 @@ def validate_delzant(facet_specs, name=""):
         point = linalg.solve_rational(m, [facets[i].support for i in subset])
         if not _feasible(point, facets):
             continue
-        active = frozenset(i for i in range(len(facets))
-                           if linalg.vec_dot(normals[i], point) == facets[i].support)
-        if point in points:
-            continue
-        points[point] = active
+        points[point] = frozenset(
+            i for i in range(len(facets))
+            if linalg.vec_dot(normals[i], point) == facets[i].support)
     if not points:
         raise Unbounded("no vertices; the region is empty or unbounded")
 
     vlist = sorted(points.items())
+    _check_edges_bounded(vlist, normals, n)
     base = vlist[0][0]
     if linalg.rank([list(linalg.vec_sub(p, base)) for p, _ in vlist[1:]]) < n:
         raise NotFullDimensional("vertices span a proper affine subspace")
@@ -192,12 +166,10 @@ def validate_delzant(facet_specs, name=""):
         if len(active) > n:
             raise NotSimple(
                 f"vertex {point} lies on {len(active)} facets {sorted(active)}")
-        cols = [normals[i] for i in sorted(active)]
-        m = [[cols[j][i] for j in range(n)] for i in range(n)]
-        d = linalg.det(m)
-        if abs(d) != 1:
+        d = abs(linalg.det([normals[i] for i in sorted(active)]))
+        if d != 1:
             raise NotSmooth(
-                f"vertex {point} on facets {sorted(active)} has |det| = {abs(d)}")
+                f"vertex {point} on facets {sorted(active)} has |det| = {d}")
 
     touched = set()
     for _, active in vlist:
@@ -219,10 +191,9 @@ def _build_faces(poly):
     facet set containing it.  Includes Delta itself (empty facet set)."""
     n = poly.n
     face_sets = {frozenset()}
-    vertex_sets = [vf for _, vf in poly.vertices]
     # faces of a simple polytope through a vertex correspond to subsets of
     # its facet set
-    for vf in vertex_sets:
+    for _, vf in poly.vertices:
         for size in range(1, n + 1):
             for sub in combinations(sorted(vf), size):
                 face_sets.add(frozenset(sub))
@@ -250,7 +221,8 @@ def dual_cone_face(poly, v):
         if all(c >= 0 for c in coeffs.values()):
             support = {i: c for i, c in coeffs.items() if c > 0}
             return poly.face(frozenset(support)), support
-    raise AssertionError("complete fan does not cover %r" % (v,))
+    raise Unbounded(f"the normal fan does not cover {v}, so it is not "
+                    "complete")
 
 
 # ------------------------------------------------------------------ H2 data
@@ -304,22 +276,16 @@ def beta_class(poly, indices, j_indices, coeffs):
 def primitive_sets(poly):
     """All primitive facet subsets with their dual-cone data, by size."""
     N = poly.num_facets
-    in_sigma = set()
-    for vid in range(len(poly.vertices)):
-        vf = sorted(poly.vertex_facets(vid))
-        for size in range(1, len(vf) + 1):
-            for sub in combinations(vf, size):
-                in_sigma.add(frozenset(sub))
     results = []
     primitive_found = set()
     for size in range(2, N + 1):
         for sub in combinations(range(N), size):
             fs = frozenset(sub)
-            if fs in in_sigma:
+            if fs in poly.faces:  # a cone of the normal fan
                 continue
             if any(p <= fs for p in primitive_found):
                 continue  # a proper subset already fails to intersect
-            if all(frozenset(s) in in_sigma
+            if all(frozenset(s) in poly.faces
                    for s in combinations(sub, size - 1)):
                 primitive_found.add(fs)
                 v = tuple(sum(poly.normal(i)[k] for i in sub)

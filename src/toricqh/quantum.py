@@ -295,7 +295,8 @@ def quantum_nf(z, qp):
     guard = 0
     while pending:
         guard += 1
-        assert guard < 10000, "quantum reduction failed to terminate"
+        if guard >= 10000:
+            raise BadCorrectionValuation("quantum reduction diverged")
         level = min(kappa for _, _, kappa, _ in pending)
         batch = [(m, d, c) for m, d, kappa, c in pending if kappa == level]
         pending = [atom for atom in pending if atom[2] != level]

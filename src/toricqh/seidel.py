@@ -10,7 +10,7 @@ dimension two, where a Seidel element of an eligible vertex determines it.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import extrema, fixed_components
+from .actions import extrema
 from .errors import (
     DictionaryIncomplete,
     MissingYEntry,
@@ -42,10 +42,7 @@ class SeidelElement:
     leading_face: frozenset  # facets of F_max
     m_max: int
     K_max: Fraction
-
-    @property
-    def truncated(self):
-        return self.qclass.truncated
+    semifree: bool  # whether every weight at F_max is +-1
 
 
 def edge_class(poly, edge):
@@ -98,7 +95,7 @@ def facet_seidel(qp, i):
         qclass = quantum_nf(shifted, qp)
     element = SeidelElement(qclass=qclass, xi=poly.normal(i), mode=qp.mode,
                             leading_face=frozenset({i}), m_max=-1,
-                            K_max=support)
+                            K_max=support, semifree=True)
     qp._cache[key] = element
     return element
 
@@ -147,7 +144,8 @@ def seidel_element(qp, xi):
         raise WrongDegree(f"the Seidel element of {xi} has degree "
                           f"{out.degree()}, not zero")
     return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
-                         leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K)
+                         leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K,
+                         semifree=fmax.semifree)
 
 
 # ------------------------------------------------------------- leading terms
@@ -161,41 +159,41 @@ def face_monomial(poly, face):
 
 def verify_leading_term(qp, xi, element=None):
     """Check the minimal-valuation part of the Seidel element against the
-    maximal fixed component, and assert exactness where a sufficient
-    criterion applies.  Returns (ok, report dict)."""
+    maximal fixed component, read off the element, and assert exactness
+    where a sufficient criterion applies.  Returns (ok, report dict)."""
     poly = qp.polytope
     if element is None:
         element = seidel_element(qp, xi)
-    comps = fixed_components(poly, xi)
-    fmax = comps[0]
+    face = poly.faces[element.leading_face]
+    m_max, K_max = element.m_max, element.K_max
     report = {
-        "f_max": sorted(fmax.facets),
-        "m_max": fmax.m,
-        "K_max": fmax.K,
+        "f_max": sorted(face.facets),
+        "m_max": m_max,
+        "K_max": K_max,
         "assumptions": [],
         "exactness": None,
         "exact_ok": None,
     }
-    expected_lead = qp.ring.reduce_full(face_monomial(poly, fmax.face))
+    expected_lead = qp.ring.reduce_full(face_monomial(poly, face))
     got_val = element.qclass.valuation()
-    lead_ok = got_val == -fmax.K
+    lead_ok = got_val == -K_max
     if lead_ok:
-        slice_got = element.qclass.slice_at(-fmax.K)
-        slice_want = {(m, fmax.m): c for m, c in expected_lead.items()}
+        slice_got = element.qclass.slice_at(-K_max)
+        slice_want = {(m, m_max): c for m, c in expected_lead.items()}
         lead_ok = slice_got == slice_want
     report["leading_ok"] = lead_ok
 
     # exactness criteria
     exact_expected = None
-    codim = 2 * (poly.n - fmax.face.dim)
-    if qp.mode == "fano" and fmax.face.dim == poly.n - 1:
-        exact_expected = lift(qp, face_monomial(poly, fmax.face),
-                              d=fmax.m, kappa=-fmax.K)
+    codim = 2 * (poly.n - face.dim)
+    if qp.mode == "fano" and face.dim == poly.n - 1:
+        exact_expected = lift(qp, face_monomial(poly, face),
+                              d=m_max, kappa=-K_max)
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
     else:
-        edges = edge_classes_through(poly, fmax.face)
-        if fmax.semifree and all(2 * b.c1() >= codim for _, b in edges):
+        edges = edge_classes_through(poly, face)
+        if element.semifree and all(2 * b.c1() >= codim for _, b in edges):
             report["exactness"] = "semifree maximum, all edge classes have " \
                                   "2c1 >= codim"
             report["assumptions"].append(
@@ -204,15 +202,15 @@ def verify_leading_term(qp, xi, element=None):
                 report["assumptions"].append("fano asserted by caller")
             else:
                 report["assumptions"].append("nef asserted by caller")
-            if fmax.face.dim == poly.n - 1:
+            if face.dim == poly.n - 1:
                 exact_expected = qscale(
-                    lift(qp, face_monomial(poly, fmax.face)),
-                    NovScalar.monomial(1, fmax.m, -fmax.K, qp.cutoff))
-            elif fmax.face.dim == 0 and poly.n <= 2:
+                    lift(qp, face_monomial(poly, face)),
+                    NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
+            elif face.dim == 0 and poly.n <= 2:
                 dictionary = build_dictionary(qp)
                 exact_expected = qscale(
                     dictionary.point_lift,
-                    NovScalar.monomial(1, fmax.m, -fmax.K, qp.cutoff))
+                    NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
             else:
                 report["assumptions"].append(
                     "no geometric lift available for a middle-dimensional "
@@ -263,10 +261,11 @@ def build_dictionary(qp):
             if not all(b.c1() >= 2 for _, b in edges):
                 continue
             element = seidel_element(qp, xi)
-            fmax, _ = extrema(poly, xi)
-            assert fmax.facets == vertex_face.facets and fmax.semifree
+            assert element.leading_face == vertex_face.facets \
+                and element.semifree
             point = qscale(element.qclass,
-                           NovScalar.monomial(1, -fmax.m, fmax.K, qp.cutoff))
+                           NovScalar.monomial(1, -element.m_max,
+                                              element.K_max, qp.cutoff))
             classical = {m: s.terms[(0, Fraction(0))]
                          for m, s in point.coeffs.items()
                          if (0, Fraction(0)) in s.terms}

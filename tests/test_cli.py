@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricqh import examples
 from toricqh.cli import (
@@ -247,3 +251,184 @@ def test_analyze_normalizes_raw_polytope_with_quantum(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["normalized"] is True
     assert "SD" in [f["rule"] for f in payload["findings"]]
+
+
+# ---------------------------------------------------------- malformed input
+
+def _cp2_json():
+    return polytope_to_json(examples.cp2())
+
+
+def _write(path, document):
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(json.dumps(document))
+    return str(path)
+
+
+def _polytope_case(mutate):
+    """`validate` on cp2 rewritten by mutate(document)."""
+    return lambda tmp: ["validate", _write(tmp / "p.json",
+                                           mutate(_cp2_json()))]
+
+
+def _y_table_case(mutate):
+    """NEF `quantum` on hirzebruch2 with its Y-table rewritten."""
+    def argv(tmp):
+        poly = polytope_to_json(examples.hirzebruch2(F(2)))
+        return ["quantum", _write(tmp / "h.json", poly), "--mode", "nef",
+                "--y-table", _write(tmp / "y.json",
+                                    mutate(_hirz_y_table_json()))]
+    return argv
+
+
+def _s2_case(change):
+    """`validate` on the 1-D s2 with its top-level keys changed."""
+    document = {**polytope_to_json(examples.s2()), **change}
+    return lambda tmp: ["validate", _write(tmp / "p.json", document)]
+
+
+def _facet0(document, **change):
+    """The polytope with its first facet changed."""
+    facets = document["facets"]
+    return {**document, "facets": [{**facets[0], **change}] + facets[1:]}
+
+
+def _term0(table, **change):
+    """The table with the first term of entry 2 changed; None drops a key."""
+    term = {k: v for k, v in {**table["2"][0], **change}.items()
+            if v is not None}
+    return {**table, "2": [term] + table["2"][1:]}
+
+
+def _utf16_bom(document):
+    return b"\xff\xfe" + json.dumps(document).encode()
+
+
+MALFORMED = {
+    # raw tracebacks before typed readers
+    "dim_string": (_polytope_case(lambda d: {**d, "dim": "x"}), 1),
+    "facets_int": (_polytope_case(lambda d: {**d, "facets": 3}), 1),
+    "polytope_utf16_bom": (_polytope_case(_utf16_bom), 1),
+    "y_utf16_bom": (_y_table_case(_utf16_bom), 1),
+    "y_term_without_c": (_y_table_case(lambda t: _term0(t, c=None)), 1),
+    "y_key_abc": (_y_table_case(lambda t: {**t, "abc": []}), 1),
+    "y_value_object": (_y_table_case(lambda t: {**t, "2": {"m": 1}}), 1),
+    "y_top_level_list": (_y_table_case(lambda t: [t]), 1),
+    "polytope_as_y_table": (_y_table_case(
+        lambda t: polytope_to_json(examples.hirzebruch2(F(2)))), 1),
+    "mu_zero_denominator": (lambda tmp: ["example", "cp2", "--mu", "1/0"], 2),
+    "mu_junk": (lambda tmp: ["example", "cp2", "--mu", "abc"], 2),
+    # silent coercions before typed readers
+    "normal_float": (_polytope_case(
+        lambda d: _facet0(d, normal=[-1.7, 0])), 1),
+    "dim_float": (_s2_case({"dim": 1.9}), 1),
+    "dim_bool": (_s2_case({"dim": True}), 1),
+    "support_float": (_polytope_case(lambda d: _facet0(d, support=0.5)), 1),
+    "label_int": (_polytope_case(lambda d: _facet0(d, label=5)), 1),
+    "y_q_float": (_y_table_case(lambda t: {**t, "2": t["2"] + [
+        {"m": [0, 0, 0, 0], "q": 1.5, "t": "1", "c": "1"}]}), 1),
+    "y_missing_facet": (_y_table_case(
+        lambda t: {k: v for k, v in t.items() if k != "2"}), 1),
+    "y_negative_exponent": (_y_table_case(
+        lambda t: _term0(t, m=[2, -1, 0, 0])), 1),
+    "mu_zero": (lambda tmp: ["example", "cp2", "--mu", "0"], 2),
+    "cutoff_decimal": (lambda tmp: [
+        "seidel", _write(tmp / "p.json", _cp2_json()), "--xi=1,0",
+        "--cutoff", "0.5"], 2),
+}
+
+
+def _exit_code(argv):
+    """main's exit status; the only exception main may raise is argparse's
+    SystemExit(2) for a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return exc.code
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_typed_error(tmp_path, capsys, case):
+    write, code = MALFORMED[case]
+    assert _exit_code(write(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def _nodes(document, path=()):
+    """(path, value) for every node below the root of a JSON tree."""
+    items = (document.items() if isinstance(document, dict) else
+             enumerate(document) if isinstance(document, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+JUNK = st.sampled_from([1.5, -2.0, True, False, None, "x", "", "1/0", "0.5",
+                        "1e3", " 2", [], [1, 2], {}, 2 ** 70, -(2 ** 70)])
+
+
+@st.composite
+def mutated(draw, document):
+    """The document with one node swapped for junk, one node dropped, or
+    one key or element added."""
+    document = json.loads(json.dumps(document))
+    path, _ = draw(st.sampled_from(list(_nodes(document))))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["swap", "drop", "add"]))
+    if action == "swap":
+        parent[path[-1]] = draw(JUNK)
+    elif action == "drop":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.sampled_from(["extra", "0", "9", "name"]))] = \
+            draw(JUNK)
+    else:
+        parent.append(draw(JUNK))
+    return document
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "hirz.json").write_text(json.dumps(polytope_to_json(
+        examples.hirzebruch2(F(2)))))
+    return path
+
+
+def _quiet_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return _exit_code(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=mutated(polytope_to_json(examples.blowup_cp2(F(1, 2)))))
+def test_mutated_polytope_files_fail_cleanly(fuzz_dir, document):
+    path = _write(fuzz_dir / "poly.json", document)
+    code = _quiet_exit_code(["validate", path])
+    assert code in (0, 1, 2)
+    if code == 0:
+        # nothing was coerced: the file reads back as written
+        written = polytope_to_json(polytope_from_json(document))
+        for got, given_facet in zip(written["facets"], document["facets"]):
+            assert got["normal"] == given_facet["normal"]
+            assert all(type(x) is int for x in given_facet["normal"])
+            assert F(got["support"]) == F(given_facet["support"])
+            assert got.get("label", "") == given_facet.get("label", "")
+        assert len(written["facets"]) == len(document["facets"])
+        assert polytope_to_json(polytope_from_json(written)) == written
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=mutated(_hirz_y_table_json()))
+def test_mutated_y_tables_fail_cleanly(fuzz_dir, table):
+    path = _write(fuzz_dir / "y.json", table)
+    code = _quiet_exit_code(["quantum", str(fuzz_dir / "hirz.json"),
+                             "--mode", "nef", "--y-table", path])
+    assert code in (0, 1, 2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricqh.errors import CutoffMismatch, NotAUnit, ZeroElement
-from toricqh.novikov import NovScalar, deserialize, serialize
+from toricqh.novikov import NovScalar
 
 F = Fraction
 CUT = F(4)
@@ -89,12 +89,11 @@ def test_not_a_unit_two_minimal_terms():
         a.invert()
 
 
-def test_serialize_round_trip_and_order():
-    a = mono(F(1, 3), 2, F(3, 4)) + mono(-2, 0, F(-1, 2)) + mono(5, -1, F(3, 4))
-    data = serialize(a)
-    assert data[0] == {"q": 0, "t": "-1/2", "c": "-2"}
-    assert [item["q"] for item in data] == [0, -1, 2]
-    assert deserialize(data, CUT) == a
+def test_sorted_terms_by_valuation_then_q_degree():
+    a = mono(F(1, 3), 2, F(3, 4)) + mono(-2, 0, F(-1, 2)) \
+        + mono(5, -1, F(3, 4))
+    assert a.sorted_terms() == [((0, F(-1, 2)), -2), ((-1, F(3, 4)), 5),
+                                ((2, F(3, 4)), F(1, 3))]
 
 
 def scalars():

@@ -133,7 +133,8 @@ def test_verify_all_smoke(blow):
     assert report["seed"] == 7193
 
 
-@pytest.mark.parametrize("poly", [simplex(3), box(3)], ids=["cp3", "cube3"])
+@pytest.mark.parametrize("poly", [simplex(3), box(3), simplex(4), box(4)],
+                         ids=["cp3", "cube3", "cp4", "cube4"])
 def test_verify_all_three_dimensional(poly):
     assert verify_all(poly, fano_presentation(poly), trials=4)["ok"]
 

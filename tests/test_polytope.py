@@ -1,12 +1,24 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricqh import examples
-from toricqh.errors import NotSmooth, RedundantFacet, Unbounded
+from toricqh import linalg
+from toricqh.errors import (
+    NotFullDimensional,
+    NotSimple,
+    NotSmooth,
+    RedundantFacet,
+    ToricError,
+    Unbounded,
+)
 from toricqh.polytope import (
+    DelzantPolytope,
+    Facet,
     H2Class,
     beta_class,
     centroid,
@@ -207,10 +219,89 @@ def test_hirzebruch_centroid_formula_over_random_mu(mu):
 
 
 def test_vertex_determinants_are_unimodular():
-    from toricqh import linalg
     for poly in (examples.blowup_cp2(), examples.s2xs2(), examples.cp2(),
                  examples.hirzebruch2(), examples.s2()):
         for vid in range(len(poly.vertices)):
             cols = poly.vertex_normal_columns(vid)
             m = [[cols[j][i] for j in range(poly.n)] for i in range(poly.n)]
             assert abs(linalg.det(m)) == 1
+
+
+# ------------------------------------------------------------ boundedness
+
+def _recession_direction(specs, n):
+    """A nonzero d in [-8, 8]^n with <eta_i, d> <= 0 for every facet, or
+    None.  For n <= 3 and normal entries in [-2, 2], every extreme ray of
+    the recession cone has a generator in that box."""
+    for d in itertools.product(range(-8, 9), repeat=n):
+        if any(d) and all(linalg.vec_dot(normal, d) <= 0
+                          for normal, _ in specs):
+            return d
+    return None
+
+
+@st.composite
+def facet_data(draw):
+    n = draw(st.integers(1, 3))
+    primitive = st.tuples(*[st.integers(-2, 2)] * n).filter(
+        lambda v: gcd(*v) == 1)
+    support = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    return n, draw(st.lists(st.tuples(primitive, support),
+                            min_size=n, max_size=n + 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=facet_data())
+def test_a_recession_direction_means_unbounded(data):
+    n, specs = data
+    if _recession_direction(specs, n) is None:
+        try:
+            validate_delzant(specs)
+        except ToricError:
+            pass
+    else:
+        with pytest.raises(Unbounded):
+            validate_delzant(specs)
+
+
+@pytest.mark.parametrize("specs", [
+    # a 2-D wedge whose normals span: u, v >= 0, u - v <= 1
+    [((-1, 0), 0), ((0, -1), 0), ((1, -1), 1)],
+    # a triangular prism without its top cap
+    [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1), ((0, 0, -1), 0)],
+    # two facets of a segment facing the same way
+    [((1,), 1), ((1,), 2)],
+], ids=["wedge", "open_prism", "same_side_1d"])
+def test_unbounded_regions(specs):
+    with pytest.raises(Unbounded):
+        validate_delzant(specs)
+
+
+@pytest.mark.parametrize("specs, error", [
+    # the apex of a square pyramid lies on its four side facets
+    ([((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1), ((0, 1, 1), 1),
+      ((0, -1, 1), 1)], NotSimple),
+    # a segment in the plane: both ends lie on u <= 0 and -u <= 0
+    ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
+     NotFullDimensional),
+], ids=["pyramid", "flat_segment"])
+def test_only_feasible_directions_are_edges_at_non_simple_vertices(specs,
+                                                                  error):
+    with pytest.raises(error):
+        validate_delzant(specs)
+
+
+# ------------------------------------------------ checks that are not asserts
+
+def test_solve_unimodular_rejects_a_non_unimodular_basis():
+    with pytest.raises(ToricError):
+        linalg.solve_unimodular([(2, 0), (0, 1)], (1, 0))
+
+
+def test_dual_cone_face_outside_an_incomplete_fan():
+    # a one-vertex cone: its fan, the positive quadrant, misses (-1, -1)
+    cone = DelzantPolytope(
+        n=2, facets=(Facet((1, 0), 0), Facet((0, 1), 0)),
+        vertices=(((F(0), F(0)), frozenset({0, 1})),), faces={})
+    with pytest.raises(ToricError):
+        dual_cone_face(cone, (-1, -1))

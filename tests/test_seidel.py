@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from toricqh import actions as actions_module
 from toricqh import examples
+from toricqh import seidel as seidel_module
+from toricqh.actions import fixed_components
 from toricqh.novikov import NovScalar
 from toricqh.quantum import (
     default_cutoff,
@@ -283,3 +286,29 @@ def test_fano_element_matches_vertex_zero_inverse_formula(poly, radius):
         want = _vertex_zero_inverse_formula(qp, xi, inverses)
         assert got == want, xi
         assert got.truncated == want.truncated, xi
+
+
+@pytest.mark.parametrize("poly, radius", [
+    (examples.cp2(), 2),
+    (examples.blowup_cp2(MU), 2),
+    (simplex(3), 1),
+], ids=["cp2", "blowup_cp2", "cp3"])
+def test_leading_term_reads_f_max_off_the_element(monkeypatch, poly,
+                                                  radius):
+    qp = fano_presentation(poly)
+    if poly.n == 2:
+        build_dictionary(qp)  # the point lift needs Seidel elements
+    cases = [(xi, seidel_element(qp, xi), fixed_components(poly, xi)[0])
+             for xi in _directions(poly.n, radius)]
+
+    def refuse(*args):
+        raise AssertionError("fixed components computed again")
+
+    monkeypatch.setattr(seidel_module, "fixed_components", refuse,
+                        raising=False)
+    monkeypatch.setattr(actions_module, "fixed_components", refuse)
+    for xi, element, fmax in cases:
+        _, report = verify_leading_term(qp, xi, element=element)
+        assert report["f_max"] == sorted(fmax.facets), xi
+        assert (report["m_max"], report["K_max"]) == (fmax.m, fmax.K), xi
+        assert element.semifree == fmax.semifree, xi
