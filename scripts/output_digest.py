@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Print one sha256 per class of CLI output, plus a total.
+
+Runs a fixed list of `toricqh` commands in process and hashes, for each
+command, its arguments, its exit status and its stdout.  Two checkouts
+that print the same total print byte-identical output on every command
+listed here, so a refactor can be checked against its parent commit:
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+The classes:
+  - `seidel` and `analyze` with `--format structured`, and `fixed` (which
+    has text output only), on the bundled examples with xi in [-2, 2]^n and
+    on cp3 and cube3 with xi in [-1, 1]^3;
+  - `analyze --no-quantum --format structured` on cp4, cube4 (xi in
+    [-1, 1]^4) and gon12 (xi in [-1, 1]^2);
+  - `verify --trials 4 --format structured` at seeds 7193 and 11 on the
+    bundled examples, cp3 and cube3, and on hirzebruch2 in NEF mode;
+  - the stdout of scripts/run_paper_tables.py.
+
+The polytopes and the hirzebruch2 Y-table come from perfbench/corpus.py,
+which this script only imports.  A run takes a few minutes on one core.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import runpy
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import corpus  # noqa: E402
+from toricqh import cli  # noqa: E402
+
+SEEDS = ("7193", "11")
+
+
+def box(n, r):
+    """Nonzero integer vectors with entries in [-r, r]."""
+    return [xi for xi in itertools.product(range(-r, r + 1), repeat=n)
+            if any(xi)]
+
+
+def xi_flag(xi):
+    return "--xi=" + ",".join(str(x) for x in xi)
+
+
+def command_classes(polys):
+    """Class name -> list of argv, with corpus names in place of files."""
+    circles = [(name, xi) for name in corpus.BUNDLED
+               for xi in box(polys[name].n, 2)]
+    circles += [(name, xi) for name in ("cp3", "cube3") for xi in box(3, 1)]
+    nef = ["--mode", "nef", "--y-table", corpus.Y_TABLE_FILE]
+    verified = corpus.BUNDLED + ("cp3", "cube3")
+    return {
+        "seidel": [["seidel", name, xi_flag(xi), "--format", "structured"]
+                   for name, xi in circles],
+        "fixed": [["fixed", name, xi_flag(xi)] for name, xi in circles],
+        "analyze": [["analyze", name, xi_flag(xi), "--format",
+                     "structured"] for name, xi in circles],
+        "analyze --no-quantum": [
+            ["analyze", name, xi_flag(xi), "--no-quantum", "--format",
+             "structured"]
+            for name in ("cp4", "cube4", "gon12")
+            for xi in box(polys[name].n, 1)],
+        "verify": [["verify", name, "--trials", "4", "--seed", seed,
+                    "--format", "structured"]
+                   for seed in SEEDS for name in verified]
+        + [["verify", "hirzebruch2", "--trials", "4", "--seed", seed,
+            "--format", "structured", *nef] for seed in SEEDS],
+    }
+
+
+def run_quietly(fn):
+    """(exit status, stdout) of fn(); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = fn()
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+def main():
+    polys = corpus.build_polytopes()
+    digests = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = corpus.write_corpus(workdir, polys)
+        for name, argvs in command_classes(polys).items():
+            h = hashlib.sha256()
+            for argv in argvs:
+                real = [paths.get(a, a) for a in argv]
+                code, out = run_quietly(lambda: cli.main(real))
+                out = out.replace(workdir, "<corpus>")
+                h.update(repr((argv, code, out)).encode())
+            digests[name] = (h.hexdigest(), len(argvs))
+    tables = os.path.join(HERE, "run_paper_tables.py")
+    _, out = run_quietly(lambda: runpy.run_path(tables, run_name="__main__"))
+    digests["run_paper_tables"] = (
+        hashlib.sha256(out.encode()).hexdigest(), 1)
+    total = hashlib.sha256()
+    for name, (digest, count) in digests.items():
+        print(f"{name:22} {digest}  ({count} commands)")
+        total.update(f"{name} {digest}\n".encode())
+    print(f"{'total':22} {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,20 +5,30 @@ circle direction xi = sum a_j eta_{i_j} has weight -a_j on the direction
 transverse to the facet D_{i_j}.  This makes a facet's own circle have that
 facet as its maximum.
 
-Every public call solves xi once per vertex it needs (`coordinates`) and
-reads all circle data from that table.  A face's isotropy order is the gcd
-of xi's coordinates off the face's facets at any one of its vertices, and a
-gcd of 0 means the face is fixed.
+All circle data is read off one `CircleTable` per (polytope, xi): xi's
+coordinates at every vertex (integer dot products with the vertex's dual
+basis, `DelzantPolytope.coordinates`), its moment value there, and on first
+use the fixed components and the isotropy order of every face.  A face's
+isotropy order is the gcd of xi's coordinates off the face's facets at any
+one of its vertices, and a gcd of 0 means the face is fixed.  The public
+functions build a table per call; `obstructions.analyze` builds one.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
 from . import linalg
 from .cohomology import face_betti  # noqa: F401  (part of this module's API)
-from .errors import InconsistentWeights, InvariantMismatch, ZeroVector
+from .errors import (
+    InconsistentWeights,
+    InvariantMismatch,
+    MomentNotConstant,
+    StratumNotClosed,
+    ZeroVector,
+)
 from .polytope import h2_lattice
 
 
@@ -45,25 +55,10 @@ def _check_xi(xi):
     return xi
 
 
-def moment_value(poly, xi, face):
-    """Value of <xi, .> on a face on which it is constant."""
-    vids = face.vertex_ids
-    vals = {linalg.vec_dot(xi, poly.vertex_point(v)) for v in vids}
-    assert len(vals) == 1, "moment map is not constant on the face"
-    return vals.pop()
-
-
-def _table(poly, xi, vids=None):
-    """Coordinates of xi at the given vertices (default: all), by vertex id."""
-    if vids is None:
-        vids = range(len(poly.vertices))
-    return {vid: poly.coordinates(vid, xi) for vid in vids}
-
-
-def _weights(table, face):
+def _weights(coords, face):
     result = None
     for vid in face.vertex_ids:
-        w = {i: -c for i, c in table[vid].items() if c != 0}
+        w = {i: -c for i, c in coords[vid].items() if c != 0}
         if any(i not in face.facets for i in w):
             raise InconsistentWeights(
                 f"nonzero weight off the fixed face at vertex {vid}")
@@ -74,57 +69,6 @@ def _weights(table, face):
                 f"weights disagree across vertices of {sorted(face.facets)}")
     return result
 
-
-def weights(poly, xi, face):
-    """Weight data of the circle xi along a fixed face.
-
-    Reads xi's coordinates at every vertex of the face and checks the
-    answers agree; nonzero weights sit exactly on the facets containing the
-    face.
-    """
-    xi = _check_xi(xi)
-    return _weights(_table(poly, xi, face.vertex_ids), face)
-
-
-def _fixed_components(poly, xi, table):
-    # the fixed component through a vertex is cut out by the facets on
-    # which xi has a nonzero coordinate there
-    keys = {frozenset(i for i, c in coords.items() if c != 0)
-            for coords in table.values()}
-    comps = []
-    for key in keys:
-        face = poly.faces[key]
-        w = _weights(table, face)
-        comps.append(FixedComponentData(
-            face=face,
-            K=moment_value(poly, xi, face),
-            weights=w,
-            m=sum(w.values()),
-            index=2 * sum(1 for x in w.values() if x < 0),
-            coindex=2 * sum(1 for x in w.values() if x > 0),
-            semifree=all(abs(x) == 1 for x in w.values()),
-            dimF=2 * face.dim,
-        ))
-    comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
-    if len({v for c in comps for v in c.face.vertex_ids}) != \
-            sum(len(c.face.vertex_ids) for c in comps):
-        raise InconsistentWeights("fixed faces overlap")
-    return comps
-
-
-def fixed_components(poly, xi):
-    """Maximal faces on which <xi, .> is constant, with weight data, sorted
-    by decreasing moment value."""
-    xi = _check_xi(xi)
-    return _fixed_components(poly, xi, _table(poly, xi))
-
-
-def extrema(poly, xi):
-    comps = fixed_components(poly, xi)
-    return comps[0], comps[-1]  # F_max, F_min
-
-
-# ------------------------------------------------------------------ isotropy
 
 FIXED = "fixed"
 
@@ -137,12 +81,108 @@ def _order(coords, face):
     return g or FIXED
 
 
-def _orders(poly, xi):
-    """Face key -> isotropy order, read at each face's first vertex."""
-    table = _table(poly, xi)
-    return {key: _order(table[face.vertex_ids[0]], face)
-            for key, face in poly.faces.items()}
+class CircleTable:
+    """The circle xi on poly: xi's coordinates and moment value at every
+    vertex, and, each on first use, the fixed components and the isotropy
+    order of every face.  A table lives for one call."""
 
+    def __init__(self, poly, xi):
+        self.poly = poly
+        self.xi = xi = _check_xi(xi)
+        self.coords = [poly.coordinates(vid, xi)
+                       for vid in range(len(poly.vertices))]
+        self.values = [linalg.vec_dot(xi, point) for point, _ in poly.vertices]
+
+    def moment_value(self, face):
+        """Value of <xi, .> on a face on which it is constant."""
+        values = {self.values[vid] for vid in face.vertex_ids}
+        if len(values) != 1:
+            raise MomentNotConstant(
+                f"<xi, .> is not constant on face {sorted(face.facets)}")
+        return values.pop()
+
+    @cached_property
+    def components(self):
+        # the fixed component through a vertex is cut out by the facets on
+        # which xi has a nonzero coordinate there
+        keys = {frozenset(i for i, c in coords.items() if c != 0)
+                for coords in self.coords}
+        comps = []
+        for key in keys:
+            face = self.poly.faces[key]
+            w = _weights(self.coords, face)
+            comps.append(FixedComponentData(
+                face=face, K=self.moment_value(face), weights=w,
+                m=sum(w.values()),
+                index=2 * sum(1 for x in w.values() if x < 0),
+                coindex=2 * sum(1 for x in w.values() if x > 0),
+                semifree=all(abs(x) == 1 for x in w.values()),
+                dimF=2 * face.dim))
+        comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
+        if len({v for c in comps for v in c.face.vertex_ids}) != \
+                sum(len(c.face.vertex_ids) for c in comps):
+            raise InconsistentWeights("fixed faces overlap")
+        return comps
+
+    @cached_property
+    def orders(self):
+        """Face key -> isotropy order, read at each face's first vertex."""
+        return {key: _order(self.coords[face.vertex_ids[0]], face)
+                for key, face in self.poly.faces.items()}
+
+    @cached_property
+    def isotropy_bound(self):
+        return max([1] + [order for order in self.orders.values()
+                          if order is not FIXED])
+
+    def stratum(self, q):
+        return _stratum(self.orders, q)
+
+    def q_pairs(self, faces):
+        candidates = {d for order in self.orders.values()
+                      if order is not FIXED
+                      for d in range(2, order + 1) if order % d == 0}
+        pairs = dict.fromkeys(combinations(range(len(faces)), 2), 1)
+        for q in sorted(candidates):  # ascending: a larger q overwrites
+            for comp in self.stratum(q).components:
+                inside = [k for k, face in enumerate(faces)
+                          if face.facets in comp]
+                for pair in combinations(inside, 2):
+                    pairs[pair] = q
+        return pairs
+
+    def superlevel_bounds(self, levels):
+        tops = [(max(self.values[v] for v in self.poly.faces[key].vertex_ids),
+                 order)
+                for key, order in self.orders.items() if order is not FIXED]
+        return {c: max([1] + [order for top, order in tops if top > c])
+                for c in levels}
+
+
+def weights(poly, xi, face):
+    """Weight data of the circle xi along a fixed face.
+
+    Reads xi's coordinates at every vertex of the face and checks the
+    answers agree; nonzero weights sit exactly on the facets containing the
+    face.
+    """
+    xi = _check_xi(xi)
+    return _weights({vid: poly.coordinates(vid, xi)
+                     for vid in face.vertex_ids}, face)
+
+
+def fixed_components(poly, xi):
+    """Maximal faces on which <xi, .> is constant, with weight data, sorted
+    by decreasing moment value."""
+    return CircleTable(poly, xi).components
+
+
+def extrema(poly, xi):
+    comps = fixed_components(poly, xi)
+    return comps[0], comps[-1]  # F_max, F_min
+
+
+# ------------------------------------------------------------------ isotropy
 
 def isotropy_order(poly, xi, face):
     """Order of the generic stabilizer along a face: FIXED if the face is
@@ -166,8 +206,9 @@ def _stratum(orders, q):
     # and its stabilizer order is a multiple, so it must qualify too
     for key in qual:
         for other in orders:
-            if key < other:
-                assert other in qual, "stratum not closed under subfaces"
+            if key < other and other not in qual:
+                raise StratumNotClosed(f"the {q}-stratum holds {sorted(key)}"
+                                       f" but not its subface {sorted(other)}")
     seen = set()
     components = []
     for key in sorted(qualifying, key=sorted):
@@ -192,23 +233,14 @@ def _stratum(orders, q):
 def isotropy_components(poly, xi, q):
     """Connected components (by face containment) of the locus with
     stabilizer divisible by q, including all fixed faces."""
-    return _stratum(_orders(poly, _check_xi(xi)), q)
+    return CircleTable(poly, xi).stratum(q)
 
 
 def q_pairs(poly, xi, faces):
     """{(i, j): q} for i < j: the largest q so that faces[i] and faces[j]
     lie in one component of the q-isotropy stratum; at least 1, since the
     whole manifold is the 1-stratum.  Each stratum is built once."""
-    orders = _orders(poly, _check_xi(xi))
-    candidates = {d for order in orders.values() if order is not FIXED
-                  for d in range(2, order + 1) if order % d == 0}
-    pairs = dict.fromkeys(combinations(range(len(faces)), 2), 1)
-    for q in sorted(candidates):  # ascending: a larger q overwrites
-        for comp in _stratum(orders, q).components:
-            inside = [k for k, face in enumerate(faces) if face.facets in comp]
-            for pair in combinations(inside, 2):
-                pairs[pair] = q
-    return pairs
+    return CircleTable(poly, xi).q_pairs(faces)
 
 
 def q_pair(poly, xi, face_a, face_b):
@@ -218,21 +250,14 @@ def q_pair(poly, xi, face_a, face_b):
 
 def global_isotropy_bound(poly, xi):
     """Largest finite stabilizer order on the manifold (1 if semifree)."""
-    orders = _orders(poly, _check_xi(xi)).values()
-    return max([1] + [order for order in orders if order is not FIXED])
+    return CircleTable(poly, xi).isotropy_bound
 
 
 def superlevel_isotropy_bounds(poly, xi, levels):
     """{c: max finite isotropy over faces whose moment maximum exceeds c}
     for every c in levels (1 where no such face), from one orders map and
     one moment value per vertex."""
-    xi = _check_xi(xi)
-    values = [linalg.vec_dot(xi, poly.vertex_point(v))
-              for v in range(len(poly.vertices))]
-    tops = [(max(values[v] for v in poly.faces[key].vertex_ids), order)
-            for key, order in _orders(poly, xi).items() if order is not FIXED]
-    return {c: max([1] + [order for top, order in tops if top > c])
-            for c in levels}
+    return CircleTable(poly, xi).superlevel_bounds(levels)
 
 
 def superlevel_isotropy_bound(poly, xi, c):
@@ -247,13 +272,11 @@ def action_invariant(poly, xi):
     lattice of (omega, c1) values of spherical classes; asserts the vertex
     values agree modulo that lattice and returns the representative at the
     maximum."""
-    xi = _check_xi(xi)
+    table = CircleTable(poly, xi)
     lattice_rows = [(b.omega(poly), Fraction(b.c1()))
                     for b in h2_lattice(poly)]
-    table = _table(poly, xi)
-    values = [(linalg.vec_dot(xi, poly.vertex_point(vid)),
-               Fraction(sum(coords.values())))
-              for vid, coords in table.items()]
+    values = [(value, Fraction(sum(coords.values())))
+              for value, coords in zip(table.values, table.coords)]
     base = max(values)
     for val in values:
         diff = (val[0] - base[0], val[1] - base[1])
@@ -261,5 +284,5 @@ def action_invariant(poly, xi):
             raise InvariantMismatch(
                 f"vertex values {val} and {base} differ by {diff}, outside "
                 "the (omega, c1) lattice")
-    fmax = _fixed_components(poly, xi, table)[0]
+    fmax = table.components[0]
     return (fmax.K, -fmax.m)

@@ -12,12 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import examples as bundled
-from .actions import (
-    FIXED,
-    fixed_components,
-    global_isotropy_bound,
-    isotropy_order,
-)
+from .actions import FIXED, CircleTable
 from .cohomology import build_ring
 from .errors import FileFormatError, ToricError
 from .exprparse import parse_expression
@@ -285,10 +280,11 @@ def qclass_from_json(data, qp):
 # ------------------------------------------------------------- presentations
 
 def build_presentation(poly, mode, y_table_path=None, cutoff=None):
-    cutoff = Fraction(cutoff) if cutoff is not None else default_cutoff(poly)
     if mode == "nef":
         if y_table_path is None:
             raise FileFormatError("--mode nef needs --y-table FILE")
+        cutoff = Fraction(cutoff) if cutoff is not None else \
+            default_cutoff(poly)
         table = load_y_table(y_table_path, poly, cutoff)
         return nef_presentation(poly, table, cutoff)
     return fano_presentation(poly, cutoff)
@@ -399,7 +395,7 @@ def cmd_product(args):
 def cmd_seidel(args):
     poly = load_polytope(args.file)
     qp = build_presentation(poly, args.mode, args.y_table, args.cutoff)
-    xi = parse_xi(args.xi, poly.n)
+    xi = check_xi_length(args.xi, poly.n)
     element = seidel_element(qp, xi)
     ok, report = verify_leading_term(qp, xi, element=element)
     if args.format == "structured":
@@ -433,10 +429,10 @@ def cmd_seidel(args):
 
 def cmd_fixed(args):
     poly = load_polytope(args.file)
-    xi = parse_xi(args.xi, poly.n)
-    comps = fixed_components(poly, xi)
+    xi = check_xi_length(args.xi, poly.n)
+    circle = CircleTable(poly, xi)
     print(f"fixed components of xi = {list(xi)} on {poly.name or args.file}")
-    for c in comps:
+    for c in circle.components:
         face = sorted(i + 1 for i in c.facets)
         weights = {i + 1: w for i, w in sorted(c.weights.items())}
         print(f"  face {face}: K = {frac_str(c.K)}, weights {weights}, "
@@ -444,20 +440,19 @@ def cmd_fixed(args):
               f"{'semifree' if c.semifree else 'not semifree'}")
     print("  isotropy orders on non-fixed faces:")
     for key in sorted(poly.faces, key=lambda s: (len(s), sorted(s))):
-        face = poly.faces[key]
-        order = isotropy_order(poly, xi, face)
-        if order is FIXED or face.dim == poly.n:
+        order = circle.orders[key]
+        if order is FIXED or not key:
             continue
         if order > 1:
             label = sorted(i + 1 for i in key)
             print(f"    face {label}: Z/{order}")
-    print(f"  global isotropy bound: {global_isotropy_bound(poly, xi)}")
+    print(f"  global isotropy bound: {circle.isotropy_bound}")
     return 0
 
 
 def cmd_analyze(args):
     poly = load_polytope(args.file)
-    xi = parse_xi(args.xi, poly.n)
+    xi = check_xi_length(args.xi, poly.n)
     qp = None
     if not args.no_quantum:
         qp = build_presentation(normalize(poly), args.mode, args.y_table,
@@ -509,7 +504,11 @@ def cmd_verify(args):
 
 
 def cmd_example(args):
-    data = polytope_to_json(bundled.build(args.name, args.mu))
+    try:
+        poly = bundled.build(args.name, args.mu)
+    except FileFormatError as err:  # --mu outside the example's range
+        args.usage_error(str(err))
+    data = polytope_to_json(poly)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(json.dumps(data, indent=2) + "\n")
@@ -519,9 +518,7 @@ def cmd_example(args):
     return 0
 
 
-def parse_xi(text, n):
-    xi = tuple(_integer(x.strip(), "each --xi component")
-               for x in text.split(","))
+def check_xi_length(xi, n):
     if len(xi) != n:
         raise FileFormatError(f"--xi needs {n} components")
     return xi
@@ -543,7 +540,14 @@ def _flag_type(reader, positive=False):
     return read
 
 
+def _integers(text, what):
+    """Comma-separated integers."""
+    return tuple(_integer(x.strip(), f"each component of {what}")
+                 for x in text.split(","))
+
+
 integer = _flag_type(_integer)
+integers = _flag_type(_integers)
 positive_int = _flag_type(_integer, positive=True)
 positive_rational = _flag_type(_rational, positive=True)
 
@@ -586,7 +590,7 @@ def build_arg_parser():
 
     p = subs.add_parser("seidel", help="Seidel element of a circle")
     p.add_argument("file")
-    p.add_argument("--xi", required=True)
+    p.add_argument("--xi", type=integers, required=True)
     _add_presentation_flags(p)
     p.add_argument("--format", choices=("text", "structured"),
                    default="text")
@@ -594,12 +598,12 @@ def build_arg_parser():
 
     p = subs.add_parser("fixed", help="fixed components and isotropy")
     p.add_argument("file")
-    p.add_argument("--xi", required=True)
+    p.add_argument("--xi", type=integers, required=True)
     p.set_defaults(func=cmd_fixed)
 
     p = subs.add_parser("analyze", help="obstruction battery")
     p.add_argument("file")
-    p.add_argument("--xi", required=True)
+    p.add_argument("--xi", type=integers, required=True)
     p.add_argument("--no-quantum", action="store_true",
                    help="skip the Seidel rule")
     _add_presentation_flags(p)
@@ -621,7 +625,7 @@ def build_arg_parser():
     p.add_argument("--mu", type=positive_rational, default=None,
                    metavar="RAT")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_example)
+    p.set_defaults(func=cmd_example, usage_error=p.error)
 
     return parser
 

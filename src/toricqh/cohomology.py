@@ -31,10 +31,10 @@ from .polynomials import (
 from .polytope import primitive_sets, validate_delzant
 
 
-def classical_generators(poly):
+def classical_generators(poly, prims=None):
     """Linear generators of P(Delta) (one per standard basis functional) and
-    the Stanley-Reisner monomial generators (one per primitive set), in the
-    full N facet variables."""
+    the Stanley-Reisner monomial generators (one per primitive set, from
+    `prims` when given), in the full N facet variables."""
     N = poly.num_facets
     linear = []
     for j in range(poly.n):
@@ -45,7 +45,7 @@ def classical_generators(poly):
                 gen[tuple(1 if k == i else 0 for k in range(N))] = Fraction(c)
         linear.append(gen)
     monomials = {}
-    for p in primitive_sets(poly):
+    for p in primitive_sets(poly) if prims is None else prims:
         expo = [0] * N
         for i in p.indices:
             expo[i] = 1
@@ -224,7 +224,7 @@ class ClassicalRing:
 
 def build_ring(poly):
     prims = primitive_sets(poly)
-    linear, monomials = classical_generators(poly)
+    linear, monomials = classical_generators(poly, prims)
     kept, images = _eliminate(poly)
     ring = ClassicalRing(polytope=poly, prims=prims, linear_gens=linear,
                          sr_gens=monomials, kept=kept, images=images)
@@ -378,23 +378,16 @@ def restrict_to_face(ring, full_poly, face, _budget=None):
     if face.dim == poly.n:
         return face_ring, ring.reduce_full(full_poly)
     N = poly.num_facets
-    vid = poly.lex_least_vertex_of(face)
-    vertex_facets = sorted(poly.vertex_facets(vid))
-    cols = [poly.normal(i) for i in vertex_facets]
-    mat = [list(poly.normal(i)) for i in vertex_facets]
+    duals = dict(poly.dual_basis(poly.lex_least_vertex_of(face)))
     budget = _budget if _budget is not None else N * N + 4
 
     def rewrite_rule(i):
         # dual functional: <xi, eta_i> = 1, zero on the other facets at a
         # vertex of the face containing D_i
-        if i in vertex_facets:
-            row = vertex_facets.index(i)
-            unit = [Fraction(1) if r == row else Fraction(0)
-                    for r in range(poly.n)]
-            xi = linalg.solve_rational(mat, unit)
-        else:
+        if i not in duals:
             raise RestrictionNotResolved(
                 f"no vertex of the face lies on facet {i}")
+        xi = duals[i]
         expr = {}
         for k in range(N):
             if k == i:

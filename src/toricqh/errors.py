@@ -90,6 +90,18 @@ class InvariantMismatch(ToricError):
     pass
 
 
+class MomentNotConstant(ToricError):
+    pass
+
+
+class StratumNotClosed(ToricError):
+    pass
+
+
+class NotMeanNormalized(ToricError):
+    pass
+
+
 # ------------------------------------------------------------- quantum ring
 
 class BadCorrectionValuation(ToricError):
@@ -119,6 +131,18 @@ class DictionaryIncomplete(ToricError):
 
 
 class PointLiftUnnormalized(ToricError):
+    pass
+
+
+class NotAnEdge(ToricError):
+    pass
+
+
+class DegenerateEdge(ToricError):
+    pass
+
+
+class LeadingFaceMismatch(ToricError):
     pass
 
 

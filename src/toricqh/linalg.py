@@ -58,6 +58,27 @@ def solve_unimodular(cols, target):
     return tuple(int(x) for x in sol)
 
 
+def unimodular_dual(cols):
+    """The dual basis of n integer n-vectors with |det| = 1: the integer
+    rows y_j with <y_j, cols[k]> = [j == k], so that the coordinates of v in
+    the basis `cols` are the dot products <y_j, v>.
+
+    The rows are those of the inverse of the matrix with columns `cols`,
+    read off its adjugate in integer arithmetic."""
+    n = len(cols)
+    d = det([list(c) for c in cols])
+    if abs(d) != 1:
+        raise NotSmooth(f"the columns {cols} are not a unimodular basis: "
+                        f"|det| = {abs(d)}")
+    if n == 1:
+        return ((d,),)
+    return tuple(
+        tuple((-1) ** (i + j) * d * det([[x for r, x in enumerate(c) if r != i]
+                                        for k, c in enumerate(cols) if k != j])
+              for i in range(n))
+        for j in range(n))
+
+
 def solve_rational(m, target):
     """Solve m x = target exactly; raises ValueError if singular.
 

@@ -10,15 +10,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import (
-    fixed_components,
-    global_isotropy_bound,
-    isotropy_components,
-    q_pairs,
-    superlevel_isotropy_bounds,
-)
+from .actions import CircleTable
 from .cohomology import build_ring, face_betti, restrict_to_face
-from .errors import MomentDataMismatch
+from .errors import MomentDataMismatch, NotMeanNormalized
 from .polynomials import poly_mul, poly_const
 from .polytope import centroid, normalize
 from .quantum import qsub
@@ -81,56 +75,45 @@ def _classical_class(ring, facet_powers):
 # ----------------------------------------------------------------- the rules
 
 def _rule_t1(comps):
-    fmax, fmin = comps[0], comps[-1]
-    hits = []
-    if fmax.semifree:
-        hits.append({"extremum": "max", "face": sorted(fmax.facets),
-                     "K": fmax.K, "weights": dict(fmax.weights)})
-    if fmin.semifree:
-        hits.append({"extremum": "min", "face": sorted(fmin.facets),
-                     "K": fmin.K, "weights": dict(fmin.weights)})
+    hits = [{"extremum": end, "face": sorted(c.facets), "K": c.K,
+             "weights": dict(c.weights)}
+            for end, c in (("max", comps[0]), ("min", comps[-1]))
+            if c.semifree]
     return Finding(
         rule="T1", triggered=bool(hits), definitive=True,
         certificate={"semifree_extrema": hits})
 
 
-def _rule_t2(poly, ring, xi, comps):
+def _rule_t2(ring, circle):
+    comps = circle.components
     fmax = comps[0]
     visible = [all(w == 1 for w in comp.weights.values() if w > 0)
                and _euler_class_nonzero(ring, comp) for comp in comps]
     levels = [comp.K for comp, vis in zip(comps, visible)
               if vis and comp is not fmax]
-    bounds = superlevel_isotropy_bounds(poly, xi, levels) if levels else {}
+    bounds = circle.superlevel_bounds(levels)
     details = []
-    triggered = False
     for comp, vis in zip(comps, visible):
         entry = {"face": sorted(comp.facets), "K": comp.K, "m": comp.m,
                  "visible": vis, "semifree": comp.semifree}
-        if vis:
-            if comp is fmax:
-                entry["case"] = "maximum"
-                entry["triggered"] = True
-                triggered = True
+        if vis and comp is fmax:
+            entry.update(case="maximum", triggered=True)
+        elif vis:
+            bound = bounds[comp.K]
+            if bound <= 2:
+                case = "interior"
+                bad = comp.K != 0 or comp.m != 0 or not comp.semifree
             else:
-                bound = bounds[comp.K]
-                entry["superlevel_isotropy"] = bound
-                if bound <= 2:
-                    bad = comp.K != 0 or comp.m != 0 or not comp.semifree
-                    entry["case"] = "interior"
-                    entry["triggered"] = bad
-                    triggered = triggered or bad
-                else:
-                    entry["case"] = "interior, inapplicable (isotropy > 2)"
-                    entry["triggered"] = False
+                case, bad = "interior, inapplicable (isotropy > 2)", False
+            entry.update(superlevel_isotropy=bound, case=case, triggered=bad)
         else:
             entry["triggered"] = False
         details.append(entry)
-    return Finding(rule="T2", triggered=triggered, definitive=True,
-                   certificate={"components": details})
+    return Finding(rule="T2", triggered=any(e["triggered"] for e in details),
+                   definitive=True, certificate={"components": details})
 
 
 def _rule_p4(ring, comps):
-    triggered = False
     details = []
     for comp in comps:
         if not comp.semifree:
@@ -145,13 +128,12 @@ def _rule_p4(ring, comps):
                         "f_minus": sorted(minus),
                         "classes_equal": x_plus == x_minus,
                         "triggered": bad})
-        triggered = triggered or bad
-    return Finding(rule="P4", triggered=triggered, definitive=True,
+    return Finding(rule="P4", triggered=any(d["triggered"] for d in details),
+                   definitive=True,
                    certificate={"semifree_components": details})
 
 
 def _rule_r5(ring, comps):
-    triggered = False
     details = []
     for comp in comps:
         plus = {i: w for i, w in comp.weights.items() if w > 0}
@@ -163,13 +145,14 @@ def _rule_r5(ring, comps):
         bad = comp.K != 0 or comp.m != 0 or x_plus != x_minus
         details.append({"face": sorted(comp.facets), "K": comp.K,
                         "m": comp.m, "triggered": bad})
-        triggered = triggered or bad
-    return Finding(rule="R5", triggered=triggered, definitive=True,
+    return Finding(rule="R5", triggered=any(d["triggered"] for d in details),
+                   definitive=True,
                    certificate={"components_with_nonzero_products": details})
 
 
-def _rule_s2(poly, xi, comps):
-    bound = global_isotropy_bound(poly, xi)
+def _rule_s2(circle):
+    poly, comps = circle.poly, circle.components
+    bound = circle.isotropy_bound
     if bound > 2:
         return Finding(rule="S2", triggered=False, definitive=True,
                        certificate={"applicable": False,
@@ -180,8 +163,7 @@ def _rule_s2(poly, xi, comps):
         problems.append(f"K_max={fmax.K} != -K_min={-fmin.K}")
     if fmax.m != -fmin.m:
         problems.append(f"m_max={fmax.m} != -m_min={-fmin.m}")
-    stratum = isotropy_components(poly, xi, 2)
-    for component in stratum.components:
+    for component in circle.stratum(2).components:
         members = [c for c in comps if c.facets in component]
         if not members:
             continue
@@ -208,11 +190,12 @@ def _rule_s2(poly, xi, comps):
                                 "violations": problems})
 
 
-def _rule_c(poly, xi, comps):
-    k = global_isotropy_bound(poly, xi)
-    a = comps[0].K
-    b = -comps[-1].K
-    assert a > 0 and b > 0, "mean normalized moment maps change sign"
+def _rule_c(circle):
+    k = circle.isotropy_bound
+    a, b = circle.components[0].K, -circle.components[-1].K
+    if a <= 0 or b <= 0:
+        raise NotMeanNormalized(f"K_max = {a} and K_min = {-b} must have "
+                                "opposite signs on mean normalized data")
     bad = max(a, b) > (k - 1) * min(a, b)
     return Finding(rule="C", triggered=bad, definitive=True,
                    certificate={"K_max": a, "abs_K_min": b,
@@ -229,7 +212,7 @@ class ChainBound:
     q_values: dict
 
 
-def chain_bound(poly, xi):
+def chain_bound(poly, xi, circle=None):
     """Cheapest chain of fixed components from the maximum to the minimum,
     with cost |dK| / q over each hop, and whether some cheapest chain also
     realizes the weight-sum condition.
@@ -238,13 +221,15 @@ def chain_bound(poly, xi):
     gives each component's cheapest remaining cost `rest`.  The cheapest
     chains are exactly the walks from the maximum along tight hops (those
     with cost(u, v) + rest[v] == rest[u]); `rest` falls strictly along them,
-    so they visit each component at most once.
+    so they visit each component at most once.  `circle` is the circle
+    table of (poly, xi), when the caller holds one.
     """
-    comps = fixed_components(poly, xi)
+    circle = circle or CircleTable(poly, xi)
+    comps = circle.components
     n = len(comps)
     fmax = comps[0]
     keys = [tuple(sorted(c.facets)) for c in comps]
-    qs = q_pairs(poly, xi, [c.face for c in comps])
+    qs = circle.q_pairs([c.face for c in comps])
     # comps run by decreasing K, so a hop i -> j with i < j goes down; the
     # cost and the m-step (m_i - m_j) / q are the same in both directions
     hops = {u: [] for u in range(n)}  # u -> [(v, cost, m-step)], v ascending
@@ -283,8 +268,8 @@ def chain_bound(poly, xi):
                                 for (i, j), q in qs.items()})
 
 
-def _rule_p6(poly, xi):
-    bound = chain_bound(poly, xi)
+def _rule_p6(circle):
+    bound = chain_bound(circle.poly, circle.xi, circle)
     if bound.min_cost > bound.K_max:
         bad, why = True, "every chain is more expensive than K_max"
     elif bound.min_cost == bound.K_max and not bound.m_condition_achievable:
@@ -328,29 +313,20 @@ def analyze(poly, xi, qp=None):
         poly = normalize(poly)
         normalized = True
     if qp is not None:
-        same = [f.support for f in qp.polytope.facets] == \
-            [f.support for f in poly.facets] and \
-            [f.normal for f in qp.polytope.facets] == \
-            [f.normal for f in poly.facets]
-        if not same:
+        if [(f.normal, f.support) for f in qp.polytope.facets] != \
+                [(f.normal, f.support) for f in poly.facets]:
             raise MomentDataMismatch(
                 "the quantum presentation was built on different moment "
                 "data; rebuild it on the normalized polytope")
-    xi = tuple(int(x) for x in xi)
+    circle = CircleTable(poly, xi)  # the one pass over the circle data
+    comps = circle.components
     ring = build_ring(poly)
-    comps = fixed_components(poly, xi)
-    findings = [
-        _rule_t1(comps),
-        _rule_t2(poly, ring, xi, comps),
-        _rule_p4(ring, comps),
-        _rule_r5(ring, comps),
-        _rule_s2(poly, xi, comps),
-        _rule_c(poly, xi, comps),
-    ]
-    findings.append(_rule_p6(poly, xi))
+    findings = [_rule_t1(comps), _rule_t2(ring, circle), _rule_p4(ring, comps),
+                _rule_r5(ring, comps), _rule_s2(circle), _rule_c(circle),
+                _rule_p6(circle)]
     element = None
     if qp is not None:
-        sd, element = _rule_sd(qp, xi)
+        sd, element = _rule_sd(qp, circle.xi)
         findings.append(sd)
     verdict = "essential" if any(f.triggered for f in findings) \
         else "inconclusive"

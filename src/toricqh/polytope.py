@@ -49,6 +49,9 @@ class DelzantPolytope:
     vertices: tuple  # ((point, facet frozenset), ...) sorted lex by point
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
+    # data derived on first use: vertex id -> dual basis, and the centroid
+    _duals: dict = field(default_factory=dict, repr=False, compare=False)
+    _centroid: tuple = field(default=None, repr=False, compare=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -77,12 +80,21 @@ class DelzantPolytope:
     def vertex_normal_columns(self, vid):
         return [self.normal(i) for i in sorted(self.vertex_facets(vid))]
 
+    def dual_basis(self, vid):
+        """((facet index, functional), ...) at vertex vid, by increasing
+        facet index: each integer functional is 1 on its facet's normal and
+        0 on the other normals there.  Computed once per vertex."""
+        basis = self._duals.get(vid)
+        if basis is None:
+            basis = self._duals[vid] = tuple(zip(
+                sorted(self.vertex_facets(vid)),
+                linalg.unimodular_dual(self.vertex_normal_columns(vid))))
+        return basis
+
     def coordinates(self, vid, v):
         """Coefficients of the integer vector v in the unimodular normal
         basis at vertex vid, keyed by facet index in increasing order."""
-        idx = sorted(self.vertex_facets(vid))
-        return dict(zip(idx, linalg.solve_unimodular(
-            self.vertex_normal_columns(vid), v)))
+        return {i: linalg.vec_dot(row, v) for i, row in self.dual_basis(vid)}
 
     def lex_least_vertex_of(self, face):
         return min(face.vertex_ids, key=lambda v: self.vertex_point(v))
@@ -329,7 +341,14 @@ def _simplices_of_face(poly, face):
 
 
 def centroid(poly):
-    """Exact centroid of Delta under Lebesgue measure."""
+    """Exact centroid of Delta under Lebesgue measure, computed once per
+    polytope."""
+    if poly._centroid is None:
+        poly._centroid = _centroid(poly)
+    return poly._centroid
+
+
+def _centroid(poly):
     top = poly.face(frozenset())
     total_vol = Fraction(0)
     weighted = [Fraction(0)] * poly.n

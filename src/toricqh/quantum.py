@@ -170,10 +170,11 @@ class QuantumPresentation:
         return QClass({(0,) * self.ring.width: one}, self.cutoff)
 
 
-def default_cutoff(poly):
-    """Four times the largest relation energy."""
-    energies = [p.beta.omega(poly) for p in primitive_sets(poly)]
-    return 4 * max(energies)
+def default_cutoff(poly, prims=None):
+    """Four times the largest relation energy, over `prims` when given."""
+    if prims is None:
+        prims = primitive_sets(poly)
+    return 4 * max(p.beta.omega(poly) for p in prims)
 
 
 def fano_presentation(poly, cutoff=None):
@@ -181,7 +182,8 @@ def fano_presentation(poly, cutoff=None):
     monomial itself; valid under the caller's assertion that every
     holomorphic sphere class has positive first Chern number."""
     ring = build_ring(poly)
-    cutoff = Fraction(cutoff) if cutoff is not None else default_cutoff(poly)
+    cutoff = Fraction(cutoff) if cutoff is not None else \
+        default_cutoff(poly, ring.prims)
     corrections = {}
     energies = []
     for p in ring.prims:
@@ -222,7 +224,8 @@ def nef_presentation(poly, y_table, cutoff=None):
     for every facet (use an empty dict when Y_i = x_i).
     """
     ring = build_ring(poly)
-    cutoff = Fraction(cutoff) if cutoff is not None else default_cutoff(poly)
+    cutoff = Fraction(cutoff) if cutoff is not None else \
+        default_cutoff(poly, ring.prims)
     y_classes = {}
     for i in range(poly.num_facets):
         if i not in y_table:

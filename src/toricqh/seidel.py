@@ -12,9 +12,12 @@ from fractions import Fraction
 
 from .actions import extrema
 from .errors import (
+    DegenerateEdge,
     DictionaryIncomplete,
+    LeadingFaceMismatch,
     MissingYEntry,
     NoEligibleVertex,
+    NotAnEdge,
     PointLiftUnnormalized,
     WrongDegree,
 )
@@ -48,13 +51,17 @@ class SeidelElement:
 def edge_class(poly, edge):
     """Spherical class of the sphere over an edge: pairing 1 with the two
     facets cutting its endpoints, solved through a vertex basis elsewhere."""
-    assert edge.dim == 1
+    if edge.dim != 1:
+        raise NotAnEdge(f"face {sorted(edge.facets)} has dimension "
+                        f"{edge.dim}, not 1")
     va, vb = edge.vertex_ids
     (fa,) = poly.vertex_facets(va) - edge.facets
     (fb,) = poly.vertex_facets(vb) - edge.facets
-    assert fa != fb, "an edge has two distinct endpoint facets"
     by_facet = poly.coordinates(va, poly.normal(fb))
-    assert by_facet.get(fa) == -1, "adjacent vertex relation is degenerate"
+    if fa == fb or by_facet.get(fa) != -1:
+        raise DegenerateEdge(
+            f"at the edge {sorted(edge.facets)}, the normal of facet {fb} "
+            f"has coordinate {by_facet.get(fa)} on facet {fa}, not -1")
     pairings = [0] * poly.num_facets
     pairings[fa] = 1
     pairings[fb] = 1
@@ -261,8 +268,11 @@ def build_dictionary(qp):
             if not all(b.c1() >= 2 for _, b in edges):
                 continue
             element = seidel_element(qp, xi)
-            assert element.leading_face == vertex_face.facets \
-                and element.semifree
+            if element.leading_face != vertex_face.facets \
+                    or not element.semifree:
+                raise LeadingFaceMismatch(
+                    f"the circle {xi} should have the vertex "
+                    f"{sorted(vertex_face.facets)} as a semifree maximum")
             point = qscale(element.qclass,
                            NovScalar.monomial(1, -element.m_max,
                                               element.K_max, qp.cutoff))

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import pytest
 
+import toricqh
+
 from toricqh import examples
 from toricqh.actions import (
     FIXED,
+    CircleTable,
+    _stratum,
     action_invariant,
     extrema,
     fixed_components,
@@ -17,7 +24,7 @@ from toricqh.actions import (
     superlevel_isotropy_bound,
     weights,
 )
-from toricqh.errors import ZeroVector
+from toricqh.errors import MomentNotConstant, StratumNotClosed, ZeroVector
 from toricqh.linalg import in_span
 from toricqh.polytope import validate_delzant
 
@@ -234,3 +241,36 @@ def test_isotropy_order_matches_span_reference():
                     if i not in key:
                         g = gcd(g, c)
                 assert g == order, (poly.name, xi, sorted(key), vid)
+
+
+# ------------------------------------------------ checks that are not asserts
+
+def test_moment_value_off_a_fixed_face_is_a_typed_error(blow):
+    with pytest.raises(MomentNotConstant):
+        CircleTable(blow, (-1, 0)).moment_value(blow.face(frozenset()))
+
+
+def test_a_stratum_missing_a_subface_is_a_typed_error():
+    # the edge {0} has order 3 but the whole polygon has order 2
+    with pytest.raises(StratumNotClosed):
+        _stratum({frozenset(): 2, frozenset({0}): 3}, 2)
+
+
+def test_a_circle_check_still_fires_under_python_O():
+    code = (
+        "from toricqh import examples\n"
+        "from toricqh.actions import CircleTable\n"
+        "from toricqh.errors import MomentNotConstant\n"
+        "assert False, 'asserts are on'\n"
+        "poly = examples.cp2()\n"
+        "try:\n"
+        "    CircleTable(poly, (1, 0)).moment_value(poly.face(frozenset()))\n"
+        "except MomentNotConstant:\n"
+        "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricqh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"

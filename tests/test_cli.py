@@ -337,6 +337,17 @@ MALFORMED = {
     "cutoff_decimal": (lambda tmp: [
         "seidel", _write(tmp / "p.json", _cp2_json()), "--xi=1,0",
         "--cutoff", "0.5"], 2),
+    # a malformed flag value is a usage error, a wrong count a domain error
+    "xi_decimal": (lambda tmp: [
+        "seidel", _write(tmp / "p.json", _cp2_json()), "--xi=1.5,0"], 2),
+    "xi_empty_component": (lambda tmp: [
+        "fixed", _write(tmp / "p.json", _cp2_json()), "--xi=1,,0"], 2),
+    "xi_component_count": (lambda tmp: [
+        "analyze", _write(tmp / "p.json", _cp2_json()), "--xi=1,0,0"], 1),
+    # each example's own bound on mu is checked with the others
+    "mu_above_range": (lambda tmp: ["example", "blowup_cp2", "--mu", "2"], 2),
+    "mu_at_lower_bound": (
+        lambda tmp: ["example", "hirzebruch2", "--mu", "1"], 2),
 }
 
 

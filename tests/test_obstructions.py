@@ -1,18 +1,22 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from toricqh import actions as actions_module
 from toricqh import examples
 from toricqh.actions import (
+    CircleTable,
     fixed_components,
     global_isotropy_bound,
     isotropy_components,
     q_pair,
     q_pairs,
 )
-from toricqh.obstructions import analyze, chain_bound
-from toricqh.polytope import normalize, validate_delzant
+from toricqh.errors import NotMeanNormalized
+from toricqh.obstructions import _rule_c, analyze, chain_bound
+from toricqh.polytope import DelzantPolytope, normalize, validate_delzant
 from toricqh.quantum import fano_presentation
 
 F = Fraction
@@ -276,3 +280,39 @@ def test_chain_bound_cube4_diagonal():
     assert len(set(bound.optimal_paths)) == 12288
     assert bound.min_cost == F(48, 7) > bound.K_max == F(24, 7)
     assert not bound.m_condition_achievable
+
+
+@pytest.mark.parametrize("poly, xi", [
+    (simplex(4), (1, 0, -1, 1)),
+    (box(3), (1, 1, -1)),
+    (box(4), (1, 2, 3, 4)),
+], ids=["cp4", "cube3", "cube4"])
+def test_analyze_reads_the_circle_data_once(monkeypatch, poly, xi):
+    solved = Counter()
+    tables = []
+    coordinates = DelzantPolytope.coordinates
+    table_init = CircleTable.__init__
+
+    def counted_coordinates(self, vid, v):
+        if self is poly and tuple(v) == xi:
+            solved[vid] += 1
+        return coordinates(self, vid, v)
+
+    def counted_table(self, *args):
+        tables.append(self)
+        table_init(self, *args)
+
+    monkeypatch.setattr(DelzantPolytope, "coordinates", counted_coordinates)
+    monkeypatch.setattr(actions_module.CircleTable, "__init__", counted_table)
+    analyze(poly, xi)
+    assert sorted(solved) == list(range(len(poly.vertices)))
+    assert set(solved.values()) == {1}
+    assert len(tables) == 1  # one coordinate table and one orders map
+
+
+def test_moment_data_that_is_not_mean_normalized_is_a_typed_error():
+    # the unit square at [1, 2] x [0, 1]: <(1, 0), .> is positive on it
+    shifted = validate_delzant(
+        [((1, 0), 2), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
+    with pytest.raises(NotMeanNormalized):
+        _rule_c(CircleTable(shifted, (1, 0)))

@@ -305,3 +305,75 @@ def test_dual_cone_face_outside_an_incomplete_fan():
         vertices=(((F(0), F(0)), frozenset({0, 1})),), faces={})
     with pytest.raises(ToricError):
         dual_cone_face(cone, (-1, -1))
+
+
+# ------------------------------------------------------- vertex dual bases
+
+# a smooth 12-gon: the square with its four corners blown up twice each
+GON12 = [(ray, F(s)) for ray, s in zip(
+    ((1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-2, -1),
+     (-1, -1), (-1, -2), (0, -1), (1, -1)),
+    ("3", "13/2", "4", "13/2", "3", "5", "3", "13/2", "4", "13/2", "3", "5"))]
+
+
+def _dual_basis_corpus():
+    """Name -> (polytope, box radius): the bundled examples, cp3, cube3,
+    cp4, cube4 and the 12-gon."""
+    from test_obstructions import box, simplex
+    corpus = {name: (examples.build(name), 2) for name in examples.BUILDERS}
+    corpus.update(cp3=(simplex(3), 2), cube3=(box(3), 2), cp4=(simplex(4), 1),
+                  cube4=(box(4), 1), gon12=(validate_delzant(GON12), 2))
+    return corpus
+
+
+DUAL_BASIS_CORPUS = _dual_basis_corpus()
+
+
+def _solved(poly, vid, xi):
+    return dict(zip(sorted(poly.vertex_facets(vid)), linalg.solve_unimodular(
+        poly.vertex_normal_columns(vid), xi)))
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_BASIS_CORPUS))
+def test_dual_basis_coordinates_match_solve_unimodular_on_a_box(name):
+    poly, radius = DUAL_BASIS_CORPUS[name]
+    for xi in itertools.product(range(-radius, radius + 1), repeat=poly.n):
+        for vid in range(len(poly.vertices)):
+            assert poly.coordinates(vid, xi) == _solved(poly, vid, xi), \
+                (name, vid, xi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dual_basis_coordinates_match_solve_unimodular(data):
+    name = data.draw(st.sampled_from(sorted(DUAL_BASIS_CORPUS)))
+    poly, _ = DUAL_BASIS_CORPUS[name]
+    xi = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * poly.n))
+    vid = data.draw(st.integers(0, len(poly.vertices) - 1))
+    assert poly.coordinates(vid, xi) == _solved(poly, vid, xi)
+
+
+def test_coordinates_make_no_rational_solve_once_the_dual_basis_exists(
+        monkeypatch):
+    poly = examples.blowup_cp2()
+    for vid in range(len(poly.vertices)):
+        poly.dual_basis(vid)
+
+    def refuse(*args):
+        raise AssertionError("a rational solve after the dual basis")
+
+    monkeypatch.setattr(linalg, "solve_rational", refuse)
+    for vid in range(len(poly.vertices)):
+        for i, functional in poly.dual_basis(vid):
+            assert poly.coordinates(vid, poly.normal(i)) == {
+                j: int(j == i) for j in sorted(poly.vertex_facets(vid))}
+            assert all(type(x) is int for x in functional)
+
+
+def test_dual_basis_of_a_non_unimodular_vertex_is_not_smooth():
+    # a hand-built cone whose vertex normals (2, 1), (0, 1) have det 2
+    cone = DelzantPolytope(
+        n=2, facets=(Facet((2, 1), 0), Facet((0, 1), 0)),
+        vertices=(((F(0), F(0)), frozenset({0, 1})),), faces={})
+    with pytest.raises(NotSmooth):
+        cone.coordinates(0, (1, 0))

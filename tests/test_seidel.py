@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from toricqh import actions as actions_module
 from toricqh import examples
 from toricqh import seidel as seidel_module
 from toricqh.actions import fixed_components
+from toricqh.errors import DegenerateEdge, LeadingFaceMismatch, NotAnEdge
 from toricqh.novikov import NovScalar
+from toricqh.polytope import DelzantPolytope, Face, Facet
 from toricqh.quantum import (
     default_cutoff,
     fano_presentation,
@@ -312,3 +315,41 @@ def test_leading_term_reads_f_max_off_the_element(monkeypatch, poly,
         assert report["f_max"] == sorted(fmax.facets), xi
         assert (report["m_max"], report["K_max"]) == (fmax.m, fmax.K), xi
         assert element.semifree == fmax.semifree, xi
+
+
+# ------------------------------------------------ checks that are not asserts
+
+def test_edge_class_of_a_two_dimensional_face_is_a_typed_error(blow):
+    poly = blow.polytope
+    with pytest.raises(NotAnEdge):
+        edge_class(poly, poly.face(frozenset()))
+
+
+@pytest.mark.parametrize("far_facets", [
+    # the far end lies on facet 2, whose normal (1, 1) has coordinate +1,
+    # not -1, on facet 0 at the near end
+    frozenset({1, 2}),
+    # both ends are cut by facet 0
+    frozenset({0, 1}),
+], ids=["coordinate_not_minus_one", "one_end_facet"])
+def test_a_degenerate_edge_is_a_typed_error(far_facets):
+    edge = Face(facets=frozenset({1}), dim=1, vertex_ids=(0, 1))
+    poly = DelzantPolytope(
+        n=2, facets=(Facet((1, 0), 0), Facet((0, 1), 0), Facet((1, 1), 1)),
+        vertices=(((F(0), F(0)), frozenset({0, 1})),
+                  ((F(1), F(0)), far_facets)),
+        faces={edge.facets: edge})
+    with pytest.raises(DegenerateEdge):
+        edge_class(poly, edge)
+
+
+def test_a_point_lift_from_a_wrong_maximum_is_a_typed_error(monkeypatch):
+    qp = fano_presentation(examples.cp2())
+    real = seidel_module.seidel_element
+
+    def not_semifree(qp, xi):
+        return dataclasses.replace(real(qp, xi), semifree=False)
+
+    monkeypatch.setattr(seidel_module, "seidel_element", not_semifree)
+    with pytest.raises(LeadingFaceMismatch):
+        build_dictionary(qp)
