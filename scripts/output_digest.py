@@ -16,6 +16,11 @@ The classes:
     [-1, 1]^4) and gon12 (xi in [-1, 1]^2);
   - `verify --trials 4 --format structured` at seeds 7193 and 11 on the
     bundled examples, cp3 and cube3, and on hirzebruch2 in NEF mode;
+  - `cohomology` (text output) on the ten corpus polytopes;
+  - `analyze --format structured` on translated copies of the 2-D bundled
+    examples (xi in [-1, 1]^2) and of cp3 (xi in [-1, 1]^3): each support
+    grows by <eta, (1/2, 1/3, 1/5)>, truncated to n components, so the
+    moment data is not mean normalized;
   - the stdout of scripts/run_paper_tables.py.
 
 The polytopes and the hirzebruch2 Y-table come from perfbench/corpus.py,
@@ -26,18 +31,24 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import runpy
 import sys
 import tempfile
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import corpus  # noqa: E402
 from toricqh import cli  # noqa: E402
+from toricqh.linalg import vec_dot  # noqa: E402
+from toricqh.polytope import validate_delzant  # noqa: E402
 
 SEEDS = ("7193", "11")
+SHIFT = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+TRANSLATED = tuple(name for name in corpus.BUNDLED if name != "s2") + ("cp3",)
 
 
 def box(n, r):
@@ -48,6 +59,21 @@ def box(n, r):
 
 def xi_flag(xi):
     return "--xi=" + ",".join(str(x) for x in xi)
+
+
+def write_translated(directory, polys):
+    """Write each polytope of TRANSLATED moved by SHIFT (its first n
+    components) as "<name>+shift"; return the name -> path map."""
+    paths = {}
+    for name in TRANSLATED:
+        poly, key = polys[name], f"{name}+shift"
+        moved = validate_delzant(
+            [(f.normal, f.support + vec_dot(f.normal, SHIFT[:poly.n]),
+              f.label) for f in poly.facets], name=key)
+        paths[key] = os.path.join(directory, f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(cli.polytope_to_json(moved), fh, indent=2)
+    return paths
 
 
 def command_classes(polys):
@@ -73,6 +99,11 @@ def command_classes(polys):
                    for seed in SEEDS for name in verified]
         + [["verify", "hirzebruch2", "--trials", "4", "--seed", seed,
             "--format", "structured", *nef] for seed in SEEDS],
+        "cohomology": [["cohomology", name] for name in polys],
+        "analyze, translated": [
+            ["analyze", f"{name}+shift", xi_flag(xi), "--format",
+             "structured"]
+            for name in TRANSLATED for xi in box(polys[name].n, 1)],
     }
 
 
@@ -93,6 +124,7 @@ def main():
     digests = {}
     with tempfile.TemporaryDirectory() as workdir:
         paths = corpus.write_corpus(workdir, polys)
+        paths.update(write_translated(workdir, polys))
         for name, argvs in command_classes(polys).items():
             h = hashlib.sha256()
             for argv in argvs:

@@ -21,7 +21,6 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .cohomology import face_betti  # noqa: F401  (part of this module's API)
 from .errors import (
     InconsistentWeights,
     InvariantMismatch,

@@ -9,14 +9,10 @@ Stanley-Reisner generators, which the quantum layer consumes.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import linalg
-from .errors import (
-    NonGenericVector,
-    RestrictionNotResolved,
-    WrongDegree,
-)
+from .errors import NonGenericVector, WrongDegree
 from .polynomials import (
     TracedBasis,
     mono_degree,
@@ -28,7 +24,7 @@ from .polynomials import (
     poly_substitute,
     poly_var,
 )
-from .polytope import primitive_sets, validate_delzant
+from .polytope import primitive_sets
 
 
 def classical_generators(poly, prims=None):
@@ -125,7 +121,6 @@ class ClassicalRing:
     gen_keys: tuple = ()
     standard_monomials: tuple = ()
     betti: tuple = ()
-    _face_cache: dict = field(default_factory=dict, repr=False)
 
     # -- variable handling -----------------------------------------------------
 
@@ -210,17 +205,6 @@ class ClassicalRing:
         return [[self.integrate(poly_mul({r: Fraction(1)}, {c: Fraction(1)}))
                  for c in cols] for r in rows]
 
-    # -- faces -------------------------------------------------------------------
-
-    def face_ring(self, face):
-        key = face.facets
-        if key not in self._face_cache:
-            self._face_cache[key] = _build_face_ring(self, face)
-        return self._face_cache[key]
-
-    def restrict_to_face(self, full_poly, face):
-        return restrict_to_face(self, full_poly, face)
-
 
 def build_ring(poly):
     prims = primitive_sets(poly)
@@ -268,214 +252,68 @@ def betti_morse(poly, xi):
 
 def generic_vector(poly):
     """Deterministic generic direction: (1, M, M^2, ...) with M one more
-    than the largest integerized vertex coordinate, escalated if needed."""
-    den = 1
-    for vid in range(len(poly.vertices)):
-        for x in poly.vertex_point(vid):
-            d = Fraction(x).denominator
-            den = den * d // gcd(den, d)
-    magnitude = max((abs(int(x * den)) for vid in range(len(poly.vertices))
-                     for x in poly.vertex_point(vid)), default=1)
-    M = 1 + magnitude
+    than the largest integerized vertex coordinate, escalated if needed.
+    The vertices are scaled to integers once, so each trial is integer
+    dot products."""
+    points = [poly.vertex_point(v) for v in range(len(poly.vertices))]
+    den = lcm(*(x.denominator for p in points for x in p))
+    points = [tuple(x.numerator * (den // x.denominator) for x in p)
+              for p in points]
+    M = 1 + max(abs(x) for p in points for x in p)
     for _ in range(64):
         xi = tuple(M ** j for j in range(poly.n))
-        kvals = [linalg.vec_dot(xi, poly.vertex_point(v))
-                 for v in range(len(poly.vertices))]
-        if len(set(kvals)) == len(kvals):
+        if len({linalg.vec_dot(xi, p) for p in points}) == len(points):
             return xi
         M = 2 * M + 1
     raise NonGenericVector("could not find a separating direction")
 
 
-# ---------------------------------------------------------------- face rings
+# -------------------------------------------------------------------- faces
 
 class PointRing:
     """The ring of a vertex face: just Q."""
 
-    width = 0
-    standard_monomials = ((),)
-    betti = (1,)
-
     def __init__(self, face):
         self.face = face
-
-    def nf(self, poly):
-        return dict(poly)
 
     def integrate(self, poly, full_vars=False):
         return poly.get((), Fraction(0))
 
 
-@dataclass
-class FaceRing:
-    """The classical ring of the toric manifold over a face, together with
-    the data needed to map classes of the ambient manifold into it."""
-    face: object
-    polytope: object  # the face as a Delzant polytope in its own lattice
-    ring: ClassicalRing
-    facet_order: tuple  # ambient facet index per face facet
+def restrict_to_face(ring, full_poly, face):
+    """Restriction H*(M) -> H*(F) to the toric submanifold F over a face.
 
-    @property
-    def width(self):
-        return self.ring.width
-
-    def nf(self, poly):
-        return self.ring.nf(poly)
-
-    def integrate(self, poly, full_vars=False):
-        return self.ring.integrate(poly, full_vars=full_vars)
-
-    @property
-    def betti(self):
-        return self.ring.betti
-
-
-def _build_face_ring(ring, face):
-    poly = ring.polytope
-    if face.dim == 0:
-        return PointRing(face)
-    if face.dim == poly.n:
-        return FaceRing(face=face, polytope=poly, ring=ring,
-                        facet_order=tuple(range(poly.num_facets)))
-    S = sorted(face.facets)
-    normal_rows = [list(poly.normal(i)) for i in S]
-    lattice = linalg.kernel_basis_int(normal_rows)
-    assert len(lattice) == face.dim
-    base = poly.vertex_point(poly.lex_least_vertex_of(face))
-    specs = []
-    order = []
-    for m in range(poly.num_facets):
-        if m in face.facets:
-            continue
-        key = face.facets | {m}
-        if key not in poly.faces:
-            continue
-        sub = poly.faces[key]
-        if sub.dim != face.dim - 1:
-            raise RestrictionNotResolved(
-                f"facet {m} meets face {sorted(face.facets)} improperly")
-        normal = tuple(linalg.vec_dot(poly.normal(m), w) for w in lattice)
-        support = poly.support(m) - linalg.vec_dot(poly.normal(m), base)
-        specs.append((normal, support, poly.facets[m].label))
-        order.append(m)
-    sub_poly = validate_delzant(specs, name=f"{poly.name}|{sorted(face.facets)}")
-    return FaceRing(face=face, polytope=sub_poly, ring=build_ring(sub_poly),
-                    facet_order=tuple(order))
-
-
-def restrict_to_face(ring, full_poly, face, _budget=None):
-    """Restriction H*(M) -> H*(face manifold).
-
-    First rewrites away the variables of facets containing the face (using
-    the dual basis at a vertex of the face, which exists by smoothness), then
-    maps each remaining variable to the matching facet class of the face, or
-    to zero for empty intersections.  Improper intersections would trigger
-    further rewriting; on a simple polytope they cannot occur, and a budget
-    guards the loop so a failure is reported rather than silently wrong.
+    A class a|F is represented by its pushforward a * [F] in H*(M), the
+    normal form of a * x_F with x_F the product of the facet variables
+    containing F (x_F = 1 for the whole polytope).  The representation is
+    faithful: H*(F) is generated by restricted facet classes and F and M
+    both satisfy Poincare duality, so pushforward is injective on H*(F), and
+    `ring.integrate` of a result of top degree is the integral of a over F.
+    Returns (ring, class); a vertex returns (PointRing(face), {(): c}) with
+    c the constant term of a, or an empty class when c is 0.
     """
     poly = ring.polytope
-    face_ring = ring.face_ring(face)
-    if face.dim == poly.n:
-        return face_ring, ring.reduce_full(full_poly)
     N = poly.num_facets
-    duals = dict(poly.dual_basis(poly.lex_least_vertex_of(face)))
-    budget = _budget if _budget is not None else N * N + 4
-
-    def rewrite_rule(i):
-        # dual functional: <xi, eta_i> = 1, zero on the other facets at a
-        # vertex of the face containing D_i
-        if i not in duals:
-            raise RestrictionNotResolved(
-                f"no vertex of the face lies on facet {i}")
-        xi = duals[i]
-        expr = {}
-        for k in range(N):
-            if k == i:
-                continue
-            c = -linalg.vec_dot(xi, poly.normal(k))
-            if c:
-                expr = poly_add(expr, poly_scale(poly_var(k, N), c))
-        return expr
-
-    work = dict(full_poly)
-    for i in sorted(face.facets):
-        images = {k: poly_var(k, N) for k in range(N)}
-        images[i] = rewrite_rule(i)
-        work = poly_substitute(work, images, N)
-
-    # now map remaining variables into the face ring, rewriting any improper
-    # intersection until none remain
-    for _ in range(budget):
-        improper = None
-        for m in set(k for mono in work for k, e in enumerate(mono) if e):
-            if m in face.facets:
-                improper = m  # reintroduced; rewrite again
-                break
-            key = face.facets | {m}
-            if key in poly.faces and poly.faces[key].dim < face.dim - 1:
-                improper = m
-                break
-        if improper is None:
-            break
-        images = {k: poly_var(k, N) for k in range(N)}
-        images[improper] = rewrite_rule(improper)
-        work = poly_substitute(work, images, N)
-    else:
-        raise RestrictionNotResolved(
-            f"rewriting did not terminate for face {sorted(face.facets)}")
-
     if face.dim == 0:
-        const = {(): work.get((0,) * N, Fraction(0))}
-        if not const[()]:
-            const = {}
-        return face_ring, const
-
-    face_full_width = len(face_ring.facet_order)
-    images = {}
-    for m in range(N):
-        if m in face.facets:
-            images[m] = {}
-        elif face.facets | {m} in poly.faces:
-            pos = face_ring.facet_order.index(m)
-            images[m] = poly_var(pos, face_full_width)
-        else:
-            images[m] = {}
-    mapped = poly_substitute(work, images, face_full_width)
-    return face_ring, face_ring.ring.reduce_full(mapped)
+        c = full_poly.get((0,) * N, Fraction(0))
+        return PointRing(face), ({(): c} if c else {})
+    x_face = {tuple(1 if i in face.facets else 0 for i in range(N)):
+              Fraction(1)}
+    return ring, ring.reduce_full(poly_mul(full_poly, x_face))
 
 
-def face_betti(poly, face, xi=None):
-    """Betti numbers of the toric manifold over a face, by counting its
-    vertices according to the number of descending edges inside the face."""
+def face_betti(poly, face):
+    """Betti numbers of the toric manifold over a face: its vertices counted
+    by the number of edges inside the face along which the generic height
+    <generic_vector(poly), .> descends.  Leaving vertex v along the edge off
+    facet k moves against the dual functional of k, so the edge descends
+    iff the coordinate of the direction at v on facet k is positive."""
     if face.dim == 0:
-        return (1,)
-    edges = [f for f in poly.faces.values()
-             if f.dim == 1 and face.facets <= f.facets]
-
-    def kval(v, direction):
-        return linalg.vec_dot(direction, poly.vertex_point(v))
-
-    direction = xi
-    if direction is None:
-        # deterministic generic choice within the face
-        M = 2
-        for _ in range(64):
-            direction = tuple(M ** j for j in range(poly.n))
-            vals = [kval(v, direction) for v in face.vertex_ids]
-            if len(set(vals)) == len(vals):
-                break
-            M = 2 * M + 1
-    vals = {v: kval(v, direction) for v in face.vertex_ids}
-    if len(set(vals.values())) != len(vals):
-        raise NonGenericVector("direction does not separate face vertices")
+        return (1,)  # no edges, and no direction to find
+    xi = generic_vector(poly)
     counts = [0] * (face.dim + 1)
-    for v in face.vertex_ids:
-        down = 0
-        for e in edges:
-            if v not in e.vertex_ids:
-                continue
-            other = next(w for w in e.vertex_ids if w != v)
-            if vals[other] < vals[v]:
-                down += 1
-        counts[down] += 1
+    for vid in face.vertex_ids:
+        coords = poly.coordinates(vid, xi)
+        counts[sum(1 for k, c in coords.items()
+                   if c > 0 and k not in face.facets)] += 1
     return tuple(counts)

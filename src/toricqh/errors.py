@@ -72,10 +72,6 @@ class NonGenericVector(ToricError):
     pass
 
 
-class RestrictionNotResolved(ToricError):
-    pass
-
-
 # ----------------------------------------------------------- circle actions
 
 class ZeroVector(ToricError):

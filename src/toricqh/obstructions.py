@@ -13,6 +13,7 @@ from fractions import Fraction
 from .actions import CircleTable
 from .cohomology import build_ring, face_betti, restrict_to_face
 from .errors import MomentDataMismatch, NotMeanNormalized
+from .linalg import vec_dot
 from .polynomials import poly_mul, poly_const
 from .polytope import centroid, normalize
 from .quantum import qsub
@@ -306,21 +307,23 @@ def analyze(poly, xi, qp=None):
 
     The moment data is mean normalized first (the K = 0 tests depend on it).
     A supplied quantum presentation must be built on the same normalized
-    polytope.
+    polytope; its polytope and classical ring are then used as they are.
     """
-    normalized = False
-    if any(c != 0 for c in centroid(poly)):
-        poly = normalize(poly)
-        normalized = True
-    if qp is not None:
+    c = centroid(poly)
+    normalized = any(x != 0 for x in c)
+    if qp is None:
+        poly = normalize(poly) if normalized else poly
+        ring = build_ring(poly)
+    else:
         if [(f.normal, f.support) for f in qp.polytope.facets] != \
-                [(f.normal, f.support) for f in poly.facets]:
+                [(f.normal, f.support - vec_dot(f.normal, c))
+                 for f in poly.facets]:
             raise MomentDataMismatch(
                 "the quantum presentation was built on different moment "
                 "data; rebuild it on the normalized polytope")
+        poly, ring = qp.polytope, qp.ring
     circle = CircleTable(poly, xi)  # the one pass over the circle data
     comps = circle.components
-    ring = build_ring(poly)
     findings = [_rule_t1(comps), _rule_t2(ring, circle), _rule_p4(ring, comps),
                 _rule_r5(ring, comps), _rule_s2(circle), _rule_c(circle),
                 _rule_p6(circle)]

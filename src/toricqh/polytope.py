@@ -286,11 +286,15 @@ def beta_class(poly, indices, j_indices, coeffs):
 
 
 def primitive_sets(poly):
-    """All primitive facet subsets with their dual-cone data, by size."""
+    """All primitive facet subsets with their dual-cone data, by size.
+
+    Every proper subset of a primitive collection spans a cone of the
+    simplicial fan, which has at most n rays, so no primitive collection
+    has more than n + 1 elements (Batyrev)."""
     N = poly.num_facets
     results = []
     primitive_found = set()
-    for size in range(2, N + 1):
+    for size in range(2, min(N, poly.n + 1) + 1):
         for sub in combinations(range(N), size):
             fs = frozenset(sub)
             if fs in poly.faces:  # a cone of the normal fan

@@ -443,3 +443,51 @@ def test_mutated_y_tables_fail_cleanly(fuzz_dir, table):
     code = _quiet_exit_code(["quantum", str(fuzz_dir / "hirz.json"),
                              "--mode", "nef", "--y-table", path])
     assert code in (0, 1, 2)
+
+
+def _count_builds(monkeypatch):
+    """Count the classical rings and the polytopes built from here on, by
+    class name."""
+    from collections import Counter
+    from toricqh.cohomology import ClassicalRing
+    from toricqh.polytope import DelzantPolytope
+    counts = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (ClassicalRing, DelzantPolytope):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return counts
+
+
+def test_analyze_with_quantum_builds_one_ring(blow_file, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", blow_file, "--xi=-2,-1"]) == 0
+    assert counts["ClassicalRing"] == 1
+
+
+def test_analyze_reads_the_presentation_of_unnormalized_data(
+        tmp_path, monkeypatch):
+    # the square [0, 2] x [0, 1]: one validation on load and one for the
+    # normalized data the presentation is built on
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "name": "square", "dim": 2,
+        "facets": [{"normal": [1, 0], "support": "2"},
+                   {"normal": [-1, 0], "support": "0"},
+                   {"normal": [0, 1], "support": "1"},
+                   {"normal": [0, -1], "support": "0"}]}))
+    counts = _count_builds(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--xi=1,0",
+                     "--format", "structured"]) == 0
+    assert json.loads(out.getvalue())["normalized"] is True
+    assert counts == {"ClassicalRing": 1, "DelzantPolytope": 2}

@@ -247,3 +247,76 @@ def test_face_betti_perfection(blow, square):
             for j, b in enumerate(fb):
                 total[j + shift] += b
         assert tuple(total) == ring.betti
+
+
+# ------------------------------------------------ restriction as a pushforward
+
+def _restriction_corpus():
+    """The bundled examples with proper faces of positive dimension (all
+    but s2), cp3, cube3, cp4 and cube4."""
+    from test_obstructions import box, simplex
+    polys = [examples.build(name) for name in sorted(examples.BUILDERS)]
+    return [p for p in polys if p.n > 1] + [simplex(3), box(3), simplex(4),
+                                            box(4)]
+
+
+def _kept_to_full(ring, m):
+    full = [0] * ring.polytope.num_facets
+    for pos, e in enumerate(m):
+        full[ring.kept[pos]] = e
+    return {tuple(full): F(1)}
+
+
+@pytest.mark.parametrize("poly", _restriction_corpus(),
+                         ids=lambda p: p.name)
+def test_restriction_ranks_are_the_face_betti_numbers(poly):
+    """The classes m|F, m running over the standard monomials of degree k,
+    span H^{2k}(F): as pushforwards m * x_F their rank is face_betti[k]."""
+    from toricqh.linalg import rank
+    ring = build_ring(poly)
+    n = poly.n
+    positions = {m: k for k, m in enumerate(ring.standard_monomials)}
+    faces = [f for f in poly.faces.values() if 0 < f.dim < n]
+    assert faces
+    for face in faces:
+        betti = face_betti(poly, face)
+        for k in range(n + 1):
+            rows = []
+            for m in ring.standard_monomials:
+                if sum(m) != k:
+                    continue
+                back, cls = restrict_to_face(ring, _kept_to_full(ring, m),
+                                             face)
+                assert back is ring
+                row = [F(0)] * len(positions)
+                for mono_, c in cls.items():
+                    row[positions[mono_]] = c
+                rows.append(row)
+            expected = betti[k] if k <= face.dim else 0
+            assert (rank(rows) if rows else 0) == expected, \
+                (poly.name, sorted(face.facets), k)
+
+
+def _self_intersection_corpus():
+    from test_polytope import GON12
+    from toricqh.polytope import validate_delzant
+    polys = [examples.build(name) for name in sorted(examples.BUILDERS)]
+    return [p for p in polys if p.n == 2] + [validate_delzant(GON12,
+                                                              name="gon12")]
+
+
+@pytest.mark.parametrize("poly", _self_intersection_corpus(),
+                         ids=lambda p: p.name)
+def test_restricted_facet_class_integrates_to_the_self_intersection(poly):
+    """A toric curve D_i with neighbours D_j, D_l, where eta_j + eta_l =
+    a_i eta_i, has self-intersection -a_i."""
+    ring = build_ring(poly)
+    for i in range(poly.num_facets):
+        j, l = sorted(next(iter(poly.vertex_facets(v) - {i}))
+                      for v in poly.face(frozenset({i})).vertex_ids)
+        total = tuple(a + b for a, b in zip(poly.normal(j), poly.normal(l)))
+        a_i = next(t // e for t, e in zip(total, poly.normal(i)) if e)
+        assert total == tuple(a_i * e for e in poly.normal(i))
+        back, cls = restrict_to_face(ring, full_var(ring, i),
+                                     poly.face(frozenset({i})))
+        assert back.integrate(cls) == -a_i, (poly.name, i)

@@ -377,3 +377,16 @@ def test_dual_basis_of_a_non_unimodular_vertex_is_not_smooth():
         vertices=(((F(0), F(0)), frozenset({0, 1})),), faces={})
     with pytest.raises(NotSmooth):
         cone.coordinates(0, (1, 0))
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_BASIS_CORPUS))
+def test_primitive_sets_equal_an_uncapped_enumeration(name):
+    """Capping the search at n + 1 facets loses no primitive collection:
+    the minimal non-faces over every size up to N are the same sets."""
+    poly, _ = DUAL_BASIS_CORPUS[name]
+    uncapped = [sub for size in range(2, poly.num_facets + 1)
+                for sub in itertools.combinations(range(poly.num_facets), size)
+                if frozenset(sub) not in poly.faces
+                and all(frozenset(s) in poly.faces
+                        for s in itertools.combinations(sub, size - 1))]
+    assert [p.indices for p in primitive_sets(poly)] == uncapped
