@@ -21,6 +21,8 @@ The classes:
     examples (xi in [-1, 1]^2) and of cp3 (xi in [-1, 1]^3): each support
     grows by <eta, (1/2, 1/3, 1/5)>, truncated to n components, so the
     moment data is not mean normalized;
+  - `validate` (text output: vertices and centroid) on the ten corpus
+    polytopes and on the translated copies, whose centroids are nonzero;
   - the stdout of scripts/run_paper_tables.py.
 
 The polytopes and the hirzebruch2 Y-table come from perfbench/corpus.py,
@@ -104,6 +106,8 @@ def command_classes(polys):
             ["analyze", f"{name}+shift", xi_flag(xi), "--format",
              "structured"]
             for name in TRANSLATED for xi in box(polys[name].n, 1)],
+        "validate": [["validate", name] for name in polys]
+        + [["validate", f"{name}+shift"] for name in TRANSLATED],
     }
 
 

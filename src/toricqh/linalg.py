@@ -58,25 +58,51 @@ def solve_unimodular(cols, target):
     return tuple(int(x) for x in sol)
 
 
+def adjugate_times(m, rhs):
+    """(det m, adj(m) * rhs) for a square integer matrix m and an integer
+    matrix rhs with as many rows, in integer arithmetic; (0, None) when m
+    is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    on [m | rhs]: every entry stays a minor of the augmented matrix, so each
+    division is exact, and the elimination ends at [p*I | p*m^-1*rhs] with
+    p = +-det m, the sign of its row permutation."""
+    n = len(m)
+    a = [list(row) + list(extra) for row, extra in zip(m, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev
+                        for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
 def unimodular_dual(cols):
     """The dual basis of n integer n-vectors with |det| = 1: the integer
     rows y_j with <y_j, cols[k]> = [j == k], so that the coordinates of v in
     the basis `cols` are the dot products <y_j, v>.
 
-    The rows are those of the inverse of the matrix with columns `cols`,
-    read off its adjugate in integer arithmetic."""
+    The rows are those of the inverse det * adj of the matrix with columns
+    `cols`."""
     n = len(cols)
-    d = det([list(c) for c in cols])
+    d, adj = adjugate_times([[c[i] for c in cols] for i in range(n)],
+                            [[int(i == j) for j in range(n)]
+                             for i in range(n)])
     if abs(d) != 1:
         raise NotSmooth(f"the columns {cols} are not a unimodular basis: "
                         f"|det| = {abs(d)}")
-    if n == 1:
-        return ((d,),)
-    return tuple(
-        tuple((-1) ** (i + j) * d * det([[x for r, x in enumerate(c) if r != i]
-                                        for k, c in enumerate(cols) if k != j])
-              for i in range(n))
-        for j in range(n))
+    return tuple(tuple(d * x for x in row) for row in adj)
 
 
 def solve_rational(m, target):

@@ -65,12 +65,16 @@ def _euler_class_nonzero(ring, comp):
     return bool(value)
 
 
-def _classical_class(ring, facet_powers):
-    poly = ring.polytope
-    mono = [0] * poly.num_facets
+def _classical_class(ring, facet_powers, classes):
+    """The reduced class of prod x_i^e_i, read from or stored in `classes`,
+    the monomial -> class dict that one `analyze` shares between rules."""
+    mono = [0] * ring.polytope.num_facets
     for i, e in facet_powers.items():
         mono[i] = e
-    return ring.reduce_full({tuple(mono): Fraction(1)})
+    mono = tuple(mono)
+    if mono not in classes:
+        classes[mono] = ring.reduce_full({mono: Fraction(1)})
+    return classes[mono]
 
 
 # ----------------------------------------------------------------- the rules
@@ -114,15 +118,15 @@ def _rule_t2(ring, circle):
                    definitive=True, certificate={"components": details})
 
 
-def _rule_p4(ring, comps):
+def _rule_p4(ring, comps, classes):
     details = []
     for comp in comps:
         if not comp.semifree:
             continue
         plus = {i: 1 for i, w in comp.weights.items() if w == 1}
         minus = {i: 1 for i, w in comp.weights.items() if w == -1}
-        x_plus = _classical_class(ring, plus)
-        x_minus = _classical_class(ring, minus)
+        x_plus = _classical_class(ring, plus, classes)
+        x_minus = _classical_class(ring, minus, classes)
         bad = comp.K != 0 or comp.m != 0 or x_plus != x_minus
         details.append({"face": sorted(comp.facets), "K": comp.K,
                         "m": comp.m, "f_plus": sorted(plus),
@@ -134,13 +138,13 @@ def _rule_p4(ring, comps):
                    certificate={"semifree_components": details})
 
 
-def _rule_r5(ring, comps):
+def _rule_r5(ring, comps, classes):
     details = []
     for comp in comps:
         plus = {i: w for i, w in comp.weights.items() if w > 0}
         minus = {i: -w for i, w in comp.weights.items() if w < 0}
-        x_plus = _classical_class(ring, plus)
-        x_minus = _classical_class(ring, minus)
+        x_plus = _classical_class(ring, plus, classes)
+        x_minus = _classical_class(ring, minus, classes)
         if not x_plus or not x_minus:
             continue
         bad = comp.K != 0 or comp.m != 0 or x_plus != x_minus
@@ -324,9 +328,11 @@ def analyze(poly, xi, qp=None):
         poly, ring = qp.polytope, qp.ring
     circle = CircleTable(poly, xi)  # the one pass over the circle data
     comps = circle.components
-    findings = [_rule_t1(comps), _rule_t2(ring, circle), _rule_p4(ring, comps),
-                _rule_r5(ring, comps), _rule_s2(circle), _rule_c(circle),
-                _rule_p6(circle)]
+    classes = {}  # reduced facet monomials, shared by P4 and R5
+    findings = [_rule_t1(comps), _rule_t2(ring, circle),
+                _rule_p4(ring, comps, classes),
+                _rule_r5(ring, comps, classes), _rule_s2(circle),
+                _rule_c(circle), _rule_p6(circle)]
     element = None
     if qp is not None:
         sd, element = _rule_sd(qp, circle.xi)

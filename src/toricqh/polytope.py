@@ -5,9 +5,11 @@ support value): Delta = {u : <eta_i, u> <= support_i}.  All derived data is
 exact.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -100,10 +102,6 @@ class DelzantPolytope:
         return min(face.vertex_ids, key=lambda v: self.vertex_point(v))
 
 
-def _feasible(point, facets):
-    return all(linalg.vec_dot(f.normal, point) <= f.support for f in facets)
-
-
 def _check_edges_bounded(vlist, normals, n):
     """Raise Unbounded unless every edge at every vertex ends at a second
     vertex; for a nonempty region whose normals span, that is boundedness.
@@ -111,9 +109,12 @@ def _check_edges_bounded(vlist, normals, n):
     The edges at a vertex lie in the kernels of (n-1)-subsets of its
     facets.  At a vertex on exactly n facets each subset is an edge; on
     more facets a subset is one only when its kernel is a line with d or -d
-    feasible for every facet at the vertex.
+    feasible for every facet at the vertex.  An edge has a second vertex iff
+    at least two vertices lie on its n-1 facets.
     """
-    for vid, (point, active) in enumerate(vlist):
+    on_facets = Counter(sub for _, active in vlist
+                        for sub in combinations(sorted(active), n - 1))
+    for point, active in vlist:
         for sub in combinations(sorted(active), n - 1):
             if len(active) > n:
                 kernel = linalg.kernel_basis_int(
@@ -124,8 +125,7 @@ def _check_edges_bounded(vlist, normals, n):
                         for i in active]
                 if min(dots) < 0 < max(dots):
                     continue
-            if not any(other != vid and active_other.issuperset(sub)
-                       for other, (_, active_other) in enumerate(vlist)):
+            if on_facets[sub] < 2:
                 raise Unbounded(
                     f"the edge of vertex {point} along facets "
                     f"{list(sub)} has no second vertex")
@@ -152,47 +152,56 @@ def validate_delzant(facet_specs, name=""):
     if any(len(f.normal) != n for f in facets):
         raise NotFullDimensional("normals of mixed dimension")
     normals = [f.normal for f in facets]
+    scale = lcm(*(f.support.denominator for f in facets))
+    bounds = [f.support.numerator * (scale // f.support.denominator)
+              for f in facets]  # scale * support, in integers
 
-    # candidate vertices: n-subsets with invertible normal matrix
-    points = {}
+    # candidate vertices: n-subsets with invertible normal matrix M.  With
+    # d = |det M|, y = +-adj(M) * bounds_S is d * scale * vertex, so
+    # feasibility and the active facets are integer tests of <eta_j, y>
+    # against d * bounds_j.  A vertex is keyed by its active facets, which
+    # pin it down, and keeps d for the smoothness test.
+    found = {}
     for subset in combinations(range(len(facets)), n):
-        m = [list(normals[i]) for i in subset]
-        if linalg.det(m) == 0:
+        d, adj_b = linalg.adjugate_times([normals[i] for i in subset],
+                                         [[bounds[i]] for i in subset])
+        if d == 0:
             continue
-        point = linalg.solve_rational(m, [facets[i].support for i in subset])
-        if not _feasible(point, facets):
+        y = [row[0] if d > 0 else -row[0] for row in adj_b]
+        d = abs(d)
+        dots = [linalg.vec_dot(normal, y) for normal in normals]
+        if any(dot > d * b for dot, b in zip(dots, bounds)):
             continue
-        points[point] = frozenset(
-            i for i in range(len(facets))
-            if linalg.vec_dot(normals[i], point) == facets[i].support)
-    if not points:
+        active = frozenset(j for j, (dot, b) in enumerate(zip(dots, bounds))
+                           if dot == d * b)
+        if active not in found:
+            found[active] = (tuple(Fraction(c, d * scale) for c in y), d)
+    if not found:
         raise Unbounded("no vertices; the region is empty or unbounded")
 
-    vlist = sorted(points.items())
+    vlist = sorted((point, active) for active, (point, _) in found.items())
     _check_edges_bounded(vlist, normals, n)
-    base = vlist[0][0]
-    if linalg.rank([list(linalg.vec_sub(p, base)) for p, _ in vlist[1:]]) < n:
+    # the region is the hull of its vertices, so it lies in a hyperplane
+    # iff one facet holds every vertex
+    if frozenset.intersection(*(active for _, active in vlist)):
         raise NotFullDimensional("vertices span a proper affine subspace")
 
     for point, active in vlist:
         if len(active) > n:
             raise NotSimple(
                 f"vertex {point} lies on {len(active)} facets {sorted(active)}")
-        d = abs(linalg.det([normals[i] for i in sorted(active)]))
+        d = found[active][1]  # the determinant of the n facets at the vertex
         if d != 1:
             raise NotSmooth(
                 f"vertex {point} on facets {sorted(active)} has |det| = {d}")
 
-    touched = set()
-    for _, active in vlist:
-        touched |= active
+    touched = frozenset().union(*(active for _, active in vlist))
     missing = set(range(len(facets))) - touched
     if missing:
         raise RedundantFacet(
             f"facets {sorted(missing)} support no vertex of the region")
 
-    vertices = tuple((p, a) for p, a in vlist)
-    poly = DelzantPolytope(n=n, facets=tuple(facets), vertices=vertices,
+    poly = DelzantPolytope(n=n, facets=tuple(facets), vertices=tuple(vlist),
                            faces={}, name=name)
     poly.faces = _build_faces(poly)
     return poly
@@ -200,22 +209,21 @@ def validate_delzant(facet_specs, name=""):
 
 def _build_faces(poly):
     """Every nonempty intersection of facets, canonically keyed by the full
-    facet set containing it.  Includes Delta itself (empty facet set)."""
+    facet set containing it.  Includes Delta itself (empty facet set).
+
+    The faces of a simple polytope through a vertex are the subsets of its
+    n facets, so one pass over the vertices lists every face's vertices."""
     n = poly.n
-    face_sets = {frozenset()}
-    # faces of a simple polytope through a vertex correspond to subsets of
-    # its facet set
-    for _, vf in poly.vertices:
+    members = {frozenset(): list(range(len(poly.vertices)))}
+    for vid, (point, vf) in enumerate(poly.vertices):
+        if len(vf) != n:
+            raise NotSimple(
+                f"vertex {point} lies on {len(vf)} facets {sorted(vf)}")
         for size in range(1, n + 1):
             for sub in combinations(sorted(vf), size):
-                face_sets.add(frozenset(sub))
-    faces = {}
-    for s in face_sets:
-        vids = tuple(vid for vid in range(len(poly.vertices))
-                     if s <= poly.vertex_facets(vid))
-        assert vids, "face with no vertices"
-        faces[s] = Face(facets=s, dim=n - len(s), vertex_ids=vids)
-    return faces
+                members.setdefault(frozenset(sub), []).append(vid)
+    return {s: Face(facets=s, dim=n - len(s), vertex_ids=tuple(vids))
+            for s, vids in members.items()}
 
 
 # ---------------------------------------------------------------- dual cones
@@ -329,15 +337,15 @@ def _simplices_of_face(poly, face):
     """Recursive triangulation from the lex-least vertex of each face.
 
     Returns simplices as tuples of vertex ids; each has dim(face)+1 entries.
+    The facets of a face F are the faces keyed F.facets | {i}.
     """
     if face.dim == 0:
         return [(face.vertex_ids[0],)]
     anchor = poly.lex_least_vertex_of(face)
     simplices = []
-    for sub in poly.faces.values():
-        if sub.dim != face.dim - 1 or not (face.facets <= sub.facets):
-            continue
-        if anchor in sub.vertex_ids:
+    for i in range(poly.num_facets):
+        sub = poly.faces.get(face.facets | {i})
+        if sub is None or sub.dim != face.dim - 1 or anchor in sub.vertex_ids:
             continue
         for s in _simplices_of_face(poly, sub):
             simplices.append((anchor,) + s)
@@ -353,22 +361,27 @@ def centroid(poly):
 
 
 def _centroid(poly):
-    top = poly.face(frozenset())
-    total_vol = Fraction(0)
-    weighted = [Fraction(0)] * poly.n
-    for simplex in _simplices_of_face(poly, top):
-        pts = [poly.vertex_point(v) for v in simplex]
-        base = pts[0]
-        m = [list(linalg.vec_sub(p, base)) for p in pts[1:]]
-        vol = abs(linalg.det(m))  # n! * volume; constant factor cancels
-        if vol == 0:
-            continue
-        c = [sum(p[k] for p in pts) / Fraction(len(pts)) for k in range(poly.n)]
+    """Volume-weighted mean of the simplex centroids, in integers: with the
+    vertices scaled by the lcm D of their denominators, a simplex's volume
+    is D^n times, and its vertex sum D * (n + 1) times, the true one (up
+    to the common factor n!)."""
+    scale = lcm(*(x.denominator for point, _ in poly.vertices for x in point))
+    points = [tuple(x.numerator * (scale // x.denominator) for x in point)
+              for point, _ in poly.vertices]
+    total_vol = 0
+    weighted = [0] * poly.n
+    for simplex in _simplices_of_face(poly, poly.face(frozenset())):
+        base = points[simplex[0]]
+        vol = abs(linalg.det([linalg.vec_sub(points[v], base)
+                              for v in simplex[1:]]))
         total_vol += vol
         for k in range(poly.n):
-            weighted[k] += vol * c[k]
-    assert total_vol > 0
-    return tuple(w / total_vol for w in weighted)
+            weighted[k] += vol * sum(points[v][k] for v in simplex)
+    if total_vol == 0:
+        raise NotFullDimensional(
+            f"the triangulation of {poly.name or 'the polytope'} has volume 0")
+    return tuple(Fraction(w, total_vol * scale * (poly.n + 1))
+                 for w in weighted)
 
 
 def normalize(poly):

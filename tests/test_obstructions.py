@@ -14,6 +14,7 @@ from toricqh.actions import (
     q_pair,
     q_pairs,
 )
+from toricqh.cohomology import ClassicalRing
 from toricqh.errors import NotMeanNormalized
 from toricqh.obstructions import _rule_c, analyze, chain_bound
 from toricqh.polytope import DelzantPolytope, normalize, validate_delzant
@@ -316,3 +317,22 @@ def test_moment_data_that_is_not_mean_normalized_is_a_typed_error():
         [((1, 0), 2), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
     with pytest.raises(NotMeanNormalized):
         _rule_c(CircleTable(shifted, (1, 0)))
+
+
+def test_p4_and_r5_reduce_each_facet_monomial_once(monkeypatch):
+    """On cube3 with xi = (1, 1, 1) every fixed point is semifree, so P4
+    and R5 ask for the same x_plus and x_minus classes: 15 distinct
+    monomials, each reduced once per analyze."""
+    cube3 = box(3)
+    reduced = []
+    reduce_full = ClassicalRing.reduce_full
+
+    def counted(self, p):
+        reduced.append(tuple(p))
+        return reduce_full(self, p)
+
+    monkeypatch.setattr(ClassicalRing, "reduce_full", counted)
+    analyze(cube3, (1, 1, 1))
+    assert len(reduced) == len(set(reduced)) == 15
+    analyze(cube3, (1, 1, 1))  # nothing is kept across analyze calls
+    assert len(reduced) == 30

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricqh
 from toricqh import examples
 from toricqh import linalg
 from toricqh.errors import (
@@ -18,6 +22,7 @@ from toricqh.errors import (
 )
 from toricqh.polytope import (
     DelzantPolytope,
+    Face,
     Facet,
     H2Class,
     beta_class,
@@ -26,6 +31,7 @@ from toricqh.polytope import (
     h2_lattice,
     normalize,
     primitive_sets,
+    _build_faces,
     validate_delzant,
 )
 
@@ -390,3 +396,175 @@ def test_primitive_sets_equal_an_uncapped_enumeration(name):
                 and all(frozenset(s) in poly.faces
                         for s in itertools.combinations(sub, size - 1))]
     assert [p.indices for p in primitive_sets(poly)] == uncapped
+
+
+# ------------------------------------------- integer vertex enumeration
+
+def _reference_validate(specs):
+    """validate_delzant with a Fraction solve per invertible n-subset, a
+    Fraction feasibility test, a scan of all vertices for the second end
+    of each edge, a rational rank for full dimension and a scan of all
+    vertices per face.  Returns (vertices, faces) or raises as
+    validate_delzant does."""
+    facets = [Facet(tuple(normal), support) for normal, support in specs]
+    n = len(facets[0].normal)
+    normals = [f.normal for f in facets]
+    points = {}
+    for subset in itertools.combinations(range(len(facets)), n):
+        m = [list(normals[i]) for i in subset]
+        if linalg.det(m) == 0:
+            continue
+        point = linalg.solve_rational(m, [facets[i].support for i in subset])
+        if any(linalg.vec_dot(f.normal, point) > f.support for f in facets):
+            continue
+        points[point] = frozenset(
+            i for i, f in enumerate(facets)
+            if linalg.vec_dot(f.normal, point) == f.support)
+    if not points:
+        raise Unbounded("no vertices; the region is empty or unbounded")
+    vlist = sorted(points.items())
+    for vid, (point, active) in enumerate(vlist):
+        for sub in itertools.combinations(sorted(active), n - 1):
+            if len(active) > n:
+                kernel = linalg.kernel_basis_int(
+                    [normals[i] for i in sub]) if sub else [(1,)]
+                if len(kernel) != 1:
+                    continue
+                dots = [linalg.vec_dot(normals[i], kernel[0])
+                        for i in active]
+                if min(dots) < 0 < max(dots):
+                    continue
+            if not any(other != vid and active_other.issuperset(sub)
+                       for other, (_, active_other) in enumerate(vlist)):
+                raise Unbounded(
+                    f"the edge of vertex {point} along facets "
+                    f"{list(sub)} has no second vertex")
+    base = vlist[0][0]
+    if linalg.rank([list(linalg.vec_sub(p, base))
+                    for p, _ in vlist[1:]]) < n:
+        raise NotFullDimensional("vertices span a proper affine subspace")
+    for point, active in vlist:
+        if len(active) > n:
+            raise NotSimple(f"vertex {point} lies on {len(active)} facets "
+                            f"{sorted(active)}")
+        d = abs(linalg.det([normals[i] for i in sorted(active)]))
+        if d != 1:
+            raise NotSmooth(
+                f"vertex {point} on facets {sorted(active)} has |det| = {d}")
+    missing = set(range(len(facets))) - set().union(*(a for _, a in vlist))
+    if missing:
+        raise RedundantFacet(
+            f"facets {sorted(missing)} support no vertex of the region")
+    keys = {frozenset(sub) for _, active in vlist
+            for size in range(n + 1)
+            for sub in itertools.combinations(sorted(active), size)}
+    faces = {key: Face(facets=key, dim=n - len(key), vertex_ids=tuple(
+        vid for vid, (_, active) in enumerate(vlist) if key <= active))
+        for key in keys}
+    return tuple(vlist), faces
+
+
+def _outcome(validate, specs):
+    """(vertices, faces) of a valid polytope, else (error class, message)."""
+    try:
+        result = validate(specs)
+    except ToricError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, DelzantPolytope):
+        return result.vertices, result.faces
+    return result
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=facet_data())
+def test_integer_enumeration_matches_fraction_solves(data):
+    _, specs = data
+    assert _outcome(validate_delzant, specs) == \
+        _outcome(_reference_validate, specs)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_BASIS_CORPUS))
+def test_integer_enumeration_matches_fraction_solves_on_the_corpus(name):
+    poly, _ = DUAL_BASIS_CORPUS[name]
+    shift = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:poly.n]
+    for specs in ([(f.normal, f.support) for f in poly.facets],
+                  [(f.normal, f.support + linalg.vec_dot(f.normal, shift))
+                   for f in poly.facets]):
+        ours = validate_delzant(specs)
+        assert (ours.vertices, ours.faces) == _reference_validate(specs)
+    assert any(x != 0 for x in centroid(ours))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_adjugate_times_is_det_times_the_inverse(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, 3))
+    entries = st.integers(-4, 4)
+    m = [data.draw(st.lists(entries, min_size=n, max_size=n))
+         for _ in range(n)]
+    rhs = [data.draw(st.lists(entries, min_size=k, max_size=k))
+           for _ in range(n)]
+    d, product = linalg.adjugate_times(m, rhs)
+    assert d == linalg.det(m)
+    if d == 0:
+        assert product is None
+    else:  # m * (adj(m) * rhs) = det(m) * rhs
+        assert [[linalg.vec_dot(row, col) for col in zip(*product)]
+                for row in m] == [[d * x for x in row] for row in rhs]
+
+
+# ------------------------------------ typed errors on inconsistent data
+
+def _on_cp2_facets(vertices):
+    """A hand-built polytope: cp2's facets with the given vertex list."""
+    return DelzantPolytope(n=2, facets=examples.cp2().facets,
+                           vertices=tuple(vertices), faces={})
+
+
+def test_a_vertex_off_n_facets_is_not_simple_when_faces_are_built():
+    poly = _on_cp2_facets([((F(0), F(0)), frozenset({0, 1, 2}))])
+    with pytest.raises(NotSimple):
+        _build_faces(poly)
+
+
+def test_a_triangulation_of_volume_zero_is_not_full_dimensional():
+    # cp2's face lattice on three collinear points
+    points = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]
+    poly = _on_cp2_facets(
+        (point, active) for point, (_, active)
+        in zip(points, examples.cp2().vertices))
+    poly.faces = _build_faces(poly)
+    with pytest.raises(NotFullDimensional):
+        centroid(poly)
+
+
+def test_the_polytope_checks_still_fire_under_python_O():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from toricqh import examples\n"
+        "from toricqh.errors import NotFullDimensional, NotSimple\n"
+        "from toricqh.polytope import DelzantPolytope, _build_faces, "
+        "centroid\n"
+        "assert False, 'asserts are on'\n"
+        "cp2 = examples.cp2()\n"
+        "points = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]\n"
+        "poly = DelzantPolytope(n=2, facets=cp2.facets, vertices=tuple(\n"
+        "    (p, a) for p, (_, a) in zip(points, cp2.vertices)), faces={})\n"
+        "poly.faces = _build_faces(poly)\n"
+        "try:\n"
+        "    centroid(poly)\n"
+        "except NotFullDimensional:\n"
+        "    print('volume')\n"
+        "poly.vertices = ((points[0], frozenset({0, 1, 2})),)\n"
+        "try:\n"
+        "    _build_faces(poly)\n"
+        "except NotSimple:\n"
+        "    print('simple')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricqh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "volume\nsimple\n"
