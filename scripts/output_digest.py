@@ -2,9 +2,10 @@
 """Print one sha256 per class of CLI output, plus a total.
 
 Runs a fixed list of `toricqh` commands in process and hashes, for each
-command, its arguments, its exit status and its stdout.  Two checkouts
-that print the same total print byte-identical output on every command
-listed here, so a refactor can be checked against its parent commit:
+command, its arguments, its exit status and its stdout (and, for the
+`usage` class, its stderr).  Two checkouts that print the same total print
+byte-identical output on every command listed here, so a refactor can be
+checked against its parent commit:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
@@ -23,6 +24,11 @@ The classes:
     moment data is not mean normalized;
   - `validate` (text output: vertices and centroid) on the ten corpus
     polytopes and on the translated copies, whose centroids are nonzero;
+  - `usage`: help and usage errors, with stdout and stderr, at a pinned
+    COLUMNS=80 so that help wrapping does not follow the terminal: no
+    arguments, `-h`, an unknown command, `--help seidel`, each command with
+    `-h` and with no arguments, malformed `--xi`, `--trials` and `--cutoff`
+    values, an unrecognized flag, and an `example --mu` out of range;
   - the stdout of scripts/run_paper_tables.py.
 
 The polytopes and the hirzebruch2 Y-table come from perfbench/corpus.py,
@@ -51,6 +57,8 @@ from toricqh.polytope import validate_delzant  # noqa: E402
 SEEDS = ("7193", "11")
 SHIFT = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 TRANSLATED = tuple(name for name in corpus.BUNDLED if name != "s2") + ("cp3",)
+COMMANDS = ("validate", "cohomology", "quantum", "product", "seidel", "fixed",
+            "analyze", "verify", "example")
 
 
 def box(n, r):
@@ -108,22 +116,30 @@ def command_classes(polys):
             for name in TRANSLATED for xi in box(polys[name].n, 1)],
         "validate": [["validate", name] for name in polys]
         + [["validate", f"{name}+shift"] for name in TRANSLATED],
+        "usage": [[], ["-h"], ["bogus"], ["--help", "seidel"]]
+        + [[command, "-h"] for command in COMMANDS]
+        + [[command] for command in COMMANDS]
+        + [["seidel", "cp2", "--xi=1.5,0"],
+           ["verify", "cp2", "--trials", "0"],
+           ["seidel", "cp2", "--xi=1,0", "--cutoff", "abc"],
+           ["seidel", "cp2", "--xi=1,0", "--bogus"],
+           ["example", "blowup_cp2", "--mu", "2"]],
     }
 
 
 def run_quietly(fn):
-    """(exit status, stdout) of fn(); stderr is dropped."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    """(exit status, stdout, stderr) of fn()."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = fn()
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # help and argparse usage errors
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main():
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     polys = corpus.build_polytopes()
     digests = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -133,12 +149,14 @@ def main():
             h = hashlib.sha256()
             for argv in argvs:
                 real = [paths.get(a, a) for a in argv]
-                code, out = run_quietly(lambda: cli.main(real))
-                out = out.replace(workdir, "<corpus>")
-                h.update(repr((argv, code, out)).encode())
+                code, out, err = run_quietly(lambda: cli.main(real))
+                record = (argv, code, out) + ((err,) if name == "usage"
+                                              else ())
+                h.update(repr(record).replace(workdir, "<corpus>").encode())
             digests[name] = (h.hexdigest(), len(argvs))
     tables = os.path.join(HERE, "run_paper_tables.py")
-    _, out = run_quietly(lambda: runpy.run_path(tables, run_name="__main__"))
+    _, out, _ = run_quietly(
+        lambda: runpy.run_path(tables, run_name="__main__"))
     digests["run_paper_tables"] = (
         hashlib.sha256(out.encode()).hexdigest(), 1)
     total = hashlib.sha256()

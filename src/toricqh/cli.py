@@ -510,8 +510,11 @@ def cmd_example(args):
         args.usage_error(str(err))
     data = polytope_to_json(poly)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(data, indent=2) + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(json.dumps(data, indent=2) + "\n")
+        except OSError as err:
+            raise FileFormatError(f"cannot write {args.output}: {err}")
         print(f"wrote {args.output}")
     else:
         print_structured(data)
@@ -552,88 +555,72 @@ positive_int = _flag_type(_integer, positive=True)
 positive_rational = _flag_type(_rational, positive=True)
 
 
-def _add_presentation_flags(sub):
-    sub.add_argument("--mode", choices=("fano", "nef"), default="fano")
-    sub.add_argument("--y-table", default=None, metavar="FILE")
-    sub.add_argument("--cutoff", type=positive_rational, default=None,
-                     metavar="RAT")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def build_arg_parser():
+_FILE = _arg("file")
+_XI = _arg("--xi", type=integers, required=True)
+_FORMAT = _arg("--format", choices=("text", "structured"), default="text")
+_PRESENTATION = (
+    _arg("--mode", choices=("fano", "nef"), default="fano"),
+    _arg("--y-table", default=None, metavar="FILE"),
+    _arg("--cutoff", type=positive_rational, default=None, metavar="RAT"))
+
+# name -> (help, handler, argument specs), in the order of the help text
+COMMANDS = {
+    "validate": ("check a polytope file", cmd_validate, (_FILE,)),
+    "cohomology": ("classical ring data", cmd_cohomology, (_FILE,)),
+    "quantum": ("quantum relations", cmd_quantum, (_FILE, *_PRESENTATION)),
+    "product": ("quantum product of two expressions", cmd_product,
+                (_FILE, _arg("lhs"), _arg("rhs"), *_PRESENTATION, _FORMAT)),
+    "seidel": ("Seidel element of a circle", cmd_seidel,
+               (_FILE, _XI, *_PRESENTATION, _FORMAT)),
+    "fixed": ("fixed components and isotropy", cmd_fixed, (_FILE, _XI)),
+    "analyze": ("obstruction battery", cmd_analyze,
+                (_FILE, _XI, _arg("--no-quantum", action="store_true",
+                                  help="skip the Seidel rule"),
+                 *_PRESENTATION, _FORMAT)),
+    "verify": ("run the oracle suite", cmd_verify,
+               (_FILE, *_PRESENTATION,
+                _arg("--trials", type=positive_int, default=20),
+                _arg("--seed", type=integer, default=7193), _FORMAT)),
+    "example": ("emit a bundled polytope", cmd_example,
+                (_arg("name", choices=sorted(bundled.BUILDERS)),
+                 _arg("--mu", type=positive_rational, default=None,
+                      metavar="RAT"),
+                 _arg("-o", "--output", default=None))),
+}
+
+
+def build_arg_parser(command=None):
+    """The toricqh parser with every entry of COMMANDS, or with the entry
+    `command` alone.  A single entry keeps the full command list in the
+    usage line, which argparse prints for an unrecognized argument."""
     parser = argparse.ArgumentParser(
         prog="toricqh",
         description="Exact quantum cohomology of toric manifolds from "
                     "moment polytopes")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="check a polytope file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("cohomology", help="classical ring data")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = subs.add_parser("quantum", help="quantum relations")
-    p.add_argument("file")
-    _add_presentation_flags(p)
-    p.set_defaults(func=cmd_quantum)
-
-    p = subs.add_parser("product", help="quantum product of two expressions")
-    p.add_argument("file")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    _add_presentation_flags(p)
-    p.add_argument("--format", choices=("text", "structured"),
-                   default="text")
-    p.set_defaults(func=cmd_product)
-
-    p = subs.add_parser("seidel", help="Seidel element of a circle")
-    p.add_argument("file")
-    p.add_argument("--xi", type=integers, required=True)
-    _add_presentation_flags(p)
-    p.add_argument("--format", choices=("text", "structured"),
-                   default="text")
-    p.set_defaults(func=cmd_seidel)
-
-    p = subs.add_parser("fixed", help="fixed components and isotropy")
-    p.add_argument("file")
-    p.add_argument("--xi", type=integers, required=True)
-    p.set_defaults(func=cmd_fixed)
-
-    p = subs.add_parser("analyze", help="obstruction battery")
-    p.add_argument("file")
-    p.add_argument("--xi", type=integers, required=True)
-    p.add_argument("--no-quantum", action="store_true",
-                   help="skip the Seidel rule")
-    _add_presentation_flags(p)
-    p.add_argument("--format", choices=("text", "structured"),
-                   default="text")
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("verify", help="run the oracle suite")
-    p.add_argument("file")
-    _add_presentation_flags(p)
-    p.add_argument("--trials", type=positive_int, default=20)
-    p.add_argument("--seed", type=integer, default=7193)
-    p.add_argument("--format", choices=("text", "structured"),
-                   default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("example", help="emit a bundled polytope")
-    p.add_argument("name", choices=sorted(bundled.BUILDERS))
-    p.add_argument("--mu", type=positive_rational, default=None,
-                   metavar="RAT")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_example, usage_error=p.error)
-
+    # the metavar would rename `command` in the full tree's errors
+    metavar = {"metavar": "{%s}" % ",".join(COMMANDS)} if command else {}
+    subs = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in [command] if command else COMMANDS:
+        help_text, handler, specs = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=handler, usage_error=sub.error)
     return parser
 
 
 def main(argv=None):
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, a missing or unknown command, or a leading option: full tree
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_arg_parser(command).parse_args(argv)
     try:
+        if getattr(args, "y_table", None) is not None and args.mode != "nef":
+            raise FileFormatError("--y-table FILE needs --mode nef")
         return args.func(args)
     except ToricError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

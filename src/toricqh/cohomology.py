@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import NonGenericVector, WrongDegree
+from .errors import DegenerateRing, NonGenericVector, Unbounded, WrongDegree
 from .polynomials import (
     TracedBasis,
     mono_degree,
@@ -77,7 +77,9 @@ def _eliminate(poly):
         if pivot is None:
             pivot = next((i for i, c in enumerate(r)
                           if c != 0 and i not in elim), None)
-        assert pivot is not None, "linear relations are not independent"
+        if pivot is None:
+            raise Unbounded("linear relations are not independent: the "
+                            "facet normals do not span")
         c = r[pivot]
         expr = [-a / c for a in r]
         expr[pivot] = Fraction(0)
@@ -155,7 +157,8 @@ class ClassicalRing:
     def _top_monomial(self):
         tops = [m for m in self.standard_monomials
                 if mono_degree(m) == self.polytope.n]
-        assert len(tops) == 1, "top cohomology is one dimensional"
+        if len(tops) != 1:
+            raise DegenerateRing("top cohomology is not one dimensional")
         return tops[0]
 
     def reference_vertex_monomial(self):
@@ -178,7 +181,9 @@ class ClassicalRing:
         nf = self.nf(work)
         top = self._top_monomial()
         ref = self.nf(self.reference_vertex_monomial())
-        assert set(ref) <= {top} and ref, "reference vertex monomial degenerate"
+        if not ref or not set(ref) <= {top}:
+            raise DegenerateRing("reference vertex monomial is not a nonzero "
+                                 "multiple of the top class")
         return nf.get(top, Fraction(0)) / ref[top]
 
     def poincare_pair(self, a, b, full_vars=False):
@@ -223,8 +228,10 @@ def build_ring(poly):
     for m in ring.standard_monomials:
         counts[mono_degree(m)] += 1
     ring.betti = tuple(counts)
-    assert sum(ring.betti) == len(poly.vertices), \
-        "quotient dimension must equal the vertex count"
+    if sum(ring.betti) != len(poly.vertices):
+        raise DegenerateRing(
+            f"quotient dimension {sum(ring.betti)} differs from the vertex "
+            f"count {len(poly.vertices)}")
     return ring
 
 

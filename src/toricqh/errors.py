@@ -72,6 +72,11 @@ class NonGenericVector(ToricError):
     pass
 
 
+class DegenerateRing(ToricError):
+    # a quotient that is not the cohomology of a compact toric manifold
+    pass
+
+
 # ----------------------------------------------------------- circle actions
 
 class ZeroVector(ToricError):

@@ -171,7 +171,9 @@ class NovScalar:
         truncated = self.truncated
         if r:
             rv = r.valuation()
-            assert rv > 0
+            if rv <= 0:  # the inverse of the leading monomial was dropped
+                raise NotAUnit(f"no inverse below the cutoff {self.cutoff}: "
+                               f"t^{-v} lies above it")
             steps = int((self.cutoff - (-v)) // rv) + 1
             for _ in range(max(steps, 0)):
                 power = power * r

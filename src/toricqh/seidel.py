@@ -13,6 +13,7 @@ from fractions import Fraction
 from .actions import extrema
 from .errors import (
     DegenerateEdge,
+    DegenerateRing,
     DictionaryIncomplete,
     LeadingFaceMismatch,
     MissingYEntry,
@@ -325,7 +326,8 @@ def to_homology_report(dictionary, qclass, qp):
         if n == 2 and dictionary.has_point():
             top = [m for m in qp.ring.standard_monomials
                    if mono_degree(m) == n]
-            assert len(top) == 1
+            if len(top) != 1:
+                raise DegenerateRing("top cohomology is not one dimensional")
             m_top = top[0]
             d_top = dictionary.point_lift.coeffs[m_top]
             gamma = work.get(m_top)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from toricqh import examples
 from toricqh.cli import (
+    COMMANDS,
+    build_arg_parser,
     main,
     polytope_from_json,
     polytope_to_json,
@@ -491,3 +494,119 @@ def test_analyze_reads_the_presentation_of_unnormalized_data(
                      "--format", "structured"]) == 0
     assert json.loads(out.getvalue())["normalized"] is True
     assert counts == {"ClassicalRing": 1, "DelzantPolytope": 2}
+
+
+# ------------------------------------------------- one parser per command
+
+def _subparsers(parser):
+    """name -> subparser of a parser from build_arg_parser."""
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_command_parser_holds_that_command_alone(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = _subparsers(build_arg_parser(command))
+    assert list(alone) == [command]
+    full = _subparsers(build_arg_parser())[command]
+    assert alone[command].format_help() == full.format_help()
+    assert alone[command].format_usage() == full.format_usage()
+
+
+def _count_subparsers(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return built
+
+
+def test_main_builds_only_the_invoked_command(blow_file, monkeypatch):
+    built = _count_subparsers(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixed", blow_file, "--xi=1,0"]) == 0
+    assert built == ["fixed"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--help", "seidel"]])
+def test_help_and_unknown_commands_build_every_parser(argv, monkeypatch):
+    built = _count_subparsers(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit):
+        main(argv)
+    assert built == list(COMMANDS)
+
+
+def test_an_unrecognized_argument_lists_every_command(
+        blow_file, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["seidel", blow_file, "--xi=1,0", "--bogus"])
+    assert exc.value.code == 2
+    usage = build_arg_parser().format_usage()
+    assert "{validate,cohomology,quantum,product,seidel,fixed,analyze," \
+        "verify,example}" in usage
+    assert capsys.readouterr().err == \
+        usage + "toricqh: error: unrecognized arguments: --bogus\n"
+
+
+def _exit_and_streams(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["seidel"], ["seidel", "-h"], ["seidel", "F", "--xi=1.5,0"],
+    ["seidel", "F", "--xi=1,0", "--cutoff", "abc"], ["fixed", "F"],
+    ["verify", "F", "--trials", "0"], ["example", "nope"],
+    ["product", "F", "x1", "x2", "x3"], ["analyze", "F", "--xi=1,0", "-q"],
+])
+def test_a_command_parser_prints_what_the_full_tree_prints(
+        argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _exit_and_streams(build_arg_parser().parse_args, argv, capsys)
+    assert _exit_and_streams(main, argv, capsys) == full
+
+
+# ------------------------------------------------------ flags and outputs
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unwritable_example_output_is_a_typed_error(
+        tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing" \
+        else tmp_path
+    assert main(["example", "cp2", "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: FileFormatError: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seidel", "{poly}", "--xi=1,0"],
+    ["analyze", "{poly}", "--xi=1,0"],
+    ["analyze", "{poly}", "--xi=1,0", "--no-quantum"],
+    ["quantum", "{poly}"],
+    ["product", "{poly}", "x1", "x2"],
+    ["verify", "{poly}", "--mode", "fano"],
+])
+def test_a_y_table_outside_nef_mode_is_a_typed_error(
+        tmp_path, capsys, argv):
+    poly = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(poly)])
+    table = tmp_path / "y.json"
+    table.write_text("{}")
+    capsys.readouterr()
+    real = [a.format(poly=poly) for a in argv]
+    assert main(real + ["--y-table", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: FileFormatError: --y-table FILE needs --mode nef\n"

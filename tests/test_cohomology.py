@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import toricqh
 from toricqh import examples
 from toricqh.cohomology import (
+    _eliminate,
     betti_morse,
     build_ring,
     classical_generators,
@@ -12,8 +17,14 @@ from toricqh.cohomology import (
     restrict_to_face,
     vertex_weights,
 )
-from toricqh.errors import NonGenericVector, WrongDegree
+from toricqh.errors import (
+    DegenerateRing,
+    NonGenericVector,
+    Unbounded,
+    WrongDegree,
+)
 from toricqh.polynomials import poly_add, poly_mul, poly_scale, poly_sub
+from toricqh.polytope import DelzantPolytope, Facet
 
 F = Fraction
 
@@ -320,3 +331,80 @@ def test_restricted_facet_class_integrates_to_the_self_intersection(poly):
         back, cls = restrict_to_face(ring, full_var(ring, i),
                                      poly.face(frozenset({i})))
         assert back.integrate(cls) == -a_i, (poly.name, i)
+
+
+# hand-built objects that break a condition build_ring relies on
+
+def test_normals_that_do_not_span_are_a_typed_error():
+    strip = DelzantPolytope(n=2, facets=(Facet((1, 0), 1), Facet((-1, 0), 1)),
+                            vertices=(), faces={})
+    with pytest.raises(Unbounded):
+        _eliminate(strip)
+
+
+def test_a_second_top_monomial_is_a_typed_error():
+    ring = build_ring(examples.s2xs2())
+    ring.standard_monomials += ((2, 0),)
+    with pytest.raises(DegenerateRing):
+        ring.integrate({(1, 1): F(1)})
+
+
+def test_a_reference_vertex_off_the_top_class_is_a_typed_error():
+    ring = build_ring(examples.s2xs2())
+    ring.standard_monomials = ((0, 0), (0, 1), (1, 0), (2, 0))
+    with pytest.raises(DegenerateRing):
+        ring.integrate({(1, 1): F(1)})
+
+
+def test_betti_numbers_off_the_vertex_count_are_a_typed_error():
+    cp2 = examples.cp2()
+    extra = DelzantPolytope(n=2, facets=cp2.facets,
+                            vertices=cp2.vertices + cp2.vertices[:1],
+                            faces=cp2.faces)
+    with pytest.raises(DegenerateRing):
+        build_ring(extra)
+
+
+def test_the_ring_checks_still_fire_under_python_O():
+    code = (
+        "from toricqh import examples\n"
+        "from toricqh.cohomology import _eliminate, build_ring\n"
+        "from toricqh.errors import DegenerateRing, NotAUnit, Unbounded\n"
+        "from toricqh.novikov import NovScalar\n"
+        "from toricqh.polytope import DelzantPolytope, Facet\n"
+        "from toricqh.quantum import QClass, fano_presentation\n"
+        "from toricqh.seidel import build_dictionary, to_homology_report\n"
+        "assert False, 'asserts are on'\n"
+        "def check(name, error, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except error:\n"
+        "        print(name)\n"
+        "strip = DelzantPolytope(n=2, facets=(Facet((1, 0), 1),\n"
+        "                        Facet((-1, 0), 1)), vertices=(), faces={})\n"
+        "check('span', Unbounded, lambda: _eliminate(strip))\n"
+        "ring = build_ring(examples.s2xs2())\n"
+        "ring.standard_monomials += ((2, 0),)\n"
+        "check('top', DegenerateRing, lambda: ring.integrate({(1, 1): 1}))\n"
+        "ring.standard_monomials = ((0, 0), (0, 1), (1, 0), (2, 0))\n"
+        "check('reference', DegenerateRing,\n"
+        "      lambda: ring.integrate({(1, 1): 1}))\n"
+        "cp2 = examples.cp2()\n"
+        "extra = DelzantPolytope(n=2, facets=cp2.facets, faces=cp2.faces,\n"
+        "                        vertices=cp2.vertices + cp2.vertices[:1])\n"
+        "check('betti', DegenerateRing, lambda: build_ring(extra))\n"
+        "qp = fano_presentation(examples.s2xs2())\n"
+        "dictionary = build_dictionary(qp)\n"
+        "qp.ring.standard_monomials += ((2, 0),)\n"
+        "point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)\n"
+        "check('report', DegenerateRing,\n"
+        "      lambda: to_homology_report(dictionary, point, qp))\n"
+        "check('invert', NotAUnit,\n"
+        "      lambda: NovScalar.monomial(1, 0, -5, 1).invert())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricqh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "span\ntop\nreference\nbetti\nreport\ninvert\n"

@@ -146,3 +146,9 @@ def test_inverse_is_two_sided_up_to_cutoff(a):
     else:
         # residue confined to the boundary window of width |val(a)|
         assert rem.is_zero() or rem.valuation() > CUT + a.valuation()
+
+
+def test_an_inverse_above_the_cutoff_is_not_a_unit():
+    # t^{-5} inverts to t^5, above the cutoff 1: nothing of it is stored
+    with pytest.raises(NotAUnit):
+        mono(1, 0, -5, cutoff=1).invert()

@@ -8,10 +8,16 @@ from toricqh import actions as actions_module
 from toricqh import examples
 from toricqh import seidel as seidel_module
 from toricqh.actions import fixed_components
-from toricqh.errors import DegenerateEdge, LeadingFaceMismatch, NotAnEdge
+from toricqh.errors import (
+    DegenerateEdge,
+    DegenerateRing,
+    LeadingFaceMismatch,
+    NotAnEdge,
+)
 from toricqh.novikov import NovScalar
 from toricqh.polytope import DelzantPolytope, Face, Facet
 from toricqh.quantum import (
+    QClass,
     default_cutoff,
     fano_presentation,
     lift,
@@ -353,3 +359,13 @@ def test_a_point_lift_from_a_wrong_maximum_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(seidel_module, "seidel_element", not_semifree)
     with pytest.raises(LeadingFaceMismatch):
         build_dictionary(qp)
+
+
+def test_a_second_top_monomial_in_a_homology_report_is_a_typed_error():
+    # a hand-built ring with two top standard monomials
+    qp = fano_presentation(examples.s2xs2())
+    dictionary = build_dictionary(qp)
+    qp.ring.standard_monomials += ((2, 0),)
+    point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)
+    with pytest.raises(DegenerateRing):
+        to_homology_report(dictionary, point, qp)
