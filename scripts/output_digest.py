@@ -18,6 +18,12 @@ The classes:
   - `verify --trials 4 --format structured` at seeds 7193 and 11 on the
     bundled examples, cp3 and cube3, and on hirzebruch2 in NEF mode;
   - `cohomology` (text output) on the ten corpus polytopes;
+  - `product --format structured` on every facet pair i <= j of cp2,
+    blowup_cp2, s2xs2, cp3 and cube3, and of hirzebruch2 in NEF mode;
+  - `quantum` (text output) on the eight Fano corpus polytopes, and on
+    hirzebruch2 in NEF mode at the default cutoff and at `--cutoff 2`;
+  - `seidel --format structured` on hirzebruch2 in NEF mode with xi in
+    [-2, 2]^2, at the default cutoff and at `--cutoff 2`;
   - `analyze --format structured` on translated copies of the 2-D bundled
     examples (xi in [-1, 1]^2) and of cp3 (xi in [-1, 1]^3): each support
     grows by <eta, (1/2, 1/3, 1/5)>, truncated to n components, so the
@@ -57,6 +63,7 @@ from toricqh.polytope import validate_delzant  # noqa: E402
 SEEDS = ("7193", "11")
 SHIFT = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 TRANSLATED = tuple(name for name in corpus.BUNDLED if name != "s2") + ("cp3",)
+FANO = ("s2", "cp2", "blowup_cp2", "s2xs2", "cp3", "cp4", "cube3", "cube4")
 COMMANDS = ("validate", "cohomology", "quantum", "product", "seidel", "fixed",
             "analyze", "verify", "example")
 
@@ -86,6 +93,13 @@ def write_translated(directory, polys):
     return paths
 
 
+def facet_pairs(poly):
+    """The products x_i * x_j, i <= j, as `product` arguments."""
+    return [[f"x{i + 1}", f"x{j + 1}"]
+            for i in range(poly.num_facets)
+            for j in range(i, poly.num_facets)]
+
+
 def command_classes(polys):
     """Class name -> list of argv, with corpus names in place of files."""
     circles = [(name, xi) for name in corpus.BUNDLED
@@ -110,6 +124,19 @@ def command_classes(polys):
         + [["verify", "hirzebruch2", "--trials", "4", "--seed", seed,
             "--format", "structured", *nef] for seed in SEEDS],
         "cohomology": [["cohomology", name] for name in polys],
+        "product": [["product", name, *pair, "--format", "structured"]
+                    for name in ("cp2", "blowup_cp2", "s2xs2", "cp3",
+                                 "cube3")
+                    for pair in facet_pairs(polys[name])]
+        + [["product", "hirzebruch2", *pair, "--format", "structured", *nef]
+           for pair in facet_pairs(polys["hirzebruch2"])],
+        "quantum": [["quantum", name] for name in FANO]
+        + [["quantum", "hirzebruch2", *nef, *cut]
+           for cut in ([], ["--cutoff", "2"])],
+        "seidel, nef": [["seidel", "hirzebruch2", xi_flag(xi), "--format",
+                         "structured", *nef, *cut]
+                        for cut in ([], ["--cutoff", "2"])
+                        for xi in box(2, 2)],
         "analyze, translated": [
             ["analyze", f"{name}+shift", xi_flag(xi), "--format",
              "structured"]

@@ -621,6 +621,10 @@ def main(argv=None):
     try:
         if getattr(args, "y_table", None) is not None and args.mode != "nef":
             raise FileFormatError("--y-table FILE needs --mode nef")
+        if getattr(args, "no_quantum", False) and args.mode == "nef":
+            raise FileFormatError("--mode nef has no effect with --no-quantum")
+        if getattr(args, "no_quantum", False) and args.cutoff is not None:
+            raise FileFormatError("--cutoff has no effect with --no-quantum")
         return args.func(args)
     except ToricError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -5,6 +5,12 @@ kappa rational and kappa <= cutoff.  Series are written in the cohomology
 orientation, so they extend toward +infinity in kappa and get truncated at
 the cutoff; the `truncated` flag records that terms above the cutoff were
 dropped somewhere in the history of the value.
+
+`NovScalar(terms, cutoff, truncated)` validates outside input: it makes
+exponents and cutoff int and Fraction, drops zero coefficients, and drops and
+flags terms above the cutoff.  `NovScalar.trusted` checks and copies nothing;
+the arithmetic here and `quantum.quantum_nf` build their results through it,
+from nonzero Fractions on (int, Fraction) keys at or below the cutoff.
 """
 
 from fractions import Fraction
@@ -34,6 +40,13 @@ class NovScalar:
         self.truncated = truncated
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def trusted(cls, terms, cutoff, truncated):
+        """A scalar on `terms` as given; see the module docstring."""
+        self = object.__new__(cls)
+        self.terms, self.cutoff, self.truncated = terms, cutoff, truncated
+        return self
 
     @classmethod
     def zero(cls, cutoff):
@@ -72,13 +85,13 @@ class NovScalar:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return NovScalar(terms, self.cutoff,
-                         self.truncated or other.truncated)
+            terms[key] = terms.get(key, 0) + c
+        return NovScalar.trusted({k: c for k, c in terms.items() if c},
+                                 self.cutoff, self.truncated or other.truncated)
 
     def __neg__(self):
-        return NovScalar({k: -c for k, c in self.terms.items()}, self.cutoff,
-                         self.truncated)
+        return NovScalar.trusted({k: -c for k, c in self.terms.items()},
+                                 self.cutoff, self.truncated)
 
     def __sub__(self, other):
         return self + (-other)
@@ -87,30 +100,29 @@ class NovScalar:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        terms = {}
+        terms, cutoff = {}, self.cutoff
         truncated = self.truncated or other.truncated
         for (d1, k1), c1 in self.terms.items():
             for (d2, k2), c2 in other.terms.items():
                 kappa = k1 + k2
-                if kappa > self.cutoff:
+                if kappa > cutoff:
                     truncated = True
                     continue
                 key = (d1 + d2, kappa)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return NovScalar(terms, self.cutoff, truncated)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return NovScalar.trusted({k: c for k, c in terms.items() if c},
+                                 cutoff, truncated)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = Fraction(c)
-        if c == 0:
-            return NovScalar({}, self.cutoff, self.truncated)
-        return NovScalar({k: c * v for k, v in self.terms.items()},
-                         self.cutoff, self.truncated)
+        terms = {k: c * v for k, v in self.terms.items()} if c else {}
+        return NovScalar.trusted(terms, self.cutoff, self.truncated)
 
     def shift(self, d, kappa):
         """Multiply by q^d t^kappa."""
-        kappa = Fraction(kappa)
+        d, kappa = int(d), Fraction(kappa)
         terms = {}
         truncated = self.truncated
         for (d0, k0), c in self.terms.items():
@@ -119,10 +131,10 @@ class NovScalar:
                 truncated = True
                 continue
             terms[(d0 + d, k)] = c
-        return NovScalar(terms, self.cutoff, truncated)
+        return NovScalar.trusted(terms, self.cutoff, truncated)
 
     def with_truncated(self, flag):
-        return NovScalar(self.terms, self.cutoff, flag)
+        return NovScalar.trusted(self.terms, self.cutoff, flag)
 
     # -- queries -------------------------------------------------------------
 

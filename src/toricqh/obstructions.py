@@ -20,7 +20,7 @@ from .quantum import qsub
 from .seidel import seidel_element, verify_leading_term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     rule: str
     triggered: bool
@@ -29,7 +29,7 @@ class Finding:
     assumptions: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionReport:
     verdict: str  # "essential" | "inconclusive"
     findings: tuple
@@ -208,7 +208,7 @@ def _rule_c(circle):
                                 "bound": (k - 1) * min(a, b)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainBound:
     min_cost: Fraction
     K_max: Fraction

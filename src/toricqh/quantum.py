@@ -10,7 +10,7 @@ translation lives in the seidel module.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cohomology import build_ring
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     WrongDegree,
 )
 from .novikov import NovScalar
-from .polynomials import mono_degree, mono_mul, poly_term_mul
+from .polynomials import mono_degree, mono_mul, poly_mul
 from .polytope import primitive_sets
 
 
@@ -31,12 +31,7 @@ from .polytope import primitive_sets
 def qpoly_add(a, b):
     out = dict(a)
     for m, s in b.items():
-        cur = out.get(m)
-        tot = s if cur is None else cur + s
-        if tot.is_zero() and not tot.truncated:
-            out.pop(m, None)
-        else:
-            out[m] = tot
+        out[m] = out[m] + s if m in out else s
     return {m: s for m, s in out.items() if not s.is_zero() or s.truncated}
 
 
@@ -97,7 +92,7 @@ def qpoly_truncated(a):
 
 # ------------------------------------------------------------------ classes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QClass:
     """A quantum class on the standard-monomial basis."""
     coeffs: dict
@@ -286,47 +281,46 @@ def quantum_nf(z, qp):
     Terms are processed by increasing valuation: each level is classically
     reduced with its trace, and every traced use of a Stanley-Reisner
     generator enqueues the matching correction, whose valuation is higher by
-    at least hbar.  Terms pushed above the cutoff are dropped and flagged.
+    at least hbar.  A term pushed above the cutoff is dropped and flags the
+    result, even if it would have cancelled.  Pending terms are kept as
+    level -> {(d, monomial): c} and the result as monomial -> {(d, level):
+    c}; one scalar is built per result monomial, at the end.
     """
-    if isinstance(z, QClass):
-        pending = dict(z.coeffs)
-    else:
-        pending = dict(z)
+    coeffs = z.coeffs if isinstance(z, QClass) else z
+    cutoff = Fraction(qp.cutoff)
+    truncated = qpoly_truncated(coeffs)
+    pending = {}
+    for m, s in coeffs.items():
+        for (d, kappa), c in s.terms.items():
+            if kappa > cutoff:  # an input scalar with a larger cutoff
+                truncated = True
+                continue
+            atoms = pending.setdefault(kappa, {})
+            atoms[d, m] = atoms.get((d, m), 0) + c
     result = {}
-    truncated = qpoly_truncated(pending)
-    pending = [(m, d, kappa, c) for m, d, kappa, c in qpoly_atoms(pending)]
     guard = 0
     while pending:
         guard += 1
         if guard >= 10000:
             raise BadCorrectionValuation("quantum reduction diverged")
-        level = min(kappa for _, _, kappa, _ in pending)
-        batch = [(m, d, c) for m, d, kappa, c in pending if kappa == level]
-        pending = [atom for atom in pending if atom[2] != level]
-        # group by q-degree; classical reduction is q-linear
-        slices = {}
-        for m, d, c in batch:
-            slices.setdefault(d, {})
-            slices[d][m] = slices[d].get(m, Fraction(0)) + c
-        for d, poly in slices.items():
-            for mono, coeff in poly.items():
-                if not coeff:
-                    continue
-                nf, trace = _nf_traced_cached(qp, mono)
-                for m2, c2 in nf.items():
-                    s = NovScalar.monomial(coeff * c2, d, level, qp.cutoff)
-                    cur = result.get(m2)
-                    result[m2] = s if cur is None else cur + s
-                for key, cof in trace.items():
-                    delta = qp.corrections[key]
-                    for mc, cc in cof.items():
-                        shifted = qpoly_scale(
-                            delta, NovScalar.monomial(coeff * cc, d, level,
-                                                      qp.cutoff))
-                        for m3, d3, k3, c3 in qpoly_atoms(
-                                {mono_mul(mc, mm): ss
-                                 for mm, ss in shifted.items()}):
-                            if k3 > qp.cutoff:
+        level = min(pending)
+        for (d, mono), coeff in pending.pop(level).items():
+            if not coeff:
+                continue
+            nf, trace = _nf_traced_cached(qp, mono)
+            for m2, c2 in nf.items():
+                terms = result.setdefault(m2, {})
+                terms[d, level] = terms.get((d, level), 0) + coeff * c2
+            for key, cof in trace.items():
+                delta = qp.corrections[key]
+                for mc, cc in cof.items():
+                    scale = coeff * cc
+                    for mm, s in delta.items():
+                        truncated = truncated or s.truncated
+                        m3 = mono_mul(mc, mm)
+                        for (d3, k3), c3 in s.terms.items():
+                            k3 += level
+                            if k3 > cutoff:
                                 truncated = True
                                 continue
                             if k3 <= level:
@@ -334,19 +328,18 @@ def quantum_nf(z, qp):
                                     "a correction failed to raise the "
                                     "valuation; relation energies must be "
                                     "positive")
-                            pending.append((m3, d3, k3, c3))
-                        truncated = truncated or qpoly_truncated(shifted)
-    coeffs = {}
-    for m, s in result.items():
-        if not s.is_zero():
-            coeffs[m] = s.with_truncated(s.truncated or truncated)
-    if truncated and coeffs:
-        coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
-    if truncated and not coeffs:
+                            atoms = pending.setdefault(k3, {})
+                            key3 = (d3 + d, m3)
+                            atoms[key3] = atoms.get(key3, 0) + c3 * scale
+    out = {}
+    for m, terms in result.items():
+        terms = {k: c for k, c in terms.items() if c}
+        if terms:
+            out[m] = NovScalar.trusted(terms, cutoff, truncated)
+    if truncated and not out:
         # preserve the flag on a zero class via an explicitly flagged zero
-        return QClass({(0,) * qp.ring.width:
-                       NovScalar({}, qp.cutoff, True)}, qp.cutoff)
-    return QClass(coeffs, qp.cutoff)
+        out = {(0,) * qp.ring.width: NovScalar.trusted({}, cutoff, True)}
+    return QClass(out, qp.cutoff)
 
 
 def lift(qp, full_poly, d=0, kappa=0, coeff=1):
@@ -386,16 +379,9 @@ def qsub(a, b):
 
 def _exponent_step(values):
     """Generator of the additive group spanned by the given rationals."""
-    num = 0
-    den = 1
-    for v in values:
-        v = Fraction(v)
-        den = den * v.denominator // gcd(den, v.denominator)
-    for v in values:
-        num = gcd(num, abs(int(Fraction(v) * den)))
-    if num == 0:
-        return None
-    return Fraction(num, den)
+    den = lcm(*(Fraction(v).denominator for v in values))
+    num = gcd(*(int(Fraction(v) * den) for v in values))
+    return Fraction(num, den) if num else None
 
 
 def qinv(a, qp):
@@ -541,11 +527,9 @@ def _solve_unit_system(qp, slots, columns, strict_cut, vala):
                 acc -= v * sol[jj]
         sol[j] = acc / active[piv][j]
     # final verification against every stored target
-    for r, t in enumerate(targets):
-        total = sum(rows[r].get(j, Fraction(0)) * sol[j]
-                    for j in rows[r].keys() | set()) if rows[r] else Fraction(0)
-        if total != rhs[r]:
-            return None
+    if any(sum(v * sol[j] for j, v in row.items()) != want
+           for row, want in zip(rows, rhs)):
+        return None
     return sol
 
 
@@ -562,13 +546,7 @@ def classical_limit_defect(a, b, qp):
           if s.terms}
     pb = {m: s.terms[(0, Fraction(0))] for m, s in b.coeffs.items()
           if s.terms}
-    classical = {}
-    for m1, c1 in pa.items():
-        for m2, c2 in pb.items():
-            prod = poly_term_mul({m1: c1}, m2, c2)
-            for m, c in prod.items():
-                classical[m] = classical.get(m, Fraction(0)) + c
-    classical_nf = qp.ring.nf({m: c for m, c in classical.items() if c})
+    classical_nf = qp.ring.nf(poly_mul(pa, pb))
     cup = QClass(qpoly_from_poly(classical_nf, qp.cutoff), qp.cutoff)
     diff = qsub(qprod(a, b, qp), cup)
     return diff.valuation()

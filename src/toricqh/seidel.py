@@ -38,7 +38,7 @@ from .quantum import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeidelElement:
     qclass: QClass
     xi: tuple
@@ -299,7 +299,7 @@ def build_dictionary(qp):
 
 # ------------------------------------------------------------------- reports
 
-@dataclass
+@dataclass(slots=True)
 class HomologyReport:
     """Named-class expression with homology-oriented exponents."""
     entries: tuple  # (name, coefficient, q exponent, t exponent), hom flip

@@ -610,3 +610,19 @@ def test_a_y_table_outside_nef_mode_is_a_typed_error(
     assert captured.out == ""
     assert captured.err == \
         "error: FileFormatError: --y-table FILE needs --mode nef\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "nef"], "--mode nef has no effect with --no-quantum"),
+    (["--cutoff", "1"], "--cutoff has no effect with --no-quantum"),
+], ids=["mode nef", "cutoff"])
+def test_presentation_flags_with_no_quantum_are_a_typed_error(
+        tmp_path, capsys, flags, message):
+    poly = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(poly)])
+    capsys.readouterr()
+    argv = ["analyze", str(poly), "--xi=1,0", "--no-quantum", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: FileFormatError: {message}\n"
