@@ -20,6 +20,9 @@ The classes:
   - `cohomology` (text output) on the ten corpus polytopes;
   - `product --format structured` on every facet pair i <= j of cp2,
     blowup_cp2, s2xs2, cp3 and cube3, and of hirzebruch2 in NEF mode;
+  - `product, expressions`: `product --format structured` on cp2,
+    blowup_cp2 and cp3 with the EXPRESSION_PAIRS, whose rationals, q and t
+    powers, parentheses and unary minus go through the expression parser;
   - `quantum` (text output) on the eight Fano corpus polytopes, and on
     hirzebruch2 in NEF mode at the default cutoff and at `--cutoff 2`;
   - `seidel --format structured` on hirzebruch2 in NEF mode with xi in
@@ -64,6 +67,14 @@ SEEDS = ("7193", "11")
 SHIFT = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 TRANSLATED = tuple(name for name in corpus.BUNDLED if name != "s2") + ("cp3",)
 FANO = ("s2", "cp2", "blowup_cp2", "s2xs2", "cp3", "cp4", "cube3", "cube4")
+# no expression starts with "-", which argparse would read as a flag
+EXPRESSION_PAIRS = (
+    ("2*x1^2 - 1/2*q*t^{1/3}*(x2 + x3)", "x1"),
+    ("(x1 - x2)^3", "x3 - 2*x1"),
+    ("q^-1 * t^{-2/3} * x1*x2", "3/4"),
+    ("0", "x1"),
+    ("x1^0 + t^{1/2}*q^2", "x2 - -x3"),
+)
 COMMANDS = ("validate", "cohomology", "quantum", "product", "seidel", "fixed",
             "analyze", "verify", "example")
 
@@ -130,6 +141,10 @@ def command_classes(polys):
                     for pair in facet_pairs(polys[name])]
         + [["product", "hirzebruch2", *pair, "--format", "structured", *nef]
            for pair in facet_pairs(polys["hirzebruch2"])],
+        "product, expressions": [
+            ["product", name, *pair, "--format", "structured"]
+            for name in ("cp2", "blowup_cp2", "cp3")
+            for pair in EXPRESSION_PAIRS],
         "quantum": [["quantum", name] for name in FANO]
         + [["quantum", "hirzebruch2", *nef, *cut]
            for cut in ([], ["--cutoff", "2"])],

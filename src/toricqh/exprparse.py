@@ -11,12 +11,16 @@ Grammar (documented in the README):
 
 Rationals are written p/q with no spaces; there is no division operator.
 The value of an expression is a linear combination of atoms
-(monomial in x1..xN, q-exponent, t-exponent) over Q.
+(monomial in x1..xN, q-exponent, t-exponent) over Q.  While parsing, it is
+a `polynomials` dict over the extended exponent tuple (x1..xN, q, t): the
+q entry is an integer and the t entry a rational, so the polynomial
+arithmetic adds exponents and merges like atoms.
 """
 
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
+from .polynomials import poly_add, poly_const, poly_mul, poly_neg
 
 
 def _tokenize(text):
@@ -73,6 +77,9 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Values are polynomials over the extended exponent tuples
+    (x1..xN, q, t) of width N + 2; `parse` splits the keys back."""
+
     def __init__(self, tokens, n_vars):
         self.tokens = tokens
         self.pos = 0
@@ -88,99 +95,73 @@ class _Parser:
         self.pos += 1
         return tok
 
-    # values: {(mono tuple, q exponent, t exponent): coefficient}
-
-    def _const(self, c):
-        return {((0,) * self.n, 0, Fraction(0)): Fraction(c)}
-
-    def _scale(self, v, c):
-        return {k: c * x for k, x in v.items() if c * x}
-
-    def _add(self, a, b):
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
-
-    def _mul(self, a, b):
-        out = {}
-        for (m1, d1, k1), c1 in a.items():
-            for (m2, d2, k2), c2 in b.items():
-                key = (tuple(x + y for x, y in zip(m1, m2)), d1 + d2, k1 + k2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+    def _atom(self, x=None, q=0, t=0):
+        """The atom x_i * q^q * t^t for the 1-based index i = x, with no
+        x factor when x is None."""
+        return {tuple(int(i == x) for i in range(1, self.n + 1)) + (q, t):
+                Fraction(1)}
 
     def parse(self):
         value = self.expr()
         self.take("end")
-        return value
+        return {(key[:self.n], key[self.n], Fraction(key[-1])): c
+                for key, c in value.items()}
 
     def expr(self):
         value = self.term()
         while self.peek() in "+-":
             op = self.take()[0]
             rhs = self.term()
-            value = self._add(value, rhs if op == "+"
-                              else self._scale(rhs, Fraction(-1)))
+            value = poly_add(value, rhs if op == "+" else poly_neg(rhs))
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.take("*")
-            value = self._mul(value, self.factor())
+            value = poly_mul(value, self.factor())
         return value
 
     def factor(self):
         if self.peek() == "-":
             self.take("-")
-            return self._scale(self.factor(), Fraction(-1))
+            return poly_neg(self.factor())
         value, kind = self.atom()
         if self.peek() == "^":
             self.take("^")
             exponent = self.exponent()
             if kind == "t":
-                return {((0,) * self.n, 0, exponent): Fraction(1)}
+                return self._atom(t=exponent)
             if kind == "q":
                 if exponent.denominator != 1:
                     raise ExprSyntaxError("q exponents must be integers")
-                return {((0,) * self.n, int(exponent), Fraction(0)):
-                        Fraction(1)}
+                return self._atom(q=int(exponent))
             if exponent.denominator != 1 or exponent < 0:
                 raise ExprSyntaxError(
                     "variable exponents must be nonnegative integers")
-            out = self._const(1)
+            out = poly_const(1, self.n + 2)
             for _ in range(int(exponent)):
-                out = self._mul(out, value)
+                out = poly_mul(out, value)
             return out
         return value
 
     def atom(self):
         kind = self.peek()
         if kind == "num":
-            return self._const(self.take()[1]), "num"
+            return poly_const(self.take()[1], self.n + 2), "num"
         if kind == "var":
             idx = self.take()[1]
             if not 1 <= idx <= self.n:
                 raise ExprSyntaxError(
                     f"x{idx} is out of range; this polytope has {self.n} "
                     "facets")
-            mono = tuple(1 if i == idx - 1 else 0 for i in range(self.n))
-            return {(mono, 0, Fraction(0)): Fraction(1)}, "var"
+            return self._atom(x=idx), "var"
         if kind == "q":
             self.take()
-            return {((0,) * self.n, 1, Fraction(0)): Fraction(1)}, "q"
+            return self._atom(q=1), "q"
         if kind == "t":
             self.take()
-            return {((0,) * self.n, 0, Fraction(1)): Fraction(1)}, "t"
+            return self._atom(t=1), "t"
         if kind == "(":
             self.take("(")
             value = self.expr()

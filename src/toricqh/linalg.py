@@ -1,12 +1,22 @@
 """Exact integer and rational linear algebra helpers.
 
-Everything operates on plain tuples/lists of ints or Fractions.  Matrices are
-lists of rows.  Sizes here are tiny (dimensions <= 4, a handful of facets),
-so clarity beats asymptotics throughout.
+Matrices are lists of rows of ints or Fractions; sizes are tiny (dimension
+<= 4, a handful of facets).  Each job has one kernel:
+
+- `adjugate_times`, fraction-free (Bareiss) Gauss-Jordan over the integers,
+  finds the vertices when a polytope is loaded (`validate_delzant`) and the
+  integer dual bases of its vertices (`unimodular_dual`);
+- `gauss_jordan` solves every system over the rationals: `solve_rational`,
+  `rank` and `in_span` here, and the unit system of `quantum.qinv`;
+- `kernel_basis_int`, a Hermite reduction, answers every lattice question:
+  the H2 lattice and edge directions of a polytope, and
+  `in_rational_lattice`;
+- `det`, a cofactor expansion, sizes simplices in `polytope.centroid` and
+  stays the independent reference that the tests hold the Bareiss path to.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSmooth
 
@@ -105,50 +115,66 @@ def unimodular_dual(cols):
     return tuple(tuple(d * x for x in row) for row in adj)
 
 
+def gauss_jordan(rows, rhs, columns):
+    """Solve the sparse system rows . x = rhs exactly by Gauss-Jordan
+    elimination; returns (x, rank).
+
+    Each row is a {column: Fraction} dict whose keys lie in `columns`.
+    The columns are eliminated in the given order, each pivoting on the
+    first unused row with a nonzero entry there.  x maps every column to
+    its value, 0 on the columns without a pivot, so for a fixed column
+    order it is the unique solution read off the reduced row echelon form;
+    x is None when an unused row keeps a nonzero right-hand side.  The
+    caller's rows are not modified."""
+    rows = [dict(row) for row in rows]
+    rhs = list(rhs)
+    unused = list(range(len(rows)))
+    pivots = {}
+    for j in columns:
+        piv = next((r for r in unused if rows[r].get(j)), None)
+        if piv is None:
+            continue
+        unused.remove(piv)
+        pivots[j] = piv
+        prow, pv = rows[piv], rows[piv][j]
+        for r, row in enumerate(rows):
+            if r == piv or not row.get(j):
+                continue
+            f = row[j] / pv
+            for jj, v in prow.items():
+                cur = row.get(jj, 0) - f * v
+                if cur:
+                    row[jj] = cur
+                else:
+                    row.pop(jj, None)
+            rhs[r] -= f * rhs[piv]
+    if any(rhs[r] for r in unused):
+        return None, len(pivots)
+    return {j: rhs[pivots[j]] / rows[pivots[j]][j] if j in pivots
+            else Fraction(0) for j in columns}, len(pivots)
+
+
+def _sparse_rows(m):
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
+
+
 def solve_rational(m, target):
     """Solve m x = target exactly; raises ValueError if singular.
 
     `m` is square over ints/Fractions, `target` a vector.
     """
     n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(target[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    x, r = gauss_jordan(_sparse_rows(m), target, range(n))
+    if r < n:
+        raise ValueError("singular matrix")
+    return tuple(x[j] for j in range(n))
 
 
 def rank(m):
     """Rank of a matrix over the rationals."""
     if not m:
         return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return gauss_jordan(_sparse_rows(m), [0] * len(m), range(len(m[0])))[1]
 
 
 def in_span(vectors, v):
@@ -213,62 +239,16 @@ def kernel_basis_int(m):
     return basis
 
 
-def lattice_membership_basis(vectors):
-    """Hermite basis (row form) of the lattice generated by integer vectors."""
-    work = [list(v) for v in vectors if any(x != 0 for x in v)]
-    if not work:
-        return []
-    cols = len(work[0])
-    basis = []
-    row = 0
-    for col in range(cols):
-        cand = [i for i in range(row, len(work)) if work[i][col] != 0]
-        if not cand:
-            continue
-        while True:
-            cand = [i for i in range(row, len(work)) if work[i][col] != 0]
-            if len(cand) <= 1:
-                break
-            imin = min(cand, key=lambda i: abs(work[i][col]))
-            work[row], work[imin] = work[imin], work[row]
-            for i in range(row + 1, len(work)):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[row][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[row])]
-        cand = [i for i in range(row, len(work)) if work[i][col] != 0]
-        if cand:
-            work[row], work[cand[0]] = work[cand[0]], work[row]
-            if work[row][col] < 0:
-                work[row] = [-a for a in work[row]]
-            basis.append(tuple(work[row]))
-            row += 1
-    return basis
-
-
-def in_lattice(hermite_rows, v):
-    """Membership of integer vector v in the lattice with the given Hermite
-    row basis (as produced by lattice_membership_basis)."""
-    v = list(v)
-    for row in hermite_rows:
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        if v[lead] % row[lead] == 0:
-            q = v[lead] // row[lead]
-            v = [a - q * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def in_rational_lattice(rows, v):
     """Membership of a rational vector v in the lattice spanned by rational
-    rows (integer combinations).  Clears denominators and defers to the
-    integer test."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    for x in v:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    int_rows = [tuple(int(Fraction(x) * den) for x in row) for row in rows]
-    int_v = tuple(int(Fraction(x) * den) for x in v)
-    return in_lattice(lattice_membership_basis(int_rows), int_v)
+    rows (integer combinations).
+
+    With denominators cleared, v is an integer combination of the rows iff
+    some integer kernel vector of the columns (rows..., v) ends in -1, that
+    is iff the last entries of a kernel lattice basis have gcd 1."""
+    den = lcm(*(Fraction(x).denominator for row in (*rows, v) for x in row))
+    cols = [[int(Fraction(x) * den) for x in row] for row in (*rows, v)]
+    if not cols[0]:  # no coordinates: v is the empty vector
+        return True
+    kernel = kernel_basis_int(list(zip(*cols)))
+    return gcd(*(x[-1] for x in kernel)) == 1

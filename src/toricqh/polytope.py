@@ -127,8 +127,8 @@ def _check_edges_bounded(vlist, normals, n):
                     continue
             if on_facets[sub] < 2:
                 raise Unbounded(
-                    f"the edge of vertex {point} along facets "
-                    f"{list(sub)} has no second vertex")
+                    f"the edge of vertex ({', '.join(map(str, point))}) "
+                    f"along facets {list(sub)} has no second vertex")
 
 
 def validate_delzant(facet_specs, name=""):
@@ -189,11 +189,13 @@ def validate_delzant(facet_specs, name=""):
     for point, active in vlist:
         if len(active) > n:
             raise NotSimple(
-                f"vertex {point} lies on {len(active)} facets {sorted(active)}")
+                f"vertex ({', '.join(map(str, point))}) lies on "
+                f"{len(active)} facets {sorted(active)}")
         d = found[active][1]  # the determinant of the n facets at the vertex
         if d != 1:
             raise NotSmooth(
-                f"vertex {point} on facets {sorted(active)} has |det| = {d}")
+                f"vertex ({', '.join(map(str, point))}) on facets "
+                f"{sorted(active)} has |det| = {d}")
 
     touched = frozenset().union(*(active for _, active in vlist))
     missing = set(range(len(facets))) - touched
@@ -218,7 +220,8 @@ def _build_faces(poly):
     for vid, (point, vf) in enumerate(poly.vertices):
         if len(vf) != n:
             raise NotSimple(
-                f"vertex {point} lies on {len(vf)} facets {sorted(vf)}")
+                f"vertex ({', '.join(map(str, point))}) lies on {len(vf)} "
+                f"facets {sorted(vf)}")
         for size in range(1, n + 1):
             for sub in combinations(sorted(vf), size):
                 members.setdefault(frozenset(sub), []).append(vid)

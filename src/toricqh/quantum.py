@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cohomology import build_ring
+from .linalg import gauss_jordan
 from .errors import (
     BadCorrectionDegree,
     BadCorrectionValuation,
@@ -454,78 +455,33 @@ def qinv(a, qp):
 
 
 def _solve_unit_system(qp, slots, columns, strict_cut, vala):
-    """Exact Gaussian elimination for sum_j c_j columns[j] = 1.
+    """Solve sum_j c_j columns[j] = 1 exactly, in slot order, as a list.
 
     With strict_cut the identity must hold at every stored level; otherwise
     levels in the boundary window (cutoff + min(val a, 0), cutoff] are
     dropped, which is the best achievable when the true inverse has terms
     above the cutoff."""
     limit = qp.cutoff if strict_cut else qp.cutoff + min(vala, 0)
-    width = qp.ring.width
-    unit_mono = (0,) * width
-    targets = set()
-    for col in columns:
-        for m, d, k, _ in qpoly_atoms(col.coeffs):
-            if k <= limit:
-                targets.add((m, d, k))
-    targets.add((unit_mono, 0, Fraction(0)))
-    targets = sorted(targets, key=lambda t: (t[2], t[1], t[0]))
-    tindex = {t: r for r, t in enumerate(targets)}
-    rows = [dict() for _ in targets]
-    rhs = [Fraction(0)] * len(targets)
-    rhs[tindex[(unit_mono, 0, Fraction(0))]] = Fraction(1)
+    unit = ((0,) * qp.ring.width, 0, Fraction(0))
+    targets = {unit} | {(m, d, k) for col in columns
+                        for m, d, k, _ in qpoly_atoms(col.coeffs)
+                        if k <= limit}
+    tindex = {t: r for r, t in enumerate(
+        sorted(targets, key=lambda t: (t[2], t[1], t[0])))}
+    rows = [{} for _ in tindex]
+    rhs = [Fraction(0)] * len(tindex)
+    rhs[tindex[unit]] = Fraction(1)
     for j, col in enumerate(columns):
         for m, d, k, c in qpoly_atoms(col.coeffs):
-            if k > limit:
-                continue
-            rows[tindex[(m, d, k)]][j] = rows[tindex[(m, d, k)]].get(
-                j, Fraction(0)) + c
-    # Gaussian elimination, pivoting on the lowest-exponent slot available
-    nslots = len(slots)
-    order = sorted(range(nslots), key=lambda j: (slots[j][2], slots[j][1]))
-    assign = {}
-    active = [dict(r) for r in rows]
-    b = list(rhs)
-    used_rows = set()
-    for j in order:
-        piv = None
-        for r in range(len(active)):
-            if r in used_rows:
-                continue
-            if active[r].get(j):
-                piv = r
-                break
-        if piv is None:
-            continue
-        used_rows.add(piv)
-        pv = active[piv][j]
-        for r in range(len(active)):
-            if r == piv or not active[r].get(j):
-                continue
-            f = active[r][j] / pv
-            for jj, v in active[piv].items():
-                cur = active[r].get(jj, Fraction(0)) - f * v
-                if cur:
-                    active[r][jj] = cur
-                else:
-                    active[r].pop(jj, None)
-            b[r] -= f * b[piv]
-        assign[j] = piv
-    # inconsistency: a row with zero coefficients but nonzero rhs
-    for r in range(len(active)):
-        if r not in used_rows and b[r] and all(
-                v == 0 for v in active[r].values()):
-            return None
-    sol = [Fraction(0)] * nslots
-    for j in reversed(order):
-        piv = assign.get(j)
-        if piv is None:
-            continue
-        acc = b[piv]
-        for jj, v in active[piv].items():
-            if jj != j:
-                acc -= v * sol[jj]
-        sol[j] = acc / active[piv][j]
+            if k <= limit:
+                row = rows[tindex[m, d, k]]
+                row[j] = row.get(j, 0) + c
+    # the lowest-exponent slots pivot first; free slots stay 0
+    x, _ = gauss_jordan(rows, rhs, sorted(
+        range(len(slots)), key=lambda j: (slots[j][2], slots[j][1])))
+    if x is None:
+        return None
+    sol = [x[j] for j in range(len(slots))]
     # final verification against every stored target
     if any(sum(v * sol[j] for j, v in row.items()) != want
            for row, want in zip(rows, rhs)):

@@ -311,40 +311,39 @@ class HomologyReport:
 def to_homology_report(dictionary, qclass, qp):
     """Rewrite a quantum class over {unit, facet classes, point lift} and
     flip the Novikov exponents to the homology orientation."""
+    n = dictionary.n
+    if n > 2 and any(mono_degree(m) > 1 and not s.is_zero()
+                     for m, s in qclass.coeffs.items()):
+        raise DictionaryIncomplete(
+            "degree-4 and higher classes have no geometric names beyond "
+            "dimension two")
     work = {m: s for m, s in qclass.coeffs.items() if not s.is_zero()}
     entries = []
     raw = []
-    n = dictionary.n
 
     def flip(name, scalar):
         for (d, kappa), c in scalar.sorted_terms():
             entries.append((name, c, -d, -kappa))
 
     # point part (top degree): only decodable with a point lift
-    top_monos = [m for m in work if mono_degree(m) > 1]
-    if top_monos:
-        if n == 2 and dictionary.has_point():
-            top = [m for m in qp.ring.standard_monomials
-                   if mono_degree(m) == n]
-            if len(top) != 1:
-                raise DegenerateRing("top cohomology is not one dimensional")
-            m_top = top[0]
-            d_top = dictionary.point_lift.coeffs[m_top]
-            gamma = work.get(m_top)
-            if gamma is not None:
-                gamma = gamma * d_top.invert()
-                flip("p", gamma)
-                for m, s in dictionary.point_lift.coeffs.items():
-                    cur = work.get(m, NovScalar.zero(qp.cutoff))
-                    res = cur - gamma * s
-                    if res.is_zero():
-                        work.pop(m, None)
-                    else:
-                        work[m] = res
-        elif n > 2:
-            raise DictionaryIncomplete(
-                "degree-4 and higher classes have no geometric names beyond "
-                "dimension two")
+    if n == 2 and dictionary.has_point() and any(
+            mono_degree(m) > 1 for m in work):
+        top = [m for m in qp.ring.standard_monomials if mono_degree(m) == n]
+        if len(top) != 1:
+            raise DegenerateRing("top cohomology is not one dimensional")
+        m_top = top[0]
+        d_top = dictionary.point_lift.coeffs[m_top]
+        gamma = work.get(m_top)
+        if gamma is not None:
+            gamma = gamma * d_top.invert()
+            flip("p", gamma)
+            for m, s in dictionary.point_lift.coeffs.items():
+                cur = work.get(m, NovScalar.zero(qp.cutoff))
+                res = cur - gamma * s
+                if res.is_zero():
+                    work.pop(m, None)
+                else:
+                    work[m] = res
     # degree two: prefer a single facet class, else the kept facet classes
     deg2 = {m: s for m, s in work.items() if mono_degree(m) == 1}
     if deg2:

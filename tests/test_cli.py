@@ -61,6 +61,25 @@ def test_validate_reports_error(tmp_path, capsys):
     assert "NotSmooth" in err
 
 
+@pytest.mark.parametrize("facets, error", [
+    ([([1], 1), ([-1], 1), ([1], 1)], "NotSimple: vertex (1) lies on"),
+    ([([1, 0], "1/2"), ([0, 1], 0), ([-1, -1], 1), ([-1, 1], "1/2")],
+     "NotSmooth: vertex (-3/4, -1/4) on facets"),
+    ([([-1, 0], "1/2"), ([0, -1], "1/3")],
+     "Unbounded: the edge of vertex (-1/2, -1/3) along facets"),
+], ids=["not_simple", "not_smooth", "unbounded"])
+def test_polytope_errors_print_points_as_rationals(tmp_path, capsys, facets,
+                                                   error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"facets": [
+        {"normal": normal, "support": str(support)}
+        for normal, support in facets]}))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert error in err
+    assert "Fraction(" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["product"])  # missing arguments

@@ -437,20 +437,21 @@ def _reference_validate(specs):
             if not any(other != vid and active_other.issuperset(sub)
                        for other, (_, active_other) in enumerate(vlist)):
                 raise Unbounded(
-                    f"the edge of vertex {point} along facets "
-                    f"{list(sub)} has no second vertex")
+                    f"the edge of vertex ({', '.join(map(str, point))}) "
+                    f"along facets {list(sub)} has no second vertex")
     base = vlist[0][0]
     if linalg.rank([list(linalg.vec_sub(p, base))
                     for p, _ in vlist[1:]]) < n:
         raise NotFullDimensional("vertices span a proper affine subspace")
     for point, active in vlist:
         if len(active) > n:
-            raise NotSimple(f"vertex {point} lies on {len(active)} facets "
-                            f"{sorted(active)}")
+            raise NotSimple(f"vertex ({', '.join(map(str, point))}) lies on "
+                            f"{len(active)} facets {sorted(active)}")
         d = abs(linalg.det([normals[i] for i in sorted(active)]))
         if d != 1:
             raise NotSmooth(
-                f"vertex {point} on facets {sorted(active)} has |det| = {d}")
+                f"vertex ({', '.join(map(str, point))}) on facets "
+                f"{sorted(active)} has |det| = {d}")
     missing = set(range(len(facets))) - set().union(*(a for _, a in vlist))
     if missing:
         raise RedundantFacet(

@@ -11,6 +11,7 @@ from toricqh.actions import fixed_components
 from toricqh.errors import (
     DegenerateEdge,
     DegenerateRing,
+    DictionaryIncomplete,
     LeadingFaceMismatch,
     NotAnEdge,
 )
@@ -369,3 +370,17 @@ def test_a_second_top_monomial_in_a_homology_report_is_a_typed_error():
     point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)
     with pytest.raises(DegenerateRing):
         to_homology_report(dictionary, point, qp)
+
+
+def test_dictionary_incomplete_is_raised_before_the_report_is_built():
+    """A caller that keeps the error keeps no partial report: the frame
+    that raises it has built no `work` copy of the class."""
+    qp = fano_presentation(simplex(3))
+    square = lift(qp, {(2, 0, 0, 0): F(1)})
+    with pytest.raises(DictionaryIncomplete) as info:
+        to_homology_report(build_dictionary(qp), square, qp)
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_name == "to_homology_report"
+    assert "work" not in tb.tb_frame.f_locals
