@@ -27,6 +27,10 @@ The classes:
     hirzebruch2 in NEF mode at the default cutoff and at `--cutoff 2`;
   - `seidel --format structured` on hirzebruch2 in NEF mode with xi in
     [-2, 2]^2, at the default cutoff and at `--cutoff 2`;
+  - `small cutoff`: Fano mode below the default cutoff, at `--cutoff 1/2`
+    and `--cutoff 1`, on cp2, blowup_cp2, s2xs2 and cp3: `quantum` (text
+    output), `seidel --format structured` with xi in [-1, 1]^n, and
+    `verify --trials 4 --format structured`;
   - `analyze --format structured` on translated copies of the 2-D bundled
     examples (xi in [-1, 1]^2) and of cp3 (xi in [-1, 1]^3): each support
     grows by <eta, (1/2, 1/3, 1/5)>, truncated to n components, so the
@@ -67,6 +71,8 @@ SEEDS = ("7193", "11")
 SHIFT = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
 TRANSLATED = tuple(name for name in corpus.BUNDLED if name != "s2") + ("cp3",)
 FANO = ("s2", "cp2", "blowup_cp2", "s2xs2", "cp3", "cp4", "cube3", "cube4")
+SMALL = ("cp2", "blowup_cp2", "s2xs2", "cp3")
+SMALL_CUTOFFS = ("1/2", "1")
 # no expression starts with "-", which argparse would read as a flag
 EXPRESSION_PAIRS = (
     ("2*x1^2 - 1/2*q*t^{1/3}*(x2 + x3)", "x1"),
@@ -152,6 +158,13 @@ def command_classes(polys):
                          "structured", *nef, *cut]
                         for cut in ([], ["--cutoff", "2"])
                         for xi in box(2, 2)],
+        "small cutoff": [
+            argv + ["--cutoff", cut] for cut in SMALL_CUTOFFS
+            for name in SMALL
+            for argv in [["quantum", name]]
+            + [["seidel", name, xi_flag(xi), "--format", "structured"]
+               for xi in box(polys[name].n, 1)]
+            + [["verify", name, "--trials", "4", "--format", "structured"]]],
         "analyze, translated": [
             ["analyze", f"{name}+shift", xi_flag(xi), "--format",
              "structured"]

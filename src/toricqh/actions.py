@@ -252,16 +252,10 @@ def global_isotropy_bound(poly, xi):
     return CircleTable(poly, xi).isotropy_bound
 
 
-def superlevel_isotropy_bounds(poly, xi, levels):
-    """{c: max finite isotropy over faces whose moment maximum exceeds c}
-    for every c in levels (1 where no such face), from one orders map and
-    one moment value per vertex."""
-    return CircleTable(poly, xi).superlevel_bounds(levels)
-
-
 def superlevel_isotropy_bound(poly, xi, c):
-    """Max finite isotropy over faces whose moment maximum exceeds c."""
-    return superlevel_isotropy_bounds(poly, xi, (c,))[c]
+    """Max finite isotropy over faces whose moment maximum exceeds c (1
+    where no such face)."""
+    return CircleTable(poly, xi).superlevel_bounds((c,))[c]
 
 
 # ------------------------------------------------------- the (K, -m) invariant

@@ -199,13 +199,12 @@ def nov_monomial_str(d, kappa):
     return " ".join(parts)
 
 
-def mono_str(mono, kept=None):
+def mono_str(mono, kept):
     names = []
     for pos, e in enumerate(mono):
         if not e:
             continue
-        index = (kept[pos] if kept is not None else pos) + 1
-        names.append(f"x{index}" + (f"^{e}" if e > 1 else ""))
+        names.append(f"x{kept[pos] + 1}" + (f"^{e}" if e > 1 else ""))
     return "*".join(names) if names else "1"
 
 

@@ -17,8 +17,8 @@ from .polynomials import (
     TracedBasis,
     mono_degree,
     poly_add,
-    poly_const,
     poly_is_homogeneous,
+    poly_monomial,
     poly_mul,
     poly_scale,
     poly_substitute,
@@ -40,12 +40,8 @@ def classical_generators(poly, prims=None):
             if c:
                 gen[tuple(1 if k == i else 0 for k in range(N))] = Fraction(c)
         linear.append(gen)
-    monomials = {}
-    for p in primitive_sets(poly) if prims is None else prims:
-        expo = [0] * N
-        for i in p.indices:
-            expo[i] = 1
-        monomials[p.key] = {tuple(expo): Fraction(1)}
+    monomials = {p.key: poly_monomial(dict.fromkeys(p.indices, 1), N)
+                 for p in (primitive_sets(poly) if prims is None else prims)}
     return linear, monomials
 
 
@@ -163,22 +159,19 @@ class ClassicalRing:
 
     def reference_vertex_monomial(self):
         """Product of the facet classes through the lex-least vertex."""
-        vf = sorted(self.polytope.vertex_facets(0))
-        out = poly_const(1, self.width)
-        for i in vf:
-            out = poly_mul(out, self.var(i))
-        return out
+        return self.substitute(poly_monomial(
+            dict.fromkeys(self.polytope.vertex_facets(0), 1),
+            self.polytope.num_facets))
 
-    def integrate(self, poly, full_vars=False):
+    def integrate(self, poly):
         """Integral of a homogeneous top-degree class over the manifold."""
-        work = self.substitute(poly) if full_vars else dict(poly)
-        if not work:
+        if not poly:
             return Fraction(0)
         n = self.polytope.n
-        if any(mono_degree(m) != n for m in work):
+        if any(mono_degree(m) != n for m in poly):
             raise WrongDegree(
                 f"integrand must be homogeneous of cohomological degree {2 * n}")
-        nf = self.nf(work)
+        nf = self.nf(poly)
         top = self._top_monomial()
         ref = self.nf(self.reference_vertex_monomial())
         if not ref or not set(ref) <= {top}:
@@ -186,19 +179,16 @@ class ClassicalRing:
                                  "multiple of the top class")
         return nf.get(top, Fraction(0)) / ref[top]
 
-    def poincare_pair(self, a, b, full_vars=False):
+    def poincare_pair(self, a, b):
         """Integral of a*b; 0 by convention when degrees do not complement."""
-        pa = self.substitute(a) if full_vars else a
-        pb = self.substitute(b) if full_vars else b
-        if not pa or not pb:
+        if not a or not b:
             return Fraction(0)
-        if not (poly_is_homogeneous(pa) and poly_is_homogeneous(pb)):
+        if not (poly_is_homogeneous(a) and poly_is_homogeneous(b)):
             raise WrongDegree("pairing needs homogeneous classes")
-        da = mono_degree(next(iter(pa)))
-        db = mono_degree(next(iter(pb)))
-        if da + db != self.polytope.n:
+        if mono_degree(next(iter(a))) + mono_degree(next(iter(b))) \
+                != self.polytope.n:
             return Fraction(0)
-        return self.integrate(poly_mul(pa, pb))
+        return self.integrate(poly_mul(a, b))
 
     def pd_matrix(self, degree):
         """Pairing matrix between standard monomials of cohomological degree
@@ -218,10 +208,9 @@ def build_ring(poly):
     ring = ClassicalRing(polytope=poly, prims=prims, linear_gens=linear,
                          sr_gens=monomials, kept=kept, images=images)
     gen_keys = tuple(p.key for p in prims)
-    gens = [poly_substitute(monomials[k], images, len(kept))
-            for k in gen_keys]
     ring.gen_keys = gen_keys
-    ring.basis = TracedBasis(gens)
+    ring.basis = TracedBasis([ring.substitute(monomials[k])
+                              for k in gen_keys])
     ring.standard_monomials = ring.basis.standard_monomials(
         limit=4 * max(len(poly.vertices), 4))
     counts = [0] * (poly.n + 1)
@@ -283,7 +272,7 @@ class PointRing:
     def __init__(self, face):
         self.face = face
 
-    def integrate(self, poly, full_vars=False):
+    def integrate(self, poly):
         return poly.get((), Fraction(0))
 
 
@@ -304,8 +293,7 @@ def restrict_to_face(ring, full_poly, face):
     if face.dim == 0:
         c = full_poly.get((0,) * N, Fraction(0))
         return PointRing(face), ({(): c} if c else {})
-    x_face = {tuple(1 if i in face.facets else 0 for i in range(N)):
-              Fraction(1)}
+    x_face = poly_monomial(dict.fromkeys(face.facets, 1), N)
     return ring, ring.reduce_full(poly_mul(full_poly, x_face))
 
 

@@ -14,7 +14,7 @@ from .actions import CircleTable
 from .cohomology import build_ring, face_betti, restrict_to_face
 from .errors import MomentDataMismatch, NotMeanNormalized
 from .linalg import vec_dot
-from .polynomials import poly_mul, poly_const
+from .polynomials import poly_monomial
 from .polytope import centroid, normalize
 from .quantum import qsub
 from .seidel import seidel_element, verify_leading_term
@@ -49,31 +49,21 @@ def _euler_class_nonzero(ring, comp):
     """Euler class of the obstruction bundle along a fixed face: the product
     of the restricted facet classes to the powers (weight magnitude - 1)
     over the negative-weight facets."""
-    poly = ring.polytope
-    face = comp.face
-    product_full = poly_const(1, poly.num_facets)
-    rank = 0
-    for i, w in comp.weights.items():
-        if w <= -2:
-            mono = [0] * poly.num_facets
-            mono[i] = -w - 1
-            rank += -w - 1
-            product_full = poly_mul(product_full, {tuple(mono): Fraction(1)})
-    if rank == 0:
+    powers = {i: -w - 1 for i, w in comp.weights.items() if w <= -2}
+    if not powers:
         return True  # rank-zero bundle: the Euler class is the unit
-    face_ring, value = restrict_to_face(ring, product_full, face)
+    _, value = restrict_to_face(
+        ring, poly_monomial(powers, ring.polytope.num_facets), comp.face)
     return bool(value)
 
 
 def _classical_class(ring, facet_powers, classes):
     """The reduced class of prod x_i^e_i, read from or stored in `classes`,
     the monomial -> class dict that one `analyze` shares between rules."""
-    mono = [0] * ring.polytope.num_facets
-    for i, e in facet_powers.items():
-        mono[i] = e
-    mono = tuple(mono)
+    x = poly_monomial(facet_powers, ring.polytope.num_facets)
+    (mono,) = x
     if mono not in classes:
-        classes[mono] = ring.reduce_full({mono: Fraction(1)})
+        classes[mono] = ring.reduce_full(x)
     return classes[mono]
 
 

@@ -186,10 +186,7 @@ def check_relations_vanish(qp):
     """Every quantum Stanley-Reisner generator reduces to zero."""
     violations = []
     for p in qp.prims:
-        full = [0] * qp.polytope.num_facets
-        for i in p.indices:
-            full[i] = 1
-        lead = qpoly_from_poly(qp.ring.substitute({tuple(full): Fraction(1)}),
+        lead = qpoly_from_poly(qp.ring.substitute(qp.ring.sr_gens[p.key]),
                                qp.cutoff)
         minus = NovScalar.monomial(-1, 0, 0, qp.cutoff)
         gen = qpoly_add(lead, qpoly_scale(qp.corrections[p.key], minus))

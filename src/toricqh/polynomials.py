@@ -43,10 +43,16 @@ def poly_const(c, width):
     return {(0,) * width: c} if c else {}
 
 
-def poly_var(i, width):
+def poly_monomial(exponents, width):
+    """The monomial prod x_i^e over the items {i: e} of `exponents`."""
     e = [0] * width
-    e[i] = 1
+    for i, k in exponents.items():
+        e[i] = k
     return {tuple(e): Fraction(1)}
+
+
+def poly_var(i, width):
+    return poly_monomial({i: 1}, width)
 
 
 def poly_add(f, g):

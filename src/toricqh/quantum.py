@@ -23,7 +23,7 @@ from .errors import (
     WrongDegree,
 )
 from .novikov import NovScalar
-from .polynomials import mono_degree, mono_mul, poly_mul
+from .polynomials import mono_degree, mono_mul, poly_monomial, poly_mul
 from .polytope import primitive_sets
 
 
@@ -128,7 +128,8 @@ class QClass:
 
     def __hash__(self):
         return hash((frozenset((m, frozenset(s.terms.items()))
-                               for m, s in self.coeffs.items()),
+                               for m, s in self.coeffs.items()
+                               if not s.is_zero()),
                      self.cutoff))
 
     def slice_at(self, kappa):
@@ -183,9 +184,8 @@ def fano_presentation(poly, cutoff=None):
     corrections = {}
     energies = []
     for p in ring.prims:
-        mono = {tuple(p.coeffs[p.j_indices.index(j)] if j in p.j_indices
-                      else 0 for j in range(poly.num_facets)): Fraction(1)}
-        kept = ring.substitute(mono)
+        kept = ring.substitute(poly_monomial(
+            dict(zip(p.j_indices, p.coeffs)), poly.num_facets))
         omega = p.beta.omega(poly)
         corrections[p.key] = qpoly_from_poly(kept, cutoff,
                                              d=p.beta.c1(), kappa=omega)
@@ -237,9 +237,7 @@ def nef_presentation(poly, y_table, cutoff=None):
     corrections = {}
     energies = []
     for p in ring.prims:
-        lead = qpoly_from_poly(ring.substitute(
-            {tuple(1 if j in p.indices else 0
-                   for j in range(poly.num_facets)): Fraction(1)}), cutoff)
+        lead = qpoly_from_poly(ring.substitute(ring.sr_gens[p.key]), cutoff)
         prod_i = None
         for i in p.indices:
             prod_i = y_classes[i] if prod_i is None \

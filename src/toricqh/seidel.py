@@ -23,7 +23,7 @@ from .errors import (
     WrongDegree,
 )
 from .novikov import NovScalar
-from .polynomials import mono_degree
+from .polynomials import mono_degree, poly_monomial
 from .polytope import H2Class
 from .quantum import (
     QClass,
@@ -85,25 +85,28 @@ def edge_classes_through(poly, face):
 # --------------------------------------------------------------- the elements
 
 def facet_seidel(qp, i):
-    """Seidel element of the circle normal to facet i (0-based)."""
+    """Seidel element of the circle normal to facet i (0-based), cached.
+
+    In Fano mode it is `seidel_element` of the facet normal eta_i, whose
+    maximum is facet i with weight -1 and K = support_i: the lift of
+    x_i q^-1 t^-support_i.  NEF mode reads Y_i q^-1 t^-support_i off the
+    Y-table."""
     key = ("facet_seidel", i)
     if key in qp._cache:
         return qp._cache[key]
     poly = qp.polytope
-    support = poly.support(i)
     if qp.mode == "fano":
-        full = [0] * poly.num_facets
-        full[i] = 1
-        qclass = lift(qp, {tuple(full): Fraction(1)}, d=-1, kappa=-support)
+        element = seidel_element(qp, poly.normal(i))
     else:
         if qp.y_classes is None or i not in qp.y_classes:
             raise MissingYEntry(f"no Y entry for facet {i + 1}")
+        support = poly.support(i)
         shifted = qpoly_scale(qp.y_classes[i],
                               NovScalar.monomial(1, -1, -support, qp.cutoff))
-        qclass = quantum_nf(shifted, qp)
-    element = SeidelElement(qclass=qclass, xi=poly.normal(i), mode=qp.mode,
-                            leading_face=frozenset({i}), m_max=-1,
-                            K_max=support, semifree=True)
+        element = SeidelElement(
+            qclass=quantum_nf(shifted, qp), xi=poly.normal(i), mode=qp.mode,
+            leading_face=frozenset({i}), m_max=-1, K_max=support,
+            semifree=True)
     qp._cache[key] = element
     return element
 
@@ -142,10 +145,9 @@ def seidel_element(qp, xi):
     xi = tuple(int(x) for x in xi)
     fmax, _ = extrema(poly, xi)
     if qp.mode == "fano":
-        full = [0] * poly.num_facets
-        for i, w in fmax.weights.items():
-            full[i] = -w
-        out = lift(qp, {tuple(full): Fraction(1)}, d=fmax.m, kappa=-fmax.K)
+        x_a = poly_monomial({i: -w for i, w in fmax.weights.items()},
+                            poly.num_facets)
+        out = lift(qp, x_a, d=fmax.m, kappa=-fmax.K)
     else:
         out = facet_product(qp, poly.coordinates(0, xi))
     if out.degree() != 0:
@@ -157,13 +159,6 @@ def seidel_element(qp, xi):
 
 
 # ------------------------------------------------------------- leading terms
-
-def face_monomial(poly, face):
-    full = [0] * poly.num_facets
-    for i in face.facets:
-        full[i] = 1
-    return {tuple(full): Fraction(1)}
-
 
 def verify_leading_term(qp, xi, element=None):
     """Check the minimal-valuation part of the Seidel element against the
@@ -182,7 +177,8 @@ def verify_leading_term(qp, xi, element=None):
         "exactness": None,
         "exact_ok": None,
     }
-    expected_lead = qp.ring.reduce_full(face_monomial(poly, face))
+    x_face = poly_monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
+    expected_lead = qp.ring.reduce_full(x_face)
     got_val = element.qclass.valuation()
     lead_ok = got_val == -K_max
     if lead_ok:
@@ -195,8 +191,7 @@ def verify_leading_term(qp, xi, element=None):
     exact_expected = None
     codim = 2 * (poly.n - face.dim)
     if qp.mode == "fano" and face.dim == poly.n - 1:
-        exact_expected = lift(qp, face_monomial(poly, face),
-                              d=m_max, kappa=-K_max)
+        exact_expected = lift(qp, x_face, d=m_max, kappa=-K_max)
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
     else:
@@ -212,7 +207,7 @@ def verify_leading_term(qp, xi, element=None):
                 report["assumptions"].append("nef asserted by caller")
             if face.dim == poly.n - 1:
                 exact_expected = qscale(
-                    lift(qp, face_monomial(poly, face)),
+                    lift(qp, x_face),
                     NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
             elif face.dim == 0 and poly.n <= 2:
                 dictionary = build_dictionary(qp)
