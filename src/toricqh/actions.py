@@ -7,11 +7,13 @@ facet as its maximum.
 
 All circle data is read off one `CircleTable` per (polytope, xi): xi's
 coordinates at every vertex (integer dot products with the vertex's dual
-basis, `DelzantPolytope.coordinates`), its moment value there, and on first
-use the fixed components and the isotropy order of every face.  A face's
-isotropy order is the gcd of xi's coordinates off the face's facets at any
-one of its vertices, and a gcd of 0 means the face is fixed.  The public
-functions build a table per call; `obstructions.analyze` builds one.
+basis, `DelzantPolytope.coordinates`), its moment value there (an integer
+dot product with the scaled vertex over the scale D,
+`DelzantPolytope.scaled_vertices`), and on first use the fixed components
+and the isotropy order of every face.  A face's isotropy order is the gcd
+of xi's coordinates off the face's facets at any one of its vertices, and
+a gcd of 0 means the face is fixed.  The public functions build a table
+per call; `obstructions.analyze` builds one.
 """
 
 from dataclasses import dataclass
@@ -90,7 +92,9 @@ class CircleTable:
         self.xi = xi = _check_xi(xi)
         self.coords = [poly.coordinates(vid, xi)
                        for vid in range(len(poly.vertices))]
-        self.values = [linalg.vec_dot(xi, point) for point, _ in poly.vertices]
+        scale, points = poly.scaled_vertices()
+        self.values = [Fraction(linalg.vec_dot(xi, p), scale)
+                       for p in points]
 
     def moment_value(self, face):
         """Value of <xi, .> on a face on which it is constant."""

@@ -9,7 +9,6 @@ Stanley-Reisner generators, which the quantum layer consumes.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import DegenerateRing, NonGenericVector, Unbounded, WrongDegree
@@ -234,8 +233,8 @@ def vertex_weights(poly, vid, xi):
 
 def betti_morse(poly, xi):
     """Vertex counts by Morse index of <xi, .>; requires xi generic."""
-    kvals = [linalg.vec_dot(xi, poly.vertex_point(v))
-             for v in range(len(poly.vertices))]
+    _, points = poly.scaled_vertices()
+    kvals = [linalg.vec_dot(xi, p) for p in points]
     if len(set(kvals)) != len(kvals):
         raise NonGenericVector(
             f"{tuple(xi)} does not separate the vertices")
@@ -248,13 +247,9 @@ def betti_morse(poly, xi):
 
 def generic_vector(poly):
     """Deterministic generic direction: (1, M, M^2, ...) with M one more
-    than the largest integerized vertex coordinate, escalated if needed.
-    The vertices are scaled to integers once, so each trial is integer
-    dot products."""
-    points = [poly.vertex_point(v) for v in range(len(poly.vertices))]
-    den = lcm(*(x.denominator for p in points for x in p))
-    points = [tuple(x.numerator * (den // x.denominator) for x in p)
-              for p in points]
+    than the largest scaled vertex coordinate, escalated if needed.  Each
+    trial is integer dot products with the scaled vertices."""
+    _, points = poly.scaled_vertices()
     M = 1 + max(abs(x) for p in points for x in p)
     for _ in range(64):
         xi = tuple(M ** j for j in range(poly.n))

@@ -51,8 +51,10 @@ class DelzantPolytope:
     vertices: tuple  # ((point, facet frozenset), ...) sorted lex by point
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
-    # data derived on first use: vertex id -> dual basis, and the centroid
+    # data derived on first use: vertex id -> dual basis, the integer
+    # vertices and the centroid
     _duals: dict = field(default_factory=dict, repr=False, compare=False)
+    _scaled: tuple = field(default=None, repr=False, compare=False)
     _centroid: tuple = field(default=None, repr=False, compare=False)
 
     # -- basic queries ------------------------------------------------------
@@ -72,6 +74,19 @@ class DelzantPolytope:
 
     def vertex_facets(self, vid):
         return self.vertices[vid][1]
+
+    def scaled_vertices(self):
+        """(D, points): the lcm D of the vertex coordinates' denominators
+        and every vertex times D as an integer tuple, in vertex order, so
+        that <xi, vertex> is Fraction(<xi, point>, D).  Computed once per
+        polytope."""
+        if self._scaled is None:
+            scale = lcm(*(x.denominator for point, _ in self.vertices
+                          for x in point))
+            self._scaled = (scale, tuple(
+                tuple(x.numerator * (scale // x.denominator) for x in point)
+                for point, _ in self.vertices))
+        return self._scaled
 
     def faces_of_dim(self, d):
         return [f for f in self.faces.values() if f.dim == d]
@@ -364,13 +379,10 @@ def centroid(poly):
 
 
 def _centroid(poly):
-    """Volume-weighted mean of the simplex centroids, in integers: with the
-    vertices scaled by the lcm D of their denominators, a simplex's volume
-    is D^n times, and its vertex sum D * (n + 1) times, the true one (up
-    to the common factor n!)."""
-    scale = lcm(*(x.denominator for point, _ in poly.vertices for x in point))
-    points = [tuple(x.numerator * (scale // x.denominator) for x in point)
-              for point, _ in poly.vertices]
+    """Volume-weighted mean of the simplex centroids, in integers: on the
+    scaled vertices, a simplex's volume is D^n times, and its vertex sum
+    D * (n + 1) times, the true one (up to the common factor n!)."""
+    scale, points = poly.scaled_vertices()
     total_vol = 0
     weighted = [0] * poly.n
     for simplex in _simplices_of_face(poly, poly.face(frozenset())):

@@ -5,6 +5,10 @@ Everything internal is in cohomology orientation; reports flip the Novikov
 exponents termwise.  The dictionary identifies degree-0 and degree-2 classes
 with named facet classes in every dimension, and lifts the point class in
 dimension two, where a Seidel element of an eligible vertex determines it.
+
+The facet elements S(eta_i), their inverses and the chains of their powers
+are cached on the presentation.  An inverse or a power chain records the
+element it was built from and is rebuilt when that element is replaced.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,6 @@ from .quantum import (
     QClass,
     lift,
     qinv,
-    qpow,
     qprod,
     qscale,
     qsub,
@@ -90,7 +93,7 @@ def facet_seidel(qp, i):
     In Fano mode it is `seidel_element` of the facet normal eta_i, whose
     maximum is facet i with weight -1 and K = support_i: the lift of
     x_i q^-1 t^-support_i.  NEF mode reads Y_i q^-1 t^-support_i off the
-    Y-table."""
+    Y-table.  Its inverse and powers are cached by `facet_power`."""
     key = ("facet_seidel", i)
     if key in qp._cache:
         return qp._cache[key]
@@ -112,24 +115,49 @@ def facet_seidel(qp, i):
 
 
 def _facet_seidel_inverse(qp, i):
+    """S(eta_i)^-1, cached with the facet element it inverts and rebuilt
+    when that element is replaced."""
+    element = facet_seidel(qp, i).qclass
     key = ("facet_seidel_inv", i)
-    if key in qp._cache:
-        return qp._cache[key]
-    inv = qinv(facet_seidel(qp, i).qclass, qp)
-    qp._cache[key] = inv
-    return inv
+    entry = qp._cache.get(key)
+    if entry is None or entry[0] is not element:
+        entry = qp._cache[key] = (element, qinv(element, qp))
+    return entry[1]
+
+
+def facet_power(qp, i, a):
+    """S(eta_i)^a for a nonzero integer a, cached.
+
+    The powers of one sign are built as `qpow` builds them: from the unit
+    up, each the product of the one below with the base, S(eta_i) or its
+    inverse.  The entry is (base, (base^0, base^1, ...)).  It is rebuilt
+    when the base is replaced, and a longer chain is written as a new
+    entry, never appended to the cached one."""
+    base = facet_seidel(qp, i).qclass if a > 0 \
+        else _facet_seidel_inverse(qp, i)
+    key = ("facet_power", i, a > 0)
+    entry = qp._cache.get(key)
+    powers = entry[1] if entry is not None and entry[0] is base \
+        else (qp.one(),)
+    k = abs(a)
+    if k >= len(powers):
+        powers = list(powers)
+        while len(powers) <= k:
+            powers.append(qprod(powers[-1], base, qp))
+        qp._cache[key] = (base, tuple(powers))
+    return powers[k]
 
 
 def facet_product(qp, coords):
     """The product of S(eta_i)^a_i over the coordinates {i: a_i} of a
-    direction at one vertex; negative powers use the cached inverses."""
-    out = qp.one()
+    direction at one vertex: the cached power of the first nonzero
+    coordinate, times one cached power per further coordinate."""
+    out = None
     for i, a in coords.items():
-        if a > 0:
-            out = qprod(out, qpow(facet_seidel(qp, i).qclass, a, qp), qp)
-        elif a < 0:
-            out = qprod(out, qpow(_facet_seidel_inverse(qp, i), -a, qp), qp)
-    return out
+        if a:
+            power = facet_power(qp, i, a)
+            out = power if out is None else qprod(out, power, qp)
+    return qp.one() if out is None else out
 
 
 def seidel_element(qp, xi):
@@ -140,7 +168,8 @@ def seidel_element(qp, xi):
     Fano mode decomposes at F_max, where the coordinates are minus the
     weights, all positive: S(xi) is one normal form of x^a q^m t^-K, with no
     inverse, and exact to the cutoff since reduction only raises
-    t-exponents.  NEF mode multiplies out the decomposition at vertex 0."""
+    t-exponents.  NEF mode multiplies out the decomposition at vertex 0 with
+    `facet_product`, from the cached facet powers."""
     poly = qp.polytope
     xi = tuple(int(x) for x in xi)
     fmax, _ = extrema(poly, xi)
