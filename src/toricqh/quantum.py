@@ -6,17 +6,30 @@ Internal representation: a quantum polynomial maps standard-monomial keys
 stand for iterated quantum products of the facet classes; they agree with
 the classical classes in degrees 0 and 2 but not above, and the geometric
 translation lives in the seidel module.
+
+`quantum_nf` and `qprod` share one reduction on the t-exponent grid (1/D)Z:
+D is the lcm of the denominators of the cutoff and of every correction
+exponent, refined per call by those of the input, and an exponent k is the
+integer level k*D.  Each monomial the reduction reaches gets a plan: its
+classical normal form, its correction atoms (Δlevel, q-shift, monomial, c),
+kept when they cancel, and the OR of the flags of the corrections used.
+Integral coefficients stay int until the result, whose terms share their
+(d, Fraction(level, D)) keys and the cutoff object itself.  Grid and plans
+live in `qp._cache["grid"]` with the cutoff and correction objects they
+were built from, and are rebuilt when one of those is replaced.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import is_, itemgetter
 
 from .cohomology import build_ring
 from .linalg import gauss_jordan
 from .errors import (
     BadCorrectionDegree,
     BadCorrectionValuation,
+    CutoffMismatch,
     MissingYEntry,
     NonPositiveEnergy,
     NotAUnit,
@@ -42,23 +55,16 @@ def qpoly_from_poly(poly, cutoff, d=0, kappa=0):
 
 
 def qpoly_scale(a, s):
-    out = {}
-    for m, v in a.items():
-        val = v * s
-        if not val.is_zero() or val.truncated:
-            out[m] = val
-    return out
+    out = {m: v * s for m, v in a.items()}
+    return {m: v for m, v in out.items() if v or v.truncated}
 
 
 def qpoly_mul(a, b):
     out = {}
     for m1, s1 in a.items():
         for m2, s2 in b.items():
-            m = mono_mul(m1, m2)
-            s = s1 * s2
-            cur = out.get(m)
-            tot = s if cur is None else cur + s
-            out[m] = tot
+            m, s = mono_mul(m1, m2), s1 * s2
+            out[m] = out[m] + s if m in out else s
     return {m: s for m, s in out.items() if not s.is_zero() or s.truncated}
 
 
@@ -70,9 +76,7 @@ def kept_qpoly(ring, terms):
         if s.is_zero() and not s.truncated:
             continue
         for m, c in ring.substitute({mono: Fraction(1)}).items():
-            term = s.scale(c)
-            cur = out.get(m)
-            out[m] = term if cur is None else cur + term
+            out[m] = out[m] + s.scale(c) if m in out else s.scale(c)
     return out
 
 
@@ -113,11 +117,9 @@ class QClass:
         """Common degree of all atoms, or the string 'inhomogeneous'."""
         degs = {2 * mono_degree(m) + 2 * d
                 for m, d, _, _ in qpoly_atoms(self.coeffs)}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return "inhomogeneous"
+        if len(degs) > 1:
+            return "inhomogeneous"
+        return degs.pop() if degs else 0
 
     def __eq__(self, other):
         if not isinstance(other, QClass):
@@ -267,35 +269,74 @@ def nef_presentation(poly, y_table, cutoff=None):
 # -------------------------------------------------------------- normal form
 
 def _nf_traced_cached(qp, mono):
-    cached = qp._nf_cache.get(mono)
-    if cached is None:
-        cached = qp.ring.nf_traced({mono: Fraction(1)})
-        qp._nf_cache[mono] = cached
-    return cached
+    if mono not in qp._nf_cache:
+        qp._nf_cache[mono] = qp.ring.nf_traced({mono: Fraction(1)})
+    return qp._nf_cache[mono]
 
 
-def quantum_nf(z, qp):
-    """Normal form modulo the quantum ideal.
+_SMALL = {c: Fraction(c) for c in range(-64, 65)}  # shared coefficients
 
-    Terms are processed by increasing valuation: each level is classically
-    reduced with its trace, and every traced use of a Stanley-Reisner
-    generator enqueues the matching correction, whose valuation is higher by
-    at least hbar.  A term pushed above the cutoff is dropped and flags the
-    result, even if it would have cancelled.  Pending terms are kept as
-    level -> {(d, monomial): c} and the result as monomial -> {(d, level):
-    c}; one scalar is built per result monomial, at the end.
-    """
-    coeffs = z.coeffs if isinstance(z, QClass) else z
-    cutoff = Fraction(qp.cutoff)
-    truncated = qpoly_truncated(coeffs)
+
+def _plan(qp, mono, D):
+    """The classical normal form of `mono`, its correction atoms (Δlevel,
+    q-shift, monomial, c) by increasing Δlevel, and the OR of the flags of
+    the corrections used.  Atoms that cancel are kept: a dropped one flags."""
+    nf, trace = _nf_traced_cached(qp, mono)
+    atoms, flagged = {}, False
+    for key, cof in trace.items():
+        for mc, cc in cof.items():
+            for mm, s in qp.corrections[key].items():
+                flagged = flagged or s.truncated
+                for (d3, k3), c3 in s.terms.items():
+                    dl = k3.numerator * (D // k3.denominator)
+                    if dl <= 0:
+                        raise NonPositiveEnergy(
+                            "a correction failed to raise the valuation; "
+                            "relation energies must be positive")
+                    atom = (dl, d3, mono_mul(mc, mm))
+                    atoms[atom] = atoms.get(atom, 0) + cc * c3
+    return ([(m, c.numerator if c.denominator == 1 else c)
+             for m, c in nf.items()],
+            sorted(((*atom, c.numerator if c.denominator == 1 else c)
+                    for atom, c in atoms.items()), key=itemgetter(0)),
+            flagged)
+
+
+def _reduce(qp, *factors):
+    """The normal form of the product of one or two quantum polynomials."""
+    entry = qp._cache.get("grid")
+    deltas = tuple(qp.corrections.values())
+    if entry is None or entry[0] is not qp.cutoff or len(entry[1]) != \
+            len(deltas) or not all(map(is_, entry[1], deltas)):
+        entry = qp._cache["grid"] = (qp.cutoff, deltas, lcm(
+            qp.cutoff.denominator, *(k.denominator for delta in deltas
+                                     for s in delta.values()
+                                     for _, k in s.terms)), {})
+    D = lcm(entry[2], *{k.denominator for coeffs in factors
+                        for s in coeffs.values() for _, k in s.terms})
+    if D not in entry[3]:
+        entry[3][D] = (qp.cutoff.numerator * (D // qp.cutoff.denominator),
+                       {}, {})
+    cut, plans, keys = entry[3][D]
+    atoms = [[(m, [(d, k.numerator * (D // k.denominator),
+                    c.numerator if c.denominator == 1 else c)
+                   for (d, k), c in s.terms.items()])
+              for m, s in coeffs.items()] for coeffs in factors]
+    if len(atoms) == 2:  # the atom pairs of a*b
+        atoms = [[(mono_mul(m1, m2), [(d1 + d2, l1 + l2, c1 * c2)
+                                      for d1, l1, c1 in t1
+                                      for d2, l2, c2 in t2])
+                  for m1, t1 in atoms[0] for m2, t2 in atoms[1]]]
+    # a flagged factor flags the product unless the other one is empty
+    truncated = all(factors) and any(map(qpoly_truncated, factors))
     pending = {}
-    for m, s in coeffs.items():
-        for (d, kappa), c in s.terms.items():
-            if kappa > cutoff:  # an input scalar with a larger cutoff
+    for m, terms in atoms[0]:
+        for d, level, c in terms:
+            if level > cut:
                 truncated = True
-                continue
-            atoms = pending.setdefault(kappa, {})
-            atoms[d, m] = atoms.get((d, m), 0) + c
+            else:
+                slot = pending.setdefault(level, {})
+                slot[d, m] = slot.get((d, m), 0) + c
     result = {}
     guard = 0
     while pending:
@@ -306,39 +347,47 @@ def quantum_nf(z, qp):
         for (d, mono), coeff in pending.pop(level).items():
             if not coeff:
                 continue
-            nf, trace = _nf_traced_cached(qp, mono)
-            for m2, c2 in nf.items():
+            plan = plans.get(mono)
+            if plan is None:
+                plan = plans[mono] = _plan(qp, mono, D)
+            nf, corrections, flagged = plan
+            truncated = truncated or flagged
+            for m2, c2 in nf:
                 terms = result.setdefault(m2, {})
                 terms[d, level] = terms.get((d, level), 0) + coeff * c2
-            for key, cof in trace.items():
-                delta = qp.corrections[key]
-                for mc, cc in cof.items():
-                    scale = coeff * cc
-                    for mm, s in delta.items():
-                        truncated = truncated or s.truncated
-                        m3 = mono_mul(mc, mm)
-                        for (d3, k3), c3 in s.terms.items():
-                            k3 += level
-                            if k3 > cutoff:
-                                truncated = True
-                                continue
-                            if k3 <= level:
-                                raise NonPositiveEnergy(
-                                    "a correction failed to raise the "
-                                    "valuation; relation energies must be "
-                                    "positive")
-                            atoms = pending.setdefault(k3, {})
-                            key3 = (d3 + d, m3)
-                            atoms[key3] = atoms.get(key3, 0) + c3 * scale
+            for dl, dq, m3, c3 in corrections:
+                if level + dl > cut:
+                    truncated = True
+                    break
+                slot = pending.setdefault(level + dl, {})
+                slot[d + dq, m3] = slot.get((d + dq, m3), 0) + coeff * c3
     out = {}
     for m, terms in result.items():
-        terms = {k: c for k, c in terms.items() if c}
-        if terms:
-            out[m] = NovScalar.trusted(terms, cutoff, truncated)
+        scalar = {}
+        for key, c in terms.items():
+            if c:
+                if key not in keys:
+                    keys[key] = (key[0], Fraction(key[1], D))
+                scalar[keys[key]] = _SMALL.get(c) or Fraction(c) \
+                    if type(c) is int else c
+        if scalar:
+            out[m] = NovScalar.trusted(scalar, qp.cutoff, truncated)
     if truncated and not out:
         # preserve the flag on a zero class via an explicitly flagged zero
-        out = {(0,) * qp.ring.width: NovScalar.trusted({}, cutoff, True)}
+        out = {(0,) * qp.ring.width: NovScalar.trusted({}, qp.cutoff, True)}
     return QClass(out, qp.cutoff)
+
+
+def quantum_nf(z, qp):
+    """Normal form modulo the quantum ideal.
+
+    Terms are processed by increasing valuation: each level is classically
+    reduced with its trace, and every traced use of a Stanley-Reisner
+    generator enqueues the matching correction, whose valuation is higher by
+    at least hbar.  A term pushed above the cutoff is dropped and flags the
+    result, even if it would have cancelled.
+    """
+    return _reduce(qp, z.coeffs if isinstance(z, QClass) else z)
 
 
 def lift(qp, full_poly, d=0, kappa=0, coeff=1):
@@ -350,8 +399,12 @@ def lift(qp, full_poly, d=0, kappa=0, coeff=1):
 
 
 def qprod(a, b, qp):
-    """Quantum product of two classes."""
-    return quantum_nf(qpoly_mul(a.coeffs, b.coeffs), qp)
+    """Quantum product of two classes at the cutoff of `qp`, flagged as the
+    product scalars would be: by a pair of atoms above the cutoff, and by a
+    flagged scalar of one factor when the other factor is nonempty."""
+    if a.cutoff != b.cutoff and a.coeffs and b.coeffs:
+        raise CutoffMismatch(f"cutoffs differ: {a.cutoff} vs {b.cutoff}")
+    return _reduce(qp, a.coeffs, b.coeffs)
 
 
 def qpow(a, k, qp):
@@ -427,10 +480,8 @@ def qinv(a, qp):
                 k += 1
             slot_exps.sort()
         slots = [(m, d, k) for k in slot_exps for (m, d) in monos]
-        columns = []
-        for (m, d, k) in slots:
-            basis_elt = {m: NovScalar.monomial(1, d, k, qp.cutoff)}
-            columns.append(quantum_nf(qpoly_mul(a.coeffs, basis_elt), qp))
+        columns = [qprod(a, QClass({m: NovScalar.monomial(1, d, k, qp.cutoff)},
+                                   qp.cutoff), qp) for (m, d, k) in slots]
         for strict in (True, False):
             sol = _solve_unit_system(qp, slots, columns, strict_cut=strict,
                                      vala=vala)
@@ -442,8 +493,7 @@ def qinv(a, qp):
                         continue
                     used_truncated = used_truncated or col.truncated
                     s = NovScalar.monomial(c, d, k, qp.cutoff)
-                    cur = coeffs.get(m)
-                    coeffs[m] = s if cur is None else cur + s
+                    coeffs[m] = coeffs[m] + s if m in coeffs else s
                 truncated = (not strict) or a.truncated or used_truncated
                 if truncated:
                     coeffs = {m: s.with_truncated(True)
