@@ -13,7 +13,8 @@ dot product with the scaled vertex over the scale D,
 and the isotropy order of every face.  A face's isotropy order is the gcd
 of xi's coordinates off the face's facets at any one of its vertices, and
 a gcd of 0 means the face is fixed.  The public functions build a table
-per call; `obstructions.analyze` builds one.
+per call; `obstructions.analyze` builds one.  F_max alone needs no table:
+`fixed_maximum` reads it off one integer argmax of <xi, .>.
 """
 
 from dataclasses import dataclass
@@ -25,12 +26,11 @@ from math import gcd
 from . import linalg
 from .errors import (
     InconsistentWeights,
-    InvariantMismatch,
     MomentNotConstant,
+    NonIntegralCoefficient,
     StratumNotClosed,
     ZeroVector,
 )
-from .polytope import h2_lattice
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,23 @@ class FixedComponentData:
 
 
 def _check_xi(xi):
-    xi = tuple(int(x) for x in xi)
-    if all(x == 0 for x in xi):
+    """xi as a tuple of ints; every entry must be an int, not all zero."""
+    xi = tuple(xi)
+    for x in xi:
+        if type(x) is not int:
+            raise NonIntegralCoefficient(
+                f"the circle direction has the non-integer entry {x!r}")
+    if not any(xi):
         raise ZeroVector("the circle direction must be nonzero")
     return xi
+
+
+def _component(face, K, w):
+    return FixedComponentData(
+        face=face, K=K, weights=w, m=sum(w.values()),
+        index=2 * sum(1 for x in w.values() if x < 0),
+        coindex=2 * sum(1 for x in w.values() if x > 0),
+        semifree=all(abs(x) == 1 for x in w.values()), dimF=2 * face.dim)
 
 
 def _weights(coords, face):
@@ -113,14 +126,8 @@ class CircleTable:
         comps = []
         for key in keys:
             face = self.poly.faces[key]
-            w = _weights(self.coords, face)
-            comps.append(FixedComponentData(
-                face=face, K=self.moment_value(face), weights=w,
-                m=sum(w.values()),
-                index=2 * sum(1 for x in w.values() if x < 0),
-                coindex=2 * sum(1 for x in w.values() if x > 0),
-                semifree=all(abs(x) == 1 for x in w.values()),
-                dimF=2 * face.dim))
+            comps.append(_component(face, self.moment_value(face),
+                                    _weights(self.coords, face)))
         comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
         if len({v for c in comps for v in c.face.vertex_ids}) != \
                 sum(len(c.face.vertex_ids) for c in comps):
@@ -180,9 +187,22 @@ def fixed_components(poly, xi):
     return CircleTable(poly, xi).components
 
 
-def extrema(poly, xi):
-    comps = fixed_components(poly, xi)
-    return comps[0], comps[-1]  # F_max, F_min
+def fixed_maximum(poly, xi):
+    """F_max, the first of `fixed_components`, from one integer argmax of
+    <xi, .> over the scaled vertices: the face cut out by the facets on
+    which xi has a nonzero coordinate at a maximizing vertex.  Its vertices
+    must be exactly the maximizing ones, and `weights` checks them all."""
+    xi = _check_xi(xi)
+    scale, points = poly.scaled_vertices()
+    values = [linalg.vec_dot(xi, p) for p in points]
+    top = max(values)
+    vid = values.index(top)
+    face = poly.faces[frozenset(
+        i for i, c in poly.coordinates(vid, xi).items() if c)]
+    if face.vertex_ids != tuple(v for v, k in enumerate(values) if k == top):
+        raise MomentNotConstant(
+            f"the maximum of <xi, .> is not the face {sorted(face.facets)}")
+    return _component(face, Fraction(top, scale), weights(poly, xi, face))
 
 
 # ------------------------------------------------------------------ isotropy
@@ -254,32 +274,3 @@ def q_pair(poly, xi, face_a, face_b):
 def global_isotropy_bound(poly, xi):
     """Largest finite stabilizer order on the manifold (1 if semifree)."""
     return CircleTable(poly, xi).isotropy_bound
-
-
-def superlevel_isotropy_bound(poly, xi, c):
-    """Max finite isotropy over faces whose moment maximum exceeds c (1
-    where no such face)."""
-    return CircleTable(poly, xi).superlevel_bounds((c,))[c]
-
-
-# ------------------------------------------------------- the (K, -m) invariant
-
-def action_invariant(poly, xi):
-    """The pair (K(v), -m(v)) at a critical point, well defined modulo the
-    lattice of (omega, c1) values of spherical classes; asserts the vertex
-    values agree modulo that lattice and returns the representative at the
-    maximum."""
-    table = CircleTable(poly, xi)
-    lattice_rows = [(b.omega(poly), Fraction(b.c1()))
-                    for b in h2_lattice(poly)]
-    values = [(value, Fraction(sum(coords.values())))
-              for value, coords in zip(table.values, table.coords)]
-    base = max(values)
-    for val in values:
-        diff = (val[0] - base[0], val[1] - base[1])
-        if not linalg.in_rational_lattice(lattice_rows, diff):
-            raise InvariantMismatch(
-                f"vertex values {val} and {base} differ by {diff}, outside "
-                "the (omega, c1) lattice")
-    fmax = table.components[0]
-    return (fmax.K, -fmax.m)

@@ -16,7 +16,6 @@ from .polynomials import (
     TracedBasis,
     mono_degree,
     poly_add,
-    poly_is_homogeneous,
     poly_monomial,
     poly_mul,
     poly_scale,
@@ -118,6 +117,10 @@ class ClassicalRing:
     gen_keys: tuple = ()
     standard_monomials: tuple = ()
     betti: tuple = ()
+    # derived on first use, one value per full monomial: its kept-variable
+    # image, and the normal form of that image
+    _kept: dict = field(default_factory=dict, repr=False, compare=False)
+    _reduced: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- variable handling -----------------------------------------------------
 
@@ -125,9 +128,19 @@ class ClassicalRing:
     def width(self):
         return len(self.kept)
 
+    def monomial_image(self, mono):
+        """Kept-variable image of a full monomial, computed once per ring;
+        the memoized dict itself, to be read, never mutated."""
+        image = self._kept.get(mono)
+        if image is None:
+            image = self._kept[mono] = poly_substitute(
+                {mono: Fraction(1)}, self.images, self.width)
+        return image
+
     def substitute(self, full_poly):
-        """Rewrite a full-variable polynomial in the kept variables."""
-        return poly_substitute(full_poly, self.images, self.width)
+        """Rewrite a full-variable polynomial in the kept variables, as a
+        new dict summed from the memoized monomial images."""
+        return _combine(full_poly, self.monomial_image)
 
     def var(self, i):
         """Kept-variable image of the facet class x_i (0-based facet index)."""
@@ -144,8 +157,16 @@ class ClassicalRing:
     def nf(self, kept_poly):
         return self.basis.normal_form(kept_poly)
 
+    def _monomial_nf(self, mono):
+        nf = self._reduced.get(mono)
+        if nf is None:
+            nf = self._reduced[mono] = self.nf(self.monomial_image(mono))
+        return nf
+
     def reduce_full(self, full_poly):
-        return self.nf(self.substitute(full_poly))
+        """Normal form of a full-variable polynomial, as a new dict summed
+        from the memoized normal forms of its monomials' images."""
+        return _combine(full_poly, self._monomial_nf)
 
     # -- integration and pairing ---------------------------------------------------
 
@@ -178,17 +199,6 @@ class ClassicalRing:
                                  "multiple of the top class")
         return nf.get(top, Fraction(0)) / ref[top]
 
-    def poincare_pair(self, a, b):
-        """Integral of a*b; 0 by convention when degrees do not complement."""
-        if not a or not b:
-            return Fraction(0)
-        if not (poly_is_homogeneous(a) and poly_is_homogeneous(b)):
-            raise WrongDegree("pairing needs homogeneous classes")
-        if mono_degree(next(iter(a))) + mono_degree(next(iter(b))) \
-                != self.polytope.n:
-            return Fraction(0)
-        return self.integrate(poly_mul(a, b))
-
     def pd_matrix(self, degree):
         """Pairing matrix between standard monomials of cohomological degree
         `degree` and those of complementary degree."""
@@ -198,6 +208,16 @@ class ClassicalRing:
         cols = [m for m in self.standard_monomials if mono_degree(m) == n - k]
         return [[self.integrate(poly_mul({r: Fraction(1)}, {c: Fraction(1)}))
                  for c in cols] for r in rows]
+
+
+def _combine(full_poly, image_of):
+    """The sum of c * image_of(m) over the terms c*m of a full-variable
+    polynomial, without zero coefficients."""
+    out = {}
+    for m, c in full_poly.items():
+        for k, v in image_of(m).items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 def build_ring(poly):

@@ -87,10 +87,6 @@ class InconsistentWeights(ToricError):
     pass
 
 
-class InvariantMismatch(ToricError):
-    pass
-
-
 class MomentNotConstant(ToricError):
     pass
 

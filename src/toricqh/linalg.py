@@ -9,14 +9,14 @@ Matrices are lists of rows of ints or Fractions; sizes are tiny (dimension
 - `gauss_jordan` solves every system over the rationals: `solve_rational`,
   `rank` and `in_span` here, and the unit system of `quantum.qinv`;
 - `kernel_basis_int`, a Hermite reduction, answers every lattice question:
-  the H2 lattice and edge directions of a polytope, and
-  `in_rational_lattice`;
+  the H2 lattice and edge directions of a polytope;
 - `det`, a cofactor expansion, sizes simplices in `polytope.centroid` and
   stays the independent reference that the tests hold the Bareiss path to.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 from .errors import NotSmooth
 
@@ -26,7 +26,7 @@ def vec_sub(u, v):
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_content(u):
@@ -51,21 +51,6 @@ def det(m):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det(minor)
     return total
-
-
-def solve_unimodular(cols, target):
-    """Solve sum_j a_j * cols[j] = target for an integer square system.
-
-    `cols` is a list of n integer n-vectors with |det| = 1; the solution is
-    integral.  Returns a tuple of ints.
-    """
-    n = len(cols)
-    m = [[cols[j][i] for j in range(n)] for i in range(n)]
-    sol = solve_rational(m, target)
-    if any(x.denominator != 1 for x in sol):
-        raise NotSmooth(f"the columns {cols} are not a unimodular basis: "
-                        f"{target} has coordinates {sol}")
-    return tuple(int(x) for x in sol)
 
 
 def adjugate_times(m, rhs):
@@ -238,17 +223,3 @@ def kernel_basis_int(m):
             basis.append(tuple(work[i][j] for i in range(top, top + cols)))
     return basis
 
-
-def in_rational_lattice(rows, v):
-    """Membership of a rational vector v in the lattice spanned by rational
-    rows (integer combinations).
-
-    With denominators cleared, v is an integer combination of the rows iff
-    some integer kernel vector of the columns (rows..., v) ends in -1, that
-    is iff the last entries of a kernel lattice basis have gcd 1."""
-    den = lcm(*(Fraction(x).denominator for row in (*rows, v) for x in row))
-    cols = [[int(Fraction(x) * den) for x in row] for row in (*rows, v)]
-    if not cols[0]:  # no coordinates: v is the empty vector
-        return True
-    kernel = kernel_basis_int(list(zip(*cols)))
-    return gcd(*(x[-1] for x in kernel)) == 1

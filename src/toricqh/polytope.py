@@ -13,9 +13,11 @@ from math import lcm
 
 from . import linalg
 from .errors import (
+    DegenerateEdge,
     NonIntegralCoefficient,
     NonPositiveEnergy,
     NonPrimitiveNormal,
+    NotAnEdge,
     NotFullDimensional,
     NotSimple,
     NotSmooth,
@@ -51,9 +53,11 @@ class DelzantPolytope:
     vertices: tuple  # ((point, facet frozenset), ...) sorted lex by point
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
-    # data derived on first use: vertex id -> dual basis, the integer
-    # vertices and the centroid
+    # data derived on first use: vertex id -> dual basis, edge key -> edge
+    # class, the integer vertices and the centroid
     _duals: dict = field(default_factory=dict, repr=False, compare=False)
+    _edge_classes: dict = field(default_factory=dict, repr=False,
+                                compare=False)
     _scaled: tuple = field(default=None, repr=False, compare=False)
     _centroid: tuple = field(default=None, repr=False, compare=False)
 
@@ -275,6 +279,33 @@ class H2Class:
 
     def c1(self):
         return sum(self.pairings)
+
+
+def edge_class(poly, edge):
+    """Spherical class of the sphere over an edge: pairing 1 with the two
+    facets cutting its endpoints, solved through a vertex basis elsewhere.
+    Computed once per edge."""
+    cls = poly._edge_classes.get(edge.facets)
+    if cls is not None:
+        return cls
+    if edge.dim != 1:
+        raise NotAnEdge(f"face {sorted(edge.facets)} has dimension "
+                        f"{edge.dim}, not 1")
+    va, vb = edge.vertex_ids
+    (fa,) = poly.vertex_facets(va) - edge.facets
+    (fb,) = poly.vertex_facets(vb) - edge.facets
+    by_facet = poly.coordinates(va, poly.normal(fb))
+    if fa == fb or by_facet.get(fa) != -1:
+        raise DegenerateEdge(
+            f"at the edge {sorted(edge.facets)}, the normal of facet {fb} "
+            f"has coordinate {by_facet.get(fa)} on facet {fa}, not -1")
+    pairings = [0] * poly.num_facets
+    pairings[fa] = 1
+    pairings[fb] = 1
+    for i in edge.facets:
+        pairings[i] = -by_facet[i]
+    cls = poly._edge_classes[edge.facets] = H2Class(tuple(pairings))
+    return cls
 
 
 def h2_lattice(poly):

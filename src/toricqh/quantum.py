@@ -75,7 +75,7 @@ def kept_qpoly(ring, terms):
     for mono, s in terms:
         if s.is_zero() and not s.truncated:
             continue
-        for m, c in ring.substitute({mono: Fraction(1)}).items():
+        for m, c in ring.monomial_image(mono).items():
             out[m] = out[m] + s.scale(c) if m in out else s.scale(c)
     return out
 

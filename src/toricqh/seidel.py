@@ -14,21 +14,19 @@ element it was built from and is rebuilt when that element is replaced.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import extrema
+from .actions import fixed_maximum
 from .errors import (
-    DegenerateEdge,
     DegenerateRing,
     DictionaryIncomplete,
     LeadingFaceMismatch,
     MissingYEntry,
     NoEligibleVertex,
-    NotAnEdge,
     PointLiftUnnormalized,
     WrongDegree,
 )
 from .novikov import NovScalar
 from .polynomials import mono_degree, poly_monomial
-from .polytope import H2Class
+from .polytope import edge_class
 from .quantum import (
     QClass,
     lift,
@@ -52,30 +50,9 @@ class SeidelElement:
     semifree: bool  # whether every weight at F_max is +-1
 
 
-def edge_class(poly, edge):
-    """Spherical class of the sphere over an edge: pairing 1 with the two
-    facets cutting its endpoints, solved through a vertex basis elsewhere."""
-    if edge.dim != 1:
-        raise NotAnEdge(f"face {sorted(edge.facets)} has dimension "
-                        f"{edge.dim}, not 1")
-    va, vb = edge.vertex_ids
-    (fa,) = poly.vertex_facets(va) - edge.facets
-    (fb,) = poly.vertex_facets(vb) - edge.facets
-    by_facet = poly.coordinates(va, poly.normal(fb))
-    if fa == fb or by_facet.get(fa) != -1:
-        raise DegenerateEdge(
-            f"at the edge {sorted(edge.facets)}, the normal of facet {fb} "
-            f"has coordinate {by_facet.get(fa)} on facet {fa}, not -1")
-    pairings = [0] * poly.num_facets
-    pairings[fa] = 1
-    pairings[fb] = 1
-    for i in edge.facets:
-        pairings[i] = -by_facet[i]
-    return H2Class(tuple(pairings))
-
-
 def edge_classes_through(poly, face):
-    """Classes of the edges meeting a face (including edges inside it)."""
+    """Classes of the edges meeting a face (including edges inside it),
+    each computed once per polytope by `edge_class`."""
     out = []
     for e in poly.faces.values():
         if e.dim != 1:
@@ -161,18 +138,21 @@ def facet_product(qp, coords):
 
 
 def seidel_element(qp, xi):
-    """Seidel element of the circle with direction xi, the product of the
-    facet elements over a decomposition of xi at one vertex; the result is
-    independent of that choice (checked by the oracle suite).
+    """Seidel element of the circle with integer direction xi, the product
+    of the facet elements over a decomposition of xi at one vertex; the
+    result is independent of that choice (checked by the oracle suite).
 
-    Fano mode decomposes at F_max, where the coordinates are minus the
-    weights, all positive: S(xi) is one normal form of x^a q^m t^-K, with no
-    inverse, and exact to the cutoff since reduction only raises
-    t-exponents.  NEF mode multiplies out the decomposition at vertex 0 with
-    `facet_product`, from the cached facet powers."""
+    F_max, its weights, m and K come from `actions.fixed_maximum`, one
+    integer argmax of <xi, .> over the vertices; no other fixed component
+    is built.  Fano mode decomposes at F_max, where the coordinates are
+    minus the weights, all positive: S(xi) is one normal form of
+    x^a q^m t^-K, with no inverse, and exact to the cutoff since reduction
+    only raises t-exponents.  NEF mode multiplies out the decomposition at
+    vertex 0 with `facet_product`, from the cached facet powers.  An entry
+    of xi that is not an int raises NonIntegralCoefficient."""
     poly = qp.polytope
-    xi = tuple(int(x) for x in xi)
-    fmax, _ = extrema(poly, xi)
+    fmax = fixed_maximum(poly, xi)
+    xi = tuple(xi)
     if qp.mode == "fano":
         x_a = poly_monomial({i: -w for i, w in fmax.weights.items()},
                             poly.num_facets)

@@ -14,14 +14,12 @@ from toricqh.actions import (
     FIXED,
     CircleTable,
     _stratum,
-    action_invariant,
-    extrema,
     fixed_components,
+    fixed_maximum,
     global_isotropy_bound,
     isotropy_components,
     isotropy_order,
     q_pair,
-    superlevel_isotropy_bound,
     weights,
 )
 from toricqh.errors import MomentNotConstant, StratumNotClosed, ZeroVector
@@ -59,7 +57,8 @@ def test_fixed_components_blowup_facet_circle(blow):
     assert by_face[(0,)].K == EPS
     assert by_face[(1, 2)].K == EPS - 1
     assert by_face[(1, 3)].K == EPS - F(1, 4)
-    fmax, fmin = extrema(blow, (-1, 0))
+    fmax, fmin = comps[0], comps[-1]
+    assert fixed_maximum(blow, (-1, 0)) == fmax
     assert tuple(sorted(fmax.facets)) == (0,)
     assert tuple(sorted(fmin.facets)) == (1, 2)
 
@@ -108,7 +107,9 @@ def test_weight_zero_on_facets_off_the_face(blow):
 def test_extrema_weight_signs(blow, square, cp2):
     for poly, xi in ((blow, (-2, -1)), (square, (1, 1)), (cp2, (2, 1)),
                      (blow, (3, 1)), (square, (-1, -2))):
-        fmax, fmin = extrema(poly, xi)
+        comps = fixed_components(poly, xi)
+        fmax, fmin = comps[0], comps[-1]
+        assert fixed_maximum(poly, xi) == fmax
         if fmax.face.dim == 0:
             assert all(w < 0 for w in fmax.weights.values())
             assert fmax.m <= 0
@@ -159,21 +160,29 @@ def test_q_pair_cp2(cp2):
 
 def test_q_pair_square_opposite_vertices(square):
     comps = fixed_components(square, (1, 1))
-    vmax, vmin = extrema(square, (1, 1))
+    vmax, vmin = comps[0], comps[-1]
     assert q_pair(square, (1, 1), vmax.face, vmin.face) == 1
 
 
 def test_superlevel_isotropy_bound(blow, square):
-    f13 = blow.face(frozenset({0, 2}))
+    def bound(poly, xi, c):
+        return CircleTable(poly, xi).superlevel_bounds((c,))[c]
+
     c = F(3) * EPS - 1
-    assert superlevel_isotropy_bound(blow, (-2, -1), c) == 2
-    assert superlevel_isotropy_bound(square, (1, 1), F(-10)) == 1
-    assert superlevel_isotropy_bound(square, (1, 2), F(-10)) == 2
+    assert bound(blow, (-2, -1), c) == 2
+    assert bound(square, (1, 1), F(-10)) == 1
+    assert bound(square, (1, 2), F(-10)) == 2
 
 
 def test_global_isotropy_bound(square, cp2):
     assert global_isotropy_bound(square, (1, 1)) == 1
     assert global_isotropy_bound(cp2, (2, 1)) == 2
+
+
+def action_invariant(poly, xi):
+    """The paper's invariant (K, -m), represented at the maximum."""
+    fmax = fixed_maximum(poly, xi)
+    return fmax.K, -fmax.m
 
 
 def test_action_invariant_blowup(blow):
@@ -190,13 +199,13 @@ def test_action_invariant_square_diagonal(square):
 def test_action_invariant_antisymmetry(blow, square):
     # the invariants of xi and -xi are negatives modulo the (omega, c1)
     # lattice of spherical classes
-    from toricqh.linalg import in_rational_lattice
+    from test_exact_kernels import reference_in_rational_lattice
     from toricqh.polytope import h2_lattice
     for poly, xi in ((blow, (-2, -1)), (square, (1, 2))):
         k1, mm1 = action_invariant(poly, xi)
         k2, mm2 = action_invariant(poly, tuple(-x for x in xi))
         rows = [(b.omega(poly), F(b.c1())) for b in h2_lattice(poly)]
-        assert in_rational_lattice(rows, (k1 + k2, mm1 + mm2))
+        assert reference_in_rational_lattice(rows, (k1 + k2, mm1 + mm2))
 
 
 def test_weight_multiset_vertex_independent(blow, hirz):

@@ -1,8 +1,9 @@
 """The shared exact kernels against the code they replaced: gauss_jordan
 against the unit-system elimination of quantum.qinv, solve_rational and
-rank against their dense eliminations, in_rational_lattice against its
-row-Hermite test, and the expression parser against its own arithmetic.
-Each former version is kept here verbatim as the reference."""
+rank against their dense eliminations, and the expression parser against
+its own arithmetic.  Each former version is kept here verbatim as the
+reference.  The former row-Hermite lattice test stays as the lattice
+reference of the action invariant tests."""
 
 import random
 from fractions import Fraction
@@ -461,41 +462,6 @@ def test_qinv_matches_the_former_unit_solver_on_hirzebruch2_nef(
                         reference_solve_unit_system)
     assert got == [_qinv_outcome(a, qp) for a in elements]
     assert all(isinstance(g[0], dict) for g in got)
-
-
-# --------------------------------------------------------- lattice tests
-
-def _rational_vector(rng, dim):
-    return tuple(F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
-                 for _ in range(dim))
-
-
-def test_in_rational_lattice_matches_the_row_hermite_test():
-    rng = random.Random("lattice")
-    answers = []
-    for _ in range(1500):
-        dim = rng.randint(1, 3)
-        rows = [_rational_vector(rng, dim) if rng.random() < 0.9
-                else (F(0),) * dim for _ in range(rng.randint(0, 4))]
-        roll = rng.random()
-        if rows and roll < 0.4:  # an integer combination of the rows
-            coeffs = [rng.randint(-3, 3) for _ in rows]
-            v = tuple(sum(c * row[i] for c, row in zip(coeffs, rows))
-                      for i in range(dim))
-        elif rows and roll < 0.7:  # a rational one, often outside
-            coeffs = [F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-                      for _ in rows]
-            v = tuple(sum(c * row[i] for c, row in zip(coeffs, rows))
-                      for i in range(dim))
-        else:
-            v = _rational_vector(rng, dim)
-        want = reference_in_rational_lattice(rows, v)
-        assert linalg.in_rational_lattice(rows, v) == want, (rows, v)
-        answers.append(want)
-    assert 0.2 < sum(answers) / len(answers) < 0.8
-    for rows in ([], [(), ()]):  # no coordinates: only the empty vector
-        assert linalg.in_rational_lattice(rows, ()) \
-            == reference_in_rational_lattice(rows, ()) is True
 
 
 # ------------------------------------------------------------ the parser

@@ -20,7 +20,7 @@ from test_kept_variables import FANO
 from test_quantum import hirz_y_table
 from test_quantum_nf import snapshot
 from toricqh import examples
-from toricqh.actions import extrema
+from toricqh.actions import fixed_components
 from toricqh.errors import ToricError, WrongDegree
 from toricqh.novikov import NovScalar
 from toricqh.oracle import DEFAULT_SEED, _random_xi, check_vertex_independence
@@ -70,7 +70,7 @@ def reference_seidel_element(qp, xi, inverses):
     """The former NEF branch of `seidel_element`."""
     poly = qp.polytope
     xi = tuple(int(x) for x in xi)
-    fmax, _ = extrema(poly, xi)
+    fmax = fixed_components(poly, xi)[0]
     out = reference_facet_product(qp, poly.coordinates(0, xi), inverses)
     if out.degree() != 0:
         raise WrongDegree(f"the Seidel element of {xi} has degree "

@@ -39,6 +39,7 @@ from toricqh.seidel import (
 )
 
 from test_obstructions import box, simplex
+from test_polytope import solve_unimodular
 from test_quantum import hirz_y_table
 
 F = Fraction
@@ -242,15 +243,13 @@ def test_blowup_seidel_identities(blow):
 
 def test_vertex_independence_manual(blow):
     # decompose at every vertex by hand and compare
-    from toricqh import linalg
     from toricqh.quantum import qinv, qpow
     poly = blow.polytope
     xi = (-2, -1)
     reference = seidel_element(blow, xi).qclass
     for vid in range(len(poly.vertices)):
         idx = sorted(poly.vertex_facets(vid))
-        coeffs = linalg.solve_unimodular(
-            [poly.normal(i) for i in idx], xi)
+        coeffs = solve_unimodular([poly.normal(i) for i in idx], xi)
         out = blow.one()
         for i, a in zip(idx, coeffs):
             base = facet_seidel(blow, i).qclass
