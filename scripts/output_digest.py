@@ -9,6 +9,9 @@ checked against its parent commit:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
+Its output is committed as `scripts/output_digest.expected`, which CI
+diffs it against, so a change to the output shows in that file's diff.
+
 The classes:
   - `seidel` and `analyze` with `--format structured`, and `fixed` (which
     has text output only), on the bundled examples with xi in [-2, 2]^n and

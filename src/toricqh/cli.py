@@ -24,11 +24,10 @@ from .quantum import (
     QClass,
     default_cutoff,
     fano_presentation,
-    kept_qpoly,
+    lift,
     nef_presentation,
     qpoly_atoms,
     qprod,
-    quantum_nf,
 )
 from .seidel import (
     build_dictionary,
@@ -269,11 +268,8 @@ def qclass_from_json(data, qp):
     for item in _expect(data.get("terms"), list, "'terms'"):
         mono, d, kappa, c = _term(item, qp.polytope.num_facets, "a term")
         terms[mono, d, kappa] = terms.get((mono, d, kappa), Fraction(0)) + c
-    truncated = _expect(data.get("truncated", False), bool, "'truncated'")
-    coeffs = _kept_terms(qp, terms)
-    if truncated:
-        coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
-    return quantum_nf(coeffs, qp)
+    return lift(qp, terms, _expect(data.get("truncated", False), bool,
+                                   "'truncated'"))
 
 
 # ------------------------------------------------------------- presentations
@@ -289,16 +285,8 @@ def build_presentation(poly, mode, y_table_path=None, cutoff=None):
     return fano_presentation(poly, cutoff)
 
 
-def _kept_terms(qp, terms):
-    """Kept-variable form of {(full monomial, d, kappa): coefficient}."""
-    return kept_qpoly(qp.ring, [
-        (mono, NovScalar.monomial(c, d, kappa, qp.cutoff))
-        for (mono, d, kappa), c in terms.items()])
-
-
 def lift_expression(qp, text):
-    parsed = parse_expression(text, qp.polytope.num_facets)
-    return quantum_nf(_kept_terms(qp, parsed), qp)
+    return lift(qp, parse_expression(text, qp.polytope.num_facets))
 
 
 # -------------------------------------------------------------- subcommands

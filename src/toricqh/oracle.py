@@ -9,7 +9,7 @@ compared exactly.
 import random
 from fractions import Fraction
 
-from .actions import fixed_components
+from .actions import fixed_maximum
 from .cohomology import betti_morse, generic_vector
 from .errors import NonGenericVector, ToricError
 from .novikov import NovScalar
@@ -201,8 +201,7 @@ def check_leading_terms(qp):
     poly = qp.polytope
     for i in range(poly.num_facets):
         el = facet_seidel(qp, i)
-        comps = fixed_components(poly, poly.normal(i))
-        fmax = comps[0]
+        fmax = fixed_maximum(poly, poly.normal(i))
         if el.qclass.valuation() != -fmax.K:
             violations.append({"facet": i + 1})
             continue

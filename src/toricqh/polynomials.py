@@ -101,11 +101,6 @@ def poly_term_mul(f, mono, coeff):
     return {mono_mul(m, mono): c * coeff for m, c in f.items()}
 
 
-def poly_is_homogeneous(f):
-    degs = {mono_degree(m) for m in f}
-    return len(degs) <= 1
-
-
 def leading_monomial(f):
     return max(f, key=grevlex_key)
 

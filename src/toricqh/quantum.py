@@ -7,13 +7,15 @@ stand for iterated quantum products of the facet classes; they agree with
 the classical classes in degrees 0 and 2 but not above, and the geometric
 translation lives in the seidel module.
 
-`quantum_nf` and `qprod` share one reduction on the t-exponent grid (1/D)Z:
-D is the lcm of the denominators of the cutoff and of every correction
-exponent, refined per call by those of the input, and an exponent k is the
-integer level k*D.  Each monomial the reduction reaches gets a plan: its
-classical normal form, its correction atoms (Δlevel, q-shift, monomial, c),
-kept when they cancel, and the OR of the flags of the corrections used.
-Integral coefficients stay int until the result, whose terms share their
+`quantum_nf`, `qprod` and `lift` share one reduction on the t-exponent grid
+(1/D)Z: D is the lcm of the denominators of the cutoff and of every
+correction exponent, refined per call by those of the input, and an exponent
+k is the integer level k*D.  It reads one or two factors, lists of
+(monomial, [((d, k), c)]); `lift` fills one with the kept images of its
+terms.  Each monomial the reduction reaches gets a plan: its classical
+normal form, its correction atoms (Δlevel, q-shift, monomial, c), kept when
+they cancel, and the OR of the flags of the corrections used.  Integral
+coefficients stay int until the result, whose terms share their
 (d, Fraction(level, D)) keys and the cutoff object itself.  Grid and plans
 live in `qp._cache["grid"]` with the cutoff and correction objects they
 were built from, and are rebuilt when one of those is replaced.
@@ -302,8 +304,15 @@ def _plan(qp, mono, D):
             flagged)
 
 
-def _reduce(qp, *factors):
-    """The normal form of the product of one or two quantum polynomials."""
+def _factor(coeffs):
+    """A quantum polynomial as a factor of `_reduce`."""
+    return [(m, s.terms.items()) for m, s in coeffs.items()]
+
+
+def _reduce(qp, truncated, *factors):
+    """The normal form of one factor or of the product of two, a factor
+    being [(monomial, [((d, kappa), c), ...])]; an atom above the cutoff
+    flags the result, and `truncated` flags it too, a zero one included."""
     entry = qp._cache.get("grid")
     deltas = tuple(qp.corrections.values())
     if entry is None or entry[0] is not qp.cutoff or len(entry[1]) != \
@@ -312,23 +321,21 @@ def _reduce(qp, *factors):
             qp.cutoff.denominator, *(k.denominator for delta in deltas
                                      for s in delta.values()
                                      for _, k in s.terms)), {})
-    D = lcm(entry[2], *{k.denominator for coeffs in factors
-                        for s in coeffs.values() for _, k in s.terms})
+    D = lcm(entry[2], *{k.denominator for factor in factors
+                        for _, terms in factor for (_, k), _ in terms})
     if D not in entry[3]:
         entry[3][D] = (qp.cutoff.numerator * (D // qp.cutoff.denominator),
                        {}, {})
     cut, plans, keys = entry[3][D]
     atoms = [[(m, [(d, k.numerator * (D // k.denominator),
                     c.numerator if c.denominator == 1 else c)
-                   for (d, k), c in s.terms.items()])
-              for m, s in coeffs.items()] for coeffs in factors]
+                   for (d, k), c in terms])
+              for m, terms in factor] for factor in factors]
     if len(atoms) == 2:  # the atom pairs of a*b
         atoms = [[(mono_mul(m1, m2), [(d1 + d2, l1 + l2, c1 * c2)
                                       for d1, l1, c1 in t1
                                       for d2, l2, c2 in t2])
                   for m1, t1 in atoms[0] for m2, t2 in atoms[1]]]
-    # a flagged factor flags the product unless the other one is empty
-    truncated = all(factors) and any(map(qpoly_truncated, factors))
     pending = {}
     for m, terms in atoms[0]:
         for d, level, c in terms:
@@ -387,15 +394,20 @@ def quantum_nf(z, qp):
     at least hbar.  A term pushed above the cutoff is dropped and flags the
     result, even if it would have cancelled.
     """
-    return _reduce(qp, z.coeffs if isinstance(z, QClass) else z)
+    coeffs = z.coeffs if isinstance(z, QClass) else z
+    return _reduce(qp, qpoly_truncated(coeffs), _factor(coeffs))
 
 
-def lift(qp, full_poly, d=0, kappa=0, coeff=1):
-    """Quantum class of a polynomial expression in the full facet variables,
-    times an optional Novikov monomial."""
-    return quantum_nf(kept_qpoly(qp.ring, [
-        (m, NovScalar.monomial(Fraction(coeff) * c, d, kappa, qp.cutoff))
-        for m, c in full_poly.items()]), qp)
+def lift(qp, terms, truncated=False):
+    """Quantum class of {(full monomial, q-exponent, t-exponent): c}, as
+    `exprparse.parse_expression` gives it, each term's memoized kept image
+    read straight into the reduction.  A term above the cutoff flags the
+    result, a zero c adds nothing, and `truncated` flags even a zero."""
+    image = qp.ring.monomial_image
+    return _reduce(qp, truncated, [
+        (m, [((d, kappa), c * c2)])
+        for (mono, d, kappa), c in terms.items() if c
+        for m, c2 in image(mono).items()])
 
 
 def qprod(a, b, qp):
@@ -404,7 +416,9 @@ def qprod(a, b, qp):
     flagged scalar of one factor when the other factor is nonempty."""
     if a.cutoff != b.cutoff and a.coeffs and b.coeffs:
         raise CutoffMismatch(f"cutoffs differ: {a.cutoff} vs {b.cutoff}")
-    return _reduce(qp, a.coeffs, b.coeffs)
+    # a flagged factor flags the product unless the other one is empty
+    truncated = bool(a.coeffs and b.coeffs) and (a.truncated or b.truncated)
+    return _reduce(qp, truncated, _factor(a.coeffs), _factor(b.coeffs))
 
 
 def qpow(a, k, qp):

@@ -52,14 +52,14 @@ class SeidelElement:
 
 def edge_classes_through(poly, face):
     """Classes of the edges meeting a face (including edges inside it),
-    each computed once per polytope by `edge_class`."""
-    out = []
-    for e in poly.faces.values():
-        if e.dim != 1:
-            continue
-        if (e.facets | face.facets) in poly.faces or face.facets <= e.facets:
-            out.append((e, edge_class(poly, e)))
-    return out
+    each computed once per polytope by `edge_class`: the edges at a vertex
+    v are its facet set minus one facet, ordered here by (first vertex,
+    sorted facets)."""
+    keys = {vf - {i} for vf in map(poly.vertex_facets, face.vertex_ids)
+            for i in vf}
+    edges = sorted(map(poly.faces.__getitem__, keys),
+                   key=lambda e: (e.vertex_ids[0], sorted(e.facets)))
+    return [(e, edge_class(poly, e)) for e in edges]
 
 
 # --------------------------------------------------------------- the elements
@@ -156,7 +156,7 @@ def seidel_element(qp, xi):
     if qp.mode == "fano":
         x_a = poly_monomial({i: -w for i, w in fmax.weights.items()},
                             poly.num_facets)
-        out = lift(qp, x_a, d=fmax.m, kappa=-fmax.K)
+        out = lift(qp, {(m, fmax.m, -fmax.K): c for m, c in x_a.items()})
     else:
         out = facet_product(qp, poly.coordinates(0, xi))
     if out.degree() != 0:
@@ -200,7 +200,8 @@ def verify_leading_term(qp, xi, element=None):
     exact_expected = None
     codim = 2 * (poly.n - face.dim)
     if qp.mode == "fano" and face.dim == poly.n - 1:
-        exact_expected = lift(qp, x_face, d=m_max, kappa=-K_max)
+        exact_expected = lift(qp, {(m, m_max, -K_max): c
+                                   for m, c in x_face.items()})
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
     else:
@@ -216,7 +217,7 @@ def verify_leading_term(qp, xi, element=None):
                 report["assumptions"].append("nef asserted by caller")
             if face.dim == poly.n - 1:
                 exact_expected = qscale(
-                    lift(qp, x_face),
+                    lift(qp, {(m, 0, 0): c for m, c in x_face.items()}),
                     NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
             elif face.dim == 0 and poly.n <= 2:
                 dictionary = build_dictionary(qp)

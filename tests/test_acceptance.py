@@ -83,7 +83,7 @@ def fexpr(qp, powers, d=0, kappa=0, coeff=1):
     full = [0] * qp.polytope.num_facets
     for i, e in powers.items():
         full[i] = e
-    return lift(qp, {tuple(full): F(1)}, d=d, kappa=kappa, coeff=coeff)
+    return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
 def hom_entries(qp, qclass):

@@ -121,6 +121,22 @@ def test_product_structured_round_trip(blow_file, capsys):
     assert qclass_to_json(restored, qp.ring) == payload["product"]
 
 
+def test_a_flagged_zero_class_reads_back_flagged():
+    """A term above the cutoff leaves a flagged zero, which serializes with
+    no terms; reading it back keeps the flag."""
+    qp = fano_presentation(examples.cp2())
+    zero = lift_expression(qp, f"x1*t^{{{qp.cutoff + 1}}}")
+    assert zero.is_zero() and zero.truncated
+    payload = json.loads(json.dumps(qclass_to_json(zero, qp.ring)))
+    assert payload["terms"] == [] and payload["truncated"] is True
+    restored = qclass_from_json(payload, qp)
+    assert restored.is_zero() and restored.truncated
+    assert restored.cutoff is qp.cutoff
+    assert qclass_to_json(restored, qp.ring) == payload
+    unflagged = qclass_from_json({**payload, "truncated": False}, qp)
+    assert unflagged.is_zero() and not unflagged.truncated
+
+
 def test_seidel_command(blow_file, capsys):
     assert main(["seidel", blow_file, "--xi=-1,0"]) == 0
     out = capsys.readouterr().out

@@ -49,7 +49,7 @@ def reference_facet_seidel_fano(qp, i):
     support = poly.support(i)
     full = [0] * poly.num_facets
     full[i] = 1
-    qclass = lift(qp, {tuple(full): Fraction(1)}, d=-1, kappa=-support)
+    qclass = lift(qp, {(tuple(full), -1, -support): 1})
     return SeidelElement(qclass=qclass, xi=poly.normal(i), mode=qp.mode,
                          leading_face=frozenset({i}), m_max=-1,
                          K_max=support, semifree=True)

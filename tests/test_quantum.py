@@ -50,14 +50,14 @@ def cp2():
 def fvar(qp, i, d=0, kappa=0, coeff=1):
     full = [0] * qp.polytope.num_facets
     full[i] = 1
-    return lift(qp, {tuple(full): F(1)}, d=d, kappa=kappa, coeff=coeff)
+    return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
 def fmono(qp, powers, d=0, kappa=0, coeff=1):
     full = [0] * qp.polytope.num_facets
     for i, e in powers.items():
         full[i] = e
-    return lift(qp, {tuple(full): F(1)}, d=d, kappa=kappa, coeff=coeff)
+    return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
 def nov_mono(qp, c, d, kappa):

@@ -409,8 +409,8 @@ def test_off_grid_exponents_refine_the_grid():
             want = parent_quantum_nf(kept_qpoly(qp.ring, [(
                 m, NovScalar.monomial(F(3, 2) * c, -1, kappa, qp.cutoff))
                 for m, c in full.items()]), qp)
-            assert typed(lift(qp, full, d=-1, kappa=kappa, coeff=F(3, 2))) \
-                == typed(want)
+            assert typed(lift(qp, {(m, -1, kappa): F(3, 2) * c
+                                   for m, c in full.items()})) == typed(want)
         assert any(D % 7 == 0 for D in qp._cache["grid"][3])
 
 
@@ -507,7 +507,7 @@ def test_results_share_the_presentation_cutoff():
     for name in ("cp2", "hirzebruch2 nef"):
         qp = presented(name)
         full = {(1,) + (0,) * (qp.polytope.num_facets - 1): F(1)}
-        a = lift(qp, full, d=1, kappa=F(-1, 3))
+        a = lift(qp, {(m, 1, F(-1, 3)): c for m, c in full.items()})
         for got in (a, quantum_nf(a, qp), qprod(a, a, qp),
                     qprod(qp.one(), qp.one(), qp)):
             assert got.coeffs and got.cutoff is qp.cutoff

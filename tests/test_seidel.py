@@ -77,7 +77,7 @@ def fexpr(qp, powers, d=0, kappa=0, coeff=1):
     full = [0] * qp.polytope.num_facets
     for i, e in powers.items():
         full[i] = e
-    return lift(qp, {tuple(full): F(1)}, d=d, kappa=kappa, coeff=coeff)
+    return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
 def test_edge_classes_blowup(blow):
@@ -375,7 +375,7 @@ def test_dictionary_incomplete_is_raised_before_the_report_is_built():
     """A caller that keeps the error keeps no partial report: the frame
     that raises it has built no `work` copy of the class."""
     qp = fano_presentation(simplex(3))
-    square = lift(qp, {(2, 0, 0, 0): F(1)})
+    square = lift(qp, {((2, 0, 0, 0), 0, 0): F(1)})
     with pytest.raises(DictionaryIncomplete) as info:
         to_homology_report(build_dictionary(qp), square, qp)
     tb = info.tb

@@ -49,7 +49,7 @@ def reference_seidel_element(qp, xi):
     if qp.mode == "fano":
         x_a = poly_monomial({i: -w for i, w in fmax.weights.items()},
                             poly.num_facets)
-        out = lift(qp, x_a, d=fmax.m, kappa=-fmax.K)
+        out = lift(qp, {(m, fmax.m, -fmax.K): c for m, c in x_a.items()})
     else:
         out = facet_product(qp, poly.coordinates(0, xi))
     if out.degree() != 0:
