@@ -191,18 +191,21 @@ def fixed_maximum(poly, xi):
     """F_max, the first of `fixed_components`, from one integer argmax of
     <xi, .> over the scaled vertices: the face cut out by the facets on
     which xi has a nonzero coordinate at a maximizing vertex.  Its vertices
-    must be exactly the maximizing ones, and `weights` checks them all."""
+    must be exactly the maximizing ones.  xi is checked once; the weight
+    check reuses its coordinates at that vertex and solves the others'."""
     xi = _check_xi(xi)
     scale, points = poly.scaled_vertices()
     values = [linalg.vec_dot(xi, p) for p in points]
     top = max(values)
     vid = values.index(top)
-    face = poly.faces[frozenset(
-        i for i, c in poly.coordinates(vid, xi).items() if c)]
+    coords = {vid: poly.coordinates(vid, xi)}
+    face = poly.faces[frozenset(i for i, c in coords[vid].items() if c)]
     if face.vertex_ids != tuple(v for v, k in enumerate(values) if k == top):
         raise MomentNotConstant(
             f"the maximum of <xi, .> is not the face {sorted(face.facets)}")
-    return _component(face, Fraction(top, scale), weights(poly, xi, face))
+    coords.update((v, poly.coordinates(v, xi))
+                  for v in face.vertex_ids if v != vid)
+    return _component(face, Fraction(top, scale), _weights(coords, face))
 
 
 # ------------------------------------------------------------------ isotropy

@@ -157,7 +157,9 @@ class ClassicalRing:
     def nf(self, kept_poly):
         return self.basis.normal_form(kept_poly)
 
-    def _monomial_nf(self, mono):
+    def monomial_nf(self, mono):
+        """Normal form of a full monomial's image, computed once per ring;
+        the memoized dict itself, to be read, never mutated."""
         nf = self._reduced.get(mono)
         if nf is None:
             nf = self._reduced[mono] = self.nf(self.monomial_image(mono))
@@ -166,7 +168,7 @@ class ClassicalRing:
     def reduce_full(self, full_poly):
         """Normal form of a full-variable polynomial, as a new dict summed
         from the memoized normal forms of its monomials' images."""
-        return _combine(full_poly, self._monomial_nf)
+        return _combine(full_poly, self.monomial_nf)
 
     # -- integration and pairing ---------------------------------------------------
 

@@ -143,6 +143,10 @@ class LeadingFaceMismatch(ToricError):
     pass
 
 
+class ElementMismatch(ToricError):
+    pass
+
+
 # ---------------------------------------------------------------------- cli
 
 class ExprSyntaxError(ToricError):

@@ -16,7 +16,6 @@ from .errors import MomentDataMismatch, NotMeanNormalized
 from .linalg import vec_dot
 from .polynomials import poly_monomial
 from .polytope import centroid, normalize
-from .quantum import qsub
 from .seidel import seidel_element, verify_leading_term
 
 
@@ -282,7 +281,7 @@ def _rule_p6(circle):
 
 def _rule_sd(qp, xi):
     element = seidel_element(qp, xi)
-    nontrivial = not qsub(element.qclass, qp.one()).is_zero()
+    nontrivial = element.qclass != qp.one()
     ok, lead_report = verify_leading_term(qp, xi, element=element)
     assumptions = ["fano asserted by caller"] if qp.mode == "fano" else \
         ["nef asserted by caller", "Y table supplied by caller"]

@@ -54,10 +54,12 @@ class DelzantPolytope:
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
     # data derived on first use: vertex id -> dual basis, edge key -> edge
-    # class, the integer vertices and the centroid
+    # class, face key -> (edge, class) pairs of the edges meeting the face,
+    # the integer vertices and the centroid
     _duals: dict = field(default_factory=dict, repr=False, compare=False)
     _edge_classes: dict = field(default_factory=dict, repr=False,
                                 compare=False)
+    _face_edges: dict = field(default_factory=dict, repr=False, compare=False)
     _scaled: tuple = field(default=None, repr=False, compare=False)
     _centroid: tuple = field(default=None, repr=False, compare=False)
 

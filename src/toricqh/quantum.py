@@ -437,8 +437,8 @@ def qadd(a, b):
 
 
 def qsub(a, b):
-    minus_one = NovScalar.monomial(-1, 0, 0, b.cutoff)
-    return qadd(a, qscale(b, minus_one))
+    return qadd(a, QClass({m: -s for m, s in b.coeffs.items()
+                           if s or s.truncated}, b.cutoff))
 
 
 # ---------------------------------------------------------------- inversion

@@ -11,13 +11,15 @@ are cached on the presentation.  An inverse or a power chain records the
 element it was built from and is rebuilt when that element is replaced.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import is_
 
-from .actions import fixed_maximum
+from .actions import _check_xi, fixed_maximum
 from .errors import (
     DegenerateRing,
     DictionaryIncomplete,
+    ElementMismatch,
     LeadingFaceMismatch,
     MissingYEntry,
     NoEligibleVertex,
@@ -33,7 +35,6 @@ from .quantum import (
     qinv,
     qprod,
     qscale,
-    qsub,
     quantum_nf,
     qpoly_scale,
 )
@@ -54,12 +55,17 @@ def edge_classes_through(poly, face):
     """Classes of the edges meeting a face (including edges inside it),
     each computed once per polytope by `edge_class`: the edges at a vertex
     v are its facet set minus one facet, ordered here by (first vertex,
-    sorted facets)."""
-    keys = {vf - {i} for vf in map(poly.vertex_facets, face.vertex_ids)
-            for i in vf}
-    edges = sorted(map(poly.faces.__getitem__, keys),
-                   key=lambda e: (e.vertex_ids[0], sorted(e.facets)))
-    return [(e, edge_class(poly, e)) for e in edges]
+    sorted facets).  The pairs are kept per face on the polytope
+    (`_face_edges`), and each call returns them in a new list."""
+    pairs = poly._face_edges.get(face.facets)
+    if pairs is None:
+        keys = {vf - {i} for vf in map(poly.vertex_facets, face.vertex_ids)
+                for i in vf}
+        edges = sorted(map(poly.faces.__getitem__, keys),
+                       key=lambda e: (e.vertex_ids[0], sorted(e.facets)))
+        pairs = poly._face_edges[face.facets] = tuple(
+            (e, edge_class(poly, e)) for e in edges)
+    return list(pairs)
 
 
 # --------------------------------------------------------------- the elements
@@ -172,24 +178,23 @@ def seidel_element(qp, xi):
 def verify_leading_term(qp, xi, element=None):
     """Check the minimal-valuation part of the Seidel element against the
     maximal fixed component, read off the element, and assert exactness
-    where a sufficient criterion applies.  Returns (ok, report dict)."""
+    where a sufficient criterion applies.  Returns (ok, report dict).  An
+    element passed in must be that of xi in the mode of qp, or
+    ElementMismatch is raised."""
     poly = qp.polytope
+    xi = _check_xi(xi)
     if element is None:
         element = seidel_element(qp, xi)
+    elif element.xi != xi or element.mode != qp.mode:
+        raise ElementMismatch(f"the element of {element.xi} in {element.mode}"
+                              f" mode, passed for {xi} in {qp.mode} mode")
     face = poly.faces[element.leading_face]
     m_max, K_max = element.m_max, element.K_max
-    report = {
-        "f_max": sorted(face.facets),
-        "m_max": m_max,
-        "K_max": K_max,
-        "assumptions": [],
-        "exactness": None,
-        "exact_ok": None,
-    }
-    x_face = poly_monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
-    expected_lead = qp.ring.reduce_full(x_face)
-    got_val = element.qclass.valuation()
-    lead_ok = got_val == -K_max
+    report = {"f_max": sorted(face.facets), "m_max": m_max, "K_max": K_max,
+              "assumptions": [], "exactness": None, "exact_ok": None}
+    (x_face,) = poly_monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
+    expected_lead = qp.ring.monomial_nf(x_face)
+    lead_ok = element.qclass.valuation() == -K_max
     if lead_ok:
         slice_got = element.qclass.slice_at(-K_max)
         slice_want = {(m, m_max): c for m, c in expected_lead.items()}
@@ -200,8 +205,7 @@ def verify_leading_term(qp, xi, element=None):
     exact_expected = None
     codim = 2 * (poly.n - face.dim)
     if qp.mode == "fano" and face.dim == poly.n - 1:
-        exact_expected = lift(qp, {(m, m_max, -K_max): c
-                                   for m, c in x_face.items()})
+        exact_expected = lift(qp, {(x_face, m_max, -K_max): 1})
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
     else:
@@ -211,13 +215,10 @@ def verify_leading_term(qp, xi, element=None):
                                   "2c1 >= codim"
             report["assumptions"].append(
                 "sphere classes checked on toric edge classes only")
-            if qp.mode == "fano":
-                report["assumptions"].append("fano asserted by caller")
-            else:
-                report["assumptions"].append("nef asserted by caller")
+            report["assumptions"].append(f"{qp.mode} asserted by caller")
             if face.dim == poly.n - 1:
                 exact_expected = qscale(
-                    lift(qp, {(m, 0, 0): c for m, c in x_face.items()}),
+                    lift(qp, {(x_face, 0, 0): 1}),
                     NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
             elif face.dim == 0 and poly.n <= 2:
                 dictionary = build_dictionary(qp)
@@ -229,7 +230,7 @@ def verify_leading_term(qp, xi, element=None):
                     "no geometric lift available for a middle-dimensional "
                     "maximum; exactness not checked")
     if exact_expected is not None:
-        report["exact_ok"] = qsub(element.qclass, exact_expected).is_zero()
+        report["exact_ok"] = element.qclass == exact_expected
     ok = bool(report["leading_ok"]) and report["exact_ok"] is not False
     return ok, report
 
@@ -244,9 +245,32 @@ class GeometricDictionary:
     point_lift: QClass = None
     point_vertex: tuple = None  # facet set of the eligible vertex
     point_xi: tuple = None
+    _decode: tuple = field(default=None, repr=False, compare=False)
 
     def has_point(self):
         return self.point_lift is not None
+
+
+def _decode_entry(dictionary, ring):
+    """The decode entry: the standard monomial of degree two (the top one
+    in dimension two; None unless unique), the inverse of the point lift's
+    coefficient there, and (facet, image, probe, 1 / coefficient) per
+    nonempty facet image.  It records the point lift, the facet images and
+    the standard monomials it was derived from, and is rebuilt when one of
+    them is replaced."""
+    monos = ring.standard_monomials
+    sources = (dictionary.point_lift, dictionary.facet_images, monos)
+    entry = dictionary._decode
+    if entry is None or not all(map(is_, entry[0], sources)):
+        top = [m for m in monos if mono_degree(m) == 2]
+        m_top = top[0] if len(top) == 1 else None
+        inverse = dictionary.point_lift.coeffs[m_top].invert() \
+            if dictionary.has_point() and m_top is not None else None
+        probes = tuple((i, image, probe, Fraction(1) / c)
+                       for i, image in enumerate(dictionary.facet_images)
+                       if image for probe, c in [next(iter(image.items()))])
+        entry = dictionary._decode = (sources, m_top, inverse, probes)
+    return entry
 
 
 def _facet_label(poly, i):
@@ -298,6 +322,7 @@ def build_dictionary(qp):
             raise NoEligibleVertex(
                 "no vertex is a semifree maximum with all edge classes of "
                 "first Chern number at least 2")
+    _decode_entry(dictionary, ring)
     qp._cache["dictionary"] = dictionary
     return dictionary
 
@@ -315,16 +340,17 @@ class HomologyReport:
 
 def to_homology_report(dictionary, qclass, qp):
     """Rewrite a quantum class over {unit, facet classes, point lift} and
-    flip the Novikov exponents to the homology orientation."""
+    flip the Novikov exponents to the homology orientation.  What does not
+    depend on the class is read off the decode entry; no zero is made."""
     n = dictionary.n
     if n > 2 and any(mono_degree(m) > 1 and not s.is_zero()
                      for m, s in qclass.coeffs.items()):
         raise DictionaryIncomplete(
             "degree-4 and higher classes have no geometric names beyond "
             "dimension two")
+    _, m_top, inverse, probes = _decode_entry(dictionary, qp.ring)
     work = {m: s for m, s in qclass.coeffs.items() if not s.is_zero()}
     entries = []
-    raw = []
 
     def flip(name, scalar):
         for (d, kappa), c in scalar.sorted_terms():
@@ -333,18 +359,14 @@ def to_homology_report(dictionary, qclass, qp):
     # point part (top degree): only decodable with a point lift
     if n == 2 and dictionary.has_point() and any(
             mono_degree(m) > 1 for m in work):
-        top = [m for m in qp.ring.standard_monomials if mono_degree(m) == n]
-        if len(top) != 1:
+        if m_top is None:
             raise DegenerateRing("top cohomology is not one dimensional")
-        m_top = top[0]
-        d_top = dictionary.point_lift.coeffs[m_top]
         gamma = work.get(m_top)
         if gamma is not None:
-            gamma = gamma * d_top.invert()
+            gamma = gamma * inverse
             flip("p", gamma)
             for m, s in dictionary.point_lift.coeffs.items():
-                cur = work.get(m, NovScalar.zero(qp.cutoff))
-                res = cur - gamma * s
+                res = work[m] - gamma * s if m in work else -(gamma * s)
                 if res.is_zero():
                     work.pop(m, None)
                 else:
@@ -352,39 +374,26 @@ def to_homology_report(dictionary, qclass, qp):
     # degree two: prefer a single facet class, else the kept facet classes
     deg2 = {m: s for m, s in work.items() if mono_degree(m) == 1}
     if deg2:
-        matched = False
-        for i in range(len(dictionary.labels)):
-            image = dictionary.facet_images[i]
-            if not image:
-                continue
-            probe = next(iter(image))
+        for i, image, probe, ratio in probes:
             if probe not in deg2:
                 continue
-            gamma = deg2[probe].scale(Fraction(1) / image[probe])
-            candidate = {m: gamma.scale(c) for m, c in image.items()}
-            if all(deg2.get(m, NovScalar.zero(qp.cutoff)) == candidate.get(
-                    m, NovScalar.zero(qp.cutoff))
-                   for m in set(deg2) | set(candidate)):
+            gamma = deg2[probe].scale(ratio)  # neither side holds a zero
+            if deg2.keys() == image.keys() and all(
+                    deg2[m] == gamma.scale(c) for m, c in image.items()):
                 flip(dictionary.labels[i], gamma)
                 for m in image:
                     work.pop(m, None)
-                matched = True
                 break
-        if not matched:
+        else:
             for m, s in sorted(deg2.items()):
-                pos = m.index(1)
-                facet = qp.ring.kept[pos]
-                flip(dictionary.labels[facet], s)
+                flip(dictionary.labels[qp.ring.kept[m.index(1)]], s)
                 work.pop(m, None)
     # unit part
     unit = (0,) * qp.ring.width
     if unit in work:
         flip("1", work.pop(unit))
-    for m, s in sorted(work.items()):
-        if s.is_zero():
-            continue
-        for (d, kappa), c in s.sorted_terms():
-            raw.append((m, d, kappa, c))
+    raw = [(m, d, kappa, c) for m, s in sorted(work.items())
+           for (d, kappa), c in s.sorted_terms()]
     entries.sort(key=lambda e: (-e[3], -e[2], e[0]))
     return HomologyReport(entries=tuple(entries), raw=tuple(raw),
                           truncated=qclass.truncated, cutoff=qclass.cutoff)
