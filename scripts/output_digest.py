@@ -45,6 +45,9 @@ The classes:
     arguments, `-h`, an unknown command, `--help seidel`, each command with
     `-h` and with no arguments, malformed `--xi`, `--trials` and `--cutoff`
     values, an unrecognized flag, and an `example --mu` out of range;
+    and, for each command around valid arguments, an unrecognized flag, an
+    extra positional, an abbreviated long option (`verify cp2 --tri 1`),
+    `--xi` given twice and options before the positionals;
   - the stdout of scripts/run_paper_tables.py.
 
 The polytopes and the hirzebruch2 Y-table come from perfbench/corpus.py,
@@ -86,6 +89,19 @@ EXPRESSION_PAIRS = (
 )
 COMMANDS = ("validate", "cohomology", "quantum", "product", "seidel", "fixed",
             "analyze", "verify", "example")
+# command -> (valid positionals, valid options, one long option abbreviated)
+USAGE_ARGS = {
+    "validate": (["cp2"], [], ["--he"]),
+    "cohomology": (["cp2"], [], ["--he"]),
+    "quantum": (["cp2"], ["--cutoff", "2"], ["--cut", "2"]),
+    "product": (["cp2", "x1", "x2"], ["--format", "structured"],
+                ["--form", "structured"]),
+    "seidel": (["cp2"], ["--xi=1,0"], ["--x", "1,0"]),
+    "fixed": (["cp2"], ["--xi=1,0"], ["--x=1,0"]),
+    "analyze": (["cp2"], ["--xi=1,0", "--no-quantum"], ["--xi=1,0", "--no"]),
+    "verify": (["cp2"], ["--trials", "1"], ["--tri", "1"]),
+    "example": (["blowup_cp2"], ["--mu", "1/2"], ["--m", "1/2"]),
+}
 
 
 def box(n, r):
@@ -118,6 +134,21 @@ def facet_pairs(poly):
     return [[f"x{i + 1}", f"x{j + 1}"]
             for i in range(poly.num_facets)
             for j in range(i, poly.num_facets)]
+
+
+def parse_paths(command):
+    """Argv that take the parser off its plain path, around valid
+    arguments of `command`: an unrecognized flag, an extra positional, an
+    abbreviated long option, --xi given twice, and options before the
+    positionals."""
+    positionals, options, abbreviated = USAGE_ARGS[command]
+    twice = [o for o in options if not o.startswith("--xi")] \
+        + ["--xi=1,0", "--xi=0,1"]
+    return [[command, *positionals, *options, "--bogus"],
+            [command, *positionals, *options, "extra"],
+            [command, *positionals, *abbreviated],
+            [command, *positionals, *twice],
+            [command, *(options or abbreviated), *positionals]]
 
 
 def command_classes(polys):
@@ -181,7 +212,8 @@ def command_classes(polys):
            ["verify", "cp2", "--trials", "0"],
            ["seidel", "cp2", "--xi=1,0", "--cutoff", "abc"],
            ["seidel", "cp2", "--xi=1,0", "--bogus"],
-           ["example", "blowup_cp2", "--mu", "2"]],
+           ["example", "blowup_cp2", "--mu", "2"]]
+        + [argv for command in COMMANDS for argv in parse_paths(command)],
     }
 
 

@@ -169,18 +169,6 @@ class CircleTable:
                 for c in levels}
 
 
-def weights(poly, xi, face):
-    """Weight data of the circle xi along a fixed face.
-
-    Reads xi's coordinates at every vertex of the face and checks the
-    answers agree; nonzero weights sit exactly on the facets containing the
-    face.
-    """
-    xi = _check_xi(xi)
-    return _weights({vid: poly.coordinates(vid, xi)
-                     for vid in face.vertex_ids}, face)
-
-
 def fixed_components(poly, xi):
     """Maximal faces on which <xi, .> is constant, with weight data, sorted
     by decreasing moment value."""

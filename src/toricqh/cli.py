@@ -346,7 +346,7 @@ def cmd_quantum(args):
         correction = QClass(qp.corrections[p.key], qp.cutoff)
         print(f"  {lhs} = {qclass_text(correction, qp.ring)}"
               f"   [c1 {p.beta.c1()}, energy "
-              f"{frac_str(p.beta.omega(poly))}]")
+              f"{frac_str(p.energy)}]")
     return 0
 
 
@@ -580,31 +580,48 @@ COMMANDS = {
 }
 
 
-def build_arg_parser(command=None):
-    """The toricqh parser with every entry of COMMANDS, or with the entry
-    `command` alone.  A single entry keeps the full command list in the
-    usage line, which argparse prints for an unrecognized argument."""
+def _command_arguments(parser, name):
+    """Give `parser` the arguments and defaults of COMMANDS[name]."""
+    _, handler, specs = COMMANDS[name]
+    for flags, kwargs in specs:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(command=name, func=handler, usage_error=parser.error)
+    return parser
+
+
+def build_arg_parser():
+    """The toricqh parser with a sub-parser for every entry of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="toricqh",
         description="Exact quantum cohomology of toric manifolds from "
                     "moment polytopes")
-    # the metavar would rename `command` in the full tree's errors
-    metavar = {"metavar": "{%s}" % ",".join(COMMANDS)} if command else {}
-    subs = parser.add_subparsers(dest="command", required=True, **metavar)
-    for name in [command] if command else COMMANDS:
-        help_text, handler, specs = COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
-        for flags, kwargs in specs:
-            sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(func=handler, usage_error=sub.error)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_arguments(subs.add_parser(name, help=help_text), name)
     return parser
 
 
+def command_parser(name):
+    """The parser of COMMANDS[name] alone.  It has the prog of the full
+    tree's sub-parser for `name`, so it parses and prints as that does."""
+    return _command_arguments(
+        argparse.ArgumentParser(prog=f"toricqh {name}"), name)
+
+
+def parse_command_line(argv):
+    """The arguments as the full tree's parse_args gives them.  A named
+    command is parsed by command_parser alone; the full tree parses only
+    when no command is named (help, an unknown command or a leading
+    option) or when arguments are left over, for its usage line."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_arg_parser().parse_args(argv)
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    # help, a missing or unknown command, or a leading option: full tree
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_arg_parser(command).parse_args(argv)
+    args = parse_command_line(sys.argv[1:] if argv is None else argv)
     try:
         if getattr(args, "y_table", None) is not None and args.mode != "nef":
             raise FileFormatError("--y-table FILE needs --mode nef")

@@ -15,29 +15,21 @@ from .errors import DegenerateRing, NonGenericVector, Unbounded, WrongDegree
 from .polynomials import (
     TracedBasis,
     mono_degree,
-    poly_add,
     poly_monomial,
     poly_mul,
-    poly_scale,
     poly_substitute,
-    poly_var,
 )
 from .polytope import primitive_sets
 
 
 def classical_generators(poly, prims=None):
-    """Linear generators of P(Delta) (one per standard basis functional) and
-    the Stanley-Reisner monomial generators (one per primitive set, from
-    `prims` when given), in the full N facet variables."""
+    """Linear generators of P(Delta) (one per standard basis functional, with
+    int coefficients) and the Stanley-Reisner monomial generators (one per
+    primitive set, from `prims` when given), in the full N facet variables."""
     N = poly.num_facets
-    linear = []
-    for j in range(poly.n):
-        gen = {}
-        for i in range(N):
-            c = poly.normal(i)[j]
-            if c:
-                gen[tuple(1 if k == i else 0 for k in range(N))] = Fraction(c)
-        linear.append(gen)
+    units = [tuple(1 if k == i else 0 for k in range(N)) for i in range(N)]
+    linear = [{units[i]: poly.normal(i)[j] for i in range(N)
+               if poly.normal(i)[j]} for j in range(poly.n)]
     monomials = {p.key: poly_monomial(dict.fromkeys(p.indices, 1), N)
                  for p in (primitive_sets(poly) if prims is None else prims)}
     return linear, monomials
@@ -49,20 +41,20 @@ def _eliminate(poly):
     Pivot preference per row: the first variable with coefficient -1, then
     the first with +1, then the first nonzero.  Returns (kept indices,
     images) where images maps every full variable index to its expression in
-    the kept variables.
+    the kept variables.  The rows are the integer normal coordinates; a +-1
+    pivot keeps them integral, and only a pivot c with |c| > 1 divides into
+    Fractions.  An integral image coefficient is an int.
     """
     N, n = poly.num_facets, poly.n
-    rows = [[Fraction(poly.normal(i)[j]) for i in range(N)]
-            for j in range(n)]
     elim = {}  # var index -> full-width row (its expression, pivot zeroed)
     order = []
-    for row in rows:
-        r = list(row)
+    for j in range(n):
+        r = [poly.normal(i)[j] for i in range(N)]
         for e, expr in elim.items():
-            if r[e]:
-                c = r[e]
+            c = r[e]
+            if c:
                 r = [a + c * b for a, b in zip(r, expr)]
-                r[e] = Fraction(0)
+                r[e] = 0
         pivot = next((i for i, c in enumerate(r) if c == -1 and i not in elim),
                      None)
         if pivot is None:
@@ -75,8 +67,10 @@ def _eliminate(poly):
             raise Unbounded("linear relations are not independent: the "
                             "facet normals do not span")
         c = r[pivot]
-        expr = [-a / c for a in r]
-        expr[pivot] = Fraction(0)
+        # -a / c is -a * c for c = +-1
+        expr = [-c * a for a in r] if c in (1, -1) else \
+            [Fraction(-a, c) for a in r]
+        expr[pivot] = 0
         elim[pivot] = expr
         order.append(pivot)
     # back-substitution: later rules may appear inside earlier expressions
@@ -85,23 +79,22 @@ def _eliminate(poly):
             if e2 == e:
                 continue
             expr = elim[e2]
-            if expr[e]:
-                c = expr[e]
+            c = expr[e]
+            if c:
                 elim[e2] = [a + c * b for a, b in zip(expr, elim[e])]
-                elim[e2][e] = Fraction(0)
+                elim[e2][e] = 0
     kept = tuple(i for i in range(N) if i not in elim)
     width = len(kept)
-    pos = {i: k for k, i in enumerate(kept)}
+    units = {i: tuple(1 if k == pos else 0 for k in range(width))
+             for pos, i in enumerate(kept)}
     images = {}
     for i in range(N):
         if i in elim:
-            img = {}
-            for k, c in enumerate(elim[i]):
-                if c:
-                    img = poly_add(img, poly_scale(poly_var(pos[k], width), c))
-            images[i] = img
+            images[i] = {units[k]: c.numerator if type(c) is Fraction
+                         and c.denominator == 1 else c
+                         for k, c in enumerate(elim[i]) if c}
         else:
-            images[i] = poly_var(pos[i], width)
+            images[i] = {units[i]: 1}
     return kept, images
 
 
@@ -134,7 +127,7 @@ class ClassicalRing:
         image = self._kept.get(mono)
         if image is None:
             image = self._kept[mono] = poly_substitute(
-                {mono: Fraction(1)}, self.images, self.width)
+                {mono: 1}, self.images, self.width)
         return image
 
     def substitute(self, full_poly):

@@ -107,8 +107,9 @@ def leading_monomial(f):
 
 def poly_substitute(f, images, width):
     """Substitute variable i by the polynomial images[i], producing a
-    polynomial of the given variable width.  Exponents are small here;
-    repeated multiplication is fine."""
+    polynomial of the given variable width.  It multiplies once per unit
+    of exponent, so its cost grows with the exponents themselves: the Fano
+    Seidel element of a circle with large entries lifts x^a with large a."""
     out = {}
     for m, c in f.items():
         term = poly_const(1, width)

@@ -276,8 +276,8 @@ class H2Class:
     pairings: tuple  # integer pairing with each facet class
 
     def omega(self, poly):
-        return sum(Fraction(a) * poly.support(i)
-                   for i, a in enumerate(self.pairings))
+        return sum(a * poly.support(i) for i, a in enumerate(self.pairings)
+                   if a)
 
     def c1(self):
         return sum(self.pairings)
@@ -323,6 +323,7 @@ class PrimitiveSet:
     j_indices: tuple  # sorted facet indices J (disjoint from I)
     coeffs: tuple  # positive integers c_j, aligned with j_indices
     beta: H2Class
+    energy: Fraction  # beta.omega(polytope), positive
 
     @property
     def key(self):
@@ -330,18 +331,19 @@ class PrimitiveSet:
 
 
 def beta_class(poly, indices, j_indices, coeffs):
-    """The spherical class of the relation sum_I eta = sum_J c_j eta."""
+    """The spherical class of the relation sum_I eta = sum_J c_j eta, and
+    its energy."""
     pairings = [0] * poly.num_facets
     for i in indices:
         pairings[i] = 1
     for j, c in zip(j_indices, coeffs):
         pairings[j] = -c
     beta = H2Class(tuple(pairings))
-    if beta.omega(poly) <= 0:
+    energy = beta.omega(poly)
+    if energy <= 0:
         raise NonPositiveEnergy(
-            f"relation class of I={list(indices)} has energy "
-            f"{beta.omega(poly)} <= 0")
-    return beta
+            f"relation class of I={list(indices)} has energy {energy} <= 0")
+    return beta, energy
 
 
 def primitive_sets(poly):
@@ -374,10 +376,11 @@ def primitive_sets(poly):
                 if fs & frozenset(j_sorted):
                     raise NonIntegralCoefficient(
                         f"I={sub} meets its complement set {j_sorted}")
-                beta = beta_class(poly, sub, j_sorted, coeffs)
+                beta, energy = beta_class(poly, sub, j_sorted, coeffs)
                 results.append(PrimitiveSet(indices=tuple(sub),
                                             j_indices=j_sorted,
-                                            coeffs=coeffs, beta=beta))
+                                            coeffs=coeffs, beta=beta,
+                                            energy=energy))
     results.sort(key=lambda p: (len(p.indices), p.indices))
     return results
 

@@ -175,7 +175,7 @@ def default_cutoff(poly, prims=None):
     """Four times the largest relation energy, over `prims` when given."""
     if prims is None:
         prims = primitive_sets(poly)
-    return 4 * max(p.beta.omega(poly) for p in prims)
+    return 4 * max(p.energy for p in prims)
 
 
 def fano_presentation(poly, cutoff=None):
@@ -190,10 +190,9 @@ def fano_presentation(poly, cutoff=None):
     for p in ring.prims:
         kept = ring.substitute(poly_monomial(
             dict(zip(p.j_indices, p.coeffs)), poly.num_facets))
-        omega = p.beta.omega(poly)
         corrections[p.key] = qpoly_from_poly(kept, cutoff,
-                                             d=p.beta.c1(), kappa=omega)
-        energies.append(omega)
+                                             d=p.beta.c1(), kappa=p.energy)
+        energies.append(p.energy)
     return QuantumPresentation(ring=ring, prims=ring.prims,
                                corrections=corrections,
                                hbar=min(energies), cutoff=cutoff, mode="fano")
@@ -250,8 +249,7 @@ def nef_presentation(poly, y_table, cutoff=None):
         for j, c in zip(p.j_indices, p.coeffs):
             for _ in range(c):
                 prod_j = qpoly_mul(prod_j, y_classes[j])
-        omega = p.beta.omega(poly)
-        energy = NovScalar.monomial(1, p.beta.c1(), omega, cutoff)
+        energy = NovScalar.monomial(1, p.beta.c1(), p.energy, cutoff)
         q_gen = qpoly_add(prod_i, qpoly_scale(prod_j, -energy))
         delta = qpoly_add(lead, qpoly_scale(q_gen, NovScalar.monomial(
             -1, 0, 0, cutoff)))

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from toricqh import examples
-from toricqh.actions import fixed_components, isotropy_order, weights
+from test_actions import weights
+from toricqh.actions import fixed_components, isotropy_order
 from toricqh.novikov import NovScalar
 from toricqh.obstructions import analyze, chain_bound
 from toricqh.oracle import verify_all
@@ -287,6 +288,8 @@ def test_criterion_8_isotropy(blow, square):
         vmax = comps[0]
         assert tuple(sorted(vmax.facets)) == (0, 2)
         assert sorted(vmax.weights.values()) == [-3, -1]
+        for comp in comps:
+            assert comp.weights == weights(hirz_poly, (1, 2), comp.face)
 
         sq = square.polytope
         for key, face in sq.faces.items():

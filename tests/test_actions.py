@@ -13,14 +13,15 @@ from toricqh import examples
 from toricqh.actions import (
     FIXED,
     CircleTable,
+    _check_xi,
     _stratum,
+    _weights,
     fixed_components,
     fixed_maximum,
     global_isotropy_bound,
     isotropy_components,
     isotropy_order,
     q_pair,
-    weights,
 )
 from toricqh.errors import MomentNotConstant, StratumNotClosed, ZeroVector
 from toricqh.linalg import in_span
@@ -28,6 +29,21 @@ from toricqh.polytope import validate_delzant
 
 F = Fraction
 EPS = F(7, 20)  # blowup at mu = 1/2
+
+
+def weights(poly, xi, face):
+    """The former `actions.weights`, kept as the reference that the circle
+    table's components and `fixed_maximum` are held to.
+
+    Weight data of the circle xi along a fixed face.
+
+    Reads xi's coordinates at every vertex of the face and checks the
+    answers agree; nonzero weights sit exactly on the facets containing the
+    face.
+    """
+    xi = _check_xi(xi)
+    return _weights({vid: poly.coordinates(vid, xi)
+                     for vid in face.vertex_ids}, face)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +228,15 @@ def test_weight_multiset_vertex_independent(blow, hirz):
     for poly, xi in ((blow, (-1, 0)), (hirz, (0, 1)), (hirz, (1, 0))):
         for comp in fixed_components(poly, xi):
             weights(poly, xi, comp.face)  # raises on inconsistency
+
+
+def test_component_weights_equal_the_reference_weights():
+    for poly, xi in _reference_corpus():
+        comps = CircleTable(poly, xi).components
+        for comp in comps:
+            assert comp.weights == weights(poly, xi, comp.face), (poly.name,
+                                                                  xi)
+        assert fixed_maximum(poly, xi).weights == comps[0].weights
 
 
 def _reference_corpus():

@@ -12,7 +12,9 @@ from toricqh import examples
 from toricqh.cli import (
     COMMANDS,
     build_arg_parser,
+    command_parser,
     main,
+    parse_command_line,
     polytope_from_json,
     polytope_to_json,
     qclass_from_json,
@@ -543,11 +545,12 @@ def _subparsers(parser):
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_a_command_parser_holds_that_command_alone(command, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    alone = _subparsers(build_arg_parser(command))
-    assert list(alone) == [command]
+    alone = command_parser(command)
+    assert not any(isinstance(a, argparse._SubParsersAction)
+                   for a in alone._actions)
     full = _subparsers(build_arg_parser())[command]
-    assert alone[command].format_help() == full.format_help()
-    assert alone[command].format_usage() == full.format_usage()
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
 
 
 def _count_subparsers(monkeypatch):
@@ -561,11 +564,32 @@ def _count_subparsers(monkeypatch):
     return built
 
 
+def _count_parsers(monkeypatch):
+    """The prog of every ArgumentParser built, sub-parsers included."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
 def test_main_builds_only_the_invoked_command(blow_file, monkeypatch):
-    built = _count_subparsers(monkeypatch)
+    built = _count_parsers(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["fixed", blow_file, "--xi=1,0"]) == 0
-    assert built == ["fixed"]
+    assert built == ["toricqh fixed"]
+
+
+def test_arguments_left_over_build_the_full_tree(blow_file, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    with contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit):
+        main(["fixed", blow_file, "--xi=1,0", "extra"])
+    assert built == ["toricqh fixed", "toricqh"] \
+        + [f"toricqh {name}" for name in COMMANDS]
 
 
 @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--help", "seidel"]])
@@ -608,6 +632,104 @@ def test_a_command_parser_prints_what_the_full_tree_prints(
     monkeypatch.setenv("COLUMNS", "80")
     full = _exit_and_streams(build_arg_parser().parse_args, argv, capsys)
     assert _exit_and_streams(main, argv, capsys) == full
+
+
+# ------------------------------------ the former parse, as a reference
+
+def reference_build_arg_parser(command=None):
+    """The former `build_arg_parser`, verbatim."""
+    parser = argparse.ArgumentParser(
+        prog="toricqh",
+        description="Exact quantum cohomology of toric manifolds from "
+                    "moment polytopes")
+    # the metavar would rename `command` in the full tree's errors
+    metavar = {"metavar": "{%s}" % ",".join(COMMANDS)} if command else {}
+    subs = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in [command] if command else COMMANDS:
+        help_text, handler, specs = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=handler, usage_error=sub.error)
+    return parser
+
+
+def reference_parse(argv):
+    """The former parse in `main`: the invoked command's tree alone."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    return reference_build_arg_parser(command).parse_args(argv)
+
+
+def _parse_outcome(parse, argv):
+    """(exit status, stdout, stderr, parsed values) of parse(argv), with
+    the prog of the parser whose `error` is the usage_error value."""
+    out, err = io.StringIO(), io.StringIO()
+    code = values = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    if values is not None:
+        values["usage_error"] = values["usage_error"].__self__.prog
+    return code, out.getvalue(), err.getvalue(), values
+
+
+# command -> (valid positionals, valid options, one option abbreviated)
+PARSE_ARGS = {
+    "validate": (["F"], [], ["--he"]),
+    "cohomology": (["F"], [], ["--he"]),
+    "quantum": (["F"], ["--mode", "nef", "--y-table", "Y"], ["--cut", "2"]),
+    "product": (["F", "x1", "x2"], ["--format", "structured"],
+                ["--form", "structured"]),
+    "seidel": (["F"], ["--xi=1,0", "--cutoff", "3/2"], ["--x", "1,0"]),
+    "fixed": (["F"], ["--xi=1,0"], ["--x=1,0"]),
+    "analyze": (["F"], ["--xi=1,0", "--no-quantum"], ["--xi=1,0", "--no"]),
+    "verify": (["F"], ["--trials", "4", "--seed", "-3"], ["--tri", "4"]),
+    "example": (["blowup_cp2"], ["--mu", "1/2", "-o", "out"],
+                ["--m", "1/2"]),
+}
+
+
+def _parse_argvs(command):
+    """Success and error argv of `command`."""
+    positionals, options, abbreviated = PARSE_ARGS[command]
+    twice = [o for o in options if not o.startswith("--xi")] \
+        + ["--xi=1,0", "--xi=0,1"]
+    return [[command], [command, "-h"], [command, *positionals],
+            [command, *positionals, *options],
+            [command, *options, *positionals],
+            [command, *positionals, *options, "--bogus"],
+            [command, *positionals, *options, "extra"],
+            [command, *positionals, *abbreviated],
+            [command, *positionals, *twice],
+            [command, "--", *positionals, *options],
+            [command, *positionals, "--format", "json", "--trials", "x"]]
+
+
+@pytest.mark.parametrize("argv", [argv for command in COMMANDS
+                                  for argv in _parse_argvs(command)],
+                         ids=" ".join)
+def test_a_named_command_parses_as_the_former_tree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_outcome(parse_command_line, argv) == \
+        _parse_outcome(reference_parse, argv)
+
+
+TOKENS = ("F", "x1", "--xi=1,0", "--xi", "1,0", "-1,0", "--x", "--format",
+          "structured", "--form", "--mode", "nef", "--y-table", "Y",
+          "--cutoff", "2", "--cut", "abc", "--no-quantum", "--no",
+          "--trials", "4", "--tri", "--seed", "--mu", "1/2", "--m", "-o",
+          "--output", "-h", "--he", "--bogus", "--", "-q", "cp2", "seidel")
+
+
+@given(st.sampled_from([None, *COMMANDS]),
+       st.lists(st.sampled_from(TOKENS), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_any_argv_parses_as_the_former_tree(command, tokens):
+    argv = ([command] if command else []) + tokens
+    assert _parse_outcome(parse_command_line, argv) == \
+        _parse_outcome(reference_parse, argv)
 
 
 # ------------------------------------------------------ flags and outputs

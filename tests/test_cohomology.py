@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricqh
 from toricqh import examples
@@ -406,3 +408,138 @@ def test_the_ring_checks_still_fire_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "span\ntop\nreference\nbetti\nreport\ninvert\n"
+
+
+# ------------------------------------------ elimination in integers
+
+def fraction_eliminate(poly):
+    """The former `_eliminate`, verbatim: every row entry a Fraction."""
+    from toricqh.polynomials import poly_var
+    N, n = poly.num_facets, poly.n
+    rows = [[Fraction(poly.normal(i)[j]) for i in range(N)]
+            for j in range(n)]
+    elim = {}  # var index -> full-width row (its expression, pivot zeroed)
+    order = []
+    for row in rows:
+        r = list(row)
+        for e, expr in elim.items():
+            if r[e]:
+                c = r[e]
+                r = [a + c * b for a, b in zip(r, expr)]
+                r[e] = Fraction(0)
+        pivot = next((i for i, c in enumerate(r) if c == -1 and i not in elim),
+                     None)
+        if pivot is None:
+            pivot = next((i for i, c in enumerate(r)
+                          if c == 1 and i not in elim), None)
+        if pivot is None:
+            pivot = next((i for i, c in enumerate(r)
+                          if c != 0 and i not in elim), None)
+        if pivot is None:
+            raise Unbounded("linear relations are not independent: the "
+                            "facet normals do not span")
+        c = r[pivot]
+        expr = [-a / c for a in r]
+        expr[pivot] = Fraction(0)
+        elim[pivot] = expr
+        order.append(pivot)
+    # back-substitution: later rules may appear inside earlier expressions
+    for e in reversed(order):
+        for e2 in order:
+            if e2 == e:
+                continue
+            expr = elim[e2]
+            if expr[e]:
+                c = expr[e]
+                elim[e2] = [a + c * b for a, b in zip(expr, elim[e])]
+                elim[e2][e] = Fraction(0)
+    kept = tuple(i for i in range(N) if i not in elim)
+    width = len(kept)
+    pos = {i: k for k, i in enumerate(kept)}
+    images = {}
+    for i in range(N):
+        if i in elim:
+            img = {}
+            for k, c in enumerate(elim[i]):
+                if c:
+                    img = poly_add(img, poly_scale(poly_var(pos[k], width), c))
+            images[i] = img
+        else:
+            images[i] = poly_var(pos[i], width)
+    return kept, images
+
+
+class Normals:
+    """The facet normals of a polytope, all that `_eliminate` reads."""
+
+    def __init__(self, normals):
+        self.normals = [tuple(v) for v in normals]
+        self.num_facets, self.n = len(self.normals), len(self.normals[0])
+
+    def normal(self, i):
+        return self.normals[i]
+
+
+def _elimination_corpus():
+    """The ten corpus polytopes: the bundled examples, cp3, cube3, cp4,
+    cube4 and gon12."""
+    from test_polytope import GON12
+    from toricqh.polytope import validate_delzant
+    return _restriction_corpus() + [validate_delzant(GON12, name="gon12")]
+
+
+ELIMINATION_CORPUS = _elimination_corpus()
+
+
+def assert_eliminates_as_fractions(poly):
+    kept, images = _eliminate(poly)
+    assert (kept, images) == fraction_eliminate(poly)
+    for image in images.values():
+        for c in image.values():
+            assert type(c) is (int if Fraction(c).denominator == 1
+                               else Fraction), (images, c)
+
+
+@pytest.mark.parametrize("poly", ELIMINATION_CORPUS, ids=lambda p: p.name)
+def test_integer_elimination_equals_the_fraction_one(poly):
+    assert_eliminates_as_fractions(poly)
+
+
+def test_a_pivot_beyond_one_divides_into_fractions():
+    # gon12's normals under g = ((-2, -5), (1, 3)): the first row has no
+    # unit entry, so its pivot is the -2 of facet 1; the eliminated normals
+    # (-2, 1) and (12, -7) have determinant 2, so not every image is integral
+    gon12 = ELIMINATION_CORPUS[-1]
+    g = ((-2, -5), (1, 3))
+    normals = Normals([[sum(a * b for a, b in zip(row, f.normal))
+                        for row in g] for f in gon12.facets])
+    assert not {-1, 1} & {v[0] for v in normals.normals}
+    assert_eliminates_as_fractions(normals)
+    kept, images = _eliminate(normals)
+    assert 0 not in kept
+    assert any(type(c) is Fraction for image in images.values()
+               for c in image.values())
+
+
+def _unimodular(n, moves):
+    """The product of the elementary moves (target row, source row, k): add
+    k times the source row to the target row, or, when they are equal,
+    negate the row."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t, s, k in moves:
+        t, s = t % n, s % n
+        g[t] = [-x for x in g[t]] if t == s else \
+            [a + k * b for a, b in zip(g[t], g[s])]
+    return g
+
+
+@given(st.sampled_from(ELIMINATION_CORPUS),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(-3, 3)), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_integer_elimination_equals_the_fraction_one_on_gl_images(poly,
+                                                                  moves):
+    g = _unimodular(poly.n, moves)
+    normals = Normals([[sum(a * b for a, b in zip(row, f.normal))
+                        for row in g] for f in poly.facets])
+    assert_eliminates_as_fractions(normals)

@@ -24,12 +24,8 @@ import pytest
 import toricqh
 from test_quantum_nf import CORPUS as PRESENTED
 from toricqh import actions, examples, linalg, obstructions
-from toricqh.actions import (
-    _check_xi,
-    _component,
-    fixed_maximum,
-    weights,
-)
+from test_actions import weights
+from toricqh.actions import _check_xi, _component, fixed_maximum
 from toricqh.errors import (
     DegenerateRing,
     DictionaryIncomplete,
