@@ -7,6 +7,7 @@ exit with status 1 and a structured message; usage errors exit with 2.
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -629,9 +630,15 @@ def main(argv=None):
             raise FileFormatError("--mode nef has no effect with --no-quantum")
         if getattr(args, "no_quantum", False) and args.cutoff is not None:
             raise FileFormatError("--cutoff has no effect with --no-quantum")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ToricError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: what stdout still holds goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

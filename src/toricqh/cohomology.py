@@ -9,6 +9,7 @@ Stanley-Reisner generators, which the quantum layer consumes.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .errors import DegenerateRing, NonGenericVector, Unbounded, WrongDegree
@@ -110,10 +111,11 @@ class ClassicalRing:
     gen_keys: tuple = ()
     standard_monomials: tuple = ()
     betti: tuple = ()
-    # derived on first use, one value per full monomial: its kept-variable
-    # image, and the normal form of that image
+    # derived on first use: per full monomial, its kept-variable image and
+    # its normal form; per vertex, the weights that integrate localizes at
     _kept: dict = field(default_factory=dict, repr=False, compare=False)
     _reduced: dict = field(default_factory=dict, repr=False, compare=False)
+    _vertex_weights: tuple = field(default=None, repr=False, compare=False)
 
     # -- variable handling -----------------------------------------------------
 
@@ -165,34 +167,32 @@ class ClassicalRing:
 
     # -- integration and pairing ---------------------------------------------------
 
-    def _top_monomial(self):
-        tops = [m for m in self.standard_monomials
-                if mono_degree(m) == self.polytope.n]
-        if len(tops) != 1:
-            raise DegenerateRing("top cohomology is not one dimensional")
-        return tops[0]
-
-    def reference_vertex_monomial(self):
-        """Product of the facet classes through the lex-least vertex."""
-        return self.substitute(poly_monomial(
-            dict.fromkeys(self.polytope.vertex_facets(0), 1),
-            self.polytope.num_facets))
+    def _localization(self):
+        """Per vertex v: the weight w_i(v) of generic_vector(poly) at each
+        kept variable x_i (0 where facet i misses v), and the product of the
+        weights of the n facets through v.  Built once per ring."""
+        if self._vertex_weights is None:
+            xi = generic_vector(self.polytope)
+            self._vertex_weights = tuple(
+                (tuple(w.get(i, 0) for i in self.kept), prod(w.values()))
+                for w in (vertex_weights(self.polytope, vid, xi)
+                          for vid in range(len(self.polytope.vertices))))
+        return self._vertex_weights
 
     def integrate(self, poly):
-        """Integral of a homogeneous top-degree class over the manifold."""
+        """Integral of a homogeneous top-degree class over the manifold, by
+        localization at the vertices (Atiyah-Bott, Berline-Vergne): the sum
+        over v of f|_v / prod_{i in F(v)} w_i(v), where x_i restricts at v
+        to w_i(v) if facet i holds v, else to 0."""
         if not poly:
             return Fraction(0)
         n = self.polytope.n
         if any(mono_degree(m) != n for m in poly):
             raise WrongDegree(
                 f"integrand must be homogeneous of cohomological degree {2 * n}")
-        nf = self.nf(poly)
-        top = self._top_monomial()
-        ref = self.nf(self.reference_vertex_monomial())
-        if not ref or not set(ref) <= {top}:
-            raise DegenerateRing("reference vertex monomial is not a nonzero "
-                                 "multiple of the top class")
-        return nf.get(top, Fraction(0)) / ref[top]
+        return sum((Fraction(sum(c * prod(map(pow, weights, m))
+                                 for m, c in poly.items()), euler)
+                    for weights, euler in self._localization()), Fraction(0))
 
     def pd_matrix(self, degree):
         """Pairing matrix between standard monomials of cohomological degree

@@ -2,12 +2,16 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricqh
 from toricqh import examples
 from toricqh.cli import (
     COMMANDS,
@@ -783,3 +787,33 @@ def test_presentation_flags_with_no_quantum_are_a_typed_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: FileFormatError: {message}\n"
+
+
+# ------------------------------------------------------------- closed pipes
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [["cohomology", "{poly}"],
+                                     ["analyze", "{poly}", "--xi=1,0",
+                                      "--no-quantum"], ["example", "cp2"]],
+                         ids=["cohomology", "analyze", "example"])
+def test_a_closed_pipe_ends_with_status_1_and_nothing_on_stderr(
+        tmp_path, command, unbuffered):
+    poly = tmp_path / "cp2.json"
+    assert main(["example", "cp2", "-o", str(poly)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricqh.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first line is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "toricqh.cli",
+             *(a.format(poly=poly) for a in command)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -342,20 +342,6 @@ def test_normals_that_do_not_span_are_a_typed_error():
         _eliminate(strip)
 
 
-def test_a_second_top_monomial_is_a_typed_error():
-    ring = build_ring(examples.s2xs2())
-    ring.standard_monomials += ((2, 0),)
-    with pytest.raises(DegenerateRing):
-        ring.integrate({(1, 1): F(1)})
-
-
-def test_a_reference_vertex_off_the_top_class_is_a_typed_error():
-    ring = build_ring(examples.s2xs2())
-    ring.standard_monomials = ((0, 0), (0, 1), (1, 0), (2, 0))
-    with pytest.raises(DegenerateRing):
-        ring.integrate({(1, 1): F(1)})
-
-
 def test_betti_numbers_off_the_vertex_count_are_a_typed_error():
     cp2 = examples.cp2()
     extra = DelzantPolytope(n=2, facets=cp2.facets,
@@ -383,12 +369,6 @@ def test_the_ring_checks_still_fire_under_python_O():
         "strip = DelzantPolytope(n=2, facets=(Facet((1, 0), 1),\n"
         "                        Facet((-1, 0), 1)), vertices=(), faces={})\n"
         "check('span', Unbounded, lambda: _eliminate(strip))\n"
-        "ring = build_ring(examples.s2xs2())\n"
-        "ring.standard_monomials += ((2, 0),)\n"
-        "check('top', DegenerateRing, lambda: ring.integrate({(1, 1): 1}))\n"
-        "ring.standard_monomials = ((0, 0), (0, 1), (1, 0), (2, 0))\n"
-        "check('reference', DegenerateRing,\n"
-        "      lambda: ring.integrate({(1, 1): 1}))\n"
         "cp2 = examples.cp2()\n"
         "extra = DelzantPolytope(n=2, facets=cp2.facets, faces=cp2.faces,\n"
         "                        vertices=cp2.vertices + cp2.vertices[:1])\n"
@@ -407,7 +387,7 @@ def test_the_ring_checks_still_fire_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "span\ntop\nreference\nbetti\nreport\ninvert\n"
+    assert done.stdout == "span\nbetti\nreport\ninvert\n"
 
 
 # ------------------------------------------ elimination in integers

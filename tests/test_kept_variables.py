@@ -1,9 +1,8 @@
 """Facet-variable classes entering the ring one way, against the code they
 replaced: the Fano facet Seidel element as `seidel_element` of the facet
 normal, the presentations with the Stanley-Reisner leads read off the ring,
-the monomials of the obstruction rules from `poly_monomial`, and the
-reference vertex monomial as one substitution.  Each former version is kept
-here verbatim as the reference."""
+and the monomials of the obstruction rules from `poly_monomial`.  Each
+former version is kept here verbatim as the reference."""
 
 import itertools
 from fractions import Fraction
@@ -153,15 +152,6 @@ def reference_classical_class(ring, facet_powers, classes):
     return classes[mono]
 
 
-def reference_vertex_monomial(ring):
-    """The former ClassicalRing.reference_vertex_monomial."""
-    vf = sorted(ring.polytope.vertex_facets(0))
-    out = poly_const(1, ring.width)
-    for i in vf:
-        out = poly_mul(out, ring.var(i))
-    return out
-
-
 # ---------------------------------------------------------------- the corpus
 
 FANO = {name: poly for name, (poly, build) in PRESENTED.items()
@@ -244,13 +234,6 @@ def test_obstruction_monomials_match_the_former_builders(poly):
                     reference_classical_class(ring, powers, ref_classes)
     # one canonical key per monomial, so P4 and R5 share entries
     assert classes == ref_classes
-
-
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_reference_vertex_monomial_matches_the_former_product(name):
-    ring = build_ring(CORPUS[name])
-    assert ring.reference_vertex_monomial() == \
-        reference_vertex_monomial(ring)
 
 
 def test_qclass_hash_agrees_with_equality_on_zero_scalars():
