@@ -5,6 +5,11 @@ eliminated up front: a deterministic pivot choice expresses one variable per
 linear generator in terms of the others, and the Groebner machinery runs in
 the remaining "kept" variables.  Normal forms come with a trace over the
 Stanley-Reisner generators, which the quantum layer consumes.
+
+Faces enter one way each: the restriction of a class to any face, a vertex
+included, is its product with the face's class [F], and the Betti numbers
+of a face, the whole polytope included, are one Morse count of its
+vertices by descending edges.
 """
 
 from dataclasses import dataclass, field
@@ -249,15 +254,10 @@ def vertex_weights(poly, vid, xi):
 def betti_morse(poly, xi):
     """Vertex counts by Morse index of <xi, .>; requires xi generic."""
     _, points = poly.scaled_vertices()
-    kvals = [linalg.vec_dot(xi, p) for p in points]
-    if len(set(kvals)) != len(kvals):
+    if len({linalg.vec_dot(xi, p) for p in points}) != len(points):
         raise NonGenericVector(
             f"{tuple(xi)} does not separate the vertices")
-    counts = [0] * (poly.n + 1)
-    for vid in range(len(poly.vertices)):
-        w = vertex_weights(poly, vid, xi)
-        counts[sum(1 for x in w.values() if x < 0)] += 1
-    return tuple(counts)
+    return face_betti(poly, poly.face(frozenset()), xi)
 
 
 def generic_vector(poly):
@@ -276,46 +276,28 @@ def generic_vector(poly):
 
 # -------------------------------------------------------------------- faces
 
-class PointRing:
-    """The ring of a vertex face: just Q."""
-
-    def __init__(self, face):
-        self.face = face
-
-    def integrate(self, poly):
-        return poly.get((), Fraction(0))
-
-
 def restrict_to_face(ring, full_poly, face):
     """Restriction H*(M) -> H*(F) to the toric submanifold F over a face.
 
     A class a|F is represented by its pushforward a * [F] in H*(M), the
     normal form of a * x_F with x_F the product of the facet variables
-    containing F (x_F = 1 for the whole polytope).  The representation is
-    faithful: H*(F) is generated by restricted facet classes and F and M
-    both satisfy Poincare duality, so pushforward is injective on H*(F), and
-    `ring.integrate` of a result of top degree is the integral of a over F.
-    Returns (ring, class); a vertex returns (PointRing(face), {(): c}) with
-    c the constant term of a, or an empty class when c is 0.
+    containing F (x_F = 1 for the whole polytope, the point class for a
+    vertex).  The representation is faithful: H*(F) is generated by
+    restricted facet classes and F and M both satisfy Poincare duality, so
+    pushforward is injective on H*(F), and `ring.integrate` of a result of
+    top degree is the integral of a over F.
     """
     poly = ring.polytope
-    N = poly.num_facets
-    if face.dim == 0:
-        c = full_poly.get((0,) * N, Fraction(0))
-        return PointRing(face), ({(): c} if c else {})
-    x_face = poly_monomial(dict.fromkeys(face.facets, 1), N)
-    return ring, ring.reduce_full(poly_mul(full_poly, x_face))
+    x_face = poly_monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
+    return ring.reduce_full(poly_mul(full_poly, x_face))
 
 
-def face_betti(poly, face):
+def face_betti(poly, face, xi):
     """Betti numbers of the toric manifold over a face: its vertices counted
-    by the number of edges inside the face along which the generic height
-    <generic_vector(poly), .> descends.  Leaving vertex v along the edge off
-    facet k moves against the dual functional of k, so the edge descends
-    iff the coordinate of the direction at v on facet k is positive."""
-    if face.dim == 0:
-        return (1,)  # no edges, and no direction to find
-    xi = generic_vector(poly)
+    by the number of edges inside the face along which the height <xi, .>
+    descends, for a generic xi.  Leaving vertex v along the edge off facet
+    k moves against the dual functional of k, so the edge descends iff the
+    coordinate of xi at v on facet k is positive."""
     counts = [0] * (face.dim + 1)
     for vid in face.vertex_ids:
         coords = poly.coordinates(vid, xi)

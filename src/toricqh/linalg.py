@@ -9,7 +9,7 @@ Matrices are lists of rows of ints or Fractions; sizes are tiny (dimension
 - `gauss_jordan` solves every system over the rationals: `solve_rational`,
   `rank` and `in_span` here, and the unit system of `quantum.qinv`;
 - `kernel_basis_int`, a Hermite reduction, answers every lattice question:
-  the H2 lattice and edge directions of a polytope;
+  the edge directions of a polytope;
 - `det`, a cofactor expansion, sizes simplices in `polytope.centroid` and
   stays the independent reference that the tests hold the Bareiss path to.
 """

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import CircleTable
-from .cohomology import build_ring, face_betti, restrict_to_face
+from .cohomology import (
+    build_ring,
+    face_betti,
+    generic_vector,
+    restrict_to_face,
+)
 from .errors import MomentDataMismatch, NotMeanNormalized
 from .linalg import vec_dot
 from .polynomials import poly_monomial
@@ -51,19 +56,15 @@ def _euler_class_nonzero(ring, comp):
     powers = {i: -w - 1 for i, w in comp.weights.items() if w <= -2}
     if not powers:
         return True  # rank-zero bundle: the Euler class is the unit
-    _, value = restrict_to_face(
-        ring, poly_monomial(powers, ring.polytope.num_facets), comp.face)
-    return bool(value)
+    return bool(restrict_to_face(
+        ring, poly_monomial(powers, ring.polytope.num_facets), comp.face))
 
 
-def _classical_class(ring, facet_powers, classes):
-    """The reduced class of prod x_i^e_i, read from or stored in `classes`,
-    the monomial -> class dict that one `analyze` shares between rules."""
-    x = poly_monomial(facet_powers, ring.polytope.num_facets)
-    (mono,) = x
-    if mono not in classes:
-        classes[mono] = ring.reduce_full(x)
-    return classes[mono]
+def _classical_class(ring, facet_powers):
+    """The reduced class of prod x_i^e_i, from the ring's memo of reduced
+    monomials, which P4 and R5 share."""
+    (mono,) = poly_monomial(facet_powers, ring.polytope.num_facets)
+    return ring.monomial_nf(mono)
 
 
 # ----------------------------------------------------------------- the rules
@@ -107,15 +108,15 @@ def _rule_t2(ring, circle):
                    definitive=True, certificate={"components": details})
 
 
-def _rule_p4(ring, comps, classes):
+def _rule_p4(ring, comps):
     details = []
     for comp in comps:
         if not comp.semifree:
             continue
         plus = {i: 1 for i, w in comp.weights.items() if w == 1}
         minus = {i: 1 for i, w in comp.weights.items() if w == -1}
-        x_plus = _classical_class(ring, plus, classes)
-        x_minus = _classical_class(ring, minus, classes)
+        x_plus = _classical_class(ring, plus)
+        x_minus = _classical_class(ring, minus)
         bad = comp.K != 0 or comp.m != 0 or x_plus != x_minus
         details.append({"face": sorted(comp.facets), "K": comp.K,
                         "m": comp.m, "f_plus": sorted(plus),
@@ -127,13 +128,13 @@ def _rule_p4(ring, comps, classes):
                    certificate={"semifree_components": details})
 
 
-def _rule_r5(ring, comps, classes):
+def _rule_r5(ring, comps):
     details = []
     for comp in comps:
         plus = {i: w for i, w in comp.weights.items() if w > 0}
         minus = {i: -w for i, w in comp.weights.items() if w < 0}
-        x_plus = _classical_class(ring, plus, classes)
-        x_minus = _classical_class(ring, minus, classes)
+        x_plus = _classical_class(ring, plus)
+        x_minus = _classical_class(ring, minus)
         if not x_plus or not x_minus:
             continue
         bad = comp.K != 0 or comp.m != 0 or x_plus != x_minus
@@ -152,6 +153,7 @@ def _rule_s2(circle):
                        certificate={"applicable": False,
                                     "isotropy_bound": bound})
     fmax, fmin = comps[0], comps[-1]
+    height = generic_vector(poly)  # one Morse height for every face
     problems = []
     if fmax.K != -fmin.K:
         problems.append(f"K_max={fmax.K} != -K_min={-fmin.K}")
@@ -167,12 +169,12 @@ def _rule_s2(circle):
             right = [c for c in members if c.K == -K and c.m == -m]
             profile_l = {}
             for c in left:
-                for i, b in enumerate(face_betti(poly, c.face)):
+                for i, b in enumerate(face_betti(poly, c.face, height)):
                     j = 2 * i + c.index
                     profile_l[j] = profile_l.get(j, 0) + b
             profile_r = {}
             for c in right:
-                for i, b in enumerate(face_betti(poly, c.face)):
+                for i, b in enumerate(face_betti(poly, c.face, height)):
                     j = 2 * i + c.coindex
                     profile_r[j] = profile_r.get(j, 0) + b
             if profile_l != profile_r:
@@ -317,10 +319,8 @@ def analyze(poly, xi, qp=None):
         poly, ring = qp.polytope, qp.ring
     circle = CircleTable(poly, xi)  # the one pass over the circle data
     comps = circle.components
-    classes = {}  # reduced facet monomials, shared by P4 and R5
     findings = [_rule_t1(comps), _rule_t2(ring, circle),
-                _rule_p4(ring, comps, classes),
-                _rule_r5(ring, comps, classes), _rule_s2(circle),
+                _rule_p4(ring, comps), _rule_r5(ring, comps), _rule_s2(circle),
                 _rule_c(circle), _rule_p6(circle)]
     element = None
     if qp is not None:

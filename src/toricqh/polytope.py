@@ -1,4 +1,5 @@
-"""Delzant polytopes: validation, face lattice, primitive sets, H2 lattice.
+"""Delzant polytopes: validation, face lattice, primitive sets, and the
+spherical H2 classes of edges and primitive relations.
 
 A polytope is given by facet data (outward primitive integer normal, rational
 support value): Delta = {u : <eta_i, u> <= support_i}.  All derived data is
@@ -93,9 +94,6 @@ class DelzantPolytope:
                 tuple(x.numerator * (scale // x.denominator) for x in point)
                 for point, _ in self.vertices))
         return self._scaled
-
-    def faces_of_dim(self, d):
-        return [f for f in self.faces.values() if f.dim == d]
 
     def face(self, facet_set):
         return self.faces[frozenset(facet_set)]
@@ -308,13 +306,6 @@ def edge_class(poly, edge):
         pairings[i] = -by_facet[i]
     cls = poly._edge_classes[edge.facets] = H2Class(tuple(pairings))
     return cls
-
-
-def h2_lattice(poly):
-    """Integer basis of {a : sum a_i eta_i = 0} as H2Class objects."""
-    n, N = poly.n, poly.num_facets
-    m = [[poly.normal(i)[j] for i in range(N)] for j in range(n)]
-    return [H2Class(b) for b in linalg.kernel_basis_int(m)]
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,15 @@ def test_action_invariant_antisymmetry(blow, square):
     # the invariants of xi and -xi are negatives modulo the (omega, c1)
     # lattice of spherical classes
     from test_exact_kernels import reference_in_rational_lattice
-    from toricqh.polytope import h2_lattice
+    from toricqh.linalg import kernel_basis_int
+    from toricqh.polytope import H2Class
+
+    def h2_lattice(poly):
+        """Integer basis of {a : sum a_i eta_i = 0} as H2Class objects."""
+        n, N = poly.n, poly.num_facets
+        m = [[poly.normal(i)[j] for i in range(N)] for j in range(n)]
+        return [H2Class(b) for b in kernel_basis_int(m)]
+
     for poly, xi in ((blow, (-2, -1)), (square, (1, 2))):
         k1, mm1 = action_invariant(poly, xi)
         k2, mm2 = action_invariant(poly, tuple(-x for x in xi))

@@ -1,11 +1,12 @@
-"""The Groebner division on cached leading monomials against the former
-version, which recomputed every basis element's leading monomial at every
-division step.  `divmod_basis` and `TracedBasis` below are the former code,
-verbatim; the engine's are `polynomials.divmod_basis` and
-`polynomials.TracedBasis`.  On the ten corpus rings both must give the same
-elements, cofactors and leading monomials, and the same normal form and
-trace for every kept-variable monomial of degree at most 2n and for drawn
-polynomials."""
+"""The Groebner division on cached leading monomials, with one traced
+division, against the former version, which recomputed every basis
+element's leading monomial at every division step and folded quotients
+through cofactors in three places.  `divmod_basis` and `TracedBasis` below
+are the former code, verbatim; the engine's are `polynomials.divmod_basis`
+and `polynomials.TracedBasis`.  On the ten corpus rings both must give the
+same elements, cofactors and leading monomials, and the same normal form
+and trace for every kept-variable monomial of degree at most 2n and for
+drawn polynomials."""
 
 import functools
 import itertools
@@ -272,11 +273,17 @@ def kept_polynomials(draw):
 def test_normal_forms_of_drawn_polynomials_are_the_former_ones(case):
     name, f = case
     engine, former = bases(name)
-    assert exact(engine.normal_form_traced(f)) == \
-        exact(former.normal_form_traced(f))
-    assert exact(polynomials.divmod_basis(f, engine.elements)) == \
-        exact(polynomials.divmod_basis(f, engine.elements, engine.lms)) == \
-        exact(divmod_basis(f, former.elements))
+    nf, trace = engine.normal_form_traced(f)
+    assert exact((nf, trace)) == exact(former.normal_form_traced(f))
+    assert exact(engine.normal_form(f)) == exact(nf)
+    assert exact(polynomials.divmod_basis(f, engine.elements, engine.lms)) \
+        == exact(divmod_basis(f, former.elements))
+    # the trace is exact: f - nf == sum_i trace[i] * generators[i]
+    combination = {}
+    for gi, cof in trace.items():
+        combination = poly_add(combination,
+                               poly_mul(cof, engine.generators[gi]))
+    assert poly_sub(f, nf) == combination
 
 
 def test_leading_monomials_is_a_new_list_each_call():

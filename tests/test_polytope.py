@@ -24,11 +24,9 @@ from toricqh.polytope import (
     DelzantPolytope,
     Face,
     Facet,
-    H2Class,
     beta_class,
     centroid,
     dual_cone_face,
-    h2_lattice,
     normalize,
     primitive_sets,
     _build_faces,
@@ -36,6 +34,10 @@ from toricqh.polytope import (
 )
 
 F = Fraction
+
+
+def faces_of_dim(poly, d):
+    return [f for f in poly.faces.values() if f.dim == d]
 
 
 def test_square_is_valid_with_four_vertices():
@@ -64,16 +66,16 @@ def test_redundant_facet_rejected():
 
 def test_face_lattice_blowup():
     poly = examples.blowup_cp2(F(1, 2))
-    assert len(poly.faces_of_dim(1)) == 4
-    assert len(poly.faces_of_dim(0)) == 4
+    assert len(faces_of_dim(poly, 1)) == 4
+    assert len(faces_of_dim(poly, 0)) == 4
     assert frozenset({0, 1}) not in poly.faces
     assert frozenset({2, 3}) not in poly.faces
 
 
 def test_face_lattice_cp2():
     poly = examples.cp2()
-    assert len(poly.faces_of_dim(1)) == 3
-    assert len(poly.faces_of_dim(0)) == 3
+    assert len(faces_of_dim(poly, 1)) == 3
+    assert len(faces_of_dim(poly, 0)) == 3
 
 
 def test_face_lattice_closed_under_intersection():
@@ -169,28 +171,6 @@ def test_normalize_idempotent():
     assert centroid(normed) == (F(0), F(0))
     again = normalize(normed)
     assert [f.support for f in again.facets] == [f.support for f in normed.facets]
-
-
-def test_h2_lattice_ranks_and_pairings():
-    blow = examples.blowup_cp2(F(1, 2))
-    basis = h2_lattice(blow)
-    assert len(basis) == 2
-    fiber = H2Class((0, 0, 1, 1))
-    assert fiber.omega(blow) == 1 - F(1, 2) ** 2 and fiber.c1() == 2
-    cp2 = examples.cp2()
-    basis = h2_lattice(cp2)
-    assert len(basis) == 1
-    gen = basis[0]
-    assert tuple(abs(x) for x in gen.pairings) == (1, 1, 1)
-    line = H2Class((1, 1, 1))
-    assert line.omega(cp2) == 1 and line.c1() == 3
-
-
-def test_h2_lattice_square():
-    sq = examples.s2xs2(2)
-    assert len(h2_lattice(sq)) == 2
-    assert H2Class((1, 1, 0, 0)).omega(sq) == 2
-    assert H2Class((0, 0, 1, 1)).omega(sq) == 1
 
 
 def test_beta_pairings_lie_in_kernel():

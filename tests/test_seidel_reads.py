@@ -178,7 +178,8 @@ def test_stored_edge_classes_match_the_former_per_call_ones(name):
         for face in poly.faces.values():
             assert edge_classes_through(poly, face) == \
                 reference_edge_classes_through(poly, face), (name, face)
-    assert len(poly._edge_classes) == len(poly.faces_of_dim(1))
+    assert len(poly._edge_classes) == \
+        sum(1 for face in poly.faces.values() if face.dim == 1)
 
 
 # ------------------------------------------- kept-variable images per ring
