@@ -7,13 +7,13 @@ facet as its maximum.
 
 All circle data is read off one `CircleTable` per (polytope, xi): xi's
 coordinates at every vertex (integer dot products with the vertex's dual
-basis, `DelzantPolytope.coordinates`), its moment value there (an integer
-dot product with the scaled vertex over the scale D,
-`DelzantPolytope.scaled_vertices`), and on first use the fixed components
-and the isotropy order of every face.  A face's isotropy order is the gcd
-of xi's coordinates off the face's facets at any one of its vertices, and
-a gcd of 0 means the face is fixed.  The public functions build a table
-per call; `obstructions.analyze` builds one.  F_max alone needs no table:
+basis, `DelzantPolytope.coordinates`), its integer moment level there
+(<xi, .> on the scaled vertices; a `Fraction`, level over the scale D, is
+built only for a component's K), and on first use the fixed components and
+the isotropy order of every face.  A face's isotropy order is the gcd of
+xi's coordinates off the face's facets at any one of its vertices, and a
+gcd of 0 means the face is fixed.  The public functions build a table per
+call; `obstructions.analyze` builds one.  F_max alone needs no table:
 `fixed_maximum` reads it off one integer argmax of <xi, .>.
 """
 
@@ -96,7 +96,7 @@ def _order(coords, face):
 
 
 class CircleTable:
-    """The circle xi on poly: xi's coordinates and moment value at every
+    """The circle xi on poly: xi's coordinates and moment level at every
     vertex, and, each on first use, the fixed components and the isotropy
     order of every face.  A table lives for one call."""
 
@@ -105,17 +105,20 @@ class CircleTable:
         self.xi = xi = _check_xi(xi)
         self.coords = [poly.coordinates(vid, xi)
                        for vid in range(len(poly.vertices))]
-        scale, points = poly.scaled_vertices()
-        self.values = [Fraction(linalg.vec_dot(xi, p), scale)
-                       for p in points]
+        self.scale, points = poly.scaled_vertices()
+        self.levels = [linalg.vec_dot(xi, p) for p in points]
+
+    @property
+    def values(self):
+        return [Fraction(level, self.scale) for level in self.levels]
 
     def moment_value(self, face):
         """Value of <xi, .> on a face on which it is constant."""
-        values = {self.values[vid] for vid in face.vertex_ids}
-        if len(values) != 1:
+        levels = {self.levels[vid] for vid in face.vertex_ids}
+        if len(levels) != 1:
             raise MomentNotConstant(
                 f"<xi, .> is not constant on face {sorted(face.facets)}")
-        return values.pop()
+        return Fraction(levels.pop(), self.scale)
 
     @cached_property
     def components(self):
@@ -161,12 +164,15 @@ class CircleTable:
                     pairs[pair] = q
         return pairs
 
-    def superlevel_bounds(self, levels):
-        tops = [(max(self.values[v] for v in self.poly.faces[key].vertex_ids),
+    def superlevel_bounds(self, values):
+        """Isotropy bound above each moment value c = a / b (a value, not a
+        level) in values: a level lies above c when level * b > a * D."""
+        tops = [(max(self.levels[v] for v in self.poly.faces[key].vertex_ids),
                  order)
                 for key, order in self.orders.items() if order is not FIXED]
-        return {c: max([1] + [order for top, order in tops if top > c])
-                for c in levels}
+        return {c: max([1] + [k for top, k in tops if
+                              top * c.denominator > c.numerator * self.scale])
+                for c in values}
 
 
 def fixed_components(poly, xi):

@@ -9,6 +9,7 @@ loop is contractible.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .actions import CircleTable
 from .cohomology import (
@@ -84,9 +85,9 @@ def _rule_t2(ring, circle):
     fmax = comps[0]
     visible = [all(w == 1 for w in comp.weights.values() if w > 0)
                and _euler_class_nonzero(ring, comp) for comp in comps]
-    levels = [comp.K for comp, vis in zip(comps, visible)
-              if vis and comp is not fmax]
-    bounds = circle.superlevel_bounds(levels)
+    ks = [comp.K for comp, vis in zip(comps, visible)
+          if vis and comp is not fmax]
+    bounds = circle.superlevel_bounds(ks)
     details = []
     for comp, vis in zip(comps, visible):
         entry = {"face": sorted(comp.facets), "K": comp.K, "m": comp.m,
@@ -217,26 +218,29 @@ def chain_bound(poly, xi, circle=None):
     gives each component's cheapest remaining cost `rest`.  The cheapest
     chains are exactly the walks from the maximum along tight hops (those
     with cost(u, v) + rest[v] == rest[u]); `rest` falls strictly along them,
-    so they visit each component at most once.  `circle` is the circle
-    table of (poly, xi), when the caller holds one.
+    so they visit each component at most once.  Costs run in ints times D*Q
+    (D the scale, Q the lcm of the q values) and m-sums times Q.  `circle`
+    is the circle table of (poly, xi), when the caller holds one.
     """
     circle = circle or CircleTable(poly, xi)
     comps = circle.components
     n = len(comps)
     fmax = comps[0]
     keys = [tuple(sorted(c.facets)) for c in comps]
+    levels = [circle.levels[c.face.vertex_ids[0]] for c in comps]
     qs = circle.q_pairs([c.face for c in comps])
+    big_q = lcm(*qs.values())
     # comps run by decreasing K, so a hop i -> j with i < j goes down; the
-    # cost and the m-step (m_i - m_j) / q are the same in both directions
+    # cost and the m-step are the same in both directions
     hops = {u: [] for u in range(n)}  # u -> [(v, cost, m-step)], v ascending
     for (i, j), q in qs.items():
-        if comps[i].K != comps[j].K:
-            hop = ((comps[i].K - comps[j].K) / q,
-                   Fraction(comps[i].m - comps[j].m, q))
+        if levels[i] != levels[j]:
+            hop = ((levels[i] - levels[j]) * (big_q // q),
+                   (comps[i].m - comps[j].m) * (big_q // q))
             hops[i].append((j, *hop))
             hops[j].append((i, *hop))
     rest = {}
-    heap = [(Fraction(0), n - 1)]
+    heap = [(0, n - 1)]
     while heap:
         d, u = heapq.heappop(heap)
         if u in rest:
@@ -255,10 +259,11 @@ def chain_bound(poly, xi, circle=None):
         for v, step in tight[u]:
             walk(v, path + (keys[v],), m + step)
 
-    walk(0, (keys[0],), Fraction(0))
-    return ChainBound(min_cost=rest[0], K_max=fmax.K,
+    walk(0, (keys[0],), 0)
+    return ChainBound(min_cost=Fraction(rest[0], circle.scale * big_q),
+                      K_max=fmax.K,
                       optimal_paths=tuple(path for path, _ in walks),
-                      m_condition_achievable=any(m == fmax.m
+                      m_condition_achievable=any(m == fmax.m * big_q
                                                  for _, m in walks),
                       q_values={(keys[i], keys[j]): q
                                 for (i, j), q in qs.items()})

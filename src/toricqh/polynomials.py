@@ -1,8 +1,8 @@
 """Multivariate polynomials over Q and Groebner bases with cofactor tracking.
 
-A polynomial is a dict {exponent tuple: Fraction}; the number of variables is
-fixed per context by the tuple width.  The monomial order is graded reverse
-lexicographic with variable priority given by position (earlier = higher).
+A polynomial is a dict {exponent tuple: int or Fraction}, divided exactly;
+the tuple width fixes the number of variables per context.  The monomial
+order is grevlex with variable priority given by position (earlier = higher).
 """
 
 from fractions import Fraction
@@ -102,18 +102,25 @@ def leading_monomial(f):
 
 
 def poly_substitute(f, images, width):
-    """Substitute variable i by the polynomial images[i], producing a
-    polynomial of the given variable width.  It multiplies once per unit
-    of exponent, so its cost grows with the exponents themselves: the Fano
-    Seidel element of a circle with large entries lifts x^a with large a."""
+    """Substitute variable i by the polynomial images[i], in the given
+    variable width; ints stay ints (sums start from 0, not `poly_mul`'s
+    Fraction(0)), and an integral Fraction becomes one.  It multiplies once
+    per unit of exponent, so its cost grows with the exponents: the Fano
+    Seidel element of a large circle lifts a large x^a."""
     out = {}
     for m, c in f.items():
-        term = poly_const(1, width)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                term = poly_mul(term, images[i])
-        out = poly_add(out, poly_scale(term, c))
-    return out
+        term = {(0,) * width: c}
+        for i in [i for i, e in enumerate(m) for _ in range(e)]:
+            product = {}
+            for m1, c1 in term.items():
+                for m2, c2 in images[i].items():
+                    m3 = mono_mul(m1, m2)
+                    product[m3] = product.get(m3, 0) + c1 * c2
+            term = {k: v for k, v in product.items() if v}
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v.numerator if v.denominator == 1 else v
+            for k, v in out.items() if v}
 
 
 # ------------------------------------------------------- division and bases
@@ -137,7 +144,7 @@ def divmod_basis(f, basis, lms):
             lm = lms[k]
             if mono_divides(lm, m):
                 factor_m = mono_div(m, lm)
-                factor_c = c / g[lm]
+                factor_c = Fraction(c, g[lm])  # exact for int leads too
                 quotients[k] = poly_add(
                     quotients[k], {factor_m: factor_c})
                 work = poly_sub(work, poly_term_mul(g, factor_m, factor_c))
@@ -193,17 +200,16 @@ class TracedBasis:
             lcm = mono_lcm(mi, mj)
             if mono_mul(mi, mj) == lcm:
                 continue  # coprime leading terms: S-poly reduces to zero
-            ci, cj = fi[mi], fj[mj]
-            s = poly_sub(
-                poly_term_mul(fi, mono_div(lcm, mi), 1 / ci),
-                poly_term_mul(fj, mono_div(lcm, mj), 1 / cj))
+            ui, uj = Fraction(1, fi[mi]), Fraction(1, fj[mj])
+            s = poly_sub(poly_term_mul(fi, mono_div(lcm, mi), ui),
+                         poly_term_mul(fj, mono_div(lcm, mj), uj))
             cof = {}
             for gi, gpoly in self.cofactors[i].items():
                 cof[gi] = poly_add(cof.get(gi, {}),
-                                   poly_term_mul(gpoly, mono_div(lcm, mi), 1 / ci))
+                                   poly_term_mul(gpoly, mono_div(lcm, mi), ui))
             for gi, gpoly in self.cofactors[j].items():
                 cof[gi] = poly_sub(cof.get(gi, {}),
-                                   poly_term_mul(gpoly, mono_div(lcm, mj), 1 / cj))
+                                   poly_term_mul(gpoly, mono_div(lcm, mj), uj))
             remainder, cof = self._divide(s, cof, self.elements, self.lms,
                                           self.cofactors)
             if remainder:
@@ -230,9 +236,9 @@ class TracedBasis:
                 elements[k], dict(cofactors[k]), reduced + elements[k + 1:],
                 self.lms[:k] + self.lms[k + 1:],
                 reduced_cof + cofactors[k + 1:])
-            lc = remainder[self.lms[k]]
-            remainder = poly_scale(remainder, 1 / lc)
-            cof = {gi: poly_scale(p, 1 / lc) for gi, p in cof.items() if p}
+            unit = Fraction(1, remainder[self.lms[k]])
+            remainder = poly_scale(remainder, unit)
+            cof = {gi: poly_scale(p, unit) for gi, p in cof.items() if p}
             reduced.append(remainder)
             reduced_cof.append(cof)
         self.elements = reduced

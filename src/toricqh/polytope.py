@@ -56,13 +56,14 @@ class DelzantPolytope:
     name: str = ""
     # data derived on first use: vertex id -> dual basis, edge key -> edge
     # class, face key -> (edge, class) pairs of the edges meeting the face,
-    # the integer vertices and the centroid
+    # the integer vertices, the centroid and the primitive sets
     _duals: dict = field(default_factory=dict, repr=False, compare=False)
     _edge_classes: dict = field(default_factory=dict, repr=False,
                                 compare=False)
     _face_edges: dict = field(default_factory=dict, repr=False, compare=False)
     _scaled: tuple = field(default=None, repr=False, compare=False)
     _centroid: tuple = field(default=None, repr=False, compare=False)
+    _prims: tuple = field(default=None, repr=False, compare=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -338,11 +339,12 @@ def beta_class(poly, indices, j_indices, coeffs):
 
 
 def primitive_sets(poly):
-    """All primitive facet subsets with their dual-cone data, by size.
-
-    Every proper subset of a primitive collection spans a cone of the
-    simplicial fan, which has at most n rays, so no primitive collection
-    has more than n + 1 elements (Batyrev)."""
+    """All primitive facet subsets with their dual-cone data, by size, in a
+    new list; computed once per polytope.  Every proper subset of a
+    primitive collection spans a cone of the simplicial fan, which has at
+    most n rays, so none has more than n + 1 elements (Batyrev)."""
+    if poly._prims is not None:
+        return list(poly._prims)
     N = poly.num_facets
     results = []
     primitive_found = set()
@@ -373,6 +375,7 @@ def primitive_sets(poly):
                                             coeffs=coeffs, beta=beta,
                                             energy=energy))
     results.sort(key=lambda p: (len(p.indices), p.indices))
+    poly._prims = tuple(results)
     return results
 
 
