@@ -48,7 +48,7 @@ def show(qp, title, circles):
     print(f"== {title} (mode {qp.mode}, cutoff {qp.cutoff}, "
           f"hbar {qp.hbar})")
     print("   quantum relations:")
-    for p in qp.prims:
+    for p in qp.ring.prims:
         lhs = "*".join(f"x{i + 1}" for i in p.indices)
         rhs = qclass_text(QClass(qp.corrections[p.key], qp.cutoff), qp.ring)
         print(f"     {lhs} = {rhs}")

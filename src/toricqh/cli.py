@@ -342,7 +342,7 @@ def cmd_quantum(args):
     qp = build_presentation(poly, args.mode, args.y_table, args.cutoff)
     print(f"quantum presentation ({qp.mode}) of {poly.name or args.file}")
     print(f"  cutoff {frac_str(qp.cutoff)}, hbar {frac_str(qp.hbar)}")
-    for p in qp.prims:
+    for p in qp.ring.prims:
         lhs = "*".join(f"x{i + 1}" for i in p.indices)
         correction = QClass(qp.corrections[p.key], qp.cutoff)
         print(f"  {lhs} = {qclass_text(correction, qp.ring)}"

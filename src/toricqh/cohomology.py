@@ -28,16 +28,16 @@ from .polynomials import (
 from .polytope import primitive_sets
 
 
-def classical_generators(poly, prims=None):
+def classical_generators(poly):
     """Linear generators of P(Delta) (one per standard basis functional, with
     int coefficients) and the Stanley-Reisner monomial generators (one per
-    primitive set, from `prims` when given), in the full N facet variables."""
+    primitive set), in the full N facet variables."""
     N = poly.num_facets
     units = [tuple(1 if k == i else 0 for k in range(N)) for i in range(N)]
     linear = [{units[i]: poly.normal(i)[j] for i in range(N)
                if poly.normal(i)[j]} for j in range(poly.n)]
     monomials = {p.key: poly_monomial(dict.fromkeys(p.indices, 1), N)
-                 for p in (primitive_sets(poly) if prims is None else prims)}
+                 for p in primitive_sets(poly)}
     return linear, monomials
 
 
@@ -222,7 +222,7 @@ def _combine(full_poly, image_of):
 
 def build_ring(poly):
     prims = primitive_sets(poly)
-    linear, monomials = classical_generators(poly, prims)
+    linear, monomials = classical_generators(poly)
     kept, images = _eliminate(poly)
     ring = ClassicalRing(polytope=poly, prims=prims, linear_gens=linear,
                          sr_gens=monomials, kept=kept, images=images)

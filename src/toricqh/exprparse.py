@@ -186,5 +186,9 @@ class _Parser:
 
 
 def parse_expression(text, n_vars):
-    """Parse to {(monomial, q exponent, t exponent): coefficient}."""
-    return _Parser(_tokenize(text), n_vars).parse()
+    """Parse to {(monomial, q exponent, t exponent): coefficient}.  Nesting
+    deeper than the interpreter's recursion limit is an ExprSyntaxError."""
+    try:
+        return _Parser(_tokenize(text), n_vars).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply") from None

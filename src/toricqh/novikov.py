@@ -120,19 +120,6 @@ class NovScalar:
         terms = {k: c * v for k, v in self.terms.items()} if c else {}
         return NovScalar.trusted(terms, self.cutoff, self.truncated)
 
-    def shift(self, d, kappa):
-        """Multiply by q^d t^kappa."""
-        d, kappa = int(d), Fraction(kappa)
-        terms = {}
-        truncated = self.truncated
-        for (d0, k0), c in self.terms.items():
-            k = k0 + kappa
-            if k > self.cutoff:
-                truncated = True
-                continue
-            terms[(d0 + d, k)] = c
-        return NovScalar.trusted(terms, self.cutoff, truncated)
-
     def with_truncated(self, flag):
         return NovScalar.trusted(self.terms, self.cutoff, flag)
 
@@ -142,11 +129,6 @@ class NovScalar:
         if not self.terms:
             raise ZeroElement("valuation of zero")
         return min(k for _, k in self.terms)
-
-    def leading_terms(self):
-        """The slice at minimal kappa, as a map d -> coefficient."""
-        v = self.valuation()
-        return {d: c for (d, k), c in self.terms.items() if k == v}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (item[0][1], item[0][0]))
@@ -168,13 +150,13 @@ class NovScalar:
         """
         if not self.terms:
             raise ZeroElement("cannot invert zero")
-        lead = self.leading_terms()
+        v = self.valuation()
+        lead = [(d, c) for (d, k), c in self.terms.items() if k == v]
         if len(lead) != 1:
             raise NotAUnit(
                 "scalar has several terms of minimal t-exponent; not a unit "
                 "of the Laurent ring")
-        v = self.valuation()
-        (d0,), (c0,) = zip(*lead.items())
+        (d0, c0), = lead
         base = NovScalar.monomial(Fraction(1, 1) / c0, -d0, -v, self.cutoff)
         # self = c0 q^d0 t^v (1 - r) with val(r) > 0
         r = (NovScalar.one(self.cutoff) - base * self).with_truncated(False)

@@ -185,7 +185,7 @@ def check_grading_and_betti(poly, qp):
 def check_relations_vanish(qp):
     """Every quantum Stanley-Reisner generator reduces to zero."""
     violations = []
-    for p in qp.prims:
+    for p in qp.ring.prims:
         lead = qpoly_from_poly(qp.ring.substitute(qp.ring.sr_gens[p.key]),
                                qp.cutoff)
         minus = NovScalar.monomial(-1, 0, 0, qp.cutoff)

@@ -7,6 +7,12 @@ stand for iterated quantum products of the facet classes; they agree with
 the classical classes in degrees 0 and 2 but not above, and the geometric
 translation lives in the seidel module.
 
+A `QuantumPresentation` is a value: its fields cannot be assigned, and its
+corrections and Y-classes are read-only mappings of read-only quantum
+polynomials.  Its caches start empty and fill on first use; since nothing
+they derive from can change, no entry is ever rebuilt.  A changed
+presentation is a new one, from `dataclasses.replace`, with empty caches.
+
 `quantum_nf`, `qprod` and `lift` share one reduction on the t-exponent grid
 (1/D)Z: D is the lcm of the denominators of the cutoff and of every
 correction exponent, refined per call by those of the input, and an exponent
@@ -16,15 +22,16 @@ terms.  Each monomial the reduction reaches gets a plan: its classical
 normal form, its correction atoms (Δlevel, q-shift, monomial, c), kept when
 they cancel, and the OR of the flags of the corrections used.  Integral
 coefficients stay int until the result, whose terms share their
-(d, Fraction(level, D)) keys and the cutoff object itself.  Grid and plans
-live in `qp._cache["grid"]` with the cutoff and correction objects they
-were built from, and are rebuilt when one of those is replaced.
+(d, Fraction(level, D)) keys and the cutoff object itself.  The base D and,
+per refined D, the plans live in `qp._cache["grid"]`, built once per
+presentation.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import is_, itemgetter
+from operator import itemgetter
+from types import MappingProxyType
 
 from .cohomology import build_ring
 from .linalg import gauss_jordan
@@ -147,17 +154,30 @@ class QClass:
 
 # ------------------------------------------------------------- presentation
 
-@dataclass
+def _read_only(table):
+    """A table of quantum polynomials as a read-only mapping of read-only
+    mappings."""
+    return MappingProxyType({key: MappingProxyType(dict(qpoly))
+                             for key, qpoly in table.items()})
+
+
+@dataclass(frozen=True)
 class QuantumPresentation:
     ring: object
-    prims: list
     corrections: dict  # primitive key -> quantum polynomial Delta_I
     hbar: Fraction
     cutoff: Fraction
     mode: str  # "fano" | "nef"
     y_classes: dict = None  # facet index -> kept quantum polynomial Y_i
-    _nf_cache: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _nf_cache: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "corrections", _read_only(self.corrections))
+        if self.y_classes is not None:
+            object.__setattr__(self, "y_classes", _read_only(self.y_classes))
 
     @property
     def polytope(self):
@@ -171,11 +191,9 @@ class QuantumPresentation:
         return QClass({(0,) * self.ring.width: one}, self.cutoff)
 
 
-def default_cutoff(poly, prims=None):
-    """Four times the largest relation energy, over `prims` when given."""
-    if prims is None:
-        prims = primitive_sets(poly)
-    return 4 * max(p.energy for p in prims)
+def default_cutoff(poly):
+    """Four times the largest relation energy."""
+    return 4 * max(p.energy for p in primitive_sets(poly))
 
 
 def fano_presentation(poly, cutoff=None):
@@ -184,7 +202,7 @@ def fano_presentation(poly, cutoff=None):
     holomorphic sphere class has positive first Chern number."""
     ring = build_ring(poly)
     cutoff = Fraction(cutoff) if cutoff is not None else \
-        default_cutoff(poly, ring.prims)
+        default_cutoff(poly)
     corrections = {}
     energies = []
     for p in ring.prims:
@@ -193,8 +211,7 @@ def fano_presentation(poly, cutoff=None):
         corrections[p.key] = qpoly_from_poly(kept, cutoff,
                                              d=p.beta.c1(), kappa=p.energy)
         energies.append(p.energy)
-    return QuantumPresentation(ring=ring, prims=ring.prims,
-                               corrections=corrections,
+    return QuantumPresentation(ring=ring, corrections=corrections,
                                hbar=min(energies), cutoff=cutoff, mode="fano")
 
 
@@ -224,7 +241,7 @@ def nef_presentation(poly, y_table, cutoff=None):
     """
     ring = build_ring(poly)
     cutoff = Fraction(cutoff) if cutoff is not None else \
-        default_cutoff(poly, ring.prims)
+        default_cutoff(poly)
     y_classes = {}
     for i in range(poly.num_facets):
         if i not in y_table:
@@ -260,8 +277,7 @@ def nef_presentation(poly, y_table, cutoff=None):
                 f"valuation {val}")
         corrections[p.key] = delta
         energies.append(val)
-    return QuantumPresentation(ring=ring, prims=ring.prims,
-                               corrections=corrections,
+    return QuantumPresentation(ring=ring, corrections=corrections,
                                hbar=min(energies), cutoff=cutoff, mode="nef",
                                y_classes=y_classes)
 
@@ -311,20 +327,19 @@ def _reduce(qp, truncated, *factors):
     """The normal form of one factor or of the product of two, a factor
     being [(monomial, [((d, kappa), c), ...])]; an atom above the cutoff
     flags the result, and `truncated` flags it too, a zero one included."""
-    entry = qp._cache.get("grid")
-    deltas = tuple(qp.corrections.values())
-    if entry is None or entry[0] is not qp.cutoff or len(entry[1]) != \
-            len(deltas) or not all(map(is_, entry[1], deltas)):
-        entry = qp._cache["grid"] = (qp.cutoff, deltas, lcm(
-            qp.cutoff.denominator, *(k.denominator for delta in deltas
+    grid = qp._cache.get("grid")
+    if grid is None:
+        grid = qp._cache["grid"] = (lcm(
+            qp.cutoff.denominator, *(k.denominator
+                                     for delta in qp.corrections.values()
                                      for s in delta.values()
                                      for _, k in s.terms)), {})
-    D = lcm(entry[2], *{k.denominator for factor in factors
-                        for _, terms in factor for (_, k), _ in terms})
-    if D not in entry[3]:
-        entry[3][D] = (qp.cutoff.numerator * (D // qp.cutoff.denominator),
-                       {}, {})
-    cut, plans, keys = entry[3][D]
+    D = lcm(grid[0], *{k.denominator for factor in factors
+                       for _, terms in factor for (_, k), _ in terms})
+    if D not in grid[1]:
+        grid[1][D] = (qp.cutoff.numerator * (D // qp.cutoff.denominator),
+                      {}, {})
+    cut, plans, keys = grid[1][D]
     atoms = [[(m, [(d, k.numerator * (D // k.denominator),
                     c.numerator if c.denominator == 1 else c)
                    for (d, k), c in terms])

@@ -6,14 +6,15 @@ exponents termwise.  The dictionary identifies degree-0 and degree-2 classes
 with named facet classes in every dimension, and lifts the point class in
 dimension two, where a Seidel element of an eligible vertex determines it.
 
-The facet elements S(eta_i), their inverses and the chains of their powers
-are cached on the presentation.  An inverse or a power chain records the
-element it was built from and is rebuilt when that element is replaced.
+The facet elements S(eta_i), their inverses, the chains of their powers and
+the dictionary are cached on the presentation, a value: each entry is
+computed once and never rebuilt.  A `GeometricDictionary` is a value too,
+built whole by `build_dictionary`; it derives its decode data from its
+fields when it is made.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import is_
 
 from .actions import _check_xi, fixed_maximum
 from .errors import (
@@ -98,14 +99,11 @@ def facet_seidel(qp, i):
 
 
 def _facet_seidel_inverse(qp, i):
-    """S(eta_i)^-1, cached with the facet element it inverts and rebuilt
-    when that element is replaced."""
-    element = facet_seidel(qp, i).qclass
+    """S(eta_i)^-1, cached."""
     key = ("facet_seidel_inv", i)
-    entry = qp._cache.get(key)
-    if entry is None or entry[0] is not element:
-        entry = qp._cache[key] = (element, qinv(element, qp))
-    return entry[1]
+    if key not in qp._cache:
+        qp._cache[key] = qinv(facet_seidel(qp, i).qclass, qp)
+    return qp._cache[key]
 
 
 def facet_power(qp, i, a):
@@ -113,21 +111,18 @@ def facet_power(qp, i, a):
 
     The powers of one sign are built as `qpow` builds them: from the unit
     up, each the product of the one below with the base, S(eta_i) or its
-    inverse.  The entry is (base, (base^0, base^1, ...)).  It is rebuilt
-    when the base is replaced, and a longer chain is written as a new
-    entry, never appended to the cached one."""
-    base = facet_seidel(qp, i).qclass if a > 0 \
-        else _facet_seidel_inverse(qp, i)
+    inverse.  The entry is the tuple (base^0, base^1, ...); a longer chain
+    is written as a new entry, never appended to the cached one."""
     key = ("facet_power", i, a > 0)
-    entry = qp._cache.get(key)
-    powers = entry[1] if entry is not None and entry[0] is base \
-        else (qp.one(),)
+    powers = qp._cache.get(key, ())
     k = abs(a)
     if k >= len(powers):
-        powers = list(powers)
+        base = facet_seidel(qp, i).qclass if a > 0 \
+            else _facet_seidel_inverse(qp, i)
+        powers = list(powers) or [qp.one()]
         while len(powers) <= k:
             powers.append(qprod(powers[-1], base, qp))
-        qp._cache[key] = (base, tuple(powers))
+        powers = qp._cache[key] = tuple(powers)
     return powers[k]
 
 
@@ -237,40 +232,34 @@ def verify_leading_term(qp, xi, element=None):
 
 # ---------------------------------------------------------------- dictionary
 
-@dataclass
+@dataclass(frozen=True)
 class GeometricDictionary:
+    """Named classes, and the decode data `to_homology_report` reads,
+    derived from the fields when the dictionary is made: the inverse of the
+    point lift's coefficient at `top`, and (facet, image, probe,
+    1 / coefficient) per nonempty facet image."""
     n: int
     labels: tuple  # display name per facet
     facet_images: tuple  # kept-variable polynomial per facet class
     point_lift: QClass = None
     point_vertex: tuple = None  # facet set of the eligible vertex
     point_xi: tuple = None
-    _decode: tuple = field(default=None, repr=False, compare=False)
+    top: tuple = None  # the standard monomial of degree two, when unique
+    point_inverse: NovScalar = field(init=False, repr=False, compare=False)
+    probes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "point_inverse",
+            self.point_lift.coeffs[self.top].invert()
+            if self.has_point() and self.top is not None else None)
+        object.__setattr__(self, "probes", tuple(
+            (i, image, probe, Fraction(1) / c)
+            for i, image in enumerate(self.facet_images)
+            if image for probe, c in [next(iter(image.items()))]))
 
     def has_point(self):
         return self.point_lift is not None
-
-
-def _decode_entry(dictionary, ring):
-    """The decode entry: the standard monomial of degree two (the top one
-    in dimension two; None unless unique), the inverse of the point lift's
-    coefficient there, and (facet, image, probe, 1 / coefficient) per
-    nonempty facet image.  It records the point lift, the facet images and
-    the standard monomials it was derived from, and is rebuilt when one of
-    them is replaced."""
-    monos = ring.standard_monomials
-    sources = (dictionary.point_lift, dictionary.facet_images, monos)
-    entry = dictionary._decode
-    if entry is None or not all(map(is_, entry[0], sources)):
-        top = [m for m in monos if mono_degree(m) == 2]
-        m_top = top[0] if len(top) == 1 else None
-        inverse = dictionary.point_lift.coeffs[m_top].invert() \
-            if dictionary.has_point() and m_top is not None else None
-        probes = tuple((i, image, probe, Fraction(1) / c)
-                       for i, image in enumerate(dictionary.facet_images)
-                       if image for probe, c in [next(iter(image.items()))])
-        entry = dictionary._decode = (sources, m_top, inverse, probes)
-    return entry
 
 
 def _facet_label(poly, i):
@@ -285,10 +274,7 @@ def build_dictionary(qp):
         return qp._cache["dictionary"]
     poly = qp.polytope
     ring = qp.ring
-    labels = tuple(_facet_label(poly, i) for i in range(poly.num_facets))
-    images = tuple(ring.var(i) for i in range(poly.num_facets))
-    dictionary = GeometricDictionary(n=poly.n, labels=labels,
-                                     facet_images=images)
+    point = point_vertex = point_xi = None
     if poly.n == 2:
         for vid in range(len(poly.vertices)):
             vertex_face = poly.face(poly.vertex_facets(vid))
@@ -314,16 +300,20 @@ def build_dictionary(qp):
                 raise PointLiftUnnormalized(
                     f"the point lift from the Seidel element of {xi} pairs "
                     f"to {pairing}, not 1, at cutoff {qp.cutoff}")
-            dictionary.point_lift = point
-            dictionary.point_vertex = tuple(sorted(vertex_face.facets))
-            dictionary.point_xi = xi
+            point_vertex = tuple(sorted(vertex_face.facets))
+            point_xi = xi
             break
         else:
             raise NoEligibleVertex(
                 "no vertex is a semifree maximum with all edge classes of "
                 "first Chern number at least 2")
-    _decode_entry(dictionary, ring)
-    qp._cache["dictionary"] = dictionary
+    top = [m for m in ring.standard_monomials if mono_degree(m) == 2]
+    dictionary = qp._cache["dictionary"] = GeometricDictionary(
+        n=poly.n,
+        labels=tuple(_facet_label(poly, i) for i in range(poly.num_facets)),
+        facet_images=tuple(ring.var(i) for i in range(poly.num_facets)),
+        top=top[0] if len(top) == 1 else None, point_lift=point,
+        point_vertex=point_vertex, point_xi=point_xi)
     return dictionary
 
 
@@ -341,14 +331,13 @@ class HomologyReport:
 def to_homology_report(dictionary, qclass, qp):
     """Rewrite a quantum class over {unit, facet classes, point lift} and
     flip the Novikov exponents to the homology orientation.  What does not
-    depend on the class is read off the decode entry; no zero is made."""
+    depend on the class is read off the dictionary; no zero is made."""
     n = dictionary.n
     if n > 2 and any(mono_degree(m) > 1 and not s.is_zero()
                      for m, s in qclass.coeffs.items()):
         raise DictionaryIncomplete(
             "degree-4 and higher classes have no geometric names beyond "
             "dimension two")
-    _, m_top, inverse, probes = _decode_entry(dictionary, qp.ring)
     work = {m: s for m, s in qclass.coeffs.items() if not s.is_zero()}
     entries = []
 
@@ -359,11 +348,11 @@ def to_homology_report(dictionary, qclass, qp):
     # point part (top degree): only decodable with a point lift
     if n == 2 and dictionary.has_point() and any(
             mono_degree(m) > 1 for m in work):
-        if m_top is None:
+        if dictionary.top is None:
             raise DegenerateRing("top cohomology is not one dimensional")
-        gamma = work.get(m_top)
+        gamma = work.get(dictionary.top)
         if gamma is not None:
-            gamma = gamma * inverse
+            gamma = gamma * dictionary.point_inverse
             flip("p", gamma)
             for m, s in dictionary.point_lift.coeffs.items():
                 res = work[m] - gamma * s if m in work else -(gamma * s)
@@ -374,7 +363,7 @@ def to_homology_report(dictionary, qclass, qp):
     # degree two: prefer a single facet class, else the kept facet classes
     deg2 = {m: s for m, s in work.items() if mono_degree(m) == 1}
     if deg2:
-        for i, image, probe, ratio in probes:
+        for i, image, probe, ratio in dictionary.probes:
             if probe not in deg2:
                 continue
             gamma = deg2[probe].scale(ratio)  # neither side holds a zero

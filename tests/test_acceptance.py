@@ -196,7 +196,8 @@ def test_criterion_3_product_of_spheres(square, hirz, hirz5):
         expected = qsub(
             qscale(fexpr(hirz, {2: 1}),
                    NovScalar.monomial(1, -1, -eps, hirz.cutoff)),
-            qscale(fexpr(hirz, {1: 1}), tail.shift(-1, 0)))
+            qscale(fexpr(hirz, {1: 1}),
+                   tail * NovScalar.monomial(1, -1, 0, hirz.cutoff)))
         order_two = -eps + 2 * (mu - 1)
         residual = qsub(g3.qclass, expected)
         assert residual.is_zero() or residual.valuation() > order_two

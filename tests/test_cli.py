@@ -789,6 +789,20 @@ def test_presentation_flags_with_no_quantum_are_a_typed_error(
     assert captured.err == f"error: FileFormatError: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["(" * 3000 + "x1" + ")" * 3000, "x1"],
+    ["--", "-" * 5000 + "x1", "x1"]], ids=["parentheses", "minus"])
+def test_deep_nesting_is_a_typed_error(tmp_path, capsys, argv):
+    poly = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(poly)])
+    capsys.readouterr()
+    assert main(["product", str(poly), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: ExprSyntaxError: expression nested too deeply\n"
+
+
 # ------------------------------------------------------------- closed pipes
 
 @pytest.mark.parametrize("unbuffered", [False, True],

@@ -377,8 +377,8 @@ def test_the_ring_checks_still_fire_under_python_O():
         "                        vertices=cp2.vertices + cp2.vertices[:1])\n"
         "check('betti', DegenerateRing, lambda: build_ring(extra))\n"
         "qp = fano_presentation(examples.s2xs2())\n"
-        "dictionary = build_dictionary(qp)\n"
         "qp.ring.standard_monomials += ((2, 0),)\n"
+        "dictionary = build_dictionary(qp)\n"
         "point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)\n"
         "check('report', DegenerateRing,\n"
         "      lambda: to_homology_report(dictionary, point, qp))\n"

@@ -4,9 +4,7 @@
 cached on the presentation.  The reference below is the former
 `facet_product`, which rebuilt every power from the unit with `qpow` on every
 call; the cached path must give the same values, truncation flags and errors
-at every cutoff, on cold and on warm caches.  A cached inverse or power
-records the facet element it was built from and is rebuilt when that element
-is replaced.
+at every cutoff, on cold and on warm caches.
 """
 
 import dataclasses
@@ -22,8 +20,7 @@ from test_quantum_nf import snapshot
 from toricqh import examples
 from toricqh.actions import fixed_components
 from toricqh.errors import ToricError, WrongDegree
-from toricqh.novikov import NovScalar
-from toricqh.oracle import DEFAULT_SEED, _random_xi, check_vertex_independence
+from toricqh.oracle import DEFAULT_SEED, _random_xi
 from toricqh.quantum import (
     default_cutoff,
     fano_presentation,
@@ -31,11 +28,9 @@ from toricqh.quantum import (
     qinv,
     qpow,
     qprod,
-    qscale,
 )
 from toricqh.seidel import (
     SeidelElement,
-    _facet_seidel_inverse,
     facet_power,
     facet_product,
     facet_seidel,
@@ -157,24 +152,3 @@ def test_facet_power_is_the_qpow_power():
             assert class_outcome(facet_power(qp, i, a)) == \
                 class_outcome(qpow(base, k, qp)), (i, a)
     assert facet_product(qp, {0: 0, 1: 0}) == qp.one()
-
-
-@pytest.mark.parametrize("name", ["blowup_cp2", "hirzebruch2"])
-def test_replaced_facet_element_gets_a_fresh_inverse_and_powers(name):
-    if name == "hirzebruch2":
-        qp = hirzebruch2_nef(None)
-    else:
-        qp = fano_presentation(examples.blowup_cp2(F(1, 2)))
-    check_vertex_independence(qp)  # warms the facet elements and powers
-    _facet_seidel_inverse(qp, 0)
-    facet_power(qp, 0, 2)
-    facet_power(qp, 0, -2)
-    old = facet_seidel(qp, 0)
-    new = dataclasses.replace(
-        old, qclass=qscale(old.qclass, NovScalar.monomial(2, 0, 0,
-                                                          qp.cutoff)))
-    qp._cache[("facet_seidel", 0)] = new
-    inverse = _facet_seidel_inverse(qp, 0)
-    assert qprod(new.qclass, inverse, qp) == qp.one()
-    assert facet_power(qp, 0, 2) == qpow(new.qclass, 2, qp)
-    assert facet_power(qp, 0, -2) == qpow(inverse, 2, qp)

@@ -60,7 +60,7 @@ def reference_fano_presentation(poly, cutoff=None):
     """The former fano_presentation, with x^J built by hand."""
     ring = build_ring(poly)
     cutoff = Fraction(cutoff) if cutoff is not None else \
-        default_cutoff(poly, ring.prims)
+        default_cutoff(poly)
     corrections = {}
     energies = []
     for p in ring.prims:
@@ -71,8 +71,7 @@ def reference_fano_presentation(poly, cutoff=None):
         corrections[p.key] = qpoly_from_poly(kept, cutoff,
                                              d=p.beta.c1(), kappa=omega)
         energies.append(omega)
-    return QuantumPresentation(ring=ring, prims=ring.prims,
-                               corrections=corrections,
+    return QuantumPresentation(ring=ring, corrections=corrections,
                                hbar=min(energies), cutoff=cutoff, mode="fano")
 
 
@@ -80,7 +79,7 @@ def reference_nef_presentation(poly, y_table, cutoff=None):
     """The former nef_presentation, with x_I built by hand."""
     ring = build_ring(poly)
     cutoff = Fraction(cutoff) if cutoff is not None else \
-        default_cutoff(poly, ring.prims)
+        default_cutoff(poly)
     y_classes = {}
     for i in range(poly.num_facets):
         if i not in y_table:
@@ -119,8 +118,7 @@ def reference_nef_presentation(poly, y_table, cutoff=None):
                 f"valuation {val}")
         corrections[p.key] = delta
         energies.append(val)
-    return QuantumPresentation(ring=ring, prims=ring.prims,
-                               corrections=corrections,
+    return QuantumPresentation(ring=ring, corrections=corrections,
                                hbar=min(energies), cutoff=cutoff, mode="nef",
                                y_classes=y_classes)
 

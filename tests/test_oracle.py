@@ -62,16 +62,15 @@ def test_associativity_clean(blow, square, cp2):
 def test_associativity_catches_corrupted_energy(blow):
     # corrupting a relation energy to zero breaks the positivity the whole
     # construction rests on; the oracle must report it rather than hang
-    import copy
-    bad = fano_presentation(examples.blowup_cp2(F(1, 2)))
+    assert check_associativity(blow) == []
     key = frozenset({2, 3})
-    delta = bad.corrections[key]
-    bad.corrections[key] = {
-        m: NovScalar({(d, F(0)): c for (d, _), c in s.terms.items()},
-                     bad.cutoff)
-        for m, s in delta.items()}
-    bad._nf_cache.clear()
+    bad = dataclasses.replace(blow, corrections={
+        **blow.corrections,
+        key: {m: NovScalar({(d, F(0)): c for (d, _), c in s.terms.items()},
+                           blow.cutoff)
+              for m, s in blow.corrections[key].items()}})
     assert check_associativity(bad) != []
+    assert check_associativity(blow) == []
 
 
 def test_homomorphism_clean(blow, square, cp2):
@@ -100,15 +99,15 @@ def test_grading_and_betti(blow, square, cp2, hirz):
 
 
 def test_grading_catches_corrupted_q_exponent(blow):
-    bad = fano_presentation(examples.blowup_cp2(F(1, 2)))
+    assert check_grading_and_betti(blow.polytope, blow)
     key = frozenset({2, 3})
-    delta = bad.corrections[key]
-    bad.corrections[key] = {
-        m: NovScalar({(d + 1, k): c for (d, k), c in s.terms.items()},
-                     bad.cutoff)
-        for m, s in delta.items()}
-    bad._nf_cache.clear()
+    bad = dataclasses.replace(blow, corrections={
+        **blow.corrections,
+        key: {m: NovScalar({(d + 1, k): c for (d, k), c in s.terms.items()},
+                           blow.cutoff)
+              for m, s in blow.corrections[key].items()}})
     assert not check_grading_and_betti(bad.polytope, bad)
+    assert check_grading_and_betti(blow.polytope, blow)
 
 
 def test_relations_vanish(blow, square, cp2, hirz):
@@ -155,11 +154,15 @@ def test_fano_seidel_path_takes_no_inverse(monkeypatch, poly):
 
 
 def test_vertex_independence_catches_a_corrupted_facet_element():
-    qp = fano_presentation(examples.blowup_cp2(F(1, 2)))
-    assert check_vertex_independence(qp) == []
-    key = ("facet_seidel", 0)
+    """The corrupted element goes into the cache before any power chain is
+    built from the facet element it replaces."""
+    poly = examples.blowup_cp2(F(1, 2))
+    assert check_vertex_independence(fano_presentation(poly)) == []
+    qp = fano_presentation(poly)
     element = facet_seidel(qp, 0)
-    qp._cache[key] = dataclasses.replace(
+    assert not any(key[0] == "facet_power" for key in qp._cache
+                   if isinstance(key, tuple))
+    qp._cache[("facet_seidel", 0)] = dataclasses.replace(
         element, qclass=qscale(element.qclass,
                                NovScalar.monomial(2, 0, 0, qp.cutoff)))
     assert check_vertex_independence(qp) != []

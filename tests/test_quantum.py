@@ -168,7 +168,7 @@ def test_qinv_square_sum_example(square):
     while k * 1 - 1 <= square.cutoff:
         series = series + nov_mono(square, 1, 0, k)
         k += 1
-    series = series.shift(-2, -1)
+    series = series * nov_mono(square, 1, -2, -1)
     expected = qadd(qscale(fvar(square, 2), series),
                     qscale(fvar(square, 0), -series))
     assert u.coeffs == {m: s.with_truncated(u.coeffs[m].truncated)

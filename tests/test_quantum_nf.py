@@ -2,6 +2,7 @@
 and qprod on the integer grid against the Fraction-level versions before
 it, and the invariants of the NovScalar arithmetic."""
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -191,11 +192,12 @@ def test_a_flagged_correction_flags_the_result_it_enters():
     cube = next(iter(qp.ring.substitute({(1, 1, 1): F(1)})))
     z = {cube: NovScalar.one(qp.cutoff)}
     assert not quantum_nf(z, qp).truncated
-    qp.corrections[key] = {m: s.with_truncated(True)
-                           for m, s in delta.items()}
-    got = quantum_nf(z, qp)
+    flagged = dataclasses.replace(qp, corrections={
+        key: {m: s.with_truncated(True) for m, s in delta.items()}})
+    got = quantum_nf(z, flagged)
     assert got.truncated and not got.is_zero()
-    assert snapshot(got) == snapshot(reference_nf(z, qp))
+    assert snapshot(got) == snapshot(reference_nf(z, flagged))
+    assert not quantum_nf(z, qp).truncated
 
 
 def test_a_correction_at_the_same_level_is_non_positive_energy():
@@ -203,13 +205,15 @@ def test_a_correction_at_the_same_level_is_non_positive_energy():
     std = qp.ring.standard_monomials
     mono = next(m for m in sorted({mono_mul(a, b) for a in std for b in std})
                 if _nf_traced_cached(qp, m)[1])
-    for key in _nf_traced_cached(qp, mono)[1]:
-        qp.corrections[key] = {m: NovScalar.monomial(1, 3, 0, qp.cutoff)
-                               for m in qp.corrections[key]}
+    same_level = dataclasses.replace(qp, corrections={
+        **qp.corrections,
+        **{key: {m: NovScalar.monomial(1, 3, 0, qp.cutoff)
+                 for m in qp.corrections[key]}
+           for key in _nf_traced_cached(qp, mono)[1]}})
     z = {mono: NovScalar.monomial(1, 0, 0, qp.cutoff)}
     for nf in (quantum_nf, reference_nf):
         with pytest.raises(NonPositiveEnergy):
-            nf(z, qp)
+            nf(z, same_level)
 
 
 # ------------------------------------------------ NovScalar invariants
@@ -270,7 +274,7 @@ def test_arithmetic_keeps_the_validated_form(a, b, c, d, kappa):
     assert scaled.terms == NovScalar(
         {k: c * v for k, v in a.terms.items()}, CUT).terms
     assert scaled.truncated == a.truncated
-    shifted = a.shift(d, kappa)
+    shifted = a * NovScalar.monomial(1, d, kappa, CUT)
     assert_normal(shifted)
     assert shifted.terms == NovScalar(
         {(d0 + d, k0 + kappa): v for (d0, k0), v in a.terms.items()},
@@ -411,7 +415,7 @@ def test_off_grid_exponents_refine_the_grid():
                 for m, c in full.items()]), qp)
             assert typed(lift(qp, {(m, -1, kappa): F(3, 2) * c
                                    for m, c in full.items()})) == typed(want)
-        assert any(D % 7 == 0 for D in qp._cache["grid"][3])
+        assert any(D % 7 == 0 for D in qp._cache["grid"][1])
 
 
 def test_a_flagged_factor_flags_the_product_unless_the_other_is_empty():
@@ -456,27 +460,31 @@ def test_cancelling_atoms_above_the_cutoff_flag_a_product():
 
 
 def test_the_grid_follows_a_replaced_cutoff_and_correction():
-    """Grid and plans are rebuilt when the cutoff or a correction object
-    is replaced after they were filled."""
+    """A copy with another cutoff or correction, made by
+    `dataclasses.replace` after the original's grid and plans were filled,
+    builds its own."""
     qp = fano_presentation(examples.blowup_cp2())
     std = qp.ring.standard_monomials
     pairs = [(monomial_class(qp, m1, i), monomial_class(qp, m2, j))
              for i, m1 in enumerate(std) for j, m2 in enumerate(std)]
     for a, b in pairs:
         qprod(a, b, qp)
-    qp.cutoff = F(1, 2)  # below the Fano corrections' own cutoff
+    low = dataclasses.replace(qp, cutoff=F(1, 2))  # below the corrections'
     flagged = 0
     for a, b in pairs:
-        want = parent_qprod(a, b, qp)
-        assert typed(qprod(a, b, qp)) == typed(want)
+        want = parent_qprod(a, b, low)
+        assert typed(qprod(a, b, low)) == typed(want)
         flagged += want.truncated
     assert flagged
-    key, delta = next(iter(qp.corrections.items()))
-    qp.corrections[key] = {m: NovScalar.monomial(1, 3, 0, qp.cutoff)
-                           for m in delta}
+    key, delta = next(iter(low.corrections.items()))
+    bad = dataclasses.replace(low, corrections={
+        **low.corrections,
+        key: {m: NovScalar.monomial(1, 3, 0, low.cutoff) for m in delta}})
     with pytest.raises(NonPositiveEnergy):
         for a, b in pairs:
-            qprod(a, b, qp)
+            qprod(a, b, bad)
+    for a, b in pairs:
+        assert typed(qprod(a, b, qp)) == typed(parent_qprod(a, b, qp))
 
 
 def test_correction_atoms_of_one_monomial_that_cancel_still_flag():
@@ -494,13 +502,15 @@ def test_correction_atoms_of_one_monomial_that_cancel_still_flag():
     low = -4 * qp.cutoff
     z = {mono: NovScalar.monomial(1, 0, low, qp.cutoff)}
     for kappa, flag in ((qp.cutoff - low + 1, True), (F(1), False)):
-        qp.corrections[key1] = {m: NovScalar.monomial(c, 0, kappa, kappa)
-                                for m, c in cof2.items()}
-        qp.corrections[key2] = {m: NovScalar.monomial(-c, 0, kappa, kappa)
-                                for m, c in cof1.items()}
-        got = quantum_nf(z, qp)
+        cancelling = dataclasses.replace(qp, corrections={
+            **qp.corrections,
+            key1: {m: NovScalar.monomial(c, 0, kappa, kappa)
+                   for m, c in cof2.items()},
+            key2: {m: NovScalar.monomial(-c, 0, kappa, kappa)
+                   for m, c in cof1.items()}})
+        got = quantum_nf(z, cancelling)
         assert got.truncated == flag
-        assert typed(got) == typed(parent_quantum_nf(z, qp))
+        assert typed(got) == typed(parent_quantum_nf(z, cancelling))
 
 
 def test_results_share_the_presentation_cutoff():

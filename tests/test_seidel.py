@@ -364,8 +364,8 @@ def test_a_point_lift_from_a_wrong_maximum_is_a_typed_error(monkeypatch):
 def test_a_second_top_monomial_in_a_homology_report_is_a_typed_error():
     # a hand-built ring with two top standard monomials
     qp = fano_presentation(examples.s2xs2())
-    dictionary = build_dictionary(qp)
     qp.ring.standard_monomials += ((2, 0),)
+    dictionary = build_dictionary(qp)
     point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)
     with pytest.raises(DegenerateRing):
         to_homology_report(dictionary, point, qp)

@@ -42,7 +42,6 @@ from toricqh.polytope import DelzantPolytope, edge_class
 from toricqh.quantum import (
     QClass,
     default_cutoff,
-    fano_presentation,
     lift,
     qadd,
     qprod,
@@ -378,6 +377,17 @@ def test_a_class_of_degree_four_beyond_dimension_two_is_still_incomplete():
         reference_to_homology_report(build_dictionary(qp), z, qp)
 
 
+def point_and_facet(qp, dictionary):
+    """The point lift plus the first facet class: its report names both."""
+    facet = QClass({m: NovScalar.monomial(c, 0, 0, qp.cutoff)
+                    for m, c in dictionary.facet_images[0].items()},
+                   qp.cutoff)
+    z = qadd(dictionary.point_lift, facet)
+    names = {e[0] for e in to_homology_report(dictionary, z, qp).entries}
+    assert names == {"p", dictionary.labels[0]}
+    return z
+
+
 def test_a_point_lift_is_decoded_once(monkeypatch):
     """The inverse of the top coefficient is taken when the dictionary is
     built, not per report."""
@@ -525,63 +535,6 @@ def test_a_non_integer_direction_is_rejected_with_an_element_too(xi):
 
 
 # ---------------------------------------------------------- cache coherence
-
-def scaled(qclass, c):
-    return qscale(qclass, NovScalar.monomial(c, 0, 0, qclass.cutoff))
-
-
-def point_and_facet(qp, dictionary):
-    """The point lift plus the first facet class: its report names both."""
-    facet = QClass({m: NovScalar.monomial(c, 0, 0, qp.cutoff)
-                    for m, c in dictionary.facet_images[0].items()},
-                   qp.cutoff)
-    z = qadd(dictionary.point_lift, facet)
-    names = {e[0] for e in to_homology_report(dictionary, z, qp).entries}
-    assert names == {"p", dictionary.labels[0]}
-    return z
-
-
-@pytest.mark.parametrize("name", ["cp2", "blowup_cp2", "hirzebruch2 nef"])
-def test_a_replaced_point_lift_rebuilds_the_decode_entry(name):
-    qp = presentation(name)
-    dictionary = build_dictionary(qp)
-    z = point_and_facet(qp, dictionary)
-    first = to_homology_report(dictionary, z, qp)
-    assert first == reference_to_homology_report(dictionary, z, qp)
-    dictionary.point_lift = scaled(dictionary.point_lift, 2)
-    again = to_homology_report(dictionary, z, qp)
-    assert again == reference_to_homology_report(dictionary, z, qp)
-    assert again != first
-
-
-def test_a_replaced_dictionary_entry_rebuilds_the_decode_entry():
-    """A copy of the dictionary carries the decode entry of the original,
-    which records the original point lift and facet images."""
-    qp = presentation("blowup_cp2")
-    dictionary = build_dictionary(qp)
-    z = point_and_facet(qp, dictionary)
-    first = to_homology_report(dictionary, z, qp)
-    images = tuple({m: 3 * c for m, c in image.items()}
-                   for image in dictionary.facet_images)
-    for replacement in (
-            dataclasses.replace(dictionary,
-                                point_lift=scaled(dictionary.point_lift, 3)),
-            dataclasses.replace(dictionary, facet_images=images)):
-        qp._cache["dictionary"] = replacement
-        got = to_homology_report(build_dictionary(qp), z, qp)
-        assert got == reference_to_homology_report(replacement, z, qp)
-        assert got != first
-
-
-def test_replaced_standard_monomials_rebuild_the_decode_entry():
-    qp = fano_presentation(examples.s2xs2())
-    dictionary = build_dictionary(qp)
-    point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)
-    to_homology_report(dictionary, point, qp)
-    qp.ring.standard_monomials += ((2, 0),)
-    with pytest.raises(DegenerateRing):
-        to_homology_report(dictionary, point, qp)
-
 
 @pytest.mark.parametrize("name", sorted(PRESENTED))
 def test_edge_classes_through_matches_the_former_code(name):
