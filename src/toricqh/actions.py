@@ -105,7 +105,7 @@ class CircleTable:
         self.xi = xi = _check_xi(xi)
         self.coords = [poly.coordinates(vid, xi)
                        for vid in range(len(poly.vertices))]
-        self.scale, points = poly.scaled_vertices()
+        self.scale, points = poly.scaled_vertices
         self.levels = [linalg.vec_dot(xi, p) for p in points]
 
     @property
@@ -152,11 +152,15 @@ class CircleTable:
         return _stratum(self.orders, q)
 
     def q_pairs(self, faces):
-        candidates = {d for order in self.orders.values()
-                      if order is not FIXED
-                      for d in range(2, order + 1) if order % d == 0}
+        """The q of each pair of faces, tried over the gcd-closure of the
+        finite orders: two faces joined by a chain share the stratum of the
+        gcd of its orders, and a stratum that is not closed at some q is not
+        closed at q = the order of a face that it holds."""
+        candidates = set()
+        for order in set(self.orders.values()) - {FIXED}:
+            candidates |= {gcd(order, c) for c in candidates} | {order}
         pairs = dict.fromkeys(combinations(range(len(faces)), 2), 1)
-        for q in sorted(candidates):  # ascending: a larger q overwrites
+        for q in sorted(candidates - {1}):  # ascending: a larger q overwrites
             for comp in self.stratum(q).components:
                 inside = [k for k, face in enumerate(faces)
                           if face.facets in comp]
@@ -188,7 +192,7 @@ def fixed_maximum(poly, xi):
     must be exactly the maximizing ones.  xi is checked once; the weight
     check reuses its coordinates at that vertex and solves the others'."""
     xi = _check_xi(xi)
-    scale, points = poly.scaled_vertices()
+    scale, points = poly.scaled_vertices
     values = [linalg.vec_dot(xi, p) for p in points]
     top = max(values)
     vid = values.index(top)

@@ -14,6 +14,7 @@ vertices by descending edges.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from . import linalg
@@ -104,23 +105,24 @@ def _eliminate(poly):
     return kept, images
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassicalRing:
+    """A value, built whole by `build_ring`; its derived data are cached."""
     polytope: object
-    prims: list
-    linear_gens: list  # full-variable polynomials
+    prims: tuple
+    linear_gens: tuple  # full-variable polynomials
     sr_gens: dict  # primitive key -> full-variable monomial
     kept: tuple  # kept full-variable indices, in input order
     images: dict = field(repr=False)  # full index -> kept-width poly
-    basis: TracedBasis = field(repr=False, default=None)
-    gen_keys: tuple = ()
-    standard_monomials: tuple = ()
-    betti: tuple = ()
-    # derived on first use: per full monomial, its kept-variable image and
-    # its normal form; per vertex, the weights that integrate localizes at
-    _kept: dict = field(default_factory=dict, repr=False, compare=False)
-    _reduced: dict = field(default_factory=dict, repr=False, compare=False)
-    _vertex_weights: tuple = field(default=None, repr=False, compare=False)
+    basis: TracedBasis = field(repr=False)
+    gen_keys: tuple  # the primitive key of each basis generator
+    standard_monomials: tuple
+    betti: tuple
+    # filled on first use: per full monomial, its kept image and normal form
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+    _reduced: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     # -- variable handling -----------------------------------------------------
 
@@ -172,17 +174,15 @@ class ClassicalRing:
 
     # -- integration and pairing ---------------------------------------------------
 
-    def _localization(self):
+    @cached_property
+    def localization(self):
         """Per vertex v: the weight w_i(v) of generic_vector(poly) at each
-        kept variable x_i (0 where facet i misses v), and the product of the
-        weights of the n facets through v.  Built once per ring."""
-        if self._vertex_weights is None:
-            xi = generic_vector(self.polytope)
-            self._vertex_weights = tuple(
-                (tuple(w.get(i, 0) for i in self.kept), prod(w.values()))
-                for w in (vertex_weights(self.polytope, vid, xi)
-                          for vid in range(len(self.polytope.vertices))))
-        return self._vertex_weights
+        kept x_i (0 if facet i misses v), and the product of the n w_i(v)."""
+        xi = generic_vector(self.polytope)
+        return tuple(
+            (tuple(w.get(i, 0) for i in self.kept), prod(w.values()))
+            for w in (vertex_weights(self.polytope, vid, xi)
+                      for vid in range(len(self.polytope.vertices))))
 
     def integrate(self, poly):
         """Integral of a homogeneous top-degree class over the manifold, by
@@ -197,7 +197,7 @@ class ClassicalRing:
                 f"integrand must be homogeneous of cohomological degree {2 * n}")
         return sum((Fraction(sum(c * prod(map(pow, weights, m))
                                  for m, c in poly.items()), euler)
-                    for weights, euler in self._localization()), Fraction(0))
+                    for weights, euler in self.localization), Fraction(0))
 
     def pd_matrix(self, degree):
         """Pairing matrix between standard monomials of cohomological degree
@@ -221,26 +221,28 @@ def _combine(full_poly, image_of):
 
 
 def build_ring(poly):
+    """The ring of poly, built whole; the Betti numbers, counted on the
+    standard monomials, must sum to the vertex count."""
     prims = primitive_sets(poly)
     linear, monomials = classical_generators(poly)
     kept, images = _eliminate(poly)
-    ring = ClassicalRing(polytope=poly, prims=prims, linear_gens=linear,
-                         sr_gens=monomials, kept=kept, images=images)
     gen_keys = tuple(p.key for p in prims)
-    ring.gen_keys = gen_keys
-    ring.basis = TracedBasis([ring.substitute(monomials[k])
-                              for k in gen_keys])
-    ring.standard_monomials = ring.basis.standard_monomials(
-        limit=4 * max(len(poly.vertices), 4))
-    counts = [0] * (poly.n + 1)
-    for m in ring.standard_monomials:
-        counts[mono_degree(m)] += 1
-    ring.betti = tuple(counts)
-    if sum(ring.betti) != len(poly.vertices):
+    # substituted in ints; Fraction coefficients, as `substitute` writes them
+    basis = TracedBasis([{m: Fraction(c) for m, c in poly_substitute(
+        dict.fromkeys(monomials[k], 1), images, len(kept)).items()}
+        for k in gen_keys])
+    standard = basis.standard_monomials(limit=4 * max(len(poly.vertices), 4))
+    betti = [0] * (poly.n + 1)
+    for m in standard:
+        betti[mono_degree(m)] += 1
+    if sum(betti) != len(poly.vertices):
         raise DegenerateRing(
-            f"quotient dimension {sum(ring.betti)} differs from the vertex "
+            f"quotient dimension {sum(betti)} differs from the vertex "
             f"count {len(poly.vertices)}")
-    return ring
+    return ClassicalRing(
+        polytope=poly, prims=tuple(prims), linear_gens=tuple(linear),
+        sr_gens=monomials, kept=kept, images=images, basis=basis,
+        gen_keys=gen_keys, standard_monomials=standard, betti=tuple(betti))
 
 
 # ------------------------------------------------------------- Morse counts
@@ -253,7 +255,7 @@ def vertex_weights(poly, vid, xi):
 
 def betti_morse(poly, xi):
     """Vertex counts by Morse index of <xi, .>; requires xi generic."""
-    _, points = poly.scaled_vertices()
+    _, points = poly.scaled_vertices
     if len({linalg.vec_dot(xi, p) for p in points}) != len(points):
         raise NonGenericVector(
             f"{tuple(xi)} does not separate the vertices")
@@ -264,7 +266,7 @@ def generic_vector(poly):
     """Deterministic generic direction: (1, M, M^2, ...) with M one more
     than the largest scaled vertex coordinate, escalated if needed.  Each
     trial is integer dot products with the scaled vertices."""
-    _, points = poly.scaled_vertices()
+    _, points = poly.scaled_vertices
     M = 1 + max(abs(x) for p in points for x in p)
     for _ in range(64):
         xi = tuple(M ** j for j in range(poly.n))

@@ -20,7 +20,7 @@ arithmetic adds exponents and merges like atoms.
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
-from .polynomials import poly_add, poly_const, poly_mul, poly_neg
+from .polynomials import poly_add, poly_const, poly_mul, poly_neg, poly_pow
 
 
 def _tokenize(text):
@@ -139,10 +139,9 @@ class _Parser:
             if exponent.denominator != 1 or exponent < 0:
                 raise ExprSyntaxError(
                     "variable exponents must be nonnegative integers")
-            out = poly_const(1, self.n + 2)
-            for _ in range(int(exponent)):
-                out = poly_mul(out, value)
-            return out
+            if not exponent:
+                return poly_const(1, self.n + 2)
+            return poly_pow(value, int(exponent))
         return value
 
     def atom(self):

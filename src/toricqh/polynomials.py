@@ -101,22 +101,37 @@ def leading_monomial(f):
     return max(f, key=grevlex_key)
 
 
+def _mul_keeping_ints(f, g):
+    """f * g with sums started from 0, not `poly_mul`'s Fraction(0), so
+    that a product of ints stays an int."""
+    product = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m3 = mono_mul(m1, m2)
+            product[m3] = product.get(m3, 0) + c1 * c2
+    return {k: v for k, v in product.items() if v}
+
+
+def poly_pow(f, e):
+    """f^e for an integer e >= 1, as a new dict, by squaring: about
+    2 log2(e) products, ints kept as ints."""
+    if e == 1:
+        return dict(f)
+    half = poly_pow(f, e // 2)
+    square = _mul_keeping_ints(half, half)
+    return _mul_keeping_ints(square, f) if e % 2 else square
+
+
 def poly_substitute(f, images, width):
     """Substitute variable i by the polynomial images[i], in the given
-    variable width; ints stay ints (sums start from 0, not `poly_mul`'s
-    Fraction(0)), and an integral Fraction becomes one.  It multiplies once
-    per unit of exponent, so its cost grows with the exponents: the Fano
-    Seidel element of a large circle lifts a large x^a."""
+    variable width, with one `poly_pow` per variable of each monomial;
+    ints stay ints, and an integral Fraction becomes one."""
     out = {}
     for m, c in f.items():
         term = {(0,) * width: c}
-        for i in [i for i, e in enumerate(m) for _ in range(e)]:
-            product = {}
-            for m1, c1 in term.items():
-                for m2, c2 in images[i].items():
-                    m3 = mono_mul(m1, m2)
-                    product[m3] = product.get(m3, 0) + c1 * c2
-            term = {k: v for k, v in product.items() if v}
+        for i, e in enumerate(m):
+            if e:
+                term = _mul_keeping_ints(term, poly_pow(images[i], e))
         for k, v in term.items():
             out[k] = out.get(k, 0) + v
     return {k: v.numerator if v.denominator == 1 else v

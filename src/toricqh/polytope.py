@@ -4,11 +4,15 @@ spherical H2 classes of edges and primitive relations.
 A polytope is given by facet data (outward primitive integer normal, rational
 support value): Delta = {u : <eta_i, u> <= support_i}.  All derived data is
 exact.
+
+A polytope is a value, built whole by `validate_delzant`: its derived data
+are cached properties or per-key memos, and only this module writes them.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -47,23 +51,21 @@ class Face:
     vertex_ids: tuple  # indices into polytope.vertices
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelzantPolytope:
     n: int
     facets: tuple
     vertices: tuple  # ((point, facet frozenset), ...) sorted lex by point
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
-    # data derived on first use: vertex id -> dual basis, edge key -> edge
-    # class, face key -> (edge, class) pairs of the edges meeting the face,
-    # the integer vertices, the centroid and the primitive sets
-    _duals: dict = field(default_factory=dict, repr=False, compare=False)
-    _edge_classes: dict = field(default_factory=dict, repr=False,
-                                compare=False)
-    _face_edges: dict = field(default_factory=dict, repr=False, compare=False)
-    _scaled: tuple = field(default=None, repr=False, compare=False)
-    _centroid: tuple = field(default=None, repr=False, compare=False)
-    _prims: tuple = field(default=None, repr=False, compare=False)
+    # filled on first use: vertex id -> dual basis, edge key -> edge class,
+    # face key -> (edge, class) pairs of the edges meeting the face
+    _duals: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _edge_classes: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
+    _face_edges: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -83,18 +85,77 @@ class DelzantPolytope:
     def vertex_facets(self, vid):
         return self.vertices[vid][1]
 
+    @cached_property
     def scaled_vertices(self):
         """(D, points): the lcm D of the vertex coordinates' denominators
         and every vertex times D as an integer tuple, in vertex order, so
-        that <xi, vertex> is Fraction(<xi, point>, D).  Computed once per
-        polytope."""
-        if self._scaled is None:
-            scale = lcm(*(x.denominator for point, _ in self.vertices
-                          for x in point))
-            self._scaled = (scale, tuple(
-                tuple(x.numerator * (scale // x.denominator) for x in point)
-                for point, _ in self.vertices))
-        return self._scaled
+        that <xi, vertex> is Fraction(<xi, point>, D)."""
+        scale = lcm(*(x.denominator for point, _ in self.vertices
+                      for x in point))
+        return scale, tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in point)
+            for point, _ in self.vertices)
+
+    @cached_property
+    def centroid(self):
+        """Exact centroid of Delta under Lebesgue measure: the
+        volume-weighted mean of the simplex centroids, in integers.  On the
+        scaled vertices, a simplex's volume is D^n times, and its vertex
+        sum D * (n + 1) times, the true one (up to the common factor n!)."""
+        scale, points = self.scaled_vertices
+        total_vol = 0
+        weighted = [0] * self.n
+        for simplex in _simplices_of_face(self, self.face(frozenset())):
+            base = points[simplex[0]]
+            vol = abs(linalg.det([linalg.vec_sub(points[v], base)
+                                  for v in simplex[1:]]))
+            total_vol += vol
+            for k in range(self.n):
+                weighted[k] += vol * sum(points[v][k] for v in simplex)
+        if total_vol == 0:
+            raise NotFullDimensional(
+                f"the triangulation of {self.name or 'the polytope'} has "
+                "volume 0")
+        return tuple(Fraction(w, total_vol * scale * (self.n + 1))
+                     for w in weighted)
+
+    @cached_property
+    def primitive_sets(self):
+        """All primitive facet subsets with their dual-cone data, by size.
+        Every proper subset of a primitive collection spans a cone of the
+        simplicial fan, which has at most n rays, so none has more than
+        n + 1 elements (Batyrev)."""
+        N = self.num_facets
+        results = []
+        primitive_found = set()
+        for size in range(2, min(N, self.n + 1) + 1):
+            for sub in combinations(range(N), size):
+                fs = frozenset(sub)
+                if fs in self.faces:  # a cone of the normal fan
+                    continue
+                if any(p <= fs for p in primitive_found):
+                    continue  # a proper subset already fails to intersect
+                if all(frozenset(s) in self.faces
+                       for s in combinations(sub, size - 1)):
+                    primitive_found.add(fs)
+                    v = tuple(sum(self.normal(i)[k] for i in sub)
+                              for k in range(self.n))
+                    _, support = dual_cone_face(self, v)
+                    j_sorted = tuple(sorted(support))
+                    coeffs = tuple(support[j] for j in j_sorted)
+                    if any(Fraction(c).denominator != 1 or c <= 0
+                           for c in coeffs):
+                        raise NonIntegralCoefficient(
+                            f"dual-cone coefficients for I={sub} are {coeffs}")
+                    if fs & frozenset(j_sorted):
+                        raise NonIntegralCoefficient(
+                            f"I={sub} meets its complement set {j_sorted}")
+                    beta, energy = beta_class(self, sub, j_sorted, coeffs)
+                    results.append(PrimitiveSet(
+                        indices=tuple(sub), j_indices=j_sorted, coeffs=coeffs,
+                        beta=beta, energy=energy))
+        results.sort(key=lambda p: (len(p.indices), p.indices))
+        return tuple(results)
 
     def face(self, facet_set):
         return self.faces[frozenset(facet_set)]
@@ -223,21 +284,18 @@ def validate_delzant(facet_specs, name=""):
         raise RedundantFacet(
             f"facets {sorted(missing)} support no vertex of the region")
 
-    poly = DelzantPolytope(n=n, facets=tuple(facets), vertices=tuple(vlist),
-                           faces={}, name=name)
-    poly.faces = _build_faces(poly)
-    return poly
+    return DelzantPolytope(n=n, facets=tuple(facets), vertices=tuple(vlist),
+                           faces=_build_faces(n, vlist), name=name)
 
 
-def _build_faces(poly):
-    """Every nonempty intersection of facets, canonically keyed by the full
-    facet set containing it.  Includes Delta itself (empty facet set).
+def _build_faces(n, vertices):
+    """Every nonempty intersection of facets over the (point, facet set)
+    vertices, keyed by the full facet set containing it (Delta by {}).
 
     The faces of a simple polytope through a vertex are the subsets of its
     n facets, so one pass over the vertices lists every face's vertices."""
-    n = poly.n
-    members = {frozenset(): list(range(len(poly.vertices)))}
-    for vid, (point, vf) in enumerate(poly.vertices):
+    members = {frozenset(): list(range(len(vertices)))}
+    for vid, (point, vf) in enumerate(vertices):
         if len(vf) != n:
             raise NotSimple(
                 f"vertex ({', '.join(map(str, point))}) lies on {len(vf)} "
@@ -309,6 +367,23 @@ def edge_class(poly, edge):
     return cls
 
 
+def edge_classes_through(poly, face):
+    """Classes of the edges meeting a face (including edges inside it),
+    each computed once per polytope by `edge_class`: the edges at a vertex
+    v are its facet set minus one facet, ordered here by (first vertex,
+    sorted facets).  The pairs are kept per face on the polytope, and each
+    call returns them in a new list."""
+    pairs = poly._face_edges.get(face.facets)
+    if pairs is None:
+        keys = {vf - {i} for vf in map(poly.vertex_facets, face.vertex_ids)
+                for i in vf}
+        edges = sorted(map(poly.faces.__getitem__, keys),
+                       key=lambda e: (e.vertex_ids[0], sorted(e.facets)))
+        pairs = poly._face_edges[face.facets] = tuple(
+            (e, edge_class(poly, e)) for e in edges)
+    return list(pairs)
+
+
 @dataclass(frozen=True)
 class PrimitiveSet:
     indices: tuple  # sorted facet indices I
@@ -339,44 +414,8 @@ def beta_class(poly, indices, j_indices, coeffs):
 
 
 def primitive_sets(poly):
-    """All primitive facet subsets with their dual-cone data, by size, in a
-    new list; computed once per polytope.  Every proper subset of a
-    primitive collection spans a cone of the simplicial fan, which has at
-    most n rays, so none has more than n + 1 elements (Batyrev)."""
-    if poly._prims is not None:
-        return list(poly._prims)
-    N = poly.num_facets
-    results = []
-    primitive_found = set()
-    for size in range(2, min(N, poly.n + 1) + 1):
-        for sub in combinations(range(N), size):
-            fs = frozenset(sub)
-            if fs in poly.faces:  # a cone of the normal fan
-                continue
-            if any(p <= fs for p in primitive_found):
-                continue  # a proper subset already fails to intersect
-            if all(frozenset(s) in poly.faces
-                   for s in combinations(sub, size - 1)):
-                primitive_found.add(fs)
-                v = tuple(sum(poly.normal(i)[k] for i in sub)
-                          for k in range(poly.n))
-                _, support = dual_cone_face(poly, v)
-                j_sorted = tuple(sorted(support))
-                coeffs = tuple(support[j] for j in j_sorted)
-                if any(Fraction(c).denominator != 1 or c <= 0 for c in coeffs):
-                    raise NonIntegralCoefficient(
-                        f"dual-cone coefficients for I={sub} are {coeffs}")
-                if fs & frozenset(j_sorted):
-                    raise NonIntegralCoefficient(
-                        f"I={sub} meets its complement set {j_sorted}")
-                beta, energy = beta_class(poly, sub, j_sorted, coeffs)
-                results.append(PrimitiveSet(indices=tuple(sub),
-                                            j_indices=j_sorted,
-                                            coeffs=coeffs, beta=beta,
-                                            energy=energy))
-    results.sort(key=lambda p: (len(p.indices), p.indices))
-    poly._prims = tuple(results)
-    return results
+    """`DelzantPolytope.primitive_sets`, in a new list."""
+    return list(poly.primitive_sets)
 
 
 # ----------------------------------------------------------------- centroid
@@ -401,32 +440,8 @@ def _simplices_of_face(poly, face):
 
 
 def centroid(poly):
-    """Exact centroid of Delta under Lebesgue measure, computed once per
-    polytope."""
-    if poly._centroid is None:
-        poly._centroid = _centroid(poly)
-    return poly._centroid
-
-
-def _centroid(poly):
-    """Volume-weighted mean of the simplex centroids, in integers: on the
-    scaled vertices, a simplex's volume is D^n times, and its vertex sum
-    D * (n + 1) times, the true one (up to the common factor n!)."""
-    scale, points = poly.scaled_vertices()
-    total_vol = 0
-    weighted = [0] * poly.n
-    for simplex in _simplices_of_face(poly, poly.face(frozenset())):
-        base = points[simplex[0]]
-        vol = abs(linalg.det([linalg.vec_sub(points[v], base)
-                              for v in simplex[1:]]))
-        total_vol += vol
-        for k in range(poly.n):
-            weighted[k] += vol * sum(points[v][k] for v in simplex)
-    if total_vol == 0:
-        raise NotFullDimensional(
-            f"the triangulation of {poly.name or 'the polytope'} has volume 0")
-    return tuple(Fraction(w, total_vol * scale * (poly.n + 1))
-                 for w in weighted)
+    """`DelzantPolytope.centroid`, computed once per polytope."""
+    return poly.centroid
 
 
 def normalize(poly):

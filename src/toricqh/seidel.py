@@ -10,7 +10,7 @@ The facet elements S(eta_i), their inverses, the chains of their powers and
 the dictionary are cached on the presentation, a value: each entry is
 computed once and never rebuilt.  A `GeometricDictionary` is a value too,
 built whole by `build_dictionary`; it derives its decode data from its
-fields when it is made.
+fields when it is made.  A `HomologyReport` is a frozen value as well.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .novikov import NovScalar
 from .polynomials import mono_degree, poly_monomial
-from .polytope import edge_class
+from .polytope import edge_classes_through
 from .quantum import (
     QClass,
     lift,
@@ -50,23 +50,6 @@ class SeidelElement:
     m_max: int
     K_max: Fraction
     semifree: bool  # whether every weight at F_max is +-1
-
-
-def edge_classes_through(poly, face):
-    """Classes of the edges meeting a face (including edges inside it),
-    each computed once per polytope by `edge_class`: the edges at a vertex
-    v are its facet set minus one facet, ordered here by (first vertex,
-    sorted facets).  The pairs are kept per face on the polytope
-    (`_face_edges`), and each call returns them in a new list."""
-    pairs = poly._face_edges.get(face.facets)
-    if pairs is None:
-        keys = {vf - {i} for vf in map(poly.vertex_facets, face.vertex_ids)
-                for i in vf}
-        edges = sorted(map(poly.faces.__getitem__, keys),
-                       key=lambda e: (e.vertex_ids[0], sorted(e.facets)))
-        pairs = poly._face_edges[face.facets] = tuple(
-            (e, edge_class(poly, e)) for e in edges)
-    return list(pairs)
 
 
 # --------------------------------------------------------------- the elements
@@ -319,7 +302,7 @@ def build_dictionary(qp):
 
 # ------------------------------------------------------------------- reports
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class HomologyReport:
     """Named-class expression with homology-oriented exponents."""
     entries: tuple  # (name, coefficient, q exponent, t exponent), hom flip

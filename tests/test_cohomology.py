@@ -356,6 +356,7 @@ def test_betti_numbers_off_the_vertex_count_are_a_typed_error():
 
 def test_the_ring_checks_still_fire_under_python_O():
     code = (
+        "from dataclasses import replace\n"
         "from toricqh import examples\n"
         "from toricqh.cohomology import _eliminate, build_ring\n"
         "from toricqh.errors import DegenerateRing, NotAUnit, Unbounded\n"
@@ -377,7 +378,8 @@ def test_the_ring_checks_still_fire_under_python_O():
         "                        vertices=cp2.vertices + cp2.vertices[:1])\n"
         "check('betti', DegenerateRing, lambda: build_ring(extra))\n"
         "qp = fano_presentation(examples.s2xs2())\n"
-        "qp.ring.standard_monomials += ((2, 0),)\n"
+        "qp = replace(qp, ring=replace(qp.ring, standard_monomials=(\n"
+        "    qp.ring.standard_monomials + ((2, 0),))))\n"
         "dictionary = build_dictionary(qp)\n"
         "point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)\n"
         "check('report', DegenerateRing,\n"

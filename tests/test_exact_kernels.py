@@ -5,7 +5,10 @@ its own arithmetic.  Each former version is kept here verbatim as the
 reference.  The former row-Hermite lattice test stays as the lattice
 reference of the action invariant tests."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -14,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_quantum import hirz_y_table
+import toricqh
 from toricqh import examples, linalg
 from toricqh import quantum as quantum_module
 from toricqh.errors import ExprSyntaxError, NotAUnit
 from toricqh.exprparse import _tokenize, parse_expression
+from toricqh.polynomials import poly_const, poly_mul, poly_pow, poly_substitute
 from toricqh.quantum import default_cutoff, nef_presentation, qinv, qpoly_atoms
 from toricqh.seidel import facet_seidel
 
@@ -524,3 +529,44 @@ def test_parse_expression_matches_the_former_parser(text):
     "x2 - -x3", "t^{-3/4}*q^-2", "(q*t)^2", "x1^{1/2}", "q^{1/2}"])
 def test_parse_expression_matches_the_former_parser_by_hand(text):
     _check_parse(text)
+
+
+# ------------------------------------------------------ powers by squaring
+
+COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3,
+                                max_denominator=5)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFS,
+                       max_size=4),
+       st.integers(1, 9))
+def test_poly_pow_is_the_repeated_product(f, e):
+    want = poly_const(1, 3)
+    for _ in range(e):
+        want = poly_mul(want, f)
+    got = poly_pow(f, e)
+    assert got == want and got is not f
+    if all(type(c) is int for c in f.values()):
+        assert all(type(c) is int for c in got.values())
+
+
+def test_a_huge_exponent_is_parsed_and_substituted_at_once():
+    """The parser's `^` and `poly_substitute` square and multiply, so an
+    exponent of 10^12 costs about 80 products, not 10^12."""
+    code = (
+        "from toricqh.exprparse import parse_expression\n"
+        "from toricqh.polynomials import poly_substitute\n"
+        "e = 10 ** 12\n"
+        "print(parse_expression(f'x1^{e}*(2*x2)^3', 3)\n"
+        "      == {((e, 3, 0), 0, 0): 8})\n"
+        "images = {0: {(1,): -1}, 1: {(1,): 2}}\n"
+        "print(poly_substitute({(e, 1): 1}, images, 1) == {(e + 1,): 2})\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricqh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\nTrue\n"

@@ -77,7 +77,7 @@ class FormerCircleTable:
         self.xi = xi = _check_xi(xi)
         self.coords = [poly.coordinates(vid, xi)
                        for vid in range(len(poly.vertices))]
-        scale, points = poly.scaled_vertices()
+        scale, points = poly.scaled_vertices
         self.values = [Fraction(linalg.vec_dot(xi, p), scale)
                        for p in points]
 
@@ -483,3 +483,31 @@ def test_primitive_sets_are_the_former_list_on_every_call(name):
     third = primitive_sets(fresh)
     assert third == want and third is not second
 
+
+
+# ------------------------------------------ q over the gcd-closure of orders
+
+def check_q_pairs(poly, xi):
+    """The q of every pair of faces, all faces included, equals the former
+    one, which tried every divisor of every finite order."""
+    faces = list(poly.faces.values())
+    assert repr_or_error(lambda: CircleTable(poly, xi).q_pairs(faces)) == \
+        repr_or_error(lambda: FormerCircleTable(poly, xi).q_pairs(faces))
+
+
+def test_q_pairs_of_every_corpus_circle_are_the_former_ones():
+    for _, poly, xi in CASES:
+        check_q_pairs(poly, xi)
+
+
+@settings(max_examples=80, deadline=None)
+@seed(20241)
+@given(st.sampled_from(sorted(CORPUS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.integers(1, 60), st.tuples(
+        *[st.integers(-300, 300)] * CORPUS[name].n)).filter(
+            lambda c: any(c[2]))))
+def test_drawn_circles_with_large_entries_have_the_former_q_pairs(case):
+    """Large multiples of drawn directions, whose faces have large orders
+    with many common divisors."""
+    name, k, xi = case
+    check_q_pairs(CORPUS[name], tuple(k * x for x in xi))

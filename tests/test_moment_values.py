@@ -115,15 +115,15 @@ def outcome(compute):
 def test_translated_copies_carry_denominators():
     for name, poly in MOMENT_CORPUS.items():
         if name.endswith("shifted"):
-            scale, _ = poly.scaled_vertices()
+            scale, _ = poly.scaled_vertices
             assert scale > 1, name
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_CORPUS))
 def test_scaled_vertices_are_the_vertices_times_their_lcm(name):
     poly = MOMENT_CORPUS[name]
-    scale, points = poly.scaled_vertices()
-    assert poly.scaled_vertices() is poly.scaled_vertices()
+    scale, points = poly.scaled_vertices
+    assert poly.scaled_vertices is poly.scaled_vertices
     assert scale == lcm(*(x.denominator for point, _ in poly.vertices
                           for x in point))
     assert [tuple(F(c, scale) for c in p) for p in points] == \

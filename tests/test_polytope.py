@@ -509,25 +509,18 @@ def test_adjugate_times_is_det_times_the_inverse(data):
 
 # ------------------------------------ typed errors on inconsistent data
 
-def _on_cp2_facets(vertices):
-    """A hand-built polytope: cp2's facets with the given vertex list."""
-    return DelzantPolytope(n=2, facets=examples.cp2().facets,
-                           vertices=tuple(vertices), faces={})
-
-
 def test_a_vertex_off_n_facets_is_not_simple_when_faces_are_built():
-    poly = _on_cp2_facets([((F(0), F(0)), frozenset({0, 1, 2}))])
     with pytest.raises(NotSimple):
-        _build_faces(poly)
+        _build_faces(2, [((F(0), F(0)), frozenset({0, 1, 2}))])
 
 
 def test_a_triangulation_of_volume_zero_is_not_full_dimensional():
     # cp2's face lattice on three collinear points
     points = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]
-    poly = _on_cp2_facets(
-        (point, active) for point, (_, active)
-        in zip(points, examples.cp2().vertices))
-    poly.faces = _build_faces(poly)
+    vertices = tuple((point, active) for point, (_, active)
+                     in zip(points, examples.cp2().vertices))
+    poly = DelzantPolytope(n=2, facets=examples.cp2().facets,
+                           vertices=vertices, faces=_build_faces(2, vertices))
     with pytest.raises(NotFullDimensional):
         centroid(poly)
 
@@ -542,16 +535,15 @@ def test_the_polytope_checks_still_fire_under_python_O():
         "assert False, 'asserts are on'\n"
         "cp2 = examples.cp2()\n"
         "points = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]\n"
-        "poly = DelzantPolytope(n=2, facets=cp2.facets, vertices=tuple(\n"
-        "    (p, a) for p, (_, a) in zip(points, cp2.vertices)), faces={})\n"
-        "poly.faces = _build_faces(poly)\n"
+        "vertices = tuple((p, a) for p, (_, a) in zip(points, cp2.vertices))\n"
+        "poly = DelzantPolytope(n=2, facets=cp2.facets, vertices=vertices,\n"
+        "                       faces=_build_faces(2, vertices))\n"
         "try:\n"
         "    centroid(poly)\n"
         "except NotFullDimensional:\n"
         "    print('volume')\n"
-        "poly.vertices = ((points[0], frozenset({0, 1, 2})),)\n"
         "try:\n"
-        "    _build_faces(poly)\n"
+        "    _build_faces(2, ((points[0], frozenset({0, 1, 2})),))\n"
         "except NotSimple:\n"
         "    print('simple')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(toricqh.__file__)))

@@ -16,7 +16,7 @@ from toricqh.errors import (
     NotAnEdge,
 )
 from toricqh.novikov import NovScalar
-from toricqh.polytope import DelzantPolytope, Face, Facet
+from toricqh.polytope import DelzantPolytope, Face, Facet, edge_class
 from toricqh.quantum import (
     QClass,
     default_cutoff,
@@ -31,7 +31,6 @@ from toricqh.quantum import (
 )
 from toricqh.seidel import (
     build_dictionary,
-    edge_class,
     facet_seidel,
     seidel_element,
     to_homology_report,
@@ -364,7 +363,8 @@ def test_a_point_lift_from_a_wrong_maximum_is_a_typed_error(monkeypatch):
 def test_a_second_top_monomial_in_a_homology_report_is_a_typed_error():
     # a hand-built ring with two top standard monomials
     qp = fano_presentation(examples.s2xs2())
-    qp.ring.standard_monomials += ((2, 0),)
+    qp = dataclasses.replace(qp, ring=dataclasses.replace(
+        qp.ring, standard_monomials=qp.ring.standard_monomials + ((2, 0),)))
     dictionary = build_dictionary(qp)
     point = QClass({(1, 1): NovScalar.one(qp.cutoff)}, qp.cutoff)
     with pytest.raises(DegenerateRing):

@@ -26,11 +26,15 @@ from toricqh.errors import (
     ZeroVector,
 )
 from toricqh.polynomials import poly_monomial, poly_substitute
-from toricqh.polytope import Face, H2Class, validate_delzant
+from toricqh.polytope import (
+    Face,
+    H2Class,
+    edge_classes_through,
+    validate_delzant,
+)
 from toricqh.quantum import default_cutoff, fano_presentation, lift
 from toricqh.seidel import (
     SeidelElement,
-    edge_classes_through,
     facet_product,
     seidel_element,
 )

@@ -38,7 +38,11 @@ from toricqh.errors import (
 from toricqh.novikov import NovScalar
 from toricqh.obstructions import Finding, analyze
 from toricqh.polynomials import mono_degree, poly_monomial
-from toricqh.polytope import DelzantPolytope, edge_class
+from toricqh.polytope import (
+    DelzantPolytope,
+    edge_class,
+    edge_classes_through,
+)
 from toricqh.quantum import (
     QClass,
     default_cutoff,
@@ -51,7 +55,6 @@ from toricqh.quantum import (
 from toricqh.seidel import (
     HomologyReport,
     build_dictionary,
-    edge_classes_through,
     seidel_element,
     to_homology_report,
     verify_leading_term,
@@ -69,7 +72,7 @@ def reference_fixed_maximum(poly, xi):
     """The former `fixed_maximum`: xi checked twice, its coordinates at the
     maximizing vertex solved twice."""
     xi = _check_xi(xi)
-    scale, points = poly.scaled_vertices()
+    scale, points = poly.scaled_vertices
     values = [linalg.vec_dot(xi, p) for p in points]
     top = max(values)
     vid = values.index(top)
@@ -440,7 +443,7 @@ def test_the_weight_check_still_reads_every_vertex_of_f_max():
     fmax = fixed_maximum(poly, xi)
     assert fmax.face.dim == 1
     last = fmax.face.vertex_ids[-1]
-    broken = dataclasses.replace(poly, _duals={})
+    broken = dataclasses.replace(poly)
     broken._duals[last] = tuple((i, tuple(2 * x for x in row))
                                 for i, row in poly.dual_basis(last))
     got = outcome(fixed_maximum, broken, xi)
