@@ -12,9 +12,9 @@ basis, `DelzantPolytope.coordinates`), its integer moment level there
 built only for a component's K), and on first use the fixed components and
 the isotropy order of every face.  A face's isotropy order is the gcd of
 xi's coordinates off the face's facets at any one of its vertices, and a
-gcd of 0 means the face is fixed.  The public functions build a table per
-call; `obstructions.analyze` builds one.  F_max alone needs no table:
-`fixed_maximum` reads it off one integer argmax of <xi, .>.
+gcd of 0 means the face is fixed.  A table lives for one call (one per
+`analyze`) and reads the polytope's shared dual bases and scaled vertices;
+F_max needs none: `fixed_maximum` is one integer argmax of <xi, .>.
 """
 
 from dataclasses import dataclass
@@ -174,9 +174,9 @@ class CircleTable:
         tops = [(max(self.levels[v] for v in self.poly.faces[key].vertex_ids),
                  order)
                 for key, order in self.orders.items() if order is not FIXED]
-        return {c: max([1] + [k for top, k in tops if
-                              top * c.denominator > c.numerator * self.scale])
-                for c in values}
+        return {c: max([1] + [k for top, k in tops if top * b > a])
+                for c in values
+                for a, b in [(c.numerator * self.scale, c.denominator)]}
 
 
 def fixed_components(poly, xi):

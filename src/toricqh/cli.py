@@ -20,7 +20,7 @@ from .exprparse import parse_expression
 from .novikov import NovScalar
 from .obstructions import analyze
 from .oracle import verify_all
-from .polytope import centroid, normalize, validate_delzant
+from .polytope import centroid, validate_delzant
 from .quantum import (
     QClass,
     default_cutoff,
@@ -443,7 +443,7 @@ def cmd_analyze(args):
     xi = check_xi_length(args.xi, poly.n)
     qp = None
     if not args.no_quantum:
-        qp = build_presentation(normalize(poly), args.mode, args.y_table,
+        qp = build_presentation(poly.normalized, args.mode, args.y_table,
                                 args.cutoff)
     report = analyze(poly, xi, qp)
     if args.format == "structured":

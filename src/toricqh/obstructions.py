@@ -4,6 +4,10 @@ the Hamiltonian group.
 Each rule is the contrapositive of a one-directional theorem, so the verdict
 vocabulary is essential / inconclusive only.  Rules never certify that a
 loop is contractible.
+
+All but xi's data is read off the polytope: T2, P4 and R5 reduce facet
+monomials through the ring's memo over its elimination (zero above degree
+n, with no division), and S2 reads Betti numbers from its Morse table.
 """
 
 import heapq
@@ -12,16 +16,10 @@ from fractions import Fraction
 from math import lcm
 
 from .actions import CircleTable
-from .cohomology import (
-    build_ring,
-    face_betti,
-    generic_vector,
-    restrict_to_face,
-)
+from .cohomology import build_ring, restrict_to_face
 from .errors import MomentDataMismatch, NotMeanNormalized
-from .linalg import vec_dot
 from .polynomials import poly_monomial
-from .polytope import centroid, normalize
+from .polytope import centroid
 from .seidel import seidel_element, verify_leading_term
 
 
@@ -154,7 +152,6 @@ def _rule_s2(circle):
                        certificate={"applicable": False,
                                     "isotropy_bound": bound})
     fmax, fmin = comps[0], comps[-1]
-    height = generic_vector(poly)  # one Morse height for every face
     problems = []
     if fmax.K != -fmin.K:
         problems.append(f"K_max={fmax.K} != -K_min={-fmin.K}")
@@ -166,18 +163,13 @@ def _rule_s2(circle):
             continue
         pairs = sorted({(c.K, c.m) for c in members})
         for K, m in pairs:
-            left = [c for c in members if c.K == K and c.m == m]
-            right = [c for c in members if c.K == -K and c.m == -m]
-            profile_l = {}
-            for c in left:
-                for i, b in enumerate(face_betti(poly, c.face, height)):
-                    j = 2 * i + c.index
-                    profile_l[j] = profile_l.get(j, 0) + b
-            profile_r = {}
-            for c in right:
-                for i, b in enumerate(face_betti(poly, c.face, height)):
-                    j = 2 * i + c.coindex
-                    profile_r[j] = profile_r.get(j, 0) + b
+            profile_l, profile_r = {}, {}
+            for profile, side, shift in ((profile_l, (K, m), "index"),
+                                         (profile_r, (-K, -m), "coindex")):
+                for c in (c for c in members if (c.K, c.m) == side):
+                    for i, b in enumerate(poly.morse_betti(c.face)):
+                        j = 2 * i + getattr(c, shift)
+                        profile[j] = profile.get(j, 0) + b
             if profile_l != profile_r:
                 problems.append(
                     f"homology profile at (K,m)=({K},{m}) is asymmetric: "
@@ -309,15 +301,13 @@ def analyze(poly, xi, qp=None):
     A supplied quantum presentation must be built on the same normalized
     polytope; its polytope and classical ring are then used as they are.
     """
-    c = centroid(poly)
-    normalized = any(x != 0 for x in c)
+    normalized = any(x != 0 for x in centroid(poly))
     if qp is None:
-        poly = normalize(poly) if normalized else poly
+        poly = poly.normalized
         ring = build_ring(poly)
     else:
         if [(f.normal, f.support) for f in qp.polytope.facets] != \
-                [(f.normal, f.support - vec_dot(f.normal, c))
-                 for f in poly.facets]:
+                [(f.normal, f.support) for f in poly.normalized.facets]:
             raise MomentDataMismatch(
                 "the quantum presentation was built on different moment "
                 "data; rebuild it on the normalized polytope")

@@ -1,12 +1,15 @@
-"""Delzant polytopes: validation, face lattice, primitive sets, and the
-spherical H2 classes of edges and primitive relations.
+"""Delzant polytopes: validation, face lattice, primitive sets, the
+spherical H2 classes of edges and primitive relations, and what the
+classical ring and the battery read off the polytope alone: the linear
+elimination and the Morse data of a generic height.
 
 A polytope is given by facet data (outward primitive integer normal, rational
 support value): Delta = {u : <eta_i, u> <= support_i}.  All derived data is
 exact.
 
 A polytope is a value, built whole by `validate_delzant`: its derived data
-are cached properties or per-key memos, and only this module writes them.
+are cached properties or per-key memos, only this module writes them, and
+every classical ring and every circle of the polytope shares them.
 """
 
 from collections import Counter
@@ -19,6 +22,7 @@ from math import lcm
 from . import linalg
 from .errors import (
     DegenerateEdge,
+    NonGenericVector,
     NonIntegralCoefficient,
     NonPositiveEnergy,
     NonPrimitiveNormal,
@@ -29,6 +33,7 @@ from .errors import (
     RedundantFacet,
     Unbounded,
 )
+from .polynomials import poly_monomial, poly_substitute
 
 
 @dataclass(frozen=True)
@@ -59,13 +64,15 @@ class DelzantPolytope:
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
     # filled on first use: vertex id -> dual basis, edge key -> edge class,
-    # face key -> (edge, class) pairs of the edges meeting the face
+    # face key -> (edge, class) pairs meeting the face, and -> Morse Betti
     _duals: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _edge_classes: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
     _face_edges: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    _betti: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -157,6 +164,49 @@ class DelzantPolytope:
         results.sort(key=lambda p: (len(p.indices), p.indices))
         return tuple(results)
 
+    @property
+    def normalized(self):
+        """The polytope, or its translate validated once, centered at 0."""
+        return self._translate if any(self.centroid) else self
+
+    @cached_property
+    def _translate(self):
+        return validate_delzant([(f.normal, f.support - linalg.vec_dot(
+            f.normal, self.centroid), f.label) for f in self.facets],
+            name=self.name)
+
+    @cached_property
+    def elimination(self):
+        """The classical ring's linear and Stanley-Reisner generators in the
+        N facet variables and its linear elimination, for every ring."""
+        N, prims = self.num_facets, self.primitive_sets
+        units = [tuple(1 if k == i else 0 for k in range(N)) for i in range(N)]
+        linear = tuple({units[i]: f.normal[j] for i, f in enumerate(
+            self.facets) if f.normal[j]} for j in range(self.n))
+        sr = {p.key: poly_monomial(dict.fromkeys(p.indices, 1), N)
+              for p in prims}
+        kept, images = _eliminate(self)
+        return Elimination(kept, images, linear, sr, tuple(
+            {m: Fraction(c) for m, c in poly_substitute(
+                dict.fromkeys(sr[p.key], 1), images, len(kept)).items()}
+            for p in prims))
+
+    @cached_property
+    def morse(self):
+        """The first fields of the polytope's localization table."""
+        height = generic_vector(self)
+        return MorseTable(height, tuple(
+            {i: -c for i, c in self.coordinates(vid, height).items()}
+            for vid in range(len(self.vertices))))
+
+    def morse_betti(self, face):
+        """`face_betti` of a face under the generic height, once per face."""
+        betti = self._betti.get(face.facets)
+        if betti is None:
+            betti = self._betti[face.facets] = face_betti(
+                self, face, self.morse.height)
+        return betti
+
     def face(self, facet_set):
         return self.faces[frozenset(facet_set)]
 
@@ -178,9 +228,6 @@ class DelzantPolytope:
         """Coefficients of the integer vector v in the unimodular normal
         basis at vertex vid, keyed by facet index in increasing order."""
         return {i: linalg.vec_dot(row, v) for i, row in self.dual_basis(vid)}
-
-    def lex_least_vertex_of(self, face):
-        return min(face.vertex_ids, key=lambda v: self.vertex_point(v))
 
 
 def _check_edges_bounded(vlist, normals, n):
@@ -428,7 +475,7 @@ def _simplices_of_face(poly, face):
     """
     if face.dim == 0:
         return [(face.vertex_ids[0],)]
-    anchor = poly.lex_least_vertex_of(face)
+    anchor = min(face.vertex_ids, key=poly.vertex_point)  # lex-least
     simplices = []
     for i in range(poly.num_facets):
         sub = poly.faces.get(face.facets | {i})
@@ -445,10 +492,123 @@ def centroid(poly):
 
 
 def normalize(poly):
-    """Translate supports so the centroid moves to the origin."""
-    c = centroid(poly)
-    if all(x == 0 for x in c):
-        return poly
-    specs = [(f.normal, f.support - linalg.vec_dot(f.normal, c), f.label)
-             for f in poly.facets]
-    return validate_delzant(specs, name=poly.name)
+    """`DelzantPolytope.normalized`: the centroid moved to the origin."""
+    return poly.normalized
+
+
+# ------------------------------------------------- the linear elimination
+
+def _eliminate(poly):
+    """Choose one variable per linear relation to eliminate.
+
+    Pivot preference per row: the first variable with coefficient -1, then
+    +1, then any.  Returns (kept indices, images), images mapping every full
+    variable index to its expression in the kept variables.  The rows are
+    the integer normal coordinates; only a pivot c with |c| > 1 divides
+    into Fractions.  An integral image coefficient is an int.
+    """
+    N, n = poly.num_facets, poly.n
+    elim = {}  # var index -> full-width row (its expression, pivot zeroed)
+    order = []
+    for j in range(n):
+        r = [poly.normal(i)[j] for i in range(N)]
+        for e, expr in elim.items():
+            c = r[e]
+            if c:
+                r = [a + c * b for a, b in zip(r, expr)]
+                r[e] = 0
+        free = [i for i, c in enumerate(r) if c and i not in elim]
+        if not free:
+            raise Unbounded("linear relations are not independent: the "
+                            "facet normals do not span")
+        pivot = next((i for want in (-1, 1) for i in free if r[i] == want),
+                     free[0])
+        c = r[pivot]
+        # -a / c is -a * c for c = +-1
+        expr = [-c * a for a in r] if c in (1, -1) else \
+            [Fraction(-a, c) for a in r]
+        expr[pivot] = 0
+        elim[pivot] = expr
+        order.append(pivot)
+    # back-substitution: later rules may appear inside earlier expressions
+    for e in reversed(order):
+        for e2 in order:
+            if e2 == e:
+                continue
+            expr = elim[e2]
+            c = expr[e]
+            if c:
+                elim[e2] = [a + c * b for a, b in zip(expr, elim[e])]
+                elim[e2][e] = 0
+    kept = tuple(i for i in range(N) if i not in elim)
+    width = len(kept)
+    units = {i: tuple(1 if k == pos else 0 for k in range(width))
+             for pos, i in enumerate(kept)}
+    images = {}
+    for i in range(N):
+        if i in elim:
+            images[i] = {units[k]: c.numerator if type(c) is Fraction
+                         and c.denominator == 1 else c
+                         for k, c in enumerate(elim[i]) if c}
+        else:
+            images[i] = {units[i]: 1}
+    return kept, images
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """`DelzantPolytope.elimination`, with a memo of monomial images."""
+    kept: tuple
+    images: dict  # full index -> kept-width poly
+    linear_gens: tuple
+    sr_gens: dict  # primitive key -> full-variable monomial
+    sr_images: tuple  # per primitive set, in order: the basis inputs
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def monomial_image(self, mono):
+        """Kept-variable image of a full monomial, once per polytope; the
+        memoized dict itself, to be read, never mutated."""
+        image = self._kept.get(mono)
+        if image is None:
+            image = self._kept[mono] = poly_substitute(
+                {mono: 1}, self.images, len(self.kept))
+        return image
+
+
+# -------------------------------------------------------------- Morse data
+
+@dataclass(frozen=True)
+class MorseTable:
+    """`DelzantPolytope.morse`: the height generic_vector(poly), and its
+    weights at each vertex, minus its coefficients in the normal basis."""
+    height: tuple
+    weights: tuple  # per vertex: facet index -> weight
+
+
+def generic_vector(poly):
+    """Deterministic generic direction: (1, M, M^2, ...) with M one more
+    than the largest scaled vertex coordinate, escalated if needed.  Each
+    trial is integer dot products with the scaled vertices."""
+    _, points = poly.scaled_vertices
+    M = 1 + max(abs(x) for p in points for x in p)
+    for _ in range(64):
+        xi = tuple(M ** j for j in range(poly.n))
+        if len({linalg.vec_dot(xi, p) for p in points}) == len(points):
+            return xi
+        M = 2 * M + 1
+    raise NonGenericVector("could not find a separating direction")
+
+
+def face_betti(poly, face, xi):
+    """Betti numbers of the toric manifold over a face: its vertices counted
+    by the number of edges inside the face along which the height <xi, .>
+    descends, for a generic xi.  Leaving vertex v along the edge off facet
+    k moves against the dual functional of k, so the edge descends iff the
+    coordinate of xi at v on facet k is positive."""
+    counts = [0] * (face.dim + 1)
+    for vid in face.vertex_ids:
+        coords = poly.coordinates(vid, xi)
+        counts[sum(1 for k, c in coords.items()
+                   if c > 0 and k not in face.facets)] += 1
+    return tuple(counts)

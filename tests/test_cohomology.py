@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 import toricqh
 from toricqh import examples
 from toricqh.cohomology import (
-    _eliminate,
     betti_morse,
     build_ring,
-    classical_generators,
     face_betti,
     generic_vector,
     restrict_to_face,
-    vertex_weights,
 )
 from toricqh.errors import (
     DegenerateRing,
@@ -26,7 +23,7 @@ from toricqh.errors import (
     WrongDegree,
 )
 from toricqh.polynomials import poly_add, poly_mul, poly_scale, poly_sub
-from toricqh.polytope import DelzantPolytope, Facet
+from toricqh.polytope import DelzantPolytope, Facet, _eliminate
 
 F = Fraction
 
@@ -62,7 +59,7 @@ def cp2():
 
 def test_classical_generators_blowup():
     poly = examples.blowup_cp2(F(1, 2))
-    linear, monomials = classical_generators(poly)
+    linear, monomials = poly.elimination.linear_gens, poly.elimination.sr_gens
     # -x1 + x3 - x4 and -x2 + x3 - x4
     assert linear[0] == {(1, 0, 0, 0): F(-1), (0, 0, 1, 0): F(1),
                          (0, 0, 0, 1): F(-1)}
@@ -358,10 +355,10 @@ def test_the_ring_checks_still_fire_under_python_O():
     code = (
         "from dataclasses import replace\n"
         "from toricqh import examples\n"
-        "from toricqh.cohomology import _eliminate, build_ring\n"
+        "from toricqh.cohomology import build_ring\n"
         "from toricqh.errors import DegenerateRing, NotAUnit, Unbounded\n"
         "from toricqh.novikov import NovScalar\n"
-        "from toricqh.polytope import DelzantPolytope, Facet\n"
+        "from toricqh.polytope import DelzantPolytope, Facet, _eliminate\n"
         "from toricqh.quantum import QClass, fano_presentation\n"
         "from toricqh.seidel import build_dictionary, to_homology_report\n"
         "assert False, 'asserts are on'\n"

@@ -4,6 +4,7 @@ monomial in a normal form and divided by that of the reference vertex
 monomial.  `FormerIntegral` below keeps the former `integrate`, with the two
 helpers only it used, verbatim."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -116,11 +117,17 @@ def test_a_wrong_degree_is_still_a_typed_error(name):
     assert ring.integrate({}) == 0 and type(ring.integrate({})) is Fraction
 
 
-def test_the_vertex_weights_are_built_once_per_ring():
-    ring = build_ring(CORPUS["cp2"])
-    assert "localization" not in vars(ring)
+def test_the_vertex_weights_are_built_once_per_polytope():
+    poly = dataclasses.replace(CORPUS["cp2"])
+    ring = build_ring(poly)
+    assert "localization" not in vars(ring) and "morse" not in vars(poly)
     ring.integrate({(2, 0): F(1)})
     table = ring.localization
     assert len(table) == len(ring.polytope.vertices)
+    weights = poly.morse.weights
     ring.pd_matrix(2)
     assert ring.localization is table
+    other = build_ring(poly)
+    other.pd_matrix(2)
+    assert other.localization == table
+    assert poly.morse.weights is weights

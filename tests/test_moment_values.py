@@ -18,7 +18,7 @@ import pytest
 from test_kept_variables import CORPUS
 from toricqh import linalg
 from toricqh.actions import CircleTable
-from toricqh.cohomology import betti_morse, generic_vector, vertex_weights
+from toricqh.cohomology import betti_morse, generic_vector
 from toricqh.errors import NonGenericVector, NotFullDimensional
 from toricqh.polytope import _simplices_of_face, centroid, validate_delzant
 
@@ -61,6 +61,13 @@ def reference_centroid(poly):
             f"the triangulation of {poly.name or 'the polytope'} has volume 0")
     return tuple(Fraction(w, total_vol * scale * (poly.n + 1))
                  for w in weighted)
+
+
+def vertex_weights(poly, vid, xi):
+    """The former `cohomology.vertex_weights`, verbatim: the weights of the
+    circle xi at a vertex, minus the coefficients of xi in the vertex's
+    outward normal basis, keyed by facet index."""
+    return {i: -c for i, c in poly.coordinates(vid, xi).items()}
 
 
 def reference_betti_morse(poly, xi):

@@ -155,7 +155,8 @@ def test_a_replaced_dictionary_derives_its_decode_data():
 
 # ------------------------------------------- polytopes, rings and reports
 
-CACHED = {"DelzantPolytope": ("scaled_vertices", "centroid", "primitive_sets"),
+CACHED = {"DelzantPolytope": ("scaled_vertices", "centroid", "primitive_sets",
+                               "elimination", "morse", "_translate"),
           "ClassicalRing": ("localization",)}
 
 
@@ -216,13 +217,15 @@ def test_the_ring_of_a_dictionary_cannot_change_under_it():
 
 
 def polytope_answers(poly):
-    """Coordinates of a few vectors at every vertex, every edge class, and
-    the derived data of the polytope."""
+    """Coordinates of a few vectors at every vertex, every edge class, the
+    derived data of the polytope and its tables."""
     vectors = [tuple(k + i for i in range(poly.n)) for k in (-2, 1, 3)]
     edges = [face for face in poly.faces.values() if face.dim == 1]
     return ([poly.coordinates(vid, v) for vid in range(len(poly.vertices))
              for v in vectors], [edge_class(poly, e) for e in edges],
-            poly.scaled_vertices, poly.centroid, poly.primitive_sets)
+            poly.scaled_vertices, poly.centroid, poly.primitive_sets,
+            poly.elimination, poly.morse,
+            [poly.morse_betti(face) for face in poly.faces.values()])
 
 
 def ring_answers(ring):
