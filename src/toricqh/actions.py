@@ -13,8 +13,12 @@ built only for a component's K), and on first use the fixed components and
 the isotropy order of every face.  A face's isotropy order is the gcd of
 xi's coordinates off the face's facets at any one of its vertices, and a
 gcd of 0 means the face is fixed.  A table lives for one call (one per
-`analyze`) and reads the polytope's shared dual bases and scaled vertices;
-F_max needs none: `fixed_maximum` is one integer argmax of <xi, .>.
+`analyze`) and reads the polytope's shared dual bases and scaled vertices.
+
+F_max needs no table: `fixed_maximum` is one integer pass, the levels
+<xi, .> on the scaled vertices, their argmax, xi's coordinates at the
+maximizing vertices and the weights, and makes one Fraction, K.  Every
+entry point checks xi once, in `_check_xi`: n ints, not all zero.
 """
 
 from dataclasses import dataclass
@@ -22,9 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from operator import mul
 
-from . import linalg
 from .errors import (
+    DimensionMismatch,
     InconsistentWeights,
     MomentNotConstant,
     NonIntegralCoefficient,
@@ -49,9 +54,12 @@ class FixedComponentData:
         return self.face.facets
 
 
-def _check_xi(xi):
-    """xi as a tuple of ints; every entry must be an int, not all zero."""
+def _check_xi(xi, n):
+    """xi as a tuple of n ints, not all zero."""
     xi = tuple(xi)
+    if len(xi) != n:
+        raise DimensionMismatch(
+            f"the circle direction has {len(xi)} entries, not {n}")
     for x in xi:
         if type(x) is not int:
             raise NonIntegralCoefficient(
@@ -62,18 +70,25 @@ def _check_xi(xi):
 
 
 def _component(face, K, w):
+    m = index = coindex = 0
+    semifree = True
+    for x in w.values():  # the nonzero weights
+        m += x
+        if x < 0:
+            index += 2
+        else:
+            coindex += 2
+        semifree = semifree and x in (1, -1)
     return FixedComponentData(
-        face=face, K=K, weights=w, m=sum(w.values()),
-        index=2 * sum(1 for x in w.values() if x < 0),
-        coindex=2 * sum(1 for x in w.values() if x > 0),
-        semifree=all(abs(x) == 1 for x in w.values()), dimF=2 * face.dim)
+        face=face, K=K, weights=w, m=m, index=index, coindex=coindex,
+        semifree=semifree, dimF=2 * face.dim)
 
 
 def _weights(coords, face):
     result = None
     for vid in face.vertex_ids:
-        w = {i: -c for i, c in coords[vid].items() if c != 0}
-        if any(i not in face.facets for i in w):
+        w = {i: -c for i, c in coords[vid].items() if c}
+        if not w.keys() <= face.facets:
             raise InconsistentWeights(
                 f"nonzero weight off the fixed face at vertex {vid}")
         if result is None:
@@ -102,11 +117,11 @@ class CircleTable:
 
     def __init__(self, poly, xi):
         self.poly = poly
-        self.xi = xi = _check_xi(xi)
+        self.xi = xi = _check_xi(xi, poly.n)
         self.coords = [poly.coordinates(vid, xi)
                        for vid in range(len(poly.vertices))]
         self.scale, points = poly.scaled_vertices
-        self.levels = [linalg.vec_dot(xi, p) for p in points]
+        self.levels = [sum(map(mul, xi, p)) for p in points]
 
     @property
     def values(self):
@@ -186,23 +201,23 @@ def fixed_components(poly, xi):
 
 
 def fixed_maximum(poly, xi):
-    """F_max, the first of `fixed_components`, from one integer argmax of
-    <xi, .> over the scaled vertices: the face cut out by the facets on
-    which xi has a nonzero coordinate at a maximizing vertex.  Its vertices
-    must be exactly the maximizing ones.  xi is checked once; the weight
-    check reuses its coordinates at that vertex and solves the others'."""
-    xi = _check_xi(xi)
+    """F_max, the first of `fixed_components`, from one integer pass: the
+    levels <xi, .> on the scaled vertices, their argmax, xi's coordinates
+    there, and the face of its nonzero ones, whose vertices must be exactly
+    the maximizing ones.  The weight check solves xi's coordinates at the
+    face's other vertices; K is the one Fraction made."""
+    xi = _check_xi(xi, poly.n)
     scale, points = poly.scaled_vertices
-    values = [linalg.vec_dot(xi, p) for p in points]
-    top = max(values)
-    vid = values.index(top)
+    levels = [sum(map(mul, xi, p)) for p in points]
+    top = max(levels)
+    vid = levels.index(top)  # the face's first vertex, if it is F_max
     coords = {vid: poly.coordinates(vid, xi)}
     face = poly.faces[frozenset(i for i, c in coords[vid].items() if c)]
-    if face.vertex_ids != tuple(v for v, k in enumerate(values) if k == top):
+    if levels.count(top) != len(face.vertex_ids) or any(
+            levels[v] != top for v in face.vertex_ids):
         raise MomentNotConstant(
             f"the maximum of <xi, .> is not the face {sorted(face.facets)}")
-    coords.update((v, poly.coordinates(v, xi))
-                  for v in face.vertex_ids if v != vid)
+    coords.update((v, poly.coordinates(v, xi)) for v in face.vertex_ids[1:])
     return _component(face, Fraction(top, scale), _weights(coords, face))
 
 
@@ -212,7 +227,8 @@ def isotropy_order(poly, xi, face):
     """Order of the generic stabilizer along a face: FIXED if the face is
     fixed, else the content of the image of xi in the quotient lattice by
     the face's normal directions."""
-    return _order(poly.coordinates(face.vertex_ids[0], _check_xi(xi)), face)
+    return _order(poly.coordinates(face.vertex_ids[0],
+                                    _check_xi(xi, poly.n)), face)
 
 
 @dataclass(frozen=True)

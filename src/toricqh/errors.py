@@ -44,6 +44,17 @@ class NonIntegralCoefficient(ToricError):
     pass
 
 
+class DimensionMismatch(ToricError):
+    # a circle direction of other than n entries, or a monomial of other
+    # than one exponent per facet
+    pass
+
+
+class InexactNumber(ToricError):
+    # a float, or any other value, where an exact int or Fraction belongs
+    pass
+
+
 class NonPositiveEnergy(ToricError):
     pass
 

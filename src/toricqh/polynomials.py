@@ -43,12 +43,18 @@ def poly_const(c, width):
     return {(0,) * width: c} if c else {}
 
 
-def poly_monomial(exponents, width):
-    """The monomial prod x_i^e over the items {i: e} of `exponents`."""
+def monomial(exponents, width):
+    """The exponent tuple of prod x_i^e over the items {i: e} of
+    `exponents`."""
     e = [0] * width
     for i, k in exponents.items():
         e[i] = k
-    return {tuple(e): Fraction(1)}
+    return tuple(e)
+
+
+def poly_monomial(exponents, width):
+    """The monomial prod x_i^e over the items {i: e} of `exponents`."""
+    return {monomial(exponents, width): Fraction(1)}
 
 
 def poly_add(f, g):

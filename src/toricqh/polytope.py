@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -227,7 +228,7 @@ class DelzantPolytope:
     def coordinates(self, vid, v):
         """Coefficients of the integer vector v in the unimodular normal
         basis at vertex vid, keyed by facet index in increasing order."""
-        return {i: linalg.vec_dot(row, v) for i, row in self.dual_basis(vid)}
+        return {i: sum(map(mul, row, v)) for i, row in self.dual_basis(vid)}
 
 
 def _check_edges_bounded(vlist, normals, n):

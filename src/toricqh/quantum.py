@@ -39,7 +39,10 @@ from .errors import (
     BadCorrectionDegree,
     BadCorrectionValuation,
     CutoffMismatch,
+    DimensionMismatch,
+    InexactNumber,
     MissingYEntry,
+    NonIntegralCoefficient,
     NonPositiveEnergy,
     NotAUnit,
     WrongDegree,
@@ -96,8 +99,7 @@ def qpoly_atoms(a):
 
 
 def qpoly_valuation(a):
-    vals = [s.valuation() for s in a.values() if not s.is_zero()]
-    return min(vals) if vals else None
+    return min((k for s in a.values() for _, k in s.terms), default=None)
 
 
 def qpoly_truncated(a):
@@ -124,11 +126,10 @@ class QClass:
 
     def degree(self):
         """Common degree of all atoms, or the string 'inhomogeneous'."""
-        degs = {2 * mono_degree(m) + 2 * d
-                for m, d, _, _ in qpoly_atoms(self.coeffs)}
+        degs = {sum(m) + d for m, s in self.coeffs.items() for d, _ in s.terms}
         if len(degs) > 1:
             return "inhomogeneous"
-        return degs.pop() if degs else 0
+        return 2 * degs.pop() if degs else 0
 
     def __eq__(self, other):
         if not isinstance(other, QClass):
@@ -145,11 +146,8 @@ class QClass:
 
     def slice_at(self, kappa):
         """The level-kappa slice as {(monomial, d): coefficient}."""
-        out = {}
-        for m, d, k, c in qpoly_atoms(self.coeffs):
-            if k == kappa:
-                out[(m, d)] = out.get((m, d), Fraction(0)) + c
-        return {k: v for k, v in out.items() if v}
+        return {(m, d): c for m, s in self.coeffs.items()
+                for (d, k), c in s.terms.items() if k == kappa and c}
 
 
 # ------------------------------------------------------------- presentation
@@ -415,11 +413,36 @@ def lift(qp, terms, truncated=False):
     """Quantum class of {(full monomial, q-exponent, t-exponent): c}, as
     `exprparse.parse_expression` gives it, each term's memoized kept image
     read straight into the reduction.  A term above the cutoff flags the
-    result, a zero c adds nothing, and `truncated` flags even a zero."""
+    result, a zero c adds nothing, and `truncated` flags even a zero.
+
+    A monomial is a tuple of one int exponent >= 0 per facet, the
+    q-exponent an int, and the t-exponent and c ints or Fractions; else
+    DimensionMismatch, NonIntegralCoefficient or InexactNumber is raised."""
+    width = qp.ring.polytope.num_facets
+    for (mono, d, kappa), c in terms.items():
+        if len(mono) != width:
+            raise DimensionMismatch(
+                f"the monomial {mono} has {len(mono)} exponents, not {width}")
+        if any(type(e) is not int or e < 0 for e in mono):
+            raise NonIntegralCoefficient(
+                f"the monomial {mono} has an exponent that is not an int >= 0")
+        if type(d) is not int:
+            raise NonIntegralCoefficient(f"the q-exponent {d!r} is not an int")
+        if type(kappa) not in (int, Fraction):
+            raise InexactNumber(
+                f"the t-exponent {kappa!r} is not an int or a Fraction")
+        if type(c) not in (int, Fraction):
+            raise InexactNumber(
+                f"the coefficient {c!r} is not an int or a Fraction")
+    return _lift(qp, terms.items(), truncated)
+
+
+def _lift(qp, items, truncated):
+    """`lift` of the ((monomial, q, t), c) items of well-formed terms."""
     image = qp.ring.monomial_image
     return _reduce(qp, truncated, [
         (m, [((d, kappa), c * c2)])
-        for (mono, d, kappa), c in terms.items() if c
+        for (mono, d, kappa), c in items if c
         for m, c2 in image(mono).items()])
 
 

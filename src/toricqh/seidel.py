@@ -2,7 +2,13 @@
 geometric dictionary used for homology-flavored reporting.
 
 Everything internal is in cohomology orientation; reports flip the Novikov
-exponents termwise.  The dictionary identifies degree-0 and degree-2 classes
+exponents termwise, once each, after sorting on the unflipped (kappa, d).
+
+A Seidel call keeps its circle bookkeeping in integers: F_max, its
+weights and m come from `actions.fixed_maximum`, whose K is the one
+Fraction of the circle; Fano mode lifts x^a, an exponent tuple with int
+coefficient 1, at the shift (m, -K), and `verify_leading_term` forms -K
+and x_F once.  The dictionary identifies degree-0 and degree-2 classes
 with named facet classes in every dimension, and lifts the point class in
 dimension two, where a Seidel element of an eligible vertex determines it.
 
@@ -15,6 +21,7 @@ fields when it is made.  A `HomologyReport` is a frozen value as well.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .actions import _check_xi, fixed_maximum
 from .errors import (
@@ -28,11 +35,11 @@ from .errors import (
     WrongDegree,
 )
 from .novikov import NovScalar
-from .polynomials import mono_degree, poly_monomial
+from .polynomials import mono_degree, monomial
 from .polytope import edge_classes_through
 from .quantum import (
     QClass,
-    lift,
+    _lift,
     qinv,
     qprod,
     qscale,
@@ -132,15 +139,15 @@ def seidel_element(qp, xi):
     minus the weights, all positive: S(xi) is one normal form of
     x^a q^m t^-K, with no inverse, and exact to the cutoff since reduction
     only raises t-exponents.  NEF mode multiplies out the decomposition at
-    vertex 0 with `facet_product`, from the cached facet powers.  An entry
-    of xi that is not an int raises NonIntegralCoefficient."""
+    vertex 0 with `facet_product`, from the cached facet powers.  xi is
+    checked by `fixed_maximum`."""
     poly = qp.polytope
     fmax = fixed_maximum(poly, xi)
     xi = tuple(xi)
     if qp.mode == "fano":
-        x_a = poly_monomial({i: -w for i, w in fmax.weights.items()},
-                            poly.num_facets)
-        out = lift(qp, {(m, fmax.m, -fmax.K): c for m, c in x_a.items()})
+        x_a = monomial({i: -w for i, w in fmax.weights.items()},
+                       poly.num_facets)
+        out = _lift(qp, [((x_a, fmax.m, -fmax.K), 1)], False)
     else:
         out = facet_product(qp, poly.coordinates(0, xi))
     if out.degree() != 0:
@@ -160,7 +167,7 @@ def verify_leading_term(qp, xi, element=None):
     element passed in must be that of xi in the mode of qp, or
     ElementMismatch is raised."""
     poly = qp.polytope
-    xi = _check_xi(xi)
+    xi = _check_xi(xi, poly.n)
     if element is None:
         element = seidel_element(qp, xi)
     elif element.xi != xi or element.mode != qp.mode:
@@ -168,22 +175,21 @@ def verify_leading_term(qp, xi, element=None):
                               f" mode, passed for {xi} in {qp.mode} mode")
     face = poly.faces[element.leading_face]
     m_max, K_max = element.m_max, element.K_max
+    minus_k = -K_max
     report = {"f_max": sorted(face.facets), "m_max": m_max, "K_max": K_max,
               "assumptions": [], "exactness": None, "exact_ok": None}
-    (x_face,) = poly_monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
-    expected_lead = qp.ring.monomial_nf(x_face)
-    lead_ok = element.qclass.valuation() == -K_max
+    x_face = monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
+    lead_ok = element.qclass.valuation() == minus_k
     if lead_ok:
-        slice_got = element.qclass.slice_at(-K_max)
-        slice_want = {(m, m_max): c for m, c in expected_lead.items()}
-        lead_ok = slice_got == slice_want
+        lead_ok = element.qclass.slice_at(minus_k) == {
+            (m, m_max): c for m, c in qp.ring.monomial_nf(x_face).items()}
     report["leading_ok"] = lead_ok
 
     # exactness criteria
     exact_expected = None
     codim = 2 * (poly.n - face.dim)
     if qp.mode == "fano" and face.dim == poly.n - 1:
-        exact_expected = lift(qp, {(x_face, m_max, -K_max): 1})
+        exact_expected = _lift(qp, [((x_face, m_max, minus_k), 1)], False)
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
     else:
@@ -196,13 +202,13 @@ def verify_leading_term(qp, xi, element=None):
             report["assumptions"].append(f"{qp.mode} asserted by caller")
             if face.dim == poly.n - 1:
                 exact_expected = qscale(
-                    lift(qp, {(x_face, 0, 0): 1}),
-                    NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
+                    _lift(qp, [((x_face, 0, 0), 1)], False),
+                    NovScalar.monomial(1, m_max, minus_k, qp.cutoff))
             elif face.dim == 0 and poly.n <= 2:
                 dictionary = build_dictionary(qp)
                 exact_expected = qscale(
                     dictionary.point_lift,
-                    NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
+                    NovScalar.monomial(1, m_max, minus_k, qp.cutoff))
             else:
                 report["assumptions"].append(
                     "no geometric lift available for a middle-dimensional "
@@ -324,9 +330,9 @@ def to_homology_report(dictionary, qclass, qp):
     work = {m: s for m, s in qclass.coeffs.items() if not s.is_zero()}
     entries = []
 
-    def flip(name, scalar):
-        for (d, kappa), c in scalar.sorted_terms():
-            entries.append((name, c, -d, -kappa))
+    def flip(name, scalar):  # sorted below, on the unflipped (kappa, d)
+        for (d, kappa), c in scalar.terms.items():
+            entries.append((kappa, d, name, c))
 
     # point part (top degree): only decodable with a point lift
     if n == 2 and dictionary.has_point() and any(
@@ -347,11 +353,11 @@ def to_homology_report(dictionary, qclass, qp):
     deg2 = {m: s for m, s in work.items() if mono_degree(m) == 1}
     if deg2:
         for i, image, probe, ratio in dictionary.probes:
-            if probe not in deg2:
+            if deg2.keys() != image.keys():  # the probe is a key of image
                 continue
             gamma = deg2[probe].scale(ratio)  # neither side holds a zero
-            if deg2.keys() == image.keys() and all(
-                    deg2[m] == gamma.scale(c) for m, c in image.items()):
+            if all(deg2[m] == gamma.scale(c) for m, c in image.items()
+                   if m != probe):
                 flip(dictionary.labels[i], gamma)
                 for m in image:
                     work.pop(m, None)
@@ -366,6 +372,8 @@ def to_homology_report(dictionary, qclass, qp):
         flip("1", work.pop(unit))
     raw = [(m, d, kappa, c) for m, s in sorted(work.items())
            for (d, kappa), c in s.sorted_terms()]
-    entries.sort(key=lambda e: (-e[3], -e[2], e[0]))
-    return HomologyReport(entries=tuple(entries), raw=tuple(raw),
+    entries.sort(key=itemgetter(0, 1, 2))
+    return HomologyReport(entries=tuple((name, c, -d, -kappa)
+                                        for kappa, d, name, c in entries),
+                          raw=tuple(raw),
                           truncated=qclass.truncated, cutoff=qclass.cutoff)

@@ -22,8 +22,18 @@ from toricqh.actions import (
     isotropy_components,
     isotropy_order,
     q_pair,
+    q_pairs,
 )
-from toricqh.errors import MomentNotConstant, StratumNotClosed, ZeroVector
+from toricqh.cli import main
+from toricqh.errors import (
+    DimensionMismatch,
+    MomentNotConstant,
+    StratumNotClosed,
+    ZeroVector,
+)
+from toricqh.obstructions import analyze, chain_bound
+from toricqh.quantum import fano_presentation
+from toricqh.seidel import seidel_element, verify_leading_term
 from toricqh.linalg import in_span
 from toricqh.polytope import validate_delzant
 
@@ -41,7 +51,7 @@ def weights(poly, xi, face):
     answers agree; nonzero weights sit exactly on the facets containing the
     face.
     """
-    xi = _check_xi(xi)
+    xi = _check_xi(xi, poly.n)
     return _weights({vid: poly.coordinates(vid, xi)
                      for vid in face.vertex_ids}, face)
 
@@ -316,3 +326,55 @@ def test_a_circle_check_still_fires_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "raised\n"
+
+
+# ------------------------------------------------------ the length of xi
+
+def entry_points(poly, qp):
+    """Every library call that takes a circle direction xi on poly."""
+    face = poly.face(frozenset({0}))
+    return {
+        "analyze": lambda xi: analyze(poly, xi, None),
+        "analyze with quantum": lambda xi: analyze(poly, xi, qp),
+        "fixed_maximum": lambda xi: fixed_maximum(poly, xi),
+        "fixed_components": lambda xi: fixed_components(poly, xi),
+        "CircleTable": lambda xi: CircleTable(poly, xi),
+        "seidel_element": lambda xi: seidel_element(qp, xi),
+        "verify_leading_term": lambda xi: verify_leading_term(qp, xi),
+        "isotropy_order": lambda xi: isotropy_order(poly, xi, face),
+        "isotropy_components": lambda xi: isotropy_components(poly, xi, 2),
+        "q_pairs": lambda xi: q_pairs(poly, xi, (face, face)),
+        "q_pair": lambda xi: q_pair(poly, xi, face, face),
+        "global_isotropy_bound": lambda xi: global_isotropy_bound(poly, xi),
+        "chain_bound": lambda xi: chain_bound(poly, xi),
+    }
+
+
+@pytest.mark.parametrize("xi, length", [((2, 1, 5), 3), ((1,), 1),
+                                        ((0, 0, 1), 3), ((), 0)],
+                         ids=["long", "short", "long, zero in range",
+                              "empty"])
+def test_a_direction_of_the_wrong_length_is_a_typed_error(xi, length):
+    """Formerly a long xi was read as its first n entries and a short one
+    padded with zeros, so (2, 1, 5) answered for (2, 1) and (1,) for
+    (1, 0)."""
+    poly = examples.cp2()
+    qp = fano_presentation(poly)
+    for name, call in entry_points(poly, qp).items():
+        with pytest.raises(DimensionMismatch) as err:
+            call(xi)
+        assert str(err.value) == \
+            f"the circle direction has {length} entries, not 2", name
+    # the right length still answers
+    for call in entry_points(poly, qp).values():
+        call((2, 1))
+
+
+def test_the_cli_checks_the_length_of_xi_first(tmp_path, capsys):
+    path = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(path)])
+    capsys.readouterr()
+    for command in ("seidel", "fixed", "analyze"):
+        assert main([command, str(path), "--xi=2,1,5"]) == 1
+        assert capsys.readouterr().err == \
+            "error: FileFormatError: --xi needs 2 components\n"

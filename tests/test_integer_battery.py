@@ -74,7 +74,7 @@ class FormerCircleTable:
 
     def __init__(self, poly, xi):
         self.poly = poly
-        self.xi = xi = _check_xi(xi)
+        self.xi = xi = _check_xi(xi, poly.n)
         self.coords = [poly.coordinates(vid, xi)
                        for vid in range(len(poly.vertices))]
         scale, points = poly.scaled_vertices

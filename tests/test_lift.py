@@ -12,7 +12,12 @@ import pytest
 
 from test_quantum_nf import CORPUS, CUTOFFS, presented, typed
 from test_seidel_reads import facet_monomials
-from toricqh.errors import ExprSyntaxError
+from toricqh.errors import (
+    DimensionMismatch,
+    ExprSyntaxError,
+    InexactNumber,
+    NonIntegralCoefficient,
+)
 from toricqh.exprparse import parse_expression
 from toricqh.novikov import NovScalar
 from toricqh.polynomials import mono_mul
@@ -197,3 +202,48 @@ def test_the_digest_expressions_match_both_former_routes(name, cutoff):
             assert_same(lift(qp, terms), parent_lift(qp, full), qp,
                         (name, text))
     assert parsed >= 6
+
+
+# a malformed term of cp2, the error it raises, and what the former lift did
+MALFORMED = [
+    ({((1, 0, 0), 0, 0.5): 1}, InexactNumber,
+     "the t-exponent 0.5 is not an int or a Fraction"),  # AttributeError
+    ({((1, 0, 0), 0, 0): 0.5}, InexactNumber,
+     "the coefficient 0.5 is not an int or a Fraction"),  # AttributeError
+    ({((1, 0, 0), 0, 0): "1"}, InexactNumber,
+     "the coefficient '1' is not an int or a Fraction"),  # AttributeError
+    ({((1, 0, 0), 0.5, 0): 1}, NonIntegralCoefficient,
+     "the q-exponent 0.5 is not an int"),  # answered q^0.5 x1
+    ({((1, 0, 0), F(1), 0): 1}, NonIntegralCoefficient,
+     "the q-exponent Fraction(1, 1) is not an int"),  # answered
+    ({((1, 0), 0, 0): 1}, DimensionMismatch,
+     "the monomial (1, 0) has 2 exponents, not 3"),  # answered x1
+    ({((1, 0, 0, 0), 0, 0): 1}, DimensionMismatch,
+     "the monomial (1, 0, 0, 0) has 4 exponents, not 3"),  # answered x1
+    ({((1, -1, 0), 0, 0): 1}, NonIntegralCoefficient,
+     "the monomial (1, -1, 0) has an exponent that is not an int >= 0"),
+    ({((2.0, 0, 0), 0, 0): 1}, NonIntegralCoefficient,
+     "the monomial (2.0, 0, 0) has an exponent that is not an int >= 0"),
+]
+
+
+@pytest.mark.parametrize("terms, error, message", MALFORMED,
+                         ids=["float t", "float c", "str c", "float q",
+                              "Fraction q", "short monomial",
+                              "long monomial", "negative exponent",
+                              "float exponent"])
+def test_a_malformed_term_is_a_typed_error(terms, error, message):
+    qp = presented("cp2")
+    # one well-formed term beside it does not hide it
+    terms = {((0, 1, 0), 0, F(1, 2)): F(3), **terms}
+    for flag in (False, True):
+        with pytest.raises(error) as err:
+            lift(qp, terms, truncated=flag)
+        assert str(err.value) == message
+
+
+def test_a_zero_coefficient_is_still_checked():
+    qp = presented("cp2")
+    with pytest.raises(DimensionMismatch):
+        lift(qp, {((1, 0), 0, 0): 0})
+    assert lift(qp, {((1, 0, 0), 0, F(1, 2)): 0}).is_zero()

@@ -71,7 +71,7 @@ FANO = ("s2", "cp2", "blowup_cp2", "s2xs2", "cp3", "cp4", "cube3", "cube4")
 def reference_fixed_maximum(poly, xi):
     """The former `fixed_maximum`: xi checked twice, its coordinates at the
     maximizing vertex solved twice."""
-    xi = _check_xi(xi)
+    xi = _check_xi(xi, poly.n)
     scale, points = poly.scaled_vertices
     values = [linalg.vec_dot(xi, p) for p in points]
     top = max(values)
@@ -426,7 +426,7 @@ def test_fixed_maximum_checks_xi_once_and_solves_each_vertex_once(
     checked, solved = [], []
     check, coordinates = actions._check_xi, DelzantPolytope.coordinates
     monkeypatch.setattr(actions, "_check_xi",
-                        lambda v: checked.append(v) or check(v))
+                        lambda v, n: checked.append(v) or check(v, n))
     monkeypatch.setattr(DelzantPolytope, "coordinates",
                         lambda self, vid, v: solved.append(vid) or
                         coordinates(self, vid, v))
