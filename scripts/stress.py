@@ -13,8 +13,8 @@ expected one.  It compares no timings across commits:
 
     PYTHONPATH=src python3 scripts/stress.py
 
-The polytopes are the corpus of perfbench/corpus.py plus cube5 and cube6
-from its `cube`, built by import only and written to a temporary
+The polytopes are the corpus of perfbench/corpus.py plus cube5, cube6 and
+cube8 from its `cube`, built by import only and written to a temporary
 directory.  A run takes about half a minute on one core.
 """
 
@@ -56,6 +56,8 @@ CASES = (
      "mended: powers by squaring"),
     ("cp2", ["analyze", "--xi=99999999999999999999999,1", "--no-quantum"],
      ANSWERED, "mended: q over the gcd-closure of the orders"),
+    ("cube8", ["fixed", "--xi=1,2,3,4,5,6,7,8"], ANSWERED,
+     "polytope loading by pivots"),
 )
 
 
@@ -89,6 +91,7 @@ def main():
     polys = corpus.build_polytopes()
     polys["cube5"] = corpus.cube(5)
     polys["cube6"] = corpus.cube(6)
+    polys["cube8"] = corpus.cube(8)
     differ = 0
     with tempfile.TemporaryDirectory() as directory:
         paths = corpus.write_corpus(directory, polys)

@@ -4,8 +4,10 @@ Matrices are lists of rows of ints or Fractions; sizes are tiny (dimension
 <= 4, a handful of facets).  Each job has one kernel:
 
 - `adjugate_times`, fraction-free (Bareiss) Gauss-Jordan over the integers,
-  finds the vertices when a polytope is loaded (`validate_delzant`) and the
-  integer dual bases of its vertices (`unimodular_dual`);
+  finds the start vertex of `validate_delzant`'s pivot walk with its
+  inverse, every vertex of the enumeration that diagnoses input that is no
+  Delzant polytope, and, through `unimodular_dual`, the dual bases of a
+  polytope built by hand or by `dataclasses.replace`;
 - `gauss_jordan` solves every system over the rationals: `solve_rational`,
   `rank` and `in_span` here, and the unit system of `quantum.qinv`;
 - `kernel_basis_int`, a Hermite reduction, answers every lattice question:

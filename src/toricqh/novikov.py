@@ -6,16 +6,38 @@ orientation, so they extend toward +infinity in kappa and get truncated at
 the cutoff; the `truncated` flag records that terms above the cutoff were
 dropped somewhere in the history of the value.
 
-`NovScalar(terms, cutoff, truncated)` validates outside input: it makes
-exponents and cutoff int and Fraction, drops zero coefficients, and drops and
-flags terms above the cutoff.  `NovScalar.trusted` checks and copies nothing;
-the arithmetic here and `quantum.quantum_nf` build their results through it,
-from nonzero Fractions on (int, Fraction) keys at or below the cutoff.
+`NovScalar(terms, cutoff, truncated)` validates outside input: it checks
+each term by `check_term`, as `quantum.lift` does, makes the t-exponents,
+coefficients and cutoff Fractions, drops zero coefficients, and drops and
+flags terms above the cutoff.  `NovScalar.trusted` checks and copies
+nothing; the arithmetic here and `quantum.quantum_nf` build their results
+through it, from nonzero Fractions on (int, Fraction) keys at or below the
+cutoff.
 """
 
 from fractions import Fraction
 
-from .errors import CutoffMismatch, NotAUnit, ZeroElement
+from .errors import (
+    CutoffMismatch,
+    InexactNumber,
+    NonIntegralCoefficient,
+    NotAUnit,
+    ZeroElement,
+)
+
+
+def check_term(d, kappa, c):
+    """Raise unless the term c q^d t^kappa is exact: NonIntegralCoefficient
+    for a q-exponent that is not an int, InexactNumber for a t-exponent or
+    coefficient that is not an int or a Fraction."""
+    if type(d) is not int:
+        raise NonIntegralCoefficient(f"the q-exponent {d!r} is not an int")
+    if type(kappa) not in (int, Fraction):
+        raise InexactNumber(
+            f"the t-exponent {kappa!r} is not an int or a Fraction")
+    if type(c) not in (int, Fraction):
+        raise InexactNumber(
+            f"the coefficient {c!r} is not an int or a Fraction")
 
 
 class NovScalar:
@@ -27,14 +49,14 @@ class NovScalar:
         cutoff = Fraction(cutoff)
         clean = {}
         for (d, kappa), c in terms.items():
-            c = Fraction(c)
+            check_term(d, kappa, c)
             if c == 0:
                 continue
-            kappa = Fraction(kappa)
+            c, kappa = Fraction(c), Fraction(kappa)
             if kappa > cutoff:
                 truncated = True
                 continue
-            clean[(int(d), kappa)] = c
+            clean[(d, kappa)] = c
         self.terms = clean
         self.cutoff = cutoff
         self.truncated = truncated
@@ -58,7 +80,7 @@ class NovScalar:
 
     @classmethod
     def monomial(cls, coeff, d, kappa, cutoff):
-        return cls({(d, Fraction(kappa)): Fraction(coeff)}, cutoff)
+        return cls({(d, kappa): coeff}, cutoff)
 
     # -- structure ----------------------------------------------------------
 

@@ -302,17 +302,16 @@ def analyze(poly, xi, qp=None):
     polytope; its polytope and classical ring are then used as they are.
     """
     normalized = any(x != 0 for x in centroid(poly))
-    if qp is None:
-        poly = poly.normalized
-        ring = build_ring(poly)
-    else:
-        if [(f.normal, f.support) for f in qp.polytope.facets] != \
-                [(f.normal, f.support) for f in poly.normalized.facets]:
-            raise MomentDataMismatch(
-                "the quantum presentation was built on different moment "
-                "data; rebuild it on the normalized polytope")
-        poly, ring = qp.polytope, qp.ring
-    circle = CircleTable(poly, xi)  # the one pass over the circle data
+    if qp is not None and \
+            [(f.normal, f.support) for f in qp.polytope.facets] != \
+            [(f.normal, f.support) for f in poly.normalized.facets]:
+        raise MomentDataMismatch(
+            "the quantum presentation was built on different moment "
+            "data; rebuild it on the normalized polytope")
+    poly = poly.normalized if qp is None else qp.polytope
+    # the one pass over the circle data; it checks xi before any ring
+    circle = CircleTable(poly, xi)
+    ring = build_ring(poly) if qp is None else qp.ring
     comps = circle.components
     findings = [_rule_t1(comps), _rule_t2(ring, circle),
                 _rule_p4(ring, comps), _rule_r5(ring, comps), _rule_s2(circle),

@@ -10,6 +10,12 @@ exact.
 A polytope is a value, built whole by `validate_delzant`: its derived data
 are cached properties or per-key memos, only this module writes them, and
 every classical ring and every circle of the polytope shares them.
+
+`validate_delzant` walks the vertices by integer simplex pivots from one
+feasible basis, carrying each vertex's dual basis along, and fills the
+`_duals` memo with them.  Input that is no Delzant polytope stops the walk
+at its first sign of the defect; the enumeration over every n-subset of
+facets then raises the typed error that names it.
 """
 
 from collections import Counter
@@ -18,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .errors import (
@@ -64,8 +70,9 @@ class DelzantPolytope:
     vertices: tuple  # ((point, facet frozenset), ...) sorted lex by point
     faces: dict = field(repr=False)  # frozenset -> Face
     name: str = ""
-    # filled on first use: vertex id -> dual basis, edge key -> edge class,
-    # face key -> (edge, class) pairs meeting the face, and -> Morse Betti
+    # filled on first use (the dual bases by validate_delzant): vertex id ->
+    # dual basis, edge key -> edge class, face key -> (edge, class) pairs
+    # meeting the face, and -> Morse Betti
     _duals: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _edge_classes: dict = field(default_factory=dict, init=False,
@@ -217,7 +224,8 @@ class DelzantPolytope:
     def dual_basis(self, vid):
         """((facet index, functional), ...) at vertex vid, by increasing
         facet index: each integer functional is 1 on its facet's normal and
-        0 on the other normals there.  Computed once per vertex."""
+        0 on the other normals there.  `validate_delzant` stores every
+        vertex's; a polytope built otherwise solves each once."""
         basis = self._duals.get(vid)
         if basis is None:
             basis = self._duals[vid] = tuple(zip(
@@ -285,13 +293,135 @@ def validate_delzant(facet_specs, name=""):
     bounds = [f.support.numerator * (scale // f.support.denominator)
               for f in facets]  # scale * support, in integers
 
+    walk = _pivot_walk(normals, bounds, n)
+    if walk is None:  # no Delzant polytope: the enumeration says why
+        vlist, duals = _enumerate_vertices(normals, bounds, scale, n), ()
+    else:  # one positive scale, so the integer points sort as the vertices
+        walk.sort(key=itemgetter(0))
+        vlist = [(tuple(Fraction(c, scale) for c in point), frozenset(rows))
+                 for point, rows in walk]
+        duals = [tuple(sorted(rows.items())) for _, rows in walk]
+
+    touched = frozenset().union(*(active for _, active in vlist))
+    missing = set(range(len(facets))) - touched
+    if missing:
+        raise RedundantFacet(
+            f"facets {sorted(missing)} support no vertex of the region")
+
+    poly = DelzantPolytope(n=n, facets=tuple(facets), vertices=tuple(vlist),
+                           faces=_build_faces(n, vlist), name=name)
+    poly._duals.update(enumerate(duals))
+    return poly
+
+
+def _pivot_walk(normals, bounds, n):
+    """[(point, dual rows)] of every vertex, or None at the first sign that
+    the facets bound no Delzant polytope.  A point is scale * vertex in
+    integers; its dual rows map each facet k at the vertex to the integer
+    y_k with <eta_j, y_k> = [j == k] on the facets j there.
+
+    Simplex pivots (Avis-Fukuda, DCG 8, 1992) from one vertex: the edge off
+    facet k runs along -y_k, facet i approaches along it at the rate
+    a_i = -<eta_i, y_k>, and the edge ends on a facet i minimizing
+    slack_i / a_i over a_i > 0.  A step onto a facet with a_i = 1 keeps the
+    basis unimodular: the new point is point - slack_i * y_k, and the new
+    rows are y'_i = -y_k and y'_j = y_j + <eta_i, y_j> * y_k.  A tie in
+    that minimum leaves the new vertex on n + 1 facets, which its slacks
+    show, and the edge a vertex was reached along leads back, so its far
+    end tests it no more.  A walk that meets no slack of 0, no a_i > 1 at
+    the end of an edge and no unbounded edge has seen only simple
+    unimodular vertices with bounded edges; every linear functional then
+    climbs along edges to its maximum, so the region is a polytope and the
+    walk has reached every vertex (Balinski)."""
+    start = _start_vertex(normals, bounds, n)
+    if start is None:
+        return None
+    walk, seen, todo = [], set(), [(*start, None)]
+    while todo:
+        point, rows, back = todo.pop()
+        key = frozenset(rows)
+        if key in seen:
+            continue
+        seen.add(key)
+        walk.append((point, rows))
+        slack = {i: b - sum(map(mul, eta, point))
+                 for i, (eta, b) in enumerate(zip(normals, bounds))
+                 if i not in key}
+        if not all(slack.values()):
+            return None  # a vertex on more than n facets
+        for k, y_k in rows.items():
+            if k == back:
+                continue  # the edge this vertex was reached along
+            block, rate = None, 1
+            for i, s in slack.items():
+                a = -sum(map(mul, normals[i], y_k))
+                if a > 0 and (block is None or s * rate < slack[block] * a):
+                    block, rate = i, a
+            if block is None or rate != 1:
+                return None  # an unbounded edge, or a vertex with |det| > 1
+            if key - {k} | {block} in seen:
+                continue
+            eta, step = normals[block], slack[block]
+            nxt = {block: tuple(-z for z in y_k)}
+            for j, y in rows.items():
+                if j != k:
+                    c = sum(map(mul, eta, y))
+                    nxt[j] = tuple(x + c * z for x, z in zip(y, y_k))
+            todo.append((tuple(p - step * z for p, z in zip(point, y_k)),
+                         nxt, block))
+    return walk
+
+
+def _start_vertex(normals, bounds, n):
+    """(point, dual rows) at the first feasible basis in the order of
+    `combinations`, as `_pivot_walk` keeps them; None when there is none or
+    its |det| is not 1.  A subset whose leading normals are dependent is
+    skipped with every extension, so a cube tries no pair of opposite
+    facets."""
+    N = len(normals)
+    unit = [[int(r == c) for c in range(n)] for r in range(n)]
+
+    def bases(chosen, echelon):
+        if len(chosen) == n:
+            yield chosen
+            return
+        for i in range(chosen[-1] + 1 if chosen else 0,
+                       N - n + len(chosen) + 1):
+            v = normals[i]
+            for p, row in echelon:  # fraction-free reduction
+                if v[p]:
+                    v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+            p = next((c for c, x in enumerate(v) if x), None)
+            if p is not None:
+                yield from bases(chosen + (i,), echelon + ((p, v),))
+
+    for subset in bases((), ()):
+        d, adj = linalg.adjugate_times(
+            [normals[i] for i in subset],
+            [[bounds[i]] + unit[r] for r, i in enumerate(subset)])
+        y = [row[0] if d > 0 else -row[0] for row in adj]
+        if all(linalg.vec_dot(eta, y) <= abs(d) * b
+               for eta, b in zip(normals, bounds)):
+            if abs(d) != 1:
+                return None
+            # [M^-1 b | M^-1] = d * adj(M) * [b | I] for d = +-1
+            return tuple(y), {i: tuple(d * row[c + 1] for row in adj)
+                              for c, i in enumerate(subset)}
+    return None
+
+
+def _enumerate_vertices(normals, bounds, scale, n):
+    """The vertices (point, active facets) of the region, sorted, from every
+    n-subset of the facets; raises the typed error of the first defect it
+    finds: an empty or unbounded region, one of lower dimension, a vertex
+    on more than n facets or one whose n normals have |det| != 1."""
     # candidate vertices: n-subsets with invertible normal matrix M.  With
     # d = |det M|, y = +-adj(M) * bounds_S is d * scale * vertex, so
     # feasibility and the active facets are integer tests of <eta_j, y>
     # against d * bounds_j.  A vertex is keyed by its active facets, which
     # pin it down, and keeps d for the smoothness test.
     found = {}
-    for subset in combinations(range(len(facets)), n):
+    for subset in combinations(range(len(normals)), n):
         d, adj_b = linalg.adjugate_times([normals[i] for i in subset],
                                          [[bounds[i]] for i in subset])
         if d == 0:
@@ -325,15 +455,7 @@ def validate_delzant(facet_specs, name=""):
             raise NotSmooth(
                 f"vertex ({', '.join(map(str, point))}) on facets "
                 f"{sorted(active)} has |det| = {d}")
-
-    touched = frozenset().union(*(active for _, active in vlist))
-    missing = set(range(len(facets))) - touched
-    if missing:
-        raise RedundantFacet(
-            f"facets {sorted(missing)} support no vertex of the region")
-
-    return DelzantPolytope(n=n, facets=tuple(facets), vertices=tuple(vlist),
-                           faces=_build_faces(n, vlist), name=name)
+    return vlist
 
 
 def _build_faces(n, vertices):

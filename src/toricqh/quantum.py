@@ -40,14 +40,13 @@ from .errors import (
     BadCorrectionValuation,
     CutoffMismatch,
     DimensionMismatch,
-    InexactNumber,
     MissingYEntry,
     NonIntegralCoefficient,
     NonPositiveEnergy,
     NotAUnit,
     WrongDegree,
 )
-from .novikov import NovScalar
+from .novikov import NovScalar, check_term
 from .polynomials import mono_degree, mono_mul, poly_monomial, poly_mul
 from .polytope import primitive_sets
 
@@ -426,14 +425,7 @@ def lift(qp, terms, truncated=False):
         if any(type(e) is not int or e < 0 for e in mono):
             raise NonIntegralCoefficient(
                 f"the monomial {mono} has an exponent that is not an int >= 0")
-        if type(d) is not int:
-            raise NonIntegralCoefficient(f"the q-exponent {d!r} is not an int")
-        if type(kappa) not in (int, Fraction):
-            raise InexactNumber(
-                f"the t-exponent {kappa!r} is not an int or a Fraction")
-        if type(c) not in (int, Fraction):
-            raise InexactNumber(
-                f"the coefficient {c!r} is not an int or a Fraction")
+        check_term(d, kappa, c)
     return _lift(qp, terms.items(), truncated)
 
 

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricqh.errors import CutoffMismatch, NotAUnit, ZeroElement
+from toricqh.errors import (
+    CutoffMismatch,
+    InexactNumber,
+    NonIntegralCoefficient,
+    NotAUnit,
+    ZeroElement,
+)
 from toricqh.novikov import NovScalar
 
 F = Fraction
@@ -152,3 +158,33 @@ def test_an_inverse_above_the_cutoff_is_not_a_unit():
     # t^{-5} inverts to t^5, above the cutoff 1: nothing of it is stored
     with pytest.raises(NotAUnit):
         mono(1, 0, -5, cutoff=1).invert()
+
+
+# ------------------------------------------------- outside input is checked
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: NovScalar.monomial(1, 1.7, 0, 1), NonIntegralCoefficient),
+    (lambda: NovScalar.monomial(1, Fraction(2), 0, 1), NonIntegralCoefficient),
+    (lambda: NovScalar({(0.5, 0.25): 0.1}, 1), NonIntegralCoefficient),
+    (lambda: NovScalar({(0, 0.25): Fraction(1)}, 1), InexactNumber),
+    (lambda: NovScalar({(0, Fraction(1, 4)): 0.1}, 1), InexactNumber),
+    (lambda: NovScalar.monomial(0.0, 0, 0, 1), InexactNumber),
+    (lambda: NovScalar.monomial("1", 0, 0, 1), InexactNumber),
+], ids=["float q", "Fraction q", "float q, t and c", "float t",
+        "float c", "float zero c", "str c"])
+def test_inexact_input_is_a_typed_error(make, error):
+    """The constructor rejects what it formerly coerced: a q-exponent 1.7
+    read as q^1, and a coefficient 0.1 read as its binary expansion."""
+    with pytest.raises(error):
+        make()
+
+
+def test_exact_input_is_kept_exactly():
+    a = NovScalar({(1, 0): 2, (-1, Fraction(1, 3)): Fraction(1, 2),
+                   (0, 5): 1}, 2)
+    assert a.terms == {(1, F(0)): F(2), (-1, F(1, 3)): F(1, 2)}
+    assert a.truncated
+    assert all(type(d) is int and type(k) is F and type(c) is F
+               for (d, k), c in a.terms.items())
+    assert NovScalar.monomial(3, -2, Fraction(1, 2), 1) == \
+        NovScalar({(-2, F(1, 2)): F(3)}, 1)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from toricqh import actions as actions_module
+from toricqh import obstructions as obstructions_module
 from toricqh import examples
 from toricqh.actions import (
     CircleTable,
@@ -15,7 +16,7 @@ from toricqh.actions import (
     q_pairs,
 )
 from toricqh.cohomology import ClassicalRing
-from toricqh.errors import NotMeanNormalized
+from toricqh.errors import DimensionMismatch, NotMeanNormalized, ZeroVector
 from toricqh.obstructions import _rule_c, analyze, chain_bound
 from toricqh.polytope import DelzantPolytope, normalize, validate_delzant
 from toricqh.quantum import fano_presentation
@@ -309,6 +310,27 @@ def test_analyze_reads_the_circle_data_once(monkeypatch, poly, xi):
     assert sorted(solved) == list(range(len(poly.vertices)))
     assert set(solved.values()) == {1}
     assert len(tables) == 1  # one coordinate table and one orders map
+
+
+@pytest.mark.parametrize("xi, error", [
+    ((1,), DimensionMismatch),
+    ((1, 0, 0), DimensionMismatch),
+    ((0, 0), ZeroVector),
+], ids=["short", "long", "zero"])
+def test_analyze_checks_xi_before_it_builds_a_ring(monkeypatch, xi, error):
+    """A circle direction of the wrong length or zero is a typed error
+    before any classical ring is built: gon12's costs half a second."""
+    from test_polytope import GON12
+
+    def refuse(poly):
+        raise AssertionError("build_ring before xi was checked")
+
+    monkeypatch.setattr(obstructions_module, "build_ring", refuse)
+    offset = validate_delzant([((1, 0), 2), ((-1, 0), -1), ((0, 1), 1),
+                               ((0, -1), 0)])
+    for poly in (validate_delzant(GON12), examples.cp2(), offset):
+        with pytest.raises(error):
+            analyze(poly, xi, None)
 
 
 def test_moment_data_that_is_not_mean_normalized_is_a_typed_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -30,6 +31,8 @@ from toricqh.polytope import (
     normalize,
     primitive_sets,
     _build_faces,
+    _pivot_walk,
+    _start_vertex,
     validate_delzant,
 )
 
@@ -486,6 +489,124 @@ def test_integer_enumeration_matches_fraction_solves_on_the_corpus(name):
         ours = validate_delzant(specs)
         assert (ours.vertices, ours.faces) == _reference_validate(specs)
     assert any(x != 0 for x in centroid(ours))
+
+
+@st.composite
+def smooth_polytopes(draw):
+    """Facet data of a Delzant polytope: a box or a simplex with rational
+    supports, blown up at up to two faces, moved by a unimodular map,
+    translated and shuffled.
+
+    A face F_I of the n facets at a vertex is blown up by the facet
+    <sum_I eta_i, .> <= sum_I support_i - eps, with eps below the drop of
+    that functional from F_I to every other vertex, so that the cut meets
+    only the edges leaving F_I."""
+    n = draw(st.sampled_from((2, 3, 4, 1)))
+    rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    size = st.builds(F, st.integers(1, 6), st.integers(1, 4))
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    low = [draw(rational) for _ in range(n)]
+    if draw(st.booleans()):  # the box low <= x <= low + size
+        specs = [spec for i, e in enumerate(units) for spec in (
+            (e, low[i] + draw(size)), (tuple(-x for x in e), -low[i]))]
+    else:  # the simplex low <= x, sum(x) <= sum(low) + size
+        specs = [(tuple(-x for x in e), -c) for e, c in zip(units, low)]
+        specs.append(((1,) * n, sum(low) + draw(size)))
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        poly = validate_delzant(specs)
+        vid = draw(st.integers(0, len(poly.vertices) - 1))
+        face = draw(st.lists(st.sampled_from(sorted(poly.vertex_facets(vid))),
+                             min_size=2, max_size=n, unique=True))
+        normal = tuple(map(sum, zip(*(poly.normal(i) for i in face))))
+        top = sum(poly.support(i) for i in face)
+        drop = min(top - linalg.vec_dot(normal, point)
+                   for point, active in poly.vertices
+                   if not active.issuperset(face))
+        specs.append((normal, top - drop * F(draw(st.integers(1, 4)), 5)))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        specs = [(tuple(x + c * normal[j] if k == i else x
+                        for k, x in enumerate(normal)), s)
+                 for normal, s in specs]  # eta -> (I + c E_ij) eta
+    shift = [draw(rational) for _ in range(n)]
+    specs = [(normal, s + linalg.vec_dot(normal, shift))
+             for normal, s in specs]
+    return draw(st.permutations(specs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=smooth_polytopes())
+def test_the_pivot_walk_matches_fraction_solves_on_delzant_polytopes(specs):
+    poly = validate_delzant(specs)
+    assert (poly.vertices, poly.faces) == _reference_validate(specs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=smooth_polytopes())
+def test_the_walk_fills_every_vertex_dual_basis(specs):
+    """validate_delzant leaves every vertex's dual basis in the memo, the
+    rows `unimodular_dual` solves for, by increasing facet index."""
+    poly = validate_delzant(specs)
+    assert sorted(poly._duals) == list(range(len(poly.vertices)))
+    for vid in range(len(poly.vertices)):
+        assert poly.dual_basis(vid) == tuple(zip(
+            sorted(poly.vertex_facets(vid)),
+            linalg.unimodular_dual(poly.vertex_normal_columns(vid))))
+        assert all(type(x) is int for _, row in poly.dual_basis(vid)
+                   for x in row)
+
+
+def test_a_replaced_polytope_solves_its_dual_bases_again(monkeypatch):
+    poly = validate_delzant(GON12)
+    copy = dataclasses.replace(poly)
+    solved = []
+    dual = linalg.unimodular_dual
+    monkeypatch.setattr(linalg, "unimodular_dual",
+                        lambda cols: solved.append(cols) or dual(cols))
+    assert [copy.dual_basis(vid) for vid in range(len(copy.vertices))] == \
+        [poly.dual_basis(vid) for vid in range(len(poly.vertices))]
+    assert len(solved) == len(poly.vertices) == 12
+
+
+@pytest.mark.parametrize("specs, error, start", [
+    # the first basis, facets 0 and 1, is feasible at (1, -1) with det -2
+    ([((2, 1), 1), ((0, -1), 1), ((-1, 0), 1)], NotSmooth, False),
+    # the unit square and x + y >= 0 through its first vertex, (0, 0)
+    ([((-1, 0), 0), ((0, -1), 0), ((-1, -1), 0), ((1, 0), 1), ((0, 1), 1)],
+     NotSimple, True),
+    # 1 <= x <= 0
+    ([((1,), 0), ((-1,), -1)], Unbounded, False),
+    # the rest start at a smooth simple vertex with two bounded edges
+    # the unit square with x + y <= 2 through its corner (1, 1): the edge
+    # up from (1, 0) meets y <= 1 and x + y <= 2 at once
+    ([((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)],
+     NotSimple, True),
+    # [0, 4] x [0, 2] cut by x + 2y <= 6: the edge up from (4, 0) ends on
+    # that facet at the rate 2, at the vertex (4, 1) with |det| = 2
+    ([((-1, 0), 0), ((0, -1), 0), ((1, 0), 4), ((0, 1), 2), ((1, 2), 6)],
+     NotSmooth, True),
+    # x + y >= 2, y >= 0, x >= 0, x - y <= 3: both edges of the first
+    # vertex, (2, 0), end; one of each neighbour does not
+    ([((-1, -1), -2), ((0, -1), 0), ((-1, 0), 0), ((1, -1), 3)],
+     Unbounded, True),
+    # the unit square with x <= 5, which no vertex lies on: a clean walk
+    ([((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((1, 0), 5)],
+     RedundantFacet, True),
+], ids=["non-unimodular start", "start on n + 1 facets", "empty",
+        "ratio tie", "pivot of 2", "unbounded edge", "untouched facet"])
+def test_a_defect_is_diagnosed_as_before(specs, error, start):
+    """The walk stops at the first sign of a defect, at its start or later;
+    the error and its message are those of the enumeration over every
+    n-subset."""
+    n = len(specs[0][0])
+    normals, bounds = [normal for normal, _ in specs], [b for _, b in specs]
+    assert (_start_vertex(normals, bounds, n) is not None) == start
+    assert (_pivot_walk(normals, bounds, n) is None) == \
+        (error is not RedundantFacet)
+    got = _outcome(validate_delzant, specs)
+    assert got[0] is error
+    assert got == _outcome(_reference_validate, specs)
 
 
 @settings(max_examples=300, deadline=None)
