@@ -13,9 +13,9 @@ expected one.  It compares no timings across commits:
 
     PYTHONPATH=src python3 scripts/stress.py
 
-The polytopes are the corpus of perfbench/corpus.py plus cube5, cube6 and
-cube8 from its `cube`, built by import only and written to a temporary
-directory.  A run takes about half a minute on one core.
+The polytopes are the corpus of perfbench/corpus.py plus cube5, cube6,
+cube8 and cube9 from its `cube`, built by import only and written to a
+temporary directory.  A run takes about half a minute on one core.
 """
 
 import os
@@ -58,6 +58,7 @@ CASES = (
      ANSWERED, "mended: q over the gcd-closure of the orders"),
     ("cube8", ["fixed", "--xi=1,2,3,4,5,6,7,8"], ANSWERED,
      "polytope loading by pivots"),
+    ("cube9", ["validate"], ANSWERED, "centroid by localization"),
 )
 
 
@@ -92,6 +93,7 @@ def main():
     polys["cube5"] = corpus.cube(5)
     polys["cube6"] = corpus.cube(6)
     polys["cube8"] = corpus.cube(8)
+    polys["cube9"] = corpus.cube(9)
     differ = 0
     with tempfile.TemporaryDirectory() as directory:
         paths = corpus.write_corpus(directory, polys)

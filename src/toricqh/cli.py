@@ -82,6 +82,8 @@ def _read_json(path):
         raise FileFormatError(f"cannot read {path}: {err}")
     except ValueError as err:  # bad JSON, bad UTF-8, an oversized integer
         raise FileFormatError(f"{path} is not valid JSON: {err}")
+    except RecursionError:
+        raise FileFormatError(f"{path} is nested too deeply") from None
 
 
 def polytope_to_json(poly):

@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra helpers.
 
-Matrices are lists of rows of ints or Fractions; sizes are tiny (dimension
-<= 4, a handful of facets).  Each job has one kernel:
+Matrices are lists of rows of ints or Fractions; sizes are small (the
+dimension of the polytope, a few dozen facets at most).  Each job has one
+kernel:
 
 - `adjugate_times`, fraction-free (Bareiss) Gauss-Jordan over the integers,
   finds the start vertex of `validate_delzant`'s pivot walk with its
@@ -12,8 +13,9 @@ Matrices are lists of rows of ints or Fractions; sizes are tiny (dimension
   `rank` and `in_span` here, and the unit system of `quantum.qinv`;
 - `kernel_basis_int`, a Hermite reduction, answers every lattice question:
   the edge directions of a polytope;
-- `det`, a cofactor expansion, sizes simplices in `polytope.centroid` and
-  stays the independent reference that the tests hold the Bareiss path to.
+- `det`, a cofactor expansion, and `vec_sub` have no engine caller: they
+  stay as the independent references the tests hold the Bareiss path and
+  the former centroid triangulation to.
 """
 
 from fractions import Fraction

@@ -1,7 +1,9 @@
 """Delzant polytopes: validation, face lattice, primitive sets, the
 spherical H2 classes of edges and primitive relations, and what the
 classical ring and the battery read off the polytope alone: the linear
-elimination and the Morse data of a generic height.
+elimination and the Morse data of a generic height.  The centroid is a sum
+over the vertices of that Morse data, the localization that
+`ClassicalRing.integrate` makes over M.
 
 A polytope is given by facet data (outward primitive integer normal, rational
 support value): Delta = {u : <eta_i, u> <= support_i}.  All derived data is
@@ -23,12 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter, mul
 
 from . import linalg
 from .errors import (
     DegenerateEdge,
+    InexactNumber,
     NonGenericVector,
     NonIntegralCoefficient,
     NonPositiveEnergy,
@@ -50,6 +53,16 @@ class Facet:
     label: str = ""
 
     def __post_init__(self):
+        """Raise unless the data are exact: NonIntegralCoefficient for a
+        normal entry that is not an int, InexactNumber for a support that
+        is not an int or a Fraction (the rules of `novikov.check_term`)."""
+        bad = next((x for x in self.normal if type(x) is not int), None)
+        if bad is not None:
+            raise NonIntegralCoefficient(
+                f"the normal entry {bad!r} is not an int")
+        if type(self.support) not in (int, Fraction):
+            raise InexactNumber(
+                f"the support {self.support!r} is not an int or a Fraction")
         if linalg.vec_content(self.normal) != 1:
             raise NonPrimitiveNormal(f"normal {self.normal} is not primitive")
         object.__setattr__(self, "support", Fraction(self.support))
@@ -113,26 +126,34 @@ class DelzantPolytope:
 
     @cached_property
     def centroid(self):
-        """Exact centroid of Delta under Lebesgue measure: the
-        volume-weighted mean of the simplex centroids, in integers.  On the
-        scaled vertices, a simplex's volume is D^n times, and its vertex
-        sum D * (n + 1) times, the true one (up to the common factor n!)."""
+        """Exact centroid of Delta under Lebesgue measure, by localization at
+        the vertices (Duistermaat-Heckman; Brion's form for polytopes).  At
+        a scaled vertex p with dual rows y_k, the Morse height c gives
+        h = <c, p> and r_k = <c, y_k>, the minus weights, none 0 as c
+        separates the vertices.  With e = prod_k r_k,
+            n! D^n vol = sum_v h^n / e,
+            (n + 1)! D^(n + 1) int x_j = sum_v d/dc_j (h^(n + 1) / e),
+        each summed in integers over the lcm of the e^2."""
         scale, points = self.scaled_vertices
-        total_vol = 0
-        weighted = [0] * self.n
-        for simplex in _simplices_of_face(self, self.face(frozenset())):
-            base = points[simplex[0]]
-            vol = abs(linalg.det([linalg.vec_sub(points[v], base)
-                                  for v in simplex[1:]]))
-            total_vol += vol
-            for k in range(self.n):
-                weighted[k] += vol * sum(points[v][k] for v in simplex)
-        if total_vol == 0:
+        n, height, weights = self.n, self.morse.height, self.morse.weights
+        terms = []  # per vertex: e^2 and its volume and moment numerators
+        for vid, point in enumerate(points):
+            rates = {k: -w for k, w in weights[vid].items()}
+            e, h = prod(rates.values()), sum(map(mul, height, point))
+            drift = [0] * n  # sum_k y_k e / r_k, the derivative of e
+            for k, y in self.dual_basis(vid):
+                drift = [d + e // rates[k] * x for d, x in zip(drift, y)]
+            hn = h ** n
+            terms.append((e * e, hn * e, [hn * ((n + 1) * e * x - h * d)
+                                          for x, d in zip(point, drift)]))
+        den = lcm(*(e2 for e2, _, _ in terms))
+        vol = sum(v * (den // e2) for e2, v, _ in terms)
+        if vol <= 0:
             raise NotFullDimensional(
-                f"the triangulation of {self.name or 'the polytope'} has "
-                "volume 0")
-        return tuple(Fraction(w, total_vol * scale * (self.n + 1))
-                     for w in weighted)
+                f"the vertex sum gives {self.name or 'the polytope'} a "
+                "volume that is not positive")
+        return tuple(Fraction(sum(m[j] * (den // e2) for e2, _, m in terms),
+                              vol * scale * (n + 1)) for j in range(n))
 
     @cached_property
     def primitive_sets(self):
@@ -279,8 +300,8 @@ def validate_delzant(facet_specs, name=""):
     for spec in facet_specs:
         if isinstance(spec, Facet):
             facets.append(spec)
-        else:  # Facet makes the support a Fraction
-            facets.append(Facet(tuple(int(x) for x in spec[0]), *spec[1:]))
+        else:  # Facet checks the data and makes the support a Fraction
+            facets.append(Facet(tuple(spec[0]), *spec[1:]))
     if not facets:
         raise NotFullDimensional("no facets given")
     n = len(facets[0].normal)
@@ -589,25 +610,6 @@ def primitive_sets(poly):
 
 
 # ----------------------------------------------------------------- centroid
-
-def _simplices_of_face(poly, face):
-    """Recursive triangulation from the lex-least vertex of each face.
-
-    Returns simplices as tuples of vertex ids; each has dim(face)+1 entries.
-    The facets of a face F are the faces keyed F.facets | {i}.
-    """
-    if face.dim == 0:
-        return [(face.vertex_ids[0],)]
-    anchor = min(face.vertex_ids, key=poly.vertex_point)  # lex-least
-    simplices = []
-    for i in range(poly.num_facets):
-        sub = poly.faces.get(face.facets | {i})
-        if sub is None or sub.dim != face.dim - 1 or anchor in sub.vertex_ids:
-            continue
-        for s in _simplices_of_face(poly, sub):
-            simplices.append((anchor,) + s)
-    return simplices
-
 
 def centroid(poly):
     """`DelzantPolytope.centroid`, computed once per polytope."""

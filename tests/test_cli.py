@@ -803,6 +803,22 @@ def test_deep_nesting_is_a_typed_error(tmp_path, capsys, argv):
         "error: ExprSyntaxError: expression nested too deeply\n"
 
 
+@pytest.mark.parametrize("which", ["polytope", "y-table"])
+def test_a_deeply_nested_json_file_is_a_typed_error(tmp_path, capsys, which):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    poly = tmp_path / "h.json"
+    main(["example", "hirzebruch2", "--mu", "2", "-o", str(poly)])
+    capsys.readouterr()
+    argv = ["validate", str(deep)] if which == "polytope" else \
+        ["quantum", str(poly), "--mode", "nef", "--y-table", str(deep)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: FileFormatError: {deep} is nested too deeply\n"
+
+
 # ------------------------------------------------------------- closed pipes
 
 @pytest.mark.parametrize("unbuffered", [False, True],

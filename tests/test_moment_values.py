@@ -6,7 +6,9 @@ Fraction(<xi, point>, D), and `generic_vector`, `centroid` and `betti_morse`
 read the same pair.  Each must equal the former computation: a `Fraction`
 dot product per vertex for the moment values, and verbatim copies of the
 former private scalings below.  The corpus is the ten corpus polytopes and
-translated copies whose supports carry denominators.
+translated copies whose supports carry denominators.  The centroid, a vertex
+sum by localization, is held to the former triangulation, copied verbatim
+with `_simplices_of_face`, on that corpus and on `smooth_polytopes` draws.
 """
 
 import itertools
@@ -14,13 +16,15 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
 
 from test_kept_variables import CORPUS
+from test_polytope import smooth_polytopes
 from toricqh import linalg
 from toricqh.actions import CircleTable
 from toricqh.cohomology import betti_morse, generic_vector
 from toricqh.errors import NonGenericVector, NotFullDimensional
-from toricqh.polytope import _simplices_of_face, centroid, validate_delzant
+from toricqh.polytope import centroid, validate_delzant
 
 F = Fraction
 
@@ -41,6 +45,25 @@ def reference_generic_vector(poly):
             return xi
         M = 2 * M + 1
     raise NonGenericVector("could not find a separating direction")
+
+
+def _simplices_of_face(poly, face):
+    """Recursive triangulation from the lex-least vertex of each face.
+
+    Returns simplices as tuples of vertex ids; each has dim(face)+1 entries.
+    The facets of a face F are the faces keyed F.facets | {i}.
+    """
+    if face.dim == 0:
+        return [(face.vertex_ids[0],)]
+    anchor = min(face.vertex_ids, key=poly.vertex_point)  # lex-least
+    simplices = []
+    for i in range(poly.num_facets):
+        sub = poly.faces.get(face.facets | {i})
+        if sub is None or sub.dim != face.dim - 1 or anchor in sub.vertex_ids:
+            continue
+        for s in _simplices_of_face(poly, sub):
+            simplices.append((anchor,) + s)
+    return simplices
 
 
 def reference_centroid(poly):
@@ -160,3 +183,10 @@ def test_vertex_scans_match_the_former_scalings(name):
     for xi in xi_box(poly.n) + [generic_vector(poly)]:
         assert outcome(lambda: betti_morse(poly, xi)) == \
             outcome(lambda: reference_betti_morse(poly, xi)), xi
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=smooth_polytopes())
+def test_the_vertex_sum_centroid_matches_the_former_triangulation(specs):
+    poly = validate_delzant(specs)
+    assert centroid(poly) == reference_centroid(poly)

@@ -14,6 +14,8 @@ import toricqh
 from toricqh import examples
 from toricqh import linalg
 from toricqh.errors import (
+    InexactNumber,
+    NonIntegralCoefficient,
     NotFullDimensional,
     NotSimple,
     NotSmooth,
@@ -674,3 +676,87 @@ def test_the_polytope_checks_still_fire_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "volume\nsimple\n"
+
+
+# ------------------------------------------------- exact facet data only
+
+CP2_SPECS = [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]
+
+
+def test_an_inexact_support_is_an_error():
+    with pytest.raises(InexactNumber):
+        validate_delzant([((1, 0), 0.1)] + CP2_SPECS[1:])
+
+
+def test_a_normal_entry_that_is_no_int_is_not_truncated():
+    # int() made these (1, 0) and (-1, -1): cp2, with no error
+    with pytest.raises(NonIntegralCoefficient):
+        validate_delzant([((1.7, 0), 1), ((0, 1), 1), ((-1.2, -1), 1)])
+
+
+def test_a_bool_normal_entry_is_no_int():
+    with pytest.raises(NonIntegralCoefficient):
+        validate_delzant([((True, 0), 1)] + CP2_SPECS[1:])
+
+
+def test_a_facet_with_a_float_normal_is_a_typed_error():
+    with pytest.raises(NonIntegralCoefficient):
+        Facet((1.5, 0), 1)
+
+
+# ------------------------------------- centroid laws owed to no method
+
+RATIONAL = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=smooth_polytopes(), data=st.data())
+def test_the_centroid_of_a_translate_is_the_translated_centroid(specs, data):
+    poly = validate_delzant(specs)
+    t = [data.draw(RATIONAL) for _ in range(poly.n)]
+    moved = validate_delzant([(f.normal, f.support + linalg.vec_dot(
+        f.normal, t)) for f in poly.facets])
+    assert centroid(moved) == tuple(c + x for c, x in zip(centroid(poly), t))
+
+
+@st.composite
+def unimodular(draw, n):
+    """(g, g^-1) for g in GL(n, Z): shears g -> (I + c E_ij) g, then sign
+    flips of rows; g^-1 takes the inverse column operations."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in g]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    for i in range(n):
+        if draw(st.booleans()):
+            g[i] = [-a for a in g[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return g, inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=smooth_polytopes(), data=st.data())
+def test_the_centroid_of_an_image_under_gl_n_z_is_the_image(specs, data):
+    """gP has the facets (g^-T eta, s), as <g^-T eta, g u> = <eta, u>."""
+    poly = validate_delzant(specs)
+    g, inv = data.draw(unimodular(poly.n))
+    image = validate_delzant([(tuple(linalg.vec_dot(col, f.normal)
+                                     for col in zip(*inv)), f.support)
+                              for f in poly.facets])
+    assert centroid(image) == tuple(linalg.vec_dot(row, centroid(poly))
+                                    for row in g)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_the_centroid_of_a_box_is_its_center(n):
+    low = [F(i + 1, 3) for i in range(n)]  # the box prod [-a_i, b_i]
+    high = [F(2 * i + 1, 5) for i in range(n)]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    box = validate_delzant([spec for e, a, b in zip(units, low, high)
+                            for spec in ((e, b), (tuple(-x for x in e), a))])
+    assert centroid(box) == tuple((b - a) / 2 for a, b in zip(low, high))
