@@ -30,6 +30,12 @@ The classes:
     hirzebruch2 in NEF mode at the default cutoff and at `--cutoff 2`;
   - `seidel --format structured` on hirzebruch2 in NEF mode with xi in
     [-2, 2]^2, at the default cutoff and at `--cutoff 2`;
+  - `seidel and product, text`: the homology reports of text output, from
+    `seidel` on the 2-D bundled examples and on hirzebruch2 in NEF mode
+    (which decodes the point class) with xi in [-2, 2]^2, and on cp3 with
+    xi in [-1, 1]^3 (whose report is unavailable), and from `product` on
+    every facet pair i <= j of cp2, blowup_cp2, s2xs2 and of hirzebruch2 in
+    NEF mode;
   - `small cutoff`: Fano mode below the default cutoff, at `--cutoff 1/2`
     and `--cutoff 1`, on cp2, blowup_cp2, s2xs2 and cp3: `quantum` (text
     output), `seidel --format structured` with xi in [-1, 1]^n, and
@@ -192,6 +198,15 @@ def command_classes(polys):
                          "structured", *nef, *cut]
                         for cut in ([], ["--cutoff", "2"])
                         for xi in box(2, 2)],
+        "seidel and product, text": [
+            ["seidel", name, xi_flag(xi)] for name in corpus.BUNDLED
+            if polys[name].n == 2 for xi in box(2, 2)]
+        + [["seidel", "hirzebruch2", xi_flag(xi), *nef] for xi in box(2, 2)]
+        + [["seidel", "cp3", xi_flag(xi)] for xi in box(3, 1)]
+        + [["product", name, *pair] for name in ("cp2", "blowup_cp2", "s2xs2")
+           for pair in facet_pairs(polys[name])]
+        + [["product", "hirzebruch2", *pair, *nef]
+           for pair in facet_pairs(polys["hirzebruch2"])],
         "small cutoff": [
             argv + ["--cutoff", cut] for cut in SMALL_CUTOFFS
             for name in SMALL

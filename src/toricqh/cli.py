@@ -17,7 +17,7 @@ from .actions import FIXED, CircleTable
 from .cohomology import build_ring
 from .errors import FileFormatError, ToricError
 from .exprparse import parse_expression
-from .novikov import NovScalar
+from .novikov import NovScalar, check_cutoff
 from .obstructions import analyze
 from .oracle import verify_all
 from .polytope import centroid, validate_delzant
@@ -281,7 +281,7 @@ def build_presentation(poly, mode, y_table_path=None, cutoff=None):
     if mode == "nef":
         if y_table_path is None:
             raise FileFormatError("--mode nef needs --y-table FILE")
-        cutoff = Fraction(cutoff) if cutoff is not None else \
+        cutoff = check_cutoff(cutoff) if cutoff is not None else \
             default_cutoff(poly)
         table = load_y_table(y_table_path, poly, cutoff)
         return nef_presentation(poly, table, cutoff)

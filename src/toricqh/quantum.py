@@ -14,17 +14,17 @@ they derive from can change, no entry is ever rebuilt.  A changed
 presentation is a new one, from `dataclasses.replace`, with empty caches.
 
 `quantum_nf`, `qprod` and `lift` share one reduction on the t-exponent grid
-(1/D)Z: D is the lcm of the denominators of the cutoff and of every
-correction exponent, refined per call by those of the input, and an exponent
+(1/D)Z: D is the lcm of the denominators of the cutoff and of the grids of
+the corrections, refined per call by the grids of the input, and an exponent
 k is the integer level k*D.  It reads one or two factors, lists of
-(monomial, [((d, k), c)]); `lift` fills one with the kept images of its
-terms.  Each monomial the reduction reaches gets a plan: its classical
-normal form, its correction atoms (Δlevel, q-shift, monomial, c), kept when
-they cancel, and the OR of the flags of the corrections used.  Integral
-coefficients stay int until the result, whose terms share their
-(d, Fraction(level, D)) keys and the cutoff object itself.  The base D and,
-per refined D, the plans live in `qp._cache["grid"]`, built once per
-presentation.
+(monomial, {(d, level): c}.items(), den), rescaling each level onto D;
+`lift` fills one with the kept images of its terms.  Each monomial the
+reduction reaches gets a plan: its classical normal form, its correction
+atoms (Δlevel, q-shift, monomial, c), kept when they cancel, and the OR of
+the flags of the corrections used.  The result's scalars live on D itself,
+with int coefficients wherever integral, and share the cutoff object; no
+Fraction exponent is made.  The base D and, per refined D, the plans live in
+`qp._cache["grid"]`, built once per presentation.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +46,7 @@ from .errors import (
     NotAUnit,
     WrongDegree,
 )
-from .novikov import NovScalar, check_term
+from .novikov import NovScalar, check_cutoff, check_term, int_if_integral
 from .polynomials import mono_degree, mono_mul, poly_monomial, poly_mul
 from .polytope import primitive_sets
 
@@ -92,13 +92,14 @@ def kept_qpoly(ring, terms):
 
 
 def qpoly_atoms(a):
+    """(monomial, d, Fraction kappa, Fraction c) per term, for reading."""
     for m, s in a.items():
         for (d, kappa), c in s.terms.items():
             yield m, d, kappa, c
 
 
 def qpoly_valuation(a):
-    return min((k for s in a.values() for _, k in s.terms), default=None)
+    return min((s.valuation() for s in a.values() if s), default=None)
 
 
 def qpoly_truncated(a):
@@ -125,7 +126,8 @@ class QClass:
 
     def degree(self):
         """Common degree of all atoms, or the string 'inhomogeneous'."""
-        degs = {sum(m) + d for m, s in self.coeffs.items() for d, _ in s.terms}
+        degs = {sum(m) + d for m, s in self.coeffs.items()
+                for d, _ in s.levels}
         if len(degs) > 1:
             return "inhomogeneous"
         return 2 * degs.pop() if degs else 0
@@ -138,15 +140,16 @@ class QClass:
         return a == b and self.cutoff == other.cutoff
 
     def __hash__(self):
-        return hash((frozenset((m, frozenset(s.terms.items()))
-                               for m, s in self.coeffs.items()
+        return hash((frozenset((m, s) for m, s in self.coeffs.items()
                                if not s.is_zero()),
                      self.cutoff))
 
     def slice_at(self, kappa):
         """The level-kappa slice as {(monomial, d): coefficient}."""
+        num, den = kappa.numerator, kappa.denominator
         return {(m, d): c for m, s in self.coeffs.items()
-                for (d, k), c in s.terms.items() if k == kappa and c}
+                for (d, level), c in s.levels.items()
+                if level * den == num * s.den and c}
 
 
 # ------------------------------------------------------------- presentation
@@ -198,7 +201,7 @@ def fano_presentation(poly, cutoff=None):
     monomial itself; valid under the caller's assertion that every
     holomorphic sphere class has positive first Chern number."""
     ring = build_ring(poly)
-    cutoff = Fraction(cutoff) if cutoff is not None else \
+    cutoff = check_cutoff(cutoff) if cutoff is not None else \
         default_cutoff(poly)
     corrections = {}
     energies = []
@@ -214,7 +217,7 @@ def fano_presentation(poly, cutoff=None):
 
 def _validate_y_correction(ring, i, correction, cutoff):
     for m, s in correction.items():
-        for (d, kappa), c in s.terms.items():
+        for d, _ in s.levels:
             if 2 * mono_degree(m) + 2 * d != 2 or d not in (0, 1):
                 raise BadCorrectionDegree(
                     f"Y correction for facet {i + 1} has an atom of degree "
@@ -237,7 +240,7 @@ def nef_presentation(poly, y_table, cutoff=None):
     for every facet (use an empty dict when Y_i = x_i).
     """
     ring = build_ring(poly)
-    cutoff = Fraction(cutoff) if cutoff is not None else \
+    cutoff = check_cutoff(cutoff) if cutoff is not None else \
         default_cutoff(poly)
     y_classes = {}
     for i in range(poly.num_facets):
@@ -287,9 +290,6 @@ def _nf_traced_cached(qp, mono):
     return qp._nf_cache[mono]
 
 
-_SMALL = {c: Fraction(c) for c in range(-64, 65)}  # shared coefficients
-
-
 def _plan(qp, mono, D):
     """The classical normal form of `mono`, its correction atoms (Δlevel,
     q-shift, monomial, c) by increasing Δlevel, and the OR of the flags of
@@ -300,47 +300,42 @@ def _plan(qp, mono, D):
         for mc, cc in cof.items():
             for mm, s in qp.corrections[key].items():
                 flagged = flagged or s.truncated
-                for (d3, k3), c3 in s.terms.items():
-                    dl = k3.numerator * (D // k3.denominator)
+                for (d3, l3), c3 in s.levels.items():
+                    dl = l3 * (D // s.den)
                     if dl <= 0:
                         raise NonPositiveEnergy(
                             "a correction failed to raise the valuation; "
                             "relation energies must be positive")
                     atom = (dl, d3, mono_mul(mc, mm))
                     atoms[atom] = atoms.get(atom, 0) + cc * c3
-    return ([(m, c.numerator if c.denominator == 1 else c)
-             for m, c in nf.items()],
-            sorted(((*atom, c.numerator if c.denominator == 1 else c)
-                    for atom, c in atoms.items()), key=itemgetter(0)),
+    return ([(m, int_if_integral(c)) for m, c in nf.items()],
+            sorted(((*atom, int_if_integral(c)) for atom, c in atoms.items()),
+                   key=itemgetter(0)),
             flagged)
 
 
 def _factor(coeffs):
     """A quantum polynomial as a factor of `_reduce`."""
-    return [(m, s.terms.items()) for m, s in coeffs.items()]
+    return [(m, s.levels.items(), s.den) for m, s in coeffs.items()]
 
 
 def _reduce(qp, truncated, *factors):
     """The normal form of one factor or of the product of two, a factor
-    being [(monomial, [((d, kappa), c), ...])]; an atom above the cutoff
+    being [(monomial, [((d, level), c), ...], den)]; an atom above the cutoff
     flags the result, and `truncated` flags it too, a zero one included."""
     grid = qp._cache.get("grid")
     if grid is None:
         grid = qp._cache["grid"] = (lcm(
-            qp.cutoff.denominator, *(k.denominator
+            qp.cutoff.denominator, *(s.den
                                      for delta in qp.corrections.values()
-                                     for s in delta.values()
-                                     for _, k in s.terms)), {})
-    D = lcm(grid[0], *{k.denominator for factor in factors
-                       for _, terms in factor for (_, k), _ in terms})
+                                     for s in delta.values())), {})
+    D = lcm(grid[0], *{den for factor in factors for _, _, den in factor})
     if D not in grid[1]:
-        grid[1][D] = (qp.cutoff.numerator * (D // qp.cutoff.denominator),
-                      {}, {})
-    cut, plans, keys = grid[1][D]
-    atoms = [[(m, [(d, k.numerator * (D // k.denominator),
-                    c.numerator if c.denominator == 1 else c)
-                   for (d, k), c in terms])
-              for m, terms in factor] for factor in factors]
+        grid[1][D] = (qp.cutoff.numerator * (D // qp.cutoff.denominator), {})
+    cut, plans = grid[1][D]
+    atoms = [[(m, [(d, level * r, c) for (d, level), c in terms])
+              for m, terms, den in factor for r in (D // den,)]
+             for factor in factors]
     if len(atoms) == 2:  # the atom pairs of a*b
         atoms = [[(mono_mul(m1, m2), [(d1 + d2, l1 + l2, c1 * c2)
                                       for d1, l1, c1 in t1
@@ -380,18 +375,12 @@ def _reduce(qp, truncated, *factors):
                 slot[d + dq, m3] = slot.get((d + dq, m3), 0) + coeff * c3
     out = {}
     for m, terms in result.items():
-        scalar = {}
-        for key, c in terms.items():
-            if c:
-                if key not in keys:
-                    keys[key] = (key[0], Fraction(key[1], D))
-                scalar[keys[key]] = _SMALL.get(c) or Fraction(c) \
-                    if type(c) is int else c
+        scalar = {key: int_if_integral(c) for key, c in terms.items() if c}
         if scalar:
-            out[m] = NovScalar.trusted(scalar, qp.cutoff, truncated)
+            out[m] = NovScalar.on_grid(scalar, D, qp.cutoff, truncated)
     if truncated and not out:
         # preserve the flag on a zero class via an explicitly flagged zero
-        out = {(0,) * qp.ring.width: NovScalar.trusted({}, qp.cutoff, True)}
+        out = {(0,) * qp.ring.width: NovScalar.on_grid({}, D, qp.cutoff, True)}
     return QClass(out, qp.cutoff)
 
 
@@ -433,7 +422,8 @@ def _lift(qp, items, truncated):
     """`lift` of the ((monomial, q, t), c) items of well-formed terms."""
     image = qp.ring.monomial_image
     return _reduce(qp, truncated, [
-        (m, [((d, kappa), c * c2)])
+        (m, [((d, kappa.numerator), int_if_integral(c * c2))],
+         kappa.denominator)
         for (mono, d, kappa), c in items if c
         for m, c2 in image(mono).items()])
 
@@ -550,22 +540,28 @@ def _solve_unit_system(qp, slots, columns, strict_cut, vala):
     With strict_cut the identity must hold at every stored level; otherwise
     levels in the boundary window (cutoff + min(val a, 0), cutoff] are
     dropped, which is the best achievable when the true inverse has terms
-    above the cutoff."""
+    above the cutoff.  The columns are read as levels on one grid; their
+    int coefficients enter the rows as Fractions, which `/` keeps exact."""
     limit = qp.cutoff if strict_cut else qp.cutoff + min(vala, 0)
-    unit = ((0,) * qp.ring.width, 0, Fraction(0))
-    targets = {unit} | {(m, d, k) for col in columns
-                        for m, d, k, _ in qpoly_atoms(col.coeffs)
-                        if k <= limit}
+    den = lcm(limit.denominator, *(s.den for col in columns
+                                   for s in col.coeffs.values()))
+    top = limit.numerator * (den // limit.denominator)
+    atoms = [[(m, d, level * (den // s.den), c)
+              for m, s in col.coeffs.items()
+              for (d, level), c in s.levels.items()
+              if level * (den // s.den) <= top] for col in columns]
+    unit = ((0,) * qp.ring.width, 0, 0)
+    targets = {unit} | {(m, d, level) for col in atoms
+                        for m, d, level, _ in col}
     tindex = {t: r for r, t in enumerate(
         sorted(targets, key=lambda t: (t[2], t[1], t[0])))}
     rows = [{} for _ in tindex]
     rhs = [Fraction(0)] * len(tindex)
     rhs[tindex[unit]] = Fraction(1)
-    for j, col in enumerate(columns):
-        for m, d, k, c in qpoly_atoms(col.coeffs):
-            if k <= limit:
-                row = rows[tindex[m, d, k]]
-                row[j] = row.get(j, 0) + c
+    for j, col in enumerate(atoms):
+        for m, d, level, c in col:
+            row = rows[tindex[m, d, level]]
+            row[j] = row.get(j, Fraction(0)) + c
     # the lowest-exponent slots pivot first; free slots stay 0
     x, _ = gauss_jordan(rows, rhs, sorted(
         range(len(slots)), key=lambda j: (slots[j][2], slots[j][1])))

@@ -21,6 +21,7 @@ fields when it is made.  A `HomologyReport` is a frozen value as well.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .actions import _check_xi, fixed_maximum
@@ -328,11 +329,7 @@ def to_homology_report(dictionary, qclass, qp):
             "degree-4 and higher classes have no geometric names beyond "
             "dimension two")
     work = {m: s for m, s in qclass.coeffs.items() if not s.is_zero()}
-    entries = []
-
-    def flip(name, scalar):  # sorted below, on the unflipped (kappa, d)
-        for (d, kappa), c in scalar.terms.items():
-            entries.append((kappa, d, name, c))
+    named = []  # (name, scalar), flipped at the end
 
     # point part (top degree): only decodable with a point lift
     if n == 2 and dictionary.has_point() and any(
@@ -342,7 +339,7 @@ def to_homology_report(dictionary, qclass, qp):
         gamma = work.get(dictionary.top)
         if gamma is not None:
             gamma = gamma * dictionary.point_inverse
-            flip("p", gamma)
+            named.append(("p", gamma))
             for m, s in dictionary.point_lift.coeffs.items():
                 res = work[m] - gamma * s if m in work else -(gamma * s)
                 if res.is_zero():
@@ -358,22 +355,27 @@ def to_homology_report(dictionary, qclass, qp):
             gamma = deg2[probe].scale(ratio)  # neither side holds a zero
             if all(deg2[m] == gamma.scale(c) for m, c in image.items()
                    if m != probe):
-                flip(dictionary.labels[i], gamma)
+                named.append((dictionary.labels[i], gamma))
                 for m in image:
                     work.pop(m, None)
                 break
         else:
             for m, s in sorted(deg2.items()):
-                flip(dictionary.labels[qp.ring.kept[m.index(1)]], s)
+                named.append((dictionary.labels[qp.ring.kept[m.index(1)]], s))
                 work.pop(m, None)
     # unit part
     unit = (0,) * qp.ring.width
     if unit in work:
-        flip("1", work.pop(unit))
+        named.append(("1", work.pop(unit)))
     raw = [(m, d, kappa, c) for m, s in sorted(work.items())
            for (d, kappa), c in s.sorted_terms()]
-    entries.sort(key=itemgetter(0, 1, 2))
-    return HomologyReport(entries=tuple((name, c, -d, -kappa)
-                                        for kappa, d, name, c in entries),
+    # sorted on the unflipped (level, d, name), all on one grid
+    den = lcm(*(s.den for _, s in named))
+    entries = sorted(((level * (den // s.den), d, name, c) for name, s in named
+                      for (d, level), c in s.levels.items()),
+                     key=itemgetter(0, 1, 2))
+    return HomologyReport(entries=tuple((name, Fraction(c), -d,
+                                         Fraction(-level, den))
+                                        for level, d, name, c in entries),
                           raw=tuple(raw),
                           truncated=qclass.truncated, cutoff=qclass.cutoff)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_quantum import hirz_y_table
+from toricqh import cli, examples
 from toricqh.errors import (
     CutoffMismatch,
     InexactNumber,
@@ -12,6 +14,7 @@ from toricqh.errors import (
     ZeroElement,
 )
 from toricqh.novikov import NovScalar
+from toricqh.quantum import fano_presentation, nef_presentation
 
 F = Fraction
 CUT = F(4)
@@ -188,3 +191,60 @@ def test_exact_input_is_kept_exactly():
                for (d, k), c in a.terms.items())
     assert NovScalar.monomial(3, -2, Fraction(1, 2), 1) == \
         NovScalar({(-2, F(1, 2)): F(3)}, 1)
+
+
+
+# ------------------------------------- inexact cutoffs and factors are typed
+
+def test_a_float_cutoff_to_a_fano_presentation_is_inexact():
+    """0.1 was read as 3602879701896397/36028797018963968."""
+    with pytest.raises(InexactNumber):
+        fano_presentation(examples.cp2(), 0.1)
+
+
+def test_a_float_cutoff_to_a_nef_presentation_is_inexact():
+    with pytest.raises(InexactNumber):
+        nef_presentation(examples.hirzebruch2(F(2)), hirz_y_table(F(4)), 0.1)
+
+
+def test_a_float_cutoff_to_the_cli_presentation_is_inexact(tmp_path):
+    poly = examples.hirzebruch2(F(2))
+    path = tmp_path / "y.json"
+    path.write_text("{}")
+    for mode, table in (("nef", str(path)), ("fano", None)):
+        with pytest.raises(InexactNumber):
+            cli.build_presentation(poly, mode, table, 0.1)
+
+
+def test_a_float_cutoff_to_a_scalar_is_inexact():
+    with pytest.raises(InexactNumber):
+        NovScalar.zero(0.1)
+
+
+def test_a_string_cutoff_is_inexact():
+    with pytest.raises(InexactNumber):
+        NovScalar({}, "1/2")
+
+
+def test_a_float_scale_is_inexact():
+    with pytest.raises(InexactNumber):
+        mono(1, 0, 1).scale(0.1)
+
+
+def test_a_float_factor_is_inexact():
+    a = mono(1, 0, 1)
+    with pytest.raises(InexactNumber):
+        a * 0.5
+    with pytest.raises(InexactNumber):
+        0.5 * a
+
+
+def test_adding_a_number_is_a_type_error():
+    a = mono(1, 0, 1)
+    for other in (1, F(1, 2), 0.5, "1"):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other
+    with pytest.raises(TypeError):
+        a * "2"

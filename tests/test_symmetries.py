@@ -1,13 +1,17 @@
-"""The Seidel law of the polytope's symmetries: S(g xi) = sigma_g . S(xi).
+"""The laws of the polytope's symmetries: S(g xi) = sigma_g . S(xi), and
+`analyze` at g xi says what it says at xi.
 
 A g in GL(n, Z) that maps the facet data {(eta_i, s_i)} to itself permutes
 the facets by sigma_g (eta_sigma(i) = g eta_i, s_sigma(i) = s_i) and sends
 the circle xi to g xi.  The Seidel representation is natural, so the
 element of g xi is the element of xi with sigma_g acting on the facet
-variables, class and truncation flag.  The law reads nothing of the
-presentation's own algebra, so it tests that no output depends on a label:
-the order of the kept variables, the argmax and its tie-breaks in
-`fixed_maximum`, or which facet of F_max a value is read from.
+variables, class and truncation flag.  The obstruction battery reads only
+the circle action, so its verdict and each finding's rule, triggered and
+definitive flags are the same at g xi as at xi.  Neither law reads the
+presentation's own algebra, so they test that no output depends on a
+label: the order of the kept variables, the argmax and its tie-breaks in
+`fixed_maximum` or `chain_bound`, or which facet of F_max a value is read
+from.
 """
 
 import dataclasses
@@ -20,6 +24,7 @@ import pytest
 from test_quantum_nf import CORPUS
 from toricqh import seidel
 from toricqh.actions import fixed_maximum
+from toricqh.obstructions import analyze
 from toricqh.polytope import validate_delzant
 from toricqh.quantum import fano_presentation, lift
 from toricqh.seidel import seidel_element
@@ -170,3 +175,53 @@ def test_the_law_reports_a_value_read_by_label(presented, monkeypatch,
     monkeypatch.setattr(seidel, "fixed_maximum", planted)
     assert {name for name, qp in presented.items()
             if violations(qp)[0]} == {INTERLEAVED}
+
+
+# ------------------------------------------------------------ the analyze law
+
+def findings(poly, xi, qp):
+    """The verdict, and each finding's rule, triggered and definitive flag."""
+    report = analyze(poly, xi, qp)
+    return report.verdict, [(f.rule, f.triggered, f.definitive)
+                            for f in report.findings]
+
+
+def analyze_violations(poly, qp, group):
+    """The (g, xi), xi in [-1, 1]^n, at which `analyze` differs between g xi
+    and xi, and the number of checks.  Each circle is analyzed once, so
+    the whole group is checked, cube4's 16 elements and cp4's 120 too."""
+    seen = {}
+
+    def at(xi):
+        if xi not in seen:
+            seen[xi] = findings(poly, xi, qp)
+        return seen[xi]
+
+    bad, checks = [], 0
+    for g, _ in group:
+        for xi in itertools.product((-1, 0, 1), repeat=poly.n):
+            if any(xi):
+                checks += 1
+                if at(apply(g, xi)) != at(xi):
+                    bad.append((g, xi))
+    return bad, checks
+
+
+@pytest.mark.parametrize("name", FANO)
+def test_analyze_is_invariant_without_quantum(name):
+    poly = CORPUS[name][0].normalized
+    group = automorphisms(poly)
+    bad, checks = analyze_violations(poly, None, group)
+    assert bad == []
+    assert checks == len(group) * (3 ** poly.n - 1)
+
+
+@pytest.mark.parametrize("name", [name for name in FANO
+                                  if CORPUS[name][0].n <= 3])
+def test_analyze_is_invariant_with_the_fano_presentation(presented, name):
+    """The SD rule reads the Seidel element's valuation and leading term."""
+    qp = presented[name]
+    group = automorphisms(qp.polytope)
+    bad, checks = analyze_violations(qp.polytope, qp, group)
+    assert bad == []
+    assert checks == len(group) * (3 ** qp.polytope.n - 1)
