@@ -20,7 +20,9 @@ The classes:
     [-1, 1]^4) and gon12 (xi in [-1, 1]^2);
   - `verify --trials 4 --format structured` at seeds 7193 and 11 on the
     bundled examples, cp3 and cube3, and on hirzebruch2 in NEF mode;
-  - `cohomology` (text output) on the ten corpus polytopes;
+  - `cohomology` (text output) on the ten corpus polytopes and on cube5
+    and cube6 from the corpus's `cube`, whose pairings are the longest
+    vertex sums here;
   - `product --format structured` on every facet pair i <= j of cp2,
     blowup_cp2, s2xs2, cp3 and cube3, and of hirzebruch2 in NEF mode;
   - `product, expressions`: `product --format structured` on cp2,
@@ -85,6 +87,7 @@ TRANSLATED = tuple(name for name in corpus.BUNDLED if name != "s2") + ("cp3",)
 FANO = ("s2", "cp2", "blowup_cp2", "s2xs2", "cp3", "cp4", "cube3", "cube4")
 SMALL = ("cp2", "blowup_cp2", "s2xs2", "cp3")
 SMALL_CUTOFFS = ("1/2", "1")
+LARGE_CUBES = (5, 6)  # cohomology only
 # no expression starts with "-", which argparse would read as a flag
 EXPRESSION_PAIRS = (
     ("2*x1^2 - 1/2*q*t^{1/3}*(x2 + x3)", "x1"),
@@ -180,7 +183,8 @@ def command_classes(polys):
                    for seed in SEEDS for name in verified]
         + [["verify", "hirzebruch2", "--trials", "4", "--seed", seed,
             "--format", "structured", *nef] for seed in SEEDS],
-        "cohomology": [["cohomology", name] for name in polys],
+        "cohomology": [["cohomology", name] for name in polys]
+        + [["cohomology", f"cube{n}"] for n in LARGE_CUBES],
         "product": [["product", name, *pair, "--format", "structured"]
                     for name in ("cp2", "blowup_cp2", "s2xs2", "cp3",
                                  "cube3")
@@ -249,6 +253,8 @@ def main():
     digests = {}
     with tempfile.TemporaryDirectory() as workdir:
         paths = corpus.write_corpus(workdir, polys)
+        paths.update(corpus.write_corpus(
+            workdir, {f"cube{n}": corpus.cube(n) for n in LARGE_CUBES}))
         paths.update(write_translated(workdir, polys))
         for name, argvs in command_classes(polys).items():
             h = hashlib.sha256()

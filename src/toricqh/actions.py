@@ -14,6 +14,9 @@ the isotropy order of every face.  A face's isotropy order is the gcd of
 xi's coordinates off the face's facets at any one of its vertices, and a
 gcd of 0 means the face is fixed.  A table lives for one call (one per
 `analyze`) and reads the polytope's shared dual bases and scaled vertices.
+The q-stratum, the faces whose order q divides, is checked for closure and
+split into components through the immediate subfaces key | {i} alone, by
+union-find, with no pairwise search over faces.
 
 F_max needs no table: `fixed_maximum` is one integer pass, the levels
 <xi, .> on the scaled vertices, their argmax, xi's coordinates at the
@@ -188,7 +191,8 @@ class CircleTable:
         level) in values: a level lies above c when level * b > a * D."""
         tops = [(max(self.levels[v] for v in self.poly.faces[key].vertex_ids),
                  order)
-                for key, order in self.orders.items() if order is not FIXED]
+                for key, order in self.orders.items()
+                if order is not FIXED and order > 1]
         return {c: max([1] + [k for top, k in tops if top * b > a])
                 for c in values
                 for a, b in [(c.numerator * self.scale, c.denominator)]}
@@ -239,35 +243,37 @@ class IsotropyStratum:
 
 
 def _stratum(orders, q):
+    """The faces whose order q divides, fixed ones included, and their
+    components under containment.  A subface's order is a multiple of its
+    face's, and every subface ends a chain of immediate subfaces key | {i}
+    (the face lattice is graded), so closure is checked on those, and the
+    components are joined through them by union-find; they come in the
+    order of their least key, as `sorted` orders keys."""
     qualifying = [key for key, order in orders.items()
                   if order is FIXED or order % q == 0]
-    qual = set(qualifying)
-    # closure under subfaces: a subface has facet set containing the face's,
-    # and its stabilizer order is a multiple, so it must qualify too
-    for key in qual:
-        for other in orders:
-            if key < other and other not in qual:
+    root = {key: key for key in qualifying}
+
+    def find(key):
+        while root[key] is not key:
+            root[key] = key = root[root[key]]
+        return key
+
+    facets = frozenset().union(*orders)
+    for key in qualifying:
+        for i in facets - key:
+            sub = key | {i}
+            if sub not in orders:
+                continue
+            if sub not in root:
                 raise StratumNotClosed(f"the {q}-stratum holds {sorted(key)}"
-                                       f" but not its subface {sorted(other)}")
-    seen = set()
-    components = []
+                                       f" but not its subface {sorted(sub)}")
+            root[find(sub)] = find(key)
+    components = {}
     for key in sorted(qualifying, key=sorted):
-        if key in seen:
-            continue
-        comp = {key}
-        frontier = [key]
-        while frontier:
-            cur = frontier.pop()
-            for other in qualifying:
-                if other in comp:
-                    continue
-                if cur <= other or other <= cur:
-                    comp.add(other)
-                    frontier.append(other)
-        seen |= comp
-        components.append(frozenset(comp))
-    return IsotropyStratum(q=q, faces=frozenset(qualifying),
-                           components=tuple(components))
+        components.setdefault(find(key), []).append(key)
+    return IsotropyStratum(
+        q=q, faces=frozenset(qualifying),
+        components=tuple(map(frozenset, components.values())))
 
 
 def isotropy_components(poly, xi, q):

@@ -410,7 +410,9 @@ def cmd_seidel(args):
           f"m_max {report['m_max']}, K_max {frac_str(report['K_max'])}")
     print(f"  leading term check: {'ok' if report['leading_ok'] else 'MISMATCH'}")
     if report["exactness"]:
-        state = "ok" if report["exact_ok"] else "MISMATCH"
+        exact_ok = report["exact_ok"]
+        state = "not checked" if exact_ok is None else \
+            "ok" if exact_ok else "MISMATCH"
         print(f"  exactness ({report['exactness']}): {state}")
         for note in report["assumptions"]:
             print(f"    assumption: {note}")

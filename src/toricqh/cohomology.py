@@ -8,6 +8,8 @@ terms of the others, and the Groebner machinery runs in the remaining
 the memo that depends on it, the normal forms; a full monomial of degree
 > n reduces to zero with no division.  Normal forms come with a trace
 over the Stanley-Reisner generators, which the quantum layer consumes.
+Integrals and the Poincare pairings are integer vertex sums by localization
+over the lcm of the vertices' Euler numbers, with one Fraction per value.
 
 Faces enter one way each: the restriction of a class to any face, a vertex
 included, is its product with the face's class [F], and the Betti numbers
@@ -18,7 +20,7 @@ vertices by descending edges, `polytope.face_betti`.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 
 from . import linalg
 from .errors import DegenerateRing, NonGenericVector, WrongDegree
@@ -100,30 +102,52 @@ class ClassicalRing:
         return tuple((tuple(w.get(i, 0) for i in self.kept), prod(w.values()))
                      for w in self.polytope.morse.weights)
 
+    @cached_property
+    def euler_lcm(self):
+        """The lcm L of the Euler numbers e(v), the products in
+        `localization`: an integral is the integer vertex sum of
+        f|_v * (L / e(v)), over L."""
+        return lcm(*(euler for _, euler in self.localization))
+
     def integrate(self, poly):
         """Integral of a homogeneous top-degree class over the manifold, by
         localization at the vertices (Atiyah-Bott, Berline-Vergne): the sum
         over v of f|_v / prod_{i in F(v)} w_i(v), where x_i restricts at v
-        to w_i(v) if facet i holds v, else to 0."""
+        to w_i(v) if facet i holds v, else to 0.  Each monomial's vertex sum
+        is an integer over L = `euler_lcm`; one Fraction is made at the
+        end."""
         if not poly:
             return Fraction(0)
         n = self.polytope.n
         if any(mono_degree(m) != n for m in poly):
             raise WrongDegree(
                 f"integrand must be homogeneous of cohomological degree {2 * n}")
-        return sum((Fraction(sum(c * prod(map(pow, weights, m))
-                                 for m, c in poly.items()), euler)
-                    for weights, euler in self.localization), Fraction(0))
+        common = self.euler_lcm
+        shares = [(weights, common // euler)
+                  for weights, euler in self.localization]
+        return Fraction(sum(c * sum(share * prod(map(pow, weights, m))
+                                    for weights, share in shares)
+                            for m, c in poly.items()), common)
 
     def pd_matrix(self, degree):
         """Pairing matrix between standard monomials of cohomological degree
-        `degree` and those of complementary degree."""
+        `degree` and those of complementary degree: integer vertex sums of
+        r|_v * c|_v * (L / e(v)), with one Fraction per entry."""
         k = degree // 2
         n = self.polytope.n
         rows = [m for m in self.standard_monomials if mono_degree(m) == k]
         cols = [m for m in self.standard_monomials if mono_degree(m) == n - k]
-        return [[self.integrate(poly_mul({r: Fraction(1)}, {c: Fraction(1)}))
-                 for c in cols] for r in rows]
+        common = self.euler_lcm
+        sums = [[0] * len(cols) for _ in rows]
+        for weights, euler in self.localization:
+            at_cols = [(j, value) for j, c in enumerate(cols)
+                       for value in [prod(map(pow, weights, c))] if value]
+            for row, r in zip(sums, rows):
+                at_row = prod(map(pow, weights, r)) * (common // euler)
+                if at_row:
+                    for j, value in at_cols:
+                        row[j] += at_row * value
+        return [[Fraction(x, common) for x in row] for row in sums]
 
 
 def _combine(full_poly, image_of):

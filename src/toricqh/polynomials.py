@@ -3,10 +3,18 @@
 A polynomial is a dict {exponent tuple: int or Fraction}, divided exactly;
 the tuple width fixes the number of variables per context.  The monomial
 order is grevlex with variable priority given by position (earlier = higher).
+
+A `TracedBasis` runs one traced Buchberger pass, then reduces the basis: an
+element is divided by the others only when one of their leading monomials
+divides one of its tail terms.  Its standard monomials are read off the
+staircase of the leading monomials, one degree at a time, with no search.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter, le
+
+from .errors import DegenerateRing
 
 
 # ----------------------------------------------------------------- monomials
@@ -34,6 +42,9 @@ def mono_degree(a):
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(m), tuple(-e for e in reversed(m)))
+
+
+_REVERSED = itemgetter(slice(None, None, -1))  # m -> m[::-1]
 
 
 # --------------------------------------------------------------- polynomials
@@ -176,6 +187,14 @@ def divmod_basis(f, basis, lms):
     return quotients, remainder
 
 
+def _monic(f, lead):
+    """f / lead with Fraction coefficients, as `poly_scale` by 1 / lead
+    makes them; f itself when that changes nothing."""
+    if lead == 1 and all(type(c) is Fraction for c in f.values()):
+        return f
+    return poly_scale(f, Fraction(1, lead))
+
+
 class TracedBasis:
     """A Groebner basis whose elements carry cofactors over the original
     generators: element[k] == sum_i cofactors[k][i] * generators[i]."""
@@ -239,12 +258,13 @@ class TracedBasis:
                 pairs.extend((k, new) for k in range(new))
 
     def _reduce_basis(self):
-        # minimal basis: drop elements whose LM is divisible by another LM
+        # minimal basis: drop elements whose LM is divisible by another LM;
+        # all(map(le, a, b)) is mono_divides(a, b) without a Python call
         keep = []
         for k, lm in enumerate(self.lms):
-            if any(mono_divides(self.lms[j], lm) for j in keep):
+            if any(all(map(le, self.lms[j], lm)) for j in keep):
                 continue
-            keep = [j for j in keep if not mono_divides(lm, self.lms[j])]
+            keep = [j for j in keep if not all(map(le, lm, self.lms[j]))]
             keep.append(k)
         elements = [self.elements[k] for k in keep]
         cofactors = [self.cofactors[k] for k in keep]
@@ -252,16 +272,20 @@ class TracedBasis:
         self.lms = [self.lms[k] for k in keep]
         # tail-reduce and normalize monic
         reduced, reduced_cof = [], []
-        for k in range(len(elements)):
-            remainder, cof = self._divide(
-                elements[k], dict(cofactors[k]), reduced + elements[k + 1:],
-                self.lms[:k] + self.lms[k + 1:],
-                reduced_cof + cofactors[k + 1:])
-            unit = Fraction(1, remainder[self.lms[k]])
-            remainder = poly_scale(remainder, unit)
-            cof = {gi: poly_scale(p, unit) for gi, p in cof.items() if p}
-            reduced.append(remainder)
-            reduced_cof.append(cof)
+        for k, element in enumerate(elements):
+            others = self.lms[:k] + self.lms[k + 1:]
+            if any(all(map(le, lm, m)) for m in element for lm in others):
+                element, cof = self._divide(
+                    element, dict(cofactors[k]), reduced + elements[k + 1:],
+                    others, reduced_cof + cofactors[k + 1:])
+            else:  # reduced already: its terms in the division's order
+                element = {m: element[m] for m in
+                           sorted(element, key=grevlex_key, reverse=True)}
+                cof = cofactors[k]
+            lead = element[self.lms[k]]
+            reduced.append(_monic(element, lead))
+            reduced_cof.append({gi: _monic(p, lead)
+                                for gi, p in cof.items() if p})
         self.elements = reduced
         self.cofactors = reduced_cof
 
@@ -282,31 +306,32 @@ class TracedBasis:
         return divmod_basis(f, self.elements, self.lms)[1]
 
     def standard_monomials(self, limit):
-        """All monomials not divisible by any leading monomial, found by
-        breadth-first growth from 1.  `limit` caps the search as a safety
-        net against a non-zero-dimensional quotient."""
+        """All monomials not divisible by any leading monomial, walked up
+        the staircase one degree at a time.  Each monomial m is made once,
+        as x_j times its quotient s by its last variable x_j; s is standard,
+        so a leading monomial divides m only if its exponent at x_j is
+        s_j + 1, and only those are tried.  `limit` caps the count as a
+        safety net against a quotient that is not zero-dimensional."""
         if not self.elements:
-            raise ValueError("empty basis has infinite quotient")
-        lms = self.lms
-        width = len(lms[0])
-        start = (0,) * width
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i in range(width):
-                    cand = tuple(e + (1 if j == i else 0)
-                                 for j, e in enumerate(m))
-                    if cand in seen:
-                        continue
-                    if any(mono_divides(lm, cand) for lm in lms):
-                        continue
-                    seen.add(cand)
-                    nxt.append(cand)
-            frontier = nxt
-            if len(seen) > limit:
-                raise ValueError(
+            raise DegenerateRing("an empty basis has an infinite quotient")
+        width = len(self.lms[0])
+        walls = {}  # (j, e) -> the leading monomials with exponent e at x_j
+        for lm in self.lms:
+            for j, e in enumerate(lm):
+                if e:
+                    walls.setdefault((j, e), []).append(lm)
+        layer = [((0,) * width, 0)]  # (monomial, its last variable)
+        standard = [layer[0][0]]
+        while layer:
+            layer = [(m, j) for s, last in layer for j in range(last, width)
+                     for m in [s[:j] + (s[j] + 1,) + s[j + 1:]]
+                     if not any(all(map(le, lm, m))
+                                for lm in walls.get((j, m[j]), ()))]
+            # one degree in grevlex order: reversed exponents, descending
+            standard += sorted((m for m, _ in layer), key=_REVERSED,
+                               reverse=True)
+            if len(standard) > limit:
+                raise DegenerateRing(
                     f"quotient dimension exceeds {limit}; ideal is not "
                     "zero-dimensional as expected")
-        return tuple(sorted(seen, key=grevlex_key))
+        return tuple(standard)

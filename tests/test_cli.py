@@ -27,6 +27,7 @@ from toricqh.cli import (
 )
 from toricqh.errors import ExprSyntaxError
 from toricqh.exprparse import parse_expression
+from toricqh.polytope import validate_delzant
 from toricqh.quantum import fano_presentation, qprod, qsub
 
 F = Fraction
@@ -149,6 +150,23 @@ def test_seidel_command(blow_file, capsys):
     assert "B (x) q t^{7/20}" in out
     assert "leading term check: ok" in out
     assert "exactness (fano facet maximum): ok" in out
+
+
+def test_seidel_text_says_when_exactness_was_not_checked(tmp_path, capsys):
+    # cp3's F_max for xi = (1, 0, 0) is middle-dimensional: no geometric
+    # lift, so the report's exact_ok is None
+    specs = [((-1, 0, 0), F(1, 4)), ((0, -1, 0), F(1, 4)),
+             ((0, 0, -1), F(1, 4)), ((1, 1, 1), F(1, 4))]
+    path = tmp_path / "cp3.json"
+    path.write_text(json.dumps(polytope_to_json(validate_delzant(specs))))
+    assert main(["seidel", str(path), "--xi=1,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "exactness (semifree maximum, all edge classes have 2c1 >= " \
+        "codim): not checked" in out
+    assert "MISMATCH" not in out
+    assert main(["seidel", str(path), "--xi=1,0,0", "--format",
+                 "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["leading"]["exact_ok"] is None
 
 
 def test_seidel_structured(blow_file, capsys):

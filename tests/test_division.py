@@ -6,23 +6,41 @@ are the former code, verbatim; the engine's are `polynomials.divmod_basis`
 and `polynomials.TracedBasis`.  On the ten corpus rings both must give the
 same elements, cofactors and leading monomials, and the same normal form
 and trace for every kept-variable monomial of degree at most 2n and for
-drawn polynomials."""
+drawn polynomials.
+
+The classical layer without search is held to the code it replaced, kept
+below verbatim too: the breadth-first `standard_monomials`, the pairwise
+`_stratum` and the Fraction vertex sums of `integrate` and `pd_matrix`.
+Bases (whose reduction now divides only when it must), standard monomials
+and pairings must match by repr on the corpus, cube5, cube6 and drawn
+Delzant polytopes, and strata on every q of the gcd-closure of the orders
+of the corpus circles."""
 
 import functools
 import itertools
+import math
+import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_kept_variables import CORPUS
+from test_obstructions import box as cube
+from test_polytope import smooth_polytopes
 from toricqh import polynomials
-from toricqh.cohomology import build_ring
+from toricqh.actions import FIXED, CircleTable, IsotropyStratum, _stratum
+from toricqh.cohomology import ClassicalRing, build_ring
+from toricqh.errors import DegenerateRing, StratumNotClosed, WrongDegree
+from toricqh.polytope import validate_delzant
 from toricqh.polynomials import (
     grevlex_key,
     leading_monomial,
+    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -293,3 +311,185 @@ def test_leading_monomials_is_a_new_list_each_call():
     first.clear()
     assert engine.leading_monomials() == engine.lms != []
     assert engine.leading_monomials() is not engine.leading_monomials()
+
+
+# ----------------------------- the classical layer before the staircase
+
+def former_standard_monomials(self, limit):
+    """All monomials not divisible by any leading monomial, found by
+    breadth-first growth from 1.  `limit` caps the search as a safety
+    net against a non-zero-dimensional quotient."""
+    if not self.elements:
+        raise ValueError("empty basis has infinite quotient")
+    lms = self.lms
+    width = len(lms[0])
+    start = (0,) * width
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(width):
+                cand = tuple(e + (1 if j == i else 0)
+                             for j, e in enumerate(m))
+                if cand in seen:
+                    continue
+                if any(mono_divides(lm, cand) for lm in lms):
+                    continue
+                seen.add(cand)
+                nxt.append(cand)
+        frontier = nxt
+        if len(seen) > limit:
+            raise ValueError(
+                f"quotient dimension exceeds {limit}; ideal is not "
+                "zero-dimensional as expected")
+    return tuple(sorted(seen, key=grevlex_key))
+
+
+def former_stratum(orders, q):
+    qualifying = [key for key, order in orders.items()
+                  if order is FIXED or order % q == 0]
+    qual = set(qualifying)
+    # closure under subfaces: a subface has facet set containing the face's,
+    # and its stabilizer order is a multiple, so it must qualify too
+    for key in qual:
+        for other in orders:
+            if key < other and other not in qual:
+                raise StratumNotClosed(f"the {q}-stratum holds {sorted(key)}"
+                                       f" but not its subface {sorted(other)}")
+    seen = set()
+    components = []
+    for key in sorted(qualifying, key=sorted):
+        if key in seen:
+            continue
+        comp = {key}
+        frontier = [key]
+        while frontier:
+            cur = frontier.pop()
+            for other in qualifying:
+                if other in comp:
+                    continue
+                if cur <= other or other <= cur:
+                    comp.add(other)
+                    frontier.append(other)
+        seen |= comp
+        components.append(frozenset(comp))
+    return IsotropyStratum(q=q, faces=frozenset(qualifying),
+                           components=tuple(components))
+
+
+class FractionVertexSums(ClassicalRing):
+    """A classical ring that integrates and pairs as the former code did,
+    with one Fraction per vertex."""
+
+    def integrate(self, poly):
+        """Integral of a homogeneous top-degree class over the manifold, by
+        localization at the vertices (Atiyah-Bott, Berline-Vergne): the sum
+        over v of f|_v / prod_{i in F(v)} w_i(v), where x_i restricts at v
+        to w_i(v) if facet i holds v, else to 0."""
+        if not poly:
+            return Fraction(0)
+        n = self.polytope.n
+        if any(mono_degree(m) != n for m in poly):
+            raise WrongDegree(
+                f"integrand must be homogeneous of cohomological degree {2 * n}")
+        return sum((Fraction(sum(c * prod(map(pow, weights, m))
+                                 for m, c in poly.items()), euler)
+                    for weights, euler in self.localization), Fraction(0))
+
+    def pd_matrix(self, degree):
+        """Pairing matrix between standard monomials of cohomological degree
+        `degree` and those of complementary degree."""
+        k = degree // 2
+        n = self.polytope.n
+        rows = [m for m in self.standard_monomials if mono_degree(m) == k]
+        cols = [m for m in self.standard_monomials if mono_degree(m) == n - k]
+        return [[self.integrate(poly_mul({r: Fraction(1)}, {c: Fraction(1)}))
+                 for c in cols] for r in rows]
+
+
+# --------------------------------------------- the engine against them
+
+CLASSICAL = dict(CORPUS, cube5=cube(5), cube6=cube(6))
+
+
+def assert_the_classical_layer_is_the_former_one(poly, integrals=True):
+    """Basis, standard monomials and pairings of poly's ring, by repr."""
+    ring = build_ring(poly)
+    engine, former = ring.basis, TracedBasis(ring.basis.generators)
+    limit = 4 * max(len(poly.vertices), 4)
+    assert exact(engine.elements) == exact(former.elements)
+    assert exact(engine.cofactors) == exact(former.cofactors)
+    assert engine.leading_monomials() == former.leading_monomials()
+    assert engine.standard_monomials(limit) == ring.standard_monomials \
+        == former_standard_monomials(engine, limit) \
+        == former.standard_monomials(limit)
+    reference = FractionVertexSums(**{f.name: getattr(ring, f.name)
+                                      for f in fields(ring) if f.init})
+    for k in range(poly.n + 1):
+        assert exact(ring.pd_matrix(2 * k)) == \
+            exact(reference.pd_matrix(2 * k)), k
+    if integrals:
+        rng = random.Random(30)
+        tops = [m for m in monomials_up_to(ring.width, poly.n)
+                if sum(m) == poly.n]
+        for _ in range(10):
+            f = {m: F(rng.randint(-9, 9), rng.randint(1, 5))
+                 for m in rng.sample(tops, min(len(tops), 4))}
+            f = {m: c for m, c in f.items() if c}
+            assert exact(ring.integrate(f)) == exact(reference.integrate(f))
+            ints = {m: c.numerator for m, c in f.items()}
+            assert exact(ring.integrate(ints)) == \
+                exact(reference.integrate(ints))
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL))
+def test_the_classical_layer_is_the_former_one(name):
+    assert_the_classical_layer_is_the_former_one(
+        CLASSICAL[name], integrals=name not in ("cube6", "gon12"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=smooth_polytopes())
+def test_the_classical_layer_is_the_former_one_on_drawn_polytopes(specs):
+    assert_the_classical_layer_is_the_former_one(validate_delzant(specs))
+
+
+def gcd_closure(orders):
+    candidates = set()
+    for order in set(orders.values()) - {FIXED}:
+        candidates |= {math.gcd(order, c) for c in candidates} | {order}
+    return sorted(candidates | {1})
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_strata_are_the_former_ones_on_every_corpus_circle(name):
+    poly = CORPUS[name]
+    for xi in itertools.product(range(-2, 3) if poly.n < 4 else (-1, 0, 1),
+                                repeat=poly.n):
+        if not any(xi):
+            continue
+        orders = CircleTable(poly, xi).orders
+        for q in gcd_closure(orders):
+            assert _stratum(orders, q) == former_stratum(orders, q), (xi, q)
+
+
+def test_a_stratum_that_is_not_closed_is_rejected_by_both():
+    """cube3's face lattice with every order 1, but order 2 on the facet
+    {0}: the 2-stratum holds that facet and none of its edges."""
+    orders = dict.fromkeys(cube(3).faces, 1)
+    orders[frozenset({0})] = 2
+    for stratum in (_stratum, former_stratum):
+        with pytest.raises(StratumNotClosed):
+            stratum(orders, 2)
+    assert _stratum(orders, 1) == former_stratum(orders, 1)
+
+
+def test_standard_monomials_of_a_degenerate_basis_are_typed_errors():
+    with pytest.raises(DegenerateRing, match="infinite quotient"):
+        polynomials.TracedBasis([]).standard_monomials(10)
+    # x1^2 in two variables: the quotient holds every power of x2
+    square = polynomials.TracedBasis([{(2, 0): F(1)}])
+    for limit in (1, 10, 100):
+        with pytest.raises(DegenerateRing, match=f"exceeds {limit};"):
+            square.standard_monomials(limit)
