@@ -6,12 +6,10 @@ address-space limit (`RLIMIT_AS`) set on that child and a wall-clock
 timeout that includes interpreter start.  One line per case gives its
 verdict: `answered` (exit 0), `typed error` (exit 1 with a one-line
 `error: <ToricError subclass>: ...` message) or `over budget` (killed at
-the timeout, or out of memory under the limit: a `MemoryError`, or the
-`SystemError` CPython raises when it cannot allocate that error's
-traceback).  Any other exit is `crashed`.  Each case records the verdict
-expected today and the ROADMAP item that will move it; the script exits 1
-when a verdict differs from the expected one.  It compares no timings
-across commits:
+the timeout, or out of memory under the limit).  Any other exit is
+`crashed`.  Each case records the verdict expected today and the ROADMAP
+item that will move it; the script exits 1 when a verdict differs from the
+expected one.  It compares no timings across commits:
 
     PYTHONPATH=src python3 scripts/stress.py
 
@@ -82,10 +80,7 @@ def run_case(path, args):
     seconds = time.perf_counter() - start
     if done.returncode == 0:
         return ANSWERED, seconds
-    # out of memory under the limit; CPython may report it as a
-    # SystemError when it cannot build the MemoryError's traceback
-    if "MemoryError" in done.stderr or done.stderr.rstrip().endswith(
-            "SystemError: error return without exception set"):
+    if "MemoryError" in done.stderr:
         return OVER, seconds
     lines = done.stderr.splitlines()
     if done.returncode == 1 and len(lines) == 1 and \

@@ -103,28 +103,29 @@ class ClassicalRing:
                      for w in self.polytope.morse.weights)
 
     @cached_property
-    def euler_lcm(self):
-        """The lcm L of the Euler numbers e(v), the products in
-        `localization`: an integral is the integer vertex sum of
+    def vertex_shares(self):
+        """(L, shares): the lcm L of the Euler numbers e(v), the products in
+        `localization`, and per vertex its weights w_i(v) with the integer
+        L / e(v).  An integral is the integer vertex sum of
         f|_v * (L / e(v)), over L."""
-        return lcm(*(euler for _, euler in self.localization))
+        common = lcm(*(euler for _, euler in self.localization))
+        return common, tuple((weights, common // euler)
+                             for weights, euler in self.localization)
 
     def integrate(self, poly):
         """Integral of a homogeneous top-degree class over the manifold, by
         localization at the vertices (Atiyah-Bott, Berline-Vergne): the sum
         over v of f|_v / prod_{i in F(v)} w_i(v), where x_i restricts at v
         to w_i(v) if facet i holds v, else to 0.  Each monomial's vertex sum
-        is an integer over L = `euler_lcm`; one Fraction is made at the
-        end."""
+        is an integer over L, from `vertex_shares`; one Fraction is made at
+        the end."""
         if not poly:
             return Fraction(0)
         n = self.polytope.n
         if any(mono_degree(m) != n for m in poly):
             raise WrongDegree(
                 f"integrand must be homogeneous of cohomological degree {2 * n}")
-        common = self.euler_lcm
-        shares = [(weights, common // euler)
-                  for weights, euler in self.localization]
+        common, shares = self.vertex_shares
         return Fraction(sum(c * sum(share * prod(map(pow, weights, m))
                                     for weights, share in shares)
                             for m, c in poly.items()), common)
@@ -137,13 +138,13 @@ class ClassicalRing:
         n = self.polytope.n
         rows = [m for m in self.standard_monomials if mono_degree(m) == k]
         cols = [m for m in self.standard_monomials if mono_degree(m) == n - k]
-        common = self.euler_lcm
+        common, shares = self.vertex_shares
         sums = [[0] * len(cols) for _ in rows]
-        for weights, euler in self.localization:
+        for weights, share in shares:
             at_cols = [(j, value) for j, c in enumerate(cols)
                        for value in [prod(map(pow, weights, c))] if value]
             for row, r in zip(sums, rows):
-                at_row = prod(map(pow, weights, r)) * (common // euler)
+                at_row = prod(map(pow, weights, r)) * share
                 if at_row:
                     for j, value in at_cols:
                         row[j] += at_row * value

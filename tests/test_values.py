@@ -157,7 +157,7 @@ def test_a_replaced_dictionary_derives_its_decode_data():
 
 CACHED = {"DelzantPolytope": ("scaled_vertices", "centroid", "primitive_sets",
                                "elimination", "morse", "_translate"),
-          "ClassicalRing": ("localization", "euler_lcm")}
+          "ClassicalRing": ("localization", "vertex_shares")}
 
 
 def assert_frozen(value):
