@@ -5,17 +5,13 @@ dimension of the polytope, a few dozen facets at most).  Each job has one
 kernel:
 
 - `adjugate_times`, fraction-free (Bareiss) Gauss-Jordan over the integers,
-  finds the start vertex of `validate_delzant`'s pivot walk with its
-  inverse, every vertex of the enumeration that diagnoses input that is no
-  Delzant polytope, and, through `unimodular_dual`, the dual bases of a
-  polytope built by hand or by `dataclasses.replace`;
+  finds the first feasible basis of `validate_delzant`'s pivot walk with
+  its inverse and, through `unimodular_dual`, the dual bases of a polytope
+  built by hand or by `dataclasses.replace`;
 - `gauss_jordan` solves every system over the rationals: `solve_rational`,
   `rank` and `in_span` here, and the unit system of `quantum.qinv`;
 - `kernel_basis_int`, a Hermite reduction, answers every lattice question:
-  the edge directions of a polytope;
-- `det`, a cofactor expansion, and `vec_sub` have no engine caller: they
-  stay as the independent references the tests hold the Bareiss path and
-  the former centroid triangulation to.
+  the edge directions of a polytope.
 """
 
 from fractions import Fraction
@@ -23,10 +19,6 @@ from math import gcd
 from operator import mul
 
 from .errors import NotSmooth
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_dot(u, v):
@@ -39,22 +31,6 @@ def vec_content(u):
     for a in u:
         g = gcd(g, abs(a))
     return g
-
-
-def det(m):
-    """Exact determinant by fraction-free expansion (small n)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
 
 
 def adjugate_times(m, rhs):

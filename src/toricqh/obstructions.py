@@ -13,6 +13,7 @@ n, with no division), and S2 reads Betti numbers from its Morse table.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .actions import CircleTable
@@ -192,13 +193,19 @@ def _rule_c(circle):
                                 "bound": (k - 1) * min(a, b)})
 
 
+# the most cheapest chains a ChainBound lists; no pinned output lists more
+# than 12,288
+MAX_PATHS = 2 ** 14
+
+
 @dataclass(frozen=True, slots=True)
 class ChainBound:
     min_cost: Fraction
     K_max: Fraction
-    optimal_paths: tuple  # tuples of face-key tuples
+    optimal_paths: tuple  # tuples of face-key tuples, the first MAX_PATHS
     m_condition_achievable: bool
     q_values: dict
+    paths_total: int = None  # the number of chains, when the list is cut
 
 
 def chain_bound(poly, xi, circle=None):
@@ -209,8 +216,10 @@ def chain_bound(poly, xi, circle=None):
     Hop costs are positive and symmetric, so one Dijkstra from the minimum
     gives each component's cheapest remaining cost `rest`.  The cheapest
     chains are exactly the walks from the maximum along tight hops (those
-    with cost(u, v) + rest[v] == rest[u]); `rest` falls strictly along them,
-    so they visit each component at most once.  Costs run in ints times D*Q
+    with cost(u, v) + rest[v] == rest[u]).  `rest` falls strictly along
+    them, so one pass by increasing `rest` counts each component's tight
+    walks to the minimum and collects their m-sums, and the first
+    MAX_PATHS walks are listed depth first.  Costs run in ints times D*Q
     (D the scale, Q the lcm of the q values) and m-sums times Q.  `circle`
     is the circle table of (poly, xi), when the caller holds one.
     """
@@ -231,7 +240,7 @@ def chain_bound(poly, xi, circle=None):
                    (comps[i].m - comps[j].m) * (big_q // q))
             hops[i].append((j, *hop))
             hops[j].append((i, *hop))
-    rest = {}
+    rest = {}  # filled by increasing cost: a tight hop u -> v has v first
     heap = [(0, n - 1)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -243,22 +252,35 @@ def chain_bound(poly, xi, circle=None):
                 heapq.heappush(heap, (d + cost, v))
     tight = {u: [(v, step) for v, cost, step in edges
                  if cost + rest[v] == rest[u]] for u, edges in hops.items()}
-    walks = []
-
-    def walk(u, path, m):
-        if u == n - 1:
-            walks.append((path, m))
-        for v, step in tight[u]:
-            walk(v, path + (keys[v],), m + step)
-
-    walk(0, (keys[0],), 0)
+    count, m_sums = {n - 1: 1}, {n - 1: {0}}  # over the tight walks to F_min
+    for u in rest:
+        if u != n - 1:
+            count[u] = sum(count[v] for v, _ in tight[u])
+            m_sums[u] = {step + m for v, step in tight[u] for m in m_sums[v]}
     return ChainBound(min_cost=Fraction(rest[0], circle.scale * big_q),
                       K_max=fmax.K,
-                      optimal_paths=tuple(path for path, _ in walks),
-                      m_condition_achievable=any(m == fmax.m * big_q
-                                                 for _, m in walks),
+                      optimal_paths=tuple(islice(_walks(tight, keys, n - 1),
+                                                 MAX_PATHS)),
+                      m_condition_achievable=fmax.m * big_q in m_sums[0],
                       q_values={(keys[i], keys[j]): q
-                                for (i, j), q in qs.items()})
+                                for (i, j), q in qs.items()},
+                      paths_total=count[0] if count[0] > MAX_PATHS else None)
+
+
+def _walks(tight, keys, last):
+    """The walks along tight hops from component 0 to `last`, as tuples of
+    face keys, depth first."""
+    path, todo = [keys[0]], [iter(tight[0])]
+    while todo:
+        for v, _ in todo[-1]:
+            path.append(keys[v])
+            if v == last:
+                yield tuple(path)
+            todo.append(iter(tight[v]))
+            break
+        else:
+            todo.pop()
+            path.pop()
 
 
 def _rule_p6(circle):
@@ -275,6 +297,8 @@ def _rule_p6(circle):
                                 "K_max": bound.K_max,
                                 "m_condition": bound.m_condition_achievable,
                                 "optimal_paths": bound.optimal_paths,
+                                **({"optimal_paths_total": bound.paths_total}
+                                   if bound.paths_total else {}),
                                 "note": why})
 
 

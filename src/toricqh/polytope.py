@@ -13,11 +13,11 @@ A polytope is a value, built whole by `validate_delzant`: its derived data
 are cached properties or per-key memos, only this module writes them, and
 every classical ring and every circle of the polytope shares them.
 
-`validate_delzant` walks the vertices by integer simplex pivots from one
-feasible basis, carrying each vertex's dual basis along, and fills the
-`_duals` memo with them.  Input that is no Delzant polytope stops the walk
-at its first sign of the defect; the enumeration over every n-subset of
-facets then raises the typed error that names it.
+`validate_delzant` walks the feasible bases by integer simplex pivots from
+the first one, carrying each basis's dual rows along.  A clean walk meets
+only simple unimodular vertices with bounded edges and fills the `_duals`
+memo; on input that is no Delzant polytope the walk still reaches every
+vertex, and the vertices it met name the first defect.
 """
 
 from collections import Counter
@@ -315,13 +315,16 @@ def validate_delzant(facet_specs, name=""):
               for f in facets]  # scale * support, in integers
 
     walk = _pivot_walk(normals, bounds, n)
-    if walk is None:  # no Delzant polytope: the enumeration says why
-        vlist, duals = _enumerate_vertices(normals, bounds, scale, n), ()
-    else:  # one positive scale, so the integer points sort as the vertices
-        walk.sort(key=itemgetter(0))
-        vlist = [(tuple(Fraction(c, scale) for c in point), frozenset(rows))
-                 for point, rows in walk]
-        duals = [tuple(sorted(rows.items())) for _, rows in walk]
+    if walk is None:
+        raise Unbounded("no vertices; the region is empty or unbounded")
+    bases, clean = walk
+    if clean:  # one positive scale, so the integer points sort as the vertices
+        bases.sort(key=itemgetter(0))
+        vlist = [(tuple(Fraction(c, scale) for c in point), active)
+                 for point, _, _, active in bases]
+        duals = [tuple(sorted(rows.items())) for _, rows, _, _ in bases]
+    else:  # no Delzant polytope: its vertices say why
+        vlist, duals = _check_vertices(bases, normals, scale, n), ()
 
     touched = frozenset().union(*(active for _, active in vlist))
     missing = set(range(len(facets))) - touched
@@ -336,40 +339,45 @@ def validate_delzant(facet_specs, name=""):
 
 
 def _pivot_walk(normals, bounds, n):
-    """[(point, dual rows)] of every vertex, or None at the first sign that
-    the facets bound no Delzant polytope.  A point is scale * vertex in
-    integers; its dual rows map each facet k at the vertex to the integer
-    y_k with <eta_j, y_k> = [j == k] on the facets j there.
+    """([(point, rows, d, active facets)] of every feasible basis met, and
+    whether the walk was clean), or None when no basis is feasible.  At a
+    basis of n facets whose normals have |det| = d, the point is
+    d * scale * vertex in integers, the rows map each facet k of the basis
+    to the integer y_k with <eta_j, y_k> = d * [j == k] on its facets j, and
+    the active facets are those the vertex lies on.
 
-    Simplex pivots (Avis-Fukuda, DCG 8, 1992) from one vertex: the edge off
-    facet k runs along -y_k, facet i approaches along it at the rate
-    a_i = -<eta_i, y_k>, and the edge ends on a facet i minimizing
-    slack_i / a_i over a_i > 0.  A step onto a facet with a_i = 1 keeps the
-    basis unimodular: the new point is point - slack_i * y_k, and the new
-    rows are y'_i = -y_k and y'_j = y_j + <eta_i, y_j> * y_k.  A tie in
-    that minimum leaves the new vertex on n + 1 facets, which its slacks
-    show, and the edge a vertex was reached along leads back, so its far
-    end tests it no more.  A walk that meets no slack of 0, no a_i > 1 at
-    the end of an edge and no unbounded edge has seen only simple
-    unimodular vertices with bounded edges; every linear functional then
-    climbs along edges to its maximum, so the region is a polytope and the
-    walk has reached every vertex (Balinski)."""
+    Simplex pivots (Avis-Fukuda, DCG 8, 1992) in integers (Edmonds): the
+    edge off facet k runs along -y_k, facet i approaches along it at the
+    rate a = -<eta_i, y_k> from the slack s = d * b_i - <eta_i, point>, and
+    the edge ends on the facets minimizing s / a over a > 0.  The walk pivots
+    onto the one of least index, i: the basis there has d' = a, the point
+    (a * point - s * y_k) / d and the rows y'_i = -y_k and
+    y'_j = (a * y_j + <eta_i, y_j> * y_k) / d, each division exact.  It goes
+    on past a slack of 0, a d' != 1 and an edge that no facet ends, and it
+    is clean when it met none of them: then it has seen only simple
+    unimodular vertices with bounded edges, one basis each.  Either way it
+    reaches every vertex: a functional that only that vertex maximizes
+    climbs to it from the start by Bland's rule (Math. Oper. Res. 2, 1977),
+    least index first, and each pivot of that rule is one the walk takes.
+    The edge a vertex was reached along leads back, so its far end tests it
+    no more when the near end was simple, as its one end is then known."""
     start = _start_vertex(normals, bounds, n)
     if start is None:
         return None
-    walk, seen, todo = [], set(), [(*start, None)]
+    bases, seen, clean, todo = [], set(), True, [(*start, None)]
     while todo:
-        point, rows, back = todo.pop()
+        point, rows, d, back = todo.pop()
         key = frozenset(rows)
         if key in seen:
             continue
         seen.add(key)
-        walk.append((point, rows))
-        slack = {i: b - sum(map(mul, eta, point))
+        slack = {i: d * b - sum(map(mul, eta, point))
                  for i, (eta, b) in enumerate(zip(normals, bounds))
                  if i not in key}
-        if not all(slack.values()):
-            return None  # a vertex on more than n facets
+        simple = all(slack.values())
+        bases.append((point, rows, d, key if simple else key.union(
+            i for i, s in slack.items() if not s)))
+        clean = clean and simple and d == 1
         for k, y_k in rows.items():
             if k == back:
                 continue  # the edge this vertex was reached along
@@ -378,27 +386,30 @@ def _pivot_walk(normals, bounds, n):
                 a = -sum(map(mul, normals[i], y_k))
                 if a > 0 and (block is None or s * rate < slack[block] * a):
                     block, rate = i, a
-            if block is None or rate != 1:
-                return None  # an unbounded edge, or a vertex with |det| > 1
+            if block is None:
+                clean = False  # an unbounded edge
+                continue
             if key - {k} | {block} in seen:
                 continue
-            eta, step = normals[block], slack[block]
+            eta, s = normals[block], slack[block]
             nxt = {block: tuple(-z for z in y_k)}
             for j, y in rows.items():
-                if j != k:
+                if j != k:  # the unimodular step d = rate = 1 needs no //
                     c = sum(map(mul, eta, y))
-                    nxt[j] = tuple(x + c * z for x, z in zip(y, y_k))
-            todo.append((tuple(p - step * z for p, z in zip(point, y_k)),
-                         nxt, block))
-    return walk
+                    nxt[j] = tuple(x + c * z for x, z in zip(y, y_k)) \
+                        if d == rate == 1 else tuple(
+                            (rate * x + c * z) // d for x, z in zip(y, y_k))
+            todo.append((tuple((rate * p - s * z) // d
+                               for p, z in zip(point, y_k)),
+                         nxt, rate, block if simple else None))
+    return bases, clean
 
 
 def _start_vertex(normals, bounds, n):
-    """(point, dual rows) at the first feasible basis in the order of
-    `combinations`, as `_pivot_walk` keeps them; None when there is none or
-    its |det| is not 1.  A subset whose leading normals are dependent is
-    skipped with every extension, so a cube tries no pair of opposite
-    facets."""
+    """(point, rows, d) at the first feasible basis in the order of
+    `combinations`, as `_pivot_walk` keeps them; None when there is none.
+    A subset whose leading normals are dependent is skipped with every
+    extension, so a cube tries no pair of opposite facets."""
     N = len(normals)
     unit = [[int(r == c) for c in range(n)] for r in range(n)]
 
@@ -417,48 +428,28 @@ def _start_vertex(normals, bounds, n):
                 yield from bases(chosen + (i,), echelon + ((p, v),))
 
     for subset in bases((), ()):
-        d, adj = linalg.adjugate_times(
+        # [d * M^-1 b | d * M^-1] = sign(det M) * adj(M) * [b | I]
+        det, adj = linalg.adjugate_times(
             [normals[i] for i in subset],
             [[bounds[i]] + unit[r] for r, i in enumerate(subset)])
-        y = [row[0] if d > 0 else -row[0] for row in adj]
-        if all(linalg.vec_dot(eta, y) <= abs(d) * b
+        d, sign = abs(det), 1 if det > 0 else -1
+        y = [sign * row[0] for row in adj]
+        if all(linalg.vec_dot(eta, y) <= d * b
                for eta, b in zip(normals, bounds)):
-            if abs(d) != 1:
-                return None
-            # [M^-1 b | M^-1] = d * adj(M) * [b | I] for d = +-1
-            return tuple(y), {i: tuple(d * row[c + 1] for row in adj)
-                              for c, i in enumerate(subset)}
+            return tuple(y), {i: tuple(sign * row[c + 1] for row in adj)
+                              for c, i in enumerate(subset)}, d
     return None
 
 
-def _enumerate_vertices(normals, bounds, scale, n):
-    """The vertices (point, active facets) of the region, sorted, from every
-    n-subset of the facets; raises the typed error of the first defect it
-    finds: an empty or unbounded region, one of lower dimension, a vertex
-    on more than n facets or one whose n normals have |det| != 1."""
-    # candidate vertices: n-subsets with invertible normal matrix M.  With
-    # d = |det M|, y = +-adj(M) * bounds_S is d * scale * vertex, so
-    # feasibility and the active facets are integer tests of <eta_j, y>
-    # against d * bounds_j.  A vertex is keyed by its active facets, which
-    # pin it down, and keeps d for the smoothness test.
-    found = {}
-    for subset in combinations(range(len(normals)), n):
-        d, adj_b = linalg.adjugate_times([normals[i] for i in subset],
-                                         [[bounds[i]] for i in subset])
-        if d == 0:
-            continue
-        y = [row[0] if d > 0 else -row[0] for row in adj_b]
-        d = abs(d)
-        dots = [linalg.vec_dot(normal, y) for normal in normals]
-        if any(dot > d * b for dot, b in zip(dots, bounds)):
-            continue
-        active = frozenset(j for j, (dot, b) in enumerate(zip(dots, bounds))
-                           if dot == d * b)
+def _check_vertices(bases, normals, scale, n):
+    """The vertices (point, active facets) of the bases a walk met, sorted;
+    raises the typed error of the first defect among them: an unbounded
+    edge, a region of lower dimension, a vertex on more than n facets or
+    one whose n normals have |det| != 1."""
+    found = {}  # active facets, which pin a vertex down -> (vertex, d)
+    for point, _, d, active in bases:
         if active not in found:
-            found[active] = (tuple(Fraction(c, d * scale) for c in y), d)
-    if not found:
-        raise Unbounded("no vertices; the region is empty or unbounded")
-
+            found[active] = (tuple(Fraction(c, d * scale) for c in point), d)
     vlist = sorted((point, active) for active, (point, _) in found.items())
     _check_edges_bounded(vlist, normals, n)
     # the region is the hull of its vertices, so it lies in a hyperplane

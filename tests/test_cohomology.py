@@ -152,7 +152,7 @@ def test_poincare_pairing_blowup(blow):
 
 
 def test_pd_matrices_nondegenerate(blow, square, cp2):
-    from toricqh.linalg import det
+    from test_polytope import det
     for ring in (blow, square, cp2):
         n = ring.polytope.n
         for k in range(0, n + 1):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_kept_variables import CORPUS
-from test_polytope import smooth_polytopes
+from test_polytope import det, smooth_polytopes, vec_sub
 from toricqh import linalg
 from toricqh.actions import CircleTable
 from toricqh.cohomology import betti_morse, generic_vector
@@ -74,8 +74,7 @@ def reference_centroid(poly):
     weighted = [0] * poly.n
     for simplex in _simplices_of_face(poly, poly.face(frozenset())):
         base = points[simplex[0]]
-        vol = abs(linalg.det([linalg.vec_sub(points[v], base)
-                              for v in simplex[1:]]))
+        vol = abs(det([vec_sub(points[v], base) for v in simplex[1:]]))
         total_vol += vol
         for k in range(poly.n):
             weighted[k] += vol * sum(points[v][k] for v in simplex)

@@ -274,6 +274,7 @@ def test_chain_bound_matches_brute_force():
         assert bound.min_cost == best, (poly.name, xi)
         assert bound.optimal_paths == optimal, (poly.name, xi)
         assert bound.m_condition_achievable == m_ok, (poly.name, xi)
+        assert bound.paths_total is None, (poly.name, xi)
 
 
 def test_chain_bound_cube4_diagonal():
@@ -282,6 +283,36 @@ def test_chain_bound_cube4_diagonal():
     assert len(set(bound.optimal_paths)) == 12288
     assert bound.min_cost == F(48, 7) > bound.K_max == F(24, 7)
     assert not bound.m_condition_achievable
+    assert bound.paths_total is None
+    certificate = analyze(box(4), (1, 1, 1, 1)).finding("P6").certificate
+    assert "optimal_paths_total" not in certificate
+
+
+def test_a_cut_chain_list_is_the_head_of_the_full_one(monkeypatch):
+    full = chain_bound(box(4), (1, 1, 1, 1))
+    monkeypatch.setattr(obstructions_module, "MAX_PATHS", 100)
+    cut = chain_bound(box(4), (1, 1, 1, 1))
+    assert cut.optimal_paths == full.optimal_paths[:100]
+    assert cut.paths_total == 12288
+    assert (cut.min_cost, cut.m_condition_achievable) == \
+        (full.min_cost, full.m_condition_achievable)
+
+
+@pytest.mark.parametrize("n, total", [
+    (5, 191_102_976), (6, 4_057_816_381_784_064)])
+def test_the_cheapest_chains_on_a_long_diagonal_are_counted(n, total):
+    """Listed, these would fill any memory; P6 keeps the first MAX_PATHS
+    and states the count under a key of its own."""
+    poly, xi = box(n), (1,) * n
+    bound = chain_bound(poly, xi)
+    assert bound.paths_total == total
+    assert len(set(bound.optimal_paths)) == obstructions_module.MAX_PATHS
+    assert all(path[0] == bound.optimal_paths[0][0] and
+               path[-1] == bound.optimal_paths[0][-1]
+               for path in bound.optimal_paths)
+    certificate = analyze(poly, xi).finding("P6").certificate
+    assert certificate["optimal_paths_total"] == total
+    assert certificate["optimal_paths"] == bound.optimal_paths
 
 
 @pytest.mark.parametrize("poly, xi", [

@@ -215,7 +215,7 @@ def test_vertex_determinants_are_unimodular():
         for vid in range(len(poly.vertices)):
             cols = poly.vertex_normal_columns(vid)
             m = [[cols[j][i] for j in range(poly.n)] for i in range(poly.n)]
-            assert abs(linalg.det(m)) == 1
+            assert abs(det(m)) == 1
 
 
 # ------------------------------------------------------------ boundedness
@@ -397,6 +397,26 @@ def test_primitive_sets_equal_an_uncapped_enumeration(name):
 
 # ------------------------------------------- integer vertex enumeration
 
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def det(m):
+    """Exact determinant by fraction-free expansion (small n)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * det(minor)
+    return total
+
+
 def _reference_validate(specs):
     """validate_delzant with a Fraction solve per invertible n-subset, a
     Fraction feasibility test, a scan of all vertices for the second end
@@ -409,7 +429,7 @@ def _reference_validate(specs):
     points = {}
     for subset in itertools.combinations(range(len(facets)), n):
         m = [list(normals[i]) for i in subset]
-        if linalg.det(m) == 0:
+        if det(m) == 0:
             continue
         point = linalg.solve_rational(m, [facets[i].support for i in subset])
         if any(linalg.vec_dot(f.normal, point) > f.support for f in facets):
@@ -437,14 +457,14 @@ def _reference_validate(specs):
                     f"the edge of vertex ({', '.join(map(str, point))}) "
                     f"along facets {list(sub)} has no second vertex")
     base = vlist[0][0]
-    if linalg.rank([list(linalg.vec_sub(p, base))
+    if linalg.rank([list(vec_sub(p, base))
                     for p, _ in vlist[1:]]) < n:
         raise NotFullDimensional("vertices span a proper affine subspace")
     for point, active in vlist:
         if len(active) > n:
             raise NotSimple(f"vertex ({', '.join(map(str, point))}) lies on "
                             f"{len(active)} facets {sorted(active)}")
-        d = abs(linalg.det([normals[i] for i in sorted(active)]))
+        d = abs(det([normals[i] for i in sorted(active)]))
         if d != 1:
             raise NotSmooth(
                 f"vertex ({', '.join(map(str, point))}) on facets "
@@ -571,9 +591,9 @@ def test_a_replaced_polytope_solves_its_dual_bases_again(monkeypatch):
     assert len(solved) == len(poly.vertices) == 12
 
 
-@pytest.mark.parametrize("specs, error, start", [
+@pytest.mark.parametrize("specs, error, feasible", [
     # the first basis, facets 0 and 1, is feasible at (1, -1) with det -2
-    ([((2, 1), 1), ((0, -1), 1), ((-1, 0), 1)], NotSmooth, False),
+    ([((2, 1), 1), ((0, -1), 1), ((-1, 0), 1)], NotSmooth, True),
     # the unit square and x + y >= 0 through its first vertex, (0, 0)
     ([((-1, 0), 0), ((0, -1), 0), ((-1, -1), 0), ((1, 0), 1), ((0, 1), 1)],
      NotSimple, True),
@@ -597,18 +617,61 @@ def test_a_replaced_polytope_solves_its_dual_bases_again(monkeypatch):
      RedundantFacet, True),
 ], ids=["non-unimodular start", "start on n + 1 facets", "empty",
         "ratio tie", "pivot of 2", "unbounded edge", "untouched facet"])
-def test_a_defect_is_diagnosed_as_before(specs, error, start):
-    """The walk stops at the first sign of a defect, at its start or later;
-    the error and its message are those of the enumeration over every
-    n-subset."""
+def test_a_defect_is_diagnosed_as_before(specs, error, feasible):
+    """The walk starts wherever some basis is feasible and goes on through
+    every defect, which leaves it not clean; the error and its message are
+    those of the enumeration over every n-subset."""
     n = len(specs[0][0])
     normals, bounds = [normal for normal, _ in specs], [b for _, b in specs]
-    assert (_start_vertex(normals, bounds, n) is not None) == start
-    assert (_pivot_walk(normals, bounds, n) is None) == \
-        (error is not RedundantFacet)
+    assert (_start_vertex(normals, bounds, n) is not None) == feasible
+    walk = _pivot_walk(normals, bounds, n)
+    assert (walk is not None and walk[1]) == (error is RedundantFacet)
     got = _outcome(validate_delzant, specs)
     assert got[0] is error
     assert got == _outcome(_reference_validate, specs)
+
+
+@st.composite
+def planted_defects(draw):
+    """Facet data of a `smooth_polytopes` draw with one more facet: a
+    primitive normal through a drawn vertex, or at a drawn level between
+    the least and the greatest value of that normal on the vertices."""
+    specs = draw(smooth_polytopes())
+    poly = validate_delzant(specs)
+    normal = draw(st.tuples(*[st.integers(-2, 2)] * poly.n).filter(
+        lambda v: gcd(*v) == 1))
+    values = [linalg.vec_dot(normal, point) for point, _ in poly.vertices]
+    if draw(st.booleans()):
+        level = draw(st.sampled_from(values))
+    else:
+        level = min(values) + (max(values) - min(values)) * F(
+            draw(st.integers(0, 8)), 8)
+    at = draw(st.integers(0, len(specs)))
+    return specs[:at] + [(normal, level)] + specs[at:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=planted_defects())
+def test_a_planted_defect_is_named_as_the_enumeration_names_it(specs):
+    assert _outcome(validate_delzant, specs) == \
+        _outcome(_reference_validate, specs)
+
+
+def test_a_box_with_a_facet_through_its_top_is_rejected_without_search(
+        monkeypatch):
+    """The unit 8-cube and sum(x) <= 8: its top vertex lies on 9 facets.
+    The walk starts there after one solve; the former enumeration made one
+    per 8-subset of the 17 facets, C(17, 8) = 24,310 of them."""
+    specs = [spec for i in range(8) for spec in (
+        (tuple(int(j == i) for j in range(8)), 1),
+        (tuple(-int(j == i) for j in range(8)), 0))] + [((1,) * 8, 8)]
+    solves = []
+    solve = linalg.adjugate_times
+    monkeypatch.setattr(linalg, "adjugate_times",
+                        lambda m, rhs: solves.append(m) or solve(m, rhs))
+    with pytest.raises(NotSimple, match=r"lies on 9 facets"):
+        validate_delzant(specs)
+    assert len(solves) < 100
 
 
 @settings(max_examples=300, deadline=None)
@@ -622,7 +685,7 @@ def test_adjugate_times_is_det_times_the_inverse(data):
     rhs = [data.draw(st.lists(entries, min_size=k, max_size=k))
            for _ in range(n)]
     d, product = linalg.adjugate_times(m, rhs)
-    assert d == linalg.det(m)
+    assert d == det(m)
     if d == 0:
         assert product is None
     else:  # m * (adj(m) * rhs) = det(m) * rhs
