@@ -343,8 +343,9 @@ def _pivot_walk(normals, bounds, n):
     whether the walk was clean), or None when no basis is feasible.  At a
     basis of n facets whose normals have |det| = d, the point is
     d * scale * vertex in integers, the rows map each facet k of the basis
-    to the integer y_k with <eta_j, y_k> = d * [j == k] on its facets j, and
-    the active facets are those the vertex lies on.
+    to the integer y_k with <eta_j, y_k> = d * [j == k] on its facets j
+    (None from the first defect on, as only a clean walk's rows are read),
+    and the active facets are those the vertex lies on.
 
     Simplex pivots (Avis-Fukuda, DCG 8, 1992) in integers (Edmonds): the
     edge off facet k runs along -y_k, facet i approaches along it at the
@@ -364,20 +365,18 @@ def _pivot_walk(normals, bounds, n):
     start = _start_vertex(normals, bounds, n)
     if start is None:
         return None
-    bases, seen, clean, todo = [], set(), True, [(*start, None)]
+    bases, clean, todo = [], True, [(*start, None)]
+    seen = {frozenset(start[1])}  # the bases met, each pushed once
     while todo:
         point, rows, d, back = todo.pop()
         key = frozenset(rows)
-        if key in seen:
-            continue
-        seen.add(key)
         slack = {i: d * b - sum(map(mul, eta, point))
                  for i, (eta, b) in enumerate(zip(normals, bounds))
                  if i not in key}
         simple = all(slack.values())
-        bases.append((point, rows, d, key if simple else key.union(
-            i for i, s in slack.items() if not s)))
         clean = clean and simple and d == 1
+        bases.append((point, rows if clean else None, d, key if simple
+                      else key.union(i for i, s in slack.items() if not s)))
         for k, y_k in rows.items():
             if k == back:
                 continue  # the edge this vertex was reached along
@@ -389,16 +388,17 @@ def _pivot_walk(normals, bounds, n):
             if block is None:
                 clean = False  # an unbounded edge
                 continue
-            if key - {k} | {block} in seen:
+            target = key - {k} | {block}
+            if target in seen:
                 continue
+            seen.add(target)
             eta, s = normals[block], slack[block]
             nxt = {block: tuple(-z for z in y_k)}
             for j, y in rows.items():
-                if j != k:  # the unimodular step d = rate = 1 needs no //
+                if j != k:
                     c = sum(map(mul, eta, y))
-                    nxt[j] = tuple(x + c * z for x, z in zip(y, y_k)) \
-                        if d == rate == 1 else tuple(
-                            (rate * x + c * z) // d for x, z in zip(y, y_k))
+                    nxt[j] = tuple((rate * x + c * z) // d
+                                   for x, z in zip(y, y_k))
             todo.append((tuple((rate * p - s * z) // d
                                for p, z in zip(point, y_k)),
                          nxt, rate, block if simple else None))

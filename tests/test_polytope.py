@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -672,6 +672,27 @@ def test_a_box_with_a_facet_through_its_top_is_rejected_without_search(
     with pytest.raises(NotSimple, match=r"lies on 9 facets"):
         validate_delzant(specs)
     assert len(solves) < 100
+
+
+def test_an_apex_on_many_facets_keeps_no_rows_past_the_defect():
+    """The pyramid |y_j| <= t <= 1 over the 5-cube: its apex lies on 10
+    facets, and every basis there is degenerate.  The walk meets each basis
+    once, keeps the dual rows of none of them, and the apex is named as the
+    enumeration names it."""
+    n = 6
+    specs = [(tuple(s * int(i == j) for i in range(n - 1)) + (-1,), 0)
+             for j in range(n - 1) for s in (1, -1)]
+    specs.append(((0,) * (n - 1) + (1,), 1))
+    normals, bounds = [normal for normal, _ in specs], [b for _, b in specs]
+    bases, clean = _pivot_walk(normals, bounds, n)
+    assert not clean
+    apex = [rows for _, rows, _, active in bases if len(active) > n]
+    assert apex and all(rows is None for rows in apex)
+    assert len(bases) - len(apex) == 2 ** (n - 1)  # one per top vertex
+    assert len(apex) <= comb(2 * n - 2, n)
+    got = _outcome(validate_delzant, specs)
+    assert got[0] is NotSimple and "lies on 10 facets" in got[1]
+    assert got == _outcome(_reference_validate, specs)
 
 
 @settings(max_examples=300, deadline=None)
