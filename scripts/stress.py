@@ -14,9 +14,10 @@ expected one.  It compares no timings across commits:
     PYTHONPATH=src python3 scripts/stress.py
 
 The polytopes are the corpus of perfbench/corpus.py plus cube5, cube6,
-cube8 and cube9 from its `cube`, built by import only, and box10+top, the
-unit 10-cube with the facet sum(x) <= 10 through its top vertex, written
-straight from facet data; all go to a temporary directory.  A run takes
+cube8 and cube9 from its `cube`, built by import only, and two polytopes
+written straight from facet data: box10+top, the unit 10-cube with the
+facet sum(x) <= 10 through its top vertex, and cube9-pyramid, the pyramid
+over the 9-cube; all go to a temporary directory.  A run takes
 about half a minute on one core.
 """
 
@@ -64,6 +65,8 @@ CASES = (
     ("cube9", ["validate"], ANSWERED, "centroid by localization"),
     ("cube8", ["cohomology"], ANSWERED, "pairings by integer localization"),
     ("box10+top", ["validate"], TYPED, "ROADMAP item 24"),
+    ("cube9-pyramid", ["validate"], TYPED,
+     "mended: the edge check only after a ray"),
 )
 
 
@@ -75,6 +78,15 @@ def box_with_top(n):
               for i in range(n) for sign in (1, -1)]
     facets.append({"normal": [1] * n, "support": str(n)})
     return {"name": f"box{n}+top", "dim": n, "facets": facets}
+
+
+def cube_pyramid(n):
+    """The polytope file of the pyramid |y_j| <= t <= 1 over the n-cube,
+    whose apex lies on 2n facets."""
+    facets = [{"normal": [sign * int(j == i) for j in range(n)] + [-1],
+               "support": "0"} for i in range(n) for sign in (1, -1)]
+    facets.append({"normal": [0] * n + [1], "support": "1"})
+    return {"name": f"cube{n}-pyramid", "dim": n + 1, "facets": facets}
 
 
 def _limit_memory():
@@ -112,9 +124,11 @@ def main():
     differ = 0
     with tempfile.TemporaryDirectory() as directory:
         paths = corpus.write_corpus(directory, polys)
-        paths["box10+top"] = os.path.join(directory, "box10+top.json")
-        with open(paths["box10+top"], "w") as fh:
-            json.dump(box_with_top(10), fh)
+        for document in (box_with_top(10), cube_pyramid(9)):
+            name = document["name"]
+            paths[name] = os.path.join(directory, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(document, fh)
         for name, args, expected, mover in CASES:
             verdict, seconds = run_case(paths[name], args)
             note = "as expected" if verdict == expected else \

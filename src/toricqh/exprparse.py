@@ -1,4 +1,4 @@
-"""Recursive-descent parser for quantum polynomial expressions.
+r"""Recursive-descent parser for quantum polynomial expressions.
 
 Grammar (documented in the README):
 
@@ -15,63 +15,47 @@ The value of an expression is a linear combination of atoms
 a `polynomials` dict over the extended exponent tuple (x1..xN, q, t): the
 q entry is an integer and the t entry a rational, so the polynomial
 arithmetic adds exponents and merges like atoms.
+
+The tokens are the matches of one pattern, whose \d and \s are the classes
+of str.isdecimal and str.isspace: a Unicode decimal digit reads as its
+ASCII twin, and a superscript digit is an unexpected character.  Each
+numeral is converted once, and a zero denominator or more digits than
+int() reads is an ExprSyntaxError.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
 from .polynomials import poly_add, poly_const, poly_mul, poly_neg, poly_pow
 
 
+_TOKEN = re.compile(r"\s+|(?P<num>\d+(?P<den>/\d*)?)|x(?P<var>\d*)"
+                    r"|(?P<op>[-+*^(){}])|(?P<qt>[qt])|(?P<other>.)", re.S)
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*^(){}":
-            tokens.append((c, c))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ExprSyntaxError(f"bad rational at {i}: {text[i:k]}")
-                try:
-                    tokens.append(("num", Fraction(text[i:k])))
-                except ZeroDivisionError:
-                    raise ExprSyntaxError(f"zero denominator at {i}")
-                i = k
-            else:
-                tokens.append(("num", Fraction(text[i:j])))
-                i = j
-            continue
-        if c == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ExprSyntaxError(f"variable needs an index at {i}")
-            tokens.append(("var", int(text[i + 1:j])))
-            i = j
-            continue
-        if c == "q":
-            tokens.append(("q", None))
-            i += 1
-            continue
-        if c == "t":
-            tokens.append(("t", None))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r} at {i}")
+    for match in _TOKEN.finditer(text):
+        kind, token, i = match.lastgroup, match[0], match.start()
+        if kind == "op":
+            tokens.append((token, token))
+        elif kind == "qt":
+            tokens.append((token, None))
+        elif kind == "other":
+            raise ExprSyntaxError(f"unexpected character {token!r} at {i}")
+        elif match["den"] == "/":
+            raise ExprSyntaxError(f"bad rational at {i}: {token}")
+        elif token == "x":
+            raise ExprSyntaxError(f"variable needs an index at {i}")
+        elif kind:
+            try:
+                tokens.append(("num", Fraction(token)) if kind == "num"
+                              else ("var", int(match["var"])))
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator at {i}") from None
+            except ValueError:  # beyond sys.get_int_max_str_digits()
+                raise ExprSyntaxError(f"too many digits at {i}") from None
     tokens.append(("end", None))
     return tokens
 

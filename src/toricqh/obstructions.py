@@ -19,7 +19,7 @@ from math import lcm
 from .actions import CircleTable
 from .cohomology import build_ring, restrict_to_face
 from .errors import MomentDataMismatch, NotMeanNormalized
-from .polynomials import poly_monomial
+from .polynomials import monomial, poly_monomial
 from .polytope import centroid
 from .seidel import seidel_element, verify_leading_term
 
@@ -63,8 +63,7 @@ def _euler_class_nonzero(ring, comp):
 def _classical_class(ring, facet_powers):
     """The reduced class of prod x_i^e_i, from the ring's memo of reduced
     monomials, which P4 and R5 share."""
-    (mono,) = poly_monomial(facet_powers, ring.polytope.num_facets)
-    return ring.monomial_nf(mono)
+    return ring.monomial_nf(monomial(facet_powers, ring.polytope.num_facets))
 
 
 # ----------------------------------------------------------------- the rules

@@ -1,8 +1,9 @@
 """Multivariate polynomials over Q and Groebner bases with cofactor tracking.
 
 A polynomial is a dict {exponent tuple: int or Fraction}, divided exactly;
-the tuple width fixes the number of variables per context.  The monomial
-order is grevlex with variable priority given by position (earlier = higher).
+the tuple width fixes the number of variables per context.  The one
+product, `poly_mul`, keeps ints as ints.  The monomial order is grevlex
+with variable priority given by position (earlier = higher).
 
 A `TracedBasis` runs one traced Buchberger pass, then reduces the basis: an
 element is divided by the others only when one of their leading monomials
@@ -99,7 +100,7 @@ def poly_mul(f, g):
     for m1, c1 in f.items():
         for m2, c2 in g.items():
             m = mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
+            s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
             else:
@@ -118,25 +119,14 @@ def leading_monomial(f):
     return max(f, key=grevlex_key)
 
 
-def _mul_keeping_ints(f, g):
-    """f * g with sums started from 0, not `poly_mul`'s Fraction(0), so
-    that a product of ints stays an int."""
-    product = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m3 = mono_mul(m1, m2)
-            product[m3] = product.get(m3, 0) + c1 * c2
-    return {k: v for k, v in product.items() if v}
-
-
 def poly_pow(f, e):
     """f^e for an integer e >= 1, as a new dict, by squaring: about
     2 log2(e) products, ints kept as ints."""
     if e == 1:
         return dict(f)
     half = poly_pow(f, e // 2)
-    square = _mul_keeping_ints(half, half)
-    return _mul_keeping_ints(square, f) if e % 2 else square
+    square = poly_mul(half, half)
+    return poly_mul(square, f) if e % 2 else square
 
 
 def poly_substitute(f, images, width):
@@ -148,7 +138,7 @@ def poly_substitute(f, images, width):
         term = {(0,) * width: c}
         for i, e in enumerate(m):
             if e:
-                term = _mul_keeping_ints(term, poly_pow(images[i], e))
+                term = poly_mul(term, poly_pow(images[i], e))
         for k, v in term.items():
             out[k] = out.get(k, 0) + v
     return {k: v.numerator if v.denominator == 1 else v

@@ -17,7 +17,9 @@ every classical ring and every circle of the polytope shares them.
 the first one, carrying each basis's dual rows along.  A clean walk meets
 only simple unimodular vertices with bounded edges and fills the `_duals`
 memo; on input that is no Delzant polytope the walk still reaches every
-vertex, and the vertices it met name the first defect.
+vertex, and the vertices it met name the first defect; it meets an edge
+that no facet ends whenever the region is unbounded, and only then are the
+edges searched for one with no second vertex.
 """
 
 from collections import Counter
@@ -317,14 +319,14 @@ def validate_delzant(facet_specs, name=""):
     walk = _pivot_walk(normals, bounds, n)
     if walk is None:
         raise Unbounded("no vertices; the region is empty or unbounded")
-    bases, clean = walk
+    bases, clean, ray = walk
     if clean:  # one positive scale, so the integer points sort as the vertices
         bases.sort(key=itemgetter(0))
         vlist = [(tuple(Fraction(c, scale) for c in point), active)
                  for point, _, _, active in bases]
         duals = [tuple(sorted(rows.items())) for _, rows, _, _ in bases]
     else:  # no Delzant polytope: its vertices say why
-        vlist, duals = _check_vertices(bases, normals, scale, n), ()
+        vlist, duals = _check_vertices(bases, normals, scale, n, ray), ()
 
     touched = frozenset().union(*(active for _, active in vlist))
     missing = set(range(len(facets))) - touched
@@ -339,13 +341,14 @@ def validate_delzant(facet_specs, name=""):
 
 
 def _pivot_walk(normals, bounds, n):
-    """([(point, rows, d, active facets)] of every feasible basis met, and
-    whether the walk was clean), or None when no basis is feasible.  At a
-    basis of n facets whose normals have |det| = d, the point is
-    d * scale * vertex in integers, the rows map each facet k of the basis
-    to the integer y_k with <eta_j, y_k> = d * [j == k] on its facets j
-    (None from the first defect on, as only a clean walk's rows are read),
-    and the active facets are those the vertex lies on.
+    """([(point, rows, d, active facets)] of every feasible basis met,
+    whether the walk was clean and whether it met a ray), or None when no
+    basis is feasible.  At a basis of n facets whose normals have
+    |det| = d, the point is d * scale * vertex in integers, the rows map
+    each facet k of the basis to the integer y_k with <eta_j, y_k> =
+    d * [j == k] on its facets j (None from the first defect on, as only a
+    clean walk's rows are read), and the active facets are those the
+    vertex lies on.
 
     Simplex pivots (Avis-Fukuda, DCG 8, 1992) in integers (Edmonds): the
     edge off facet k runs along -y_k, facet i approaches along it at the
@@ -360,12 +363,14 @@ def _pivot_walk(normals, bounds, n):
     reaches every vertex: a functional that only that vertex maximizes
     climbs to it from the start by Bland's rule (Math. Oper. Res. 2, 1977),
     least index first, and each pivot of that rule is one the walk takes.
+    So it meets a ray, an edge that no facet ends, whenever the region is
+    unbounded: a functional unbounded on it climbs by that rule to one.
     The edge a vertex was reached along leads back, so its far end tests it
     no more when the near end was simple, as its one end is then known."""
     start = _start_vertex(normals, bounds, n)
     if start is None:
         return None
-    bases, clean, todo = [], True, [(*start, None)]
+    bases, clean, ray, todo = [], True, False, [(*start, None)]
     seen = {frozenset(start[1])}  # the bases met, each pushed once
     while todo:
         point, rows, d, back = todo.pop()
@@ -386,7 +391,7 @@ def _pivot_walk(normals, bounds, n):
                 if a > 0 and (block is None or s * rate < slack[block] * a):
                     block, rate = i, a
             if block is None:
-                clean = False  # an unbounded edge
+                clean, ray = False, True
                 continue
             target = key - {k} | {block}
             if target in seen:
@@ -402,7 +407,7 @@ def _pivot_walk(normals, bounds, n):
             todo.append((tuple((rate * p - s * z) // d
                                for p, z in zip(point, y_k)),
                          nxt, rate, block if simple else None))
-    return bases, clean
+    return bases, clean, ray
 
 
 def _start_vertex(normals, bounds, n):
@@ -441,17 +446,19 @@ def _start_vertex(normals, bounds, n):
     return None
 
 
-def _check_vertices(bases, normals, scale, n):
+def _check_vertices(bases, normals, scale, n, ray):
     """The vertices (point, active facets) of the bases a walk met, sorted;
     raises the typed error of the first defect among them: an unbounded
-    edge, a region of lower dimension, a vertex on more than n facets or
-    one whose n normals have |det| != 1."""
+    edge (sought only when the walk met a ray), a region of lower
+    dimension, a vertex on more than n facets or one whose n normals have
+    |det| != 1."""
     found = {}  # active facets, which pin a vertex down -> (vertex, d)
     for point, _, d, active in bases:
         if active not in found:
             found[active] = (tuple(Fraction(c, d * scale) for c in point), d)
     vlist = sorted((point, active) for active, (point, _) in found.items())
-    _check_edges_bounded(vlist, normals, n)
+    if ray:
+        _check_edges_bounded(vlist, normals, n)
     # the region is the hull of its vertices, so it lies in a hyperplane
     # iff one facet holds every vertex
     if frozenset.intersection(*(active for _, active in vlist)):

@@ -190,7 +190,9 @@ def verify_leading_term(qp, xi, element=None):
     exact_expected = None
     codim = 2 * (poly.n - face.dim)
     if qp.mode == "fano" and face.dim == poly.n - 1:
-        exact_expected = _lift(qp, [((x_face, m_max, minus_k), 1)], False)
+        # S(xi) lifts x_F^k q^m t^-K, k = -weight: the lift of x_F q^m t^-K
+        # iff k = 1, a verdict by construction (ROADMAP item 3)
+        report["exact_ok"] = element.semifree
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
     else:
@@ -233,7 +235,6 @@ class GeometricDictionary:
     facet_images: tuple  # kept-variable polynomial per facet class
     point_lift: QClass = None
     point_vertex: tuple = None  # facet set of the eligible vertex
-    point_xi: tuple = None
     top: tuple = None  # the standard monomial of degree two, when unique
     point_inverse: NovScalar = field(init=False, repr=False, compare=False)
     probes: tuple = field(init=False, repr=False, compare=False)
@@ -264,7 +265,7 @@ def build_dictionary(qp):
         return qp._cache["dictionary"]
     poly = qp.polytope
     ring = qp.ring
-    point = point_vertex = point_xi = None
+    point = point_vertex = None
     if poly.n == 2:
         for vid in range(len(poly.vertices)):
             vertex_face = poly.face(poly.vertex_facets(vid))
@@ -291,7 +292,6 @@ def build_dictionary(qp):
                     f"the point lift from the Seidel element of {xi} pairs "
                     f"to {pairing}, not 1, at cutoff {qp.cutoff}")
             point_vertex = tuple(sorted(vertex_face.facets))
-            point_xi = xi
             break
         else:
             raise NoEligibleVertex(
@@ -303,7 +303,7 @@ def build_dictionary(qp):
         labels=tuple(_facet_label(poly, i) for i in range(poly.num_facets)),
         facet_images=tuple(ring.var(i) for i in range(poly.num_facets)),
         top=top[0] if len(top) == 1 else None, point_lift=point,
-        point_vertex=point_vertex, point_xi=point_xi)
+        point_vertex=point_vertex)
     return dictionary
 
 

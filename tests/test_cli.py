@@ -431,6 +431,20 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, case):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("expression", [
+    "1" * 5000, "x" + "1" * 5000, "t^{1/" + "1" * 5000 + "}", "x1\u00b2",
+    "\u00b2"], ids=["numeral", "index", "denominator", "x1_squared",
+                     "squared"])
+def test_an_unreadable_numeral_is_a_syntax_error(tmp_path, capsys,
+                                                 expression):
+    """Numerals past the int() limit and superscript digits are
+    ExprSyntaxErrors, not ValueErrors out of the conversion."""
+    argv = ["product", _write(tmp_path / "p.json", _cp2_json()), expression,
+            "x1"]
+    assert _exit_code(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ExprSyntaxError: ")
+
+
 def _nodes(document, path=()):
     """(path, value) for every node below the root of a JSON tree."""
     items = (document.items() if isinstance(document, dict) else

@@ -1,9 +1,10 @@
 """The shared exact kernels against the code they replaced: gauss_jordan
 against the unit-system elimination of quantum.qinv, solve_rational and
-rank against their dense eliminations, and the expression parser against
-its own arithmetic.  Each former version is kept here verbatim as the
-reference.  The former row-Hermite lattice test stays as the lattice
-reference of the action invariant tests."""
+rank against their dense eliminations, the expression parser against its
+own arithmetic, and the token pattern against the former character loop.
+Each former version is kept here verbatim as the reference.  The former
+row-Hermite lattice test stays as the lattice reference of the action
+invariant tests."""
 
 import os
 import random
@@ -211,6 +212,60 @@ def reference_in_rational_lattice(rows, v):
     int_rows = [tuple(int(Fraction(x) * den) for x in row) for row in rows]
     int_v = tuple(int(Fraction(x) * den) for x in v)
     return in_lattice(lattice_membership_basis(int_rows), int_v)
+
+
+def former_tokenize(text):
+    """The former `exprparse._tokenize`, a character loop."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*^(){}":
+            tokens.append((c, c))
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j < len(text) and text[j] == "/":
+                k = j + 1
+                while k < len(text) and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise ExprSyntaxError(f"bad rational at {i}: {text[i:k]}")
+                try:
+                    tokens.append(("num", Fraction(text[i:k])))
+                except ZeroDivisionError:
+                    raise ExprSyntaxError(f"zero denominator at {i}")
+                i = k
+            else:
+                tokens.append(("num", Fraction(text[i:j])))
+                i = j
+            continue
+        if c == "x":
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ExprSyntaxError(f"variable needs an index at {i}")
+            tokens.append(("var", int(text[i + 1:j])))
+            i = j
+            continue
+        if c == "q":
+            tokens.append(("q", None))
+            i += 1
+            continue
+        if c == "t":
+            tokens.append(("t", None))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r} at {i}")
+    tokens.append(("end", None))
+    return tokens
 
 
 class ReferenceParser:
@@ -510,7 +565,7 @@ def _parse_outcome(parse, text):
 def _check_parse(text):
     got = _parse_outcome(lambda s: parse_expression(s, N_VARS), text)
     assert got == _parse_outcome(
-        lambda s: ReferenceParser(_tokenize(s), N_VARS).parse(), text)
+        lambda s: ReferenceParser(former_tokenize(s), N_VARS).parse(), text)
     if isinstance(got, dict):
         assert all(type(d) is int and type(kappa) is Fraction
                    and all(type(e) is int for e in mono)
@@ -529,6 +584,48 @@ def test_parse_expression_matches_the_former_parser(text):
     "x2 - -x3", "t^{-3/4}*q^-2", "(q*t)^2", "x1^{1/2}", "q^{1/2}"])
 def test_parse_expression_matches_the_former_parser_by_hand(text):
     _check_parse(text)
+
+
+# One fragment of text each: the grammar's characters, ASCII digits,
+# Unicode decimal digits (Arabic-Indic three, fullwidth zero, bold nine),
+# digits that are no decimal (a superscript two, a circled one), spaces,
+# junk, and a numeral past the int() limit of 4,300 digits.
+FRAGMENTS = st.sampled_from(
+    list("+-*^(){}/xqt0123456789")
+    + ["\u0663", "\uff10", "\U0001d7d7", "\u00b2", "\u2460"]
+    + [" ", "\t", "\n", "\u00a0", "\u3000"]
+    + ["a", "X", ".", "_", "\u00e9", "\x00", "7" * 4400])
+
+
+def _tokens(tokenize, text):
+    """The tokens with the type of each value, or ("error", message)."""
+    try:
+        return [(kind, value, type(value)) for kind, value in tokenize(text)]
+    except ExprSyntaxError as err:
+        return "error", str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FRAGMENTS, max_size=12).map("".join))
+def test_the_token_pattern_reads_as_the_former_scanner(text):
+    """Equal tokens and messages wherever the former scanner did not end
+    in a ValueError; where it did, an ExprSyntaxError.  One message
+    changes: the former scanner read a digit that is no decimal into the p
+    of a bad rational "p/", as in "\u00b2/", and the pattern names that
+    digit as an unexpected character."""
+    try:
+        want = _tokens(former_tokenize, text)
+    except ValueError:  # too many digits, or a digit that is no decimal
+        want = None
+    got = _tokens(_tokenize, text)
+    if want is None:
+        assert got[0] == "error"
+    elif got != want:
+        j = next(j for j, c in enumerate(text)
+                 if c.isdigit() and not c.isdecimal())
+        assert want[0] == got[0] == "error"
+        assert want[1].startswith("bad rational at ")
+        assert got[1] == f"unexpected character {text[j]!r} at {j}"
 
 
 # ------------------------------------------------------ powers by squaring

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +253,21 @@ def test_a_recession_direction_means_unbounded(data):
     else:
         with pytest.raises(Unbounded):
             validate_delzant(specs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=facet_data())
+def test_the_walk_meets_a_ray_iff_the_region_is_unbounded(data):
+    """validate_delzant seeks an edge with no second vertex only after the
+    walk met a ray, so the walk must meet one on every unbounded region
+    that has a vertex."""
+    n, specs = data
+    scale = lcm(*(support.denominator for _, support in specs))
+    walk = _pivot_walk([normal for normal, _ in specs],
+                       [support.numerator * (scale // support.denominator)
+                        for _, support in specs], n)
+    if walk is not None:
+        assert walk[2] == (_recession_direction(specs, n) is not None)
 
 
 @pytest.mark.parametrize("specs", [
@@ -684,7 +699,7 @@ def test_an_apex_on_many_facets_keeps_no_rows_past_the_defect():
              for j in range(n - 1) for s in (1, -1)]
     specs.append(((0,) * (n - 1) + (1,), 1))
     normals, bounds = [normal for normal, _ in specs], [b for _, b in specs]
-    bases, clean = _pivot_walk(normals, bounds, n)
+    bases, clean, _ = _pivot_walk(normals, bounds, n)
     assert not clean
     apex = [rows for _, rows, _, active in bases if len(active) > n]
     assert apex and all(rows is None for rows in apex)
@@ -693,6 +708,24 @@ def test_an_apex_on_many_facets_keeps_no_rows_past_the_defect():
     got = _outcome(validate_delzant, specs)
     assert got[0] is NotSimple and "lies on 10 facets" in got[1]
     assert got == _outcome(_reference_validate, specs)
+
+
+def test_a_bounded_rejection_searches_no_edge(monkeypatch):
+    """The pyramid |y_j| <= t <= 1 over the 9-cube: its apex lies on 18
+    facets.  The walk meets no ray, so no edge is searched for a second
+    vertex, where the search made one Hermite reduction per 9-subset of the
+    facets at the apex."""
+    n = 10
+    specs = [(tuple(s * int(i == j) for i in range(n - 1)) + (-1,), 0)
+             for j in range(n - 1) for s in (1, -1)]
+    specs.append(((0,) * (n - 1) + (1,), 1))
+    reductions = []
+    kernel = linalg.kernel_basis_int
+    monkeypatch.setattr(linalg, "kernel_basis_int",
+                        lambda rows: reductions.append(rows) or kernel(rows))
+    with pytest.raises(NotSimple, match=r"lies on 18 facets"):
+        validate_delzant(specs)
+    assert reductions == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -305,6 +305,30 @@ def test_a_fano_seidel_call_matches_the_former_code(name):
     assert_matches(qp, circles(qp.polytope))
 
 
+def test_the_fano_facet_exactness_is_the_verdict_of_the_second_lift():
+    """A Fano facet maximum's `exact_ok` is `element.semifree`, read, not
+    computed: the former second lift, of x_F q^m t^-K, equals S(xi), the
+    lift of x_F^k q^m t^-K, on the 72 facet maxima of the Fano corpus over
+    box(n, 2) exactly where k = 1."""
+    facet_maxima = 0
+    for name in FANO:
+        qp = presentation(name)
+        poly = qp.polytope
+        for xi in box(poly.n, 2):
+            if len(fixed_maximum(poly, xi).facets) != 1:
+                continue
+            facet_maxima += 1
+            element = seidel_element(qp, xi)
+            (x_face,) = poly_monomial(dict.fromkeys(element.leading_face, 1),
+                                     poly.num_facets)
+            second = lift(qp, {(x_face, element.m_max, -element.K_max): 1})
+            report = verify_leading_term(qp, xi, element=element)[1]
+            assert report["exactness"] == "fano facet maximum"
+            assert report["exact_ok"] is element.semifree
+            assert (element.qclass == second) is element.semifree, (name, xi)
+    assert facet_maxima == 72
+
+
 def test_a_nef_seidel_call_matches_the_former_code():
     qp = presentation("hirzebruch2 nef")
     assert qp.mode == "nef"
