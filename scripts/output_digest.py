@@ -7,7 +7,9 @@ command, its arguments, its exit status and its stdout (and, for the
 byte-identical output on every command listed here, so a refactor can be
 checked against its parent commit:
 
-    PYTHONPATH=src python3 scripts/output_digest.py
+    python3 scripts/output_digest.py
+
+It imports `toricqh` from the `src/` of its own checkout.
 
 Its output is committed as `scripts/output_digest.expected`, which CI
 diffs it against, so a change to the output shows in that file's diff.
@@ -74,7 +76,8 @@ import tempfile
 from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"),
+                os.path.join(os.path.dirname(HERE), "perfbench")]
 
 import corpus  # noqa: E402
 from toricqh import cli  # noqa: E402

@@ -11,7 +11,10 @@ the timeout, or out of memory under the limit).  Any other exit is
 item that will move it; the script exits 1 when a verdict differs from the
 expected one.  It compares no timings across commits:
 
-    PYTHONPATH=src python3 scripts/stress.py
+    python3 scripts/stress.py
+
+It imports `toricqh` from the `src/` of its own checkout, and so do the
+children.
 
 The polytopes are the corpus of perfbench/corpus.py plus cube5, cube6,
 cube8 and cube9 from its `cube`, built by import only, and two polytopes
@@ -30,7 +33,10 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+sys.path[:0] = [SRC, os.path.join(os.path.dirname(HERE), "perfbench")]
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 import corpus  # noqa: E402
 
@@ -100,7 +106,7 @@ def run_case(path, args):
         done = subprocess.run(
             [sys.executable, "-m", "toricqh.cli", args[0], path, *args[1:]],
             capture_output=True, text=True, timeout=SECONDS,
-            preexec_fn=_limit_memory)
+            preexec_fn=_limit_memory, env=CHILD_ENV)
     except subprocess.TimeoutExpired:
         return OVER, time.perf_counter() - start
     seconds = time.perf_counter() - start

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import examples as bundled
 from .actions import FIXED, CircleTable
 from .cohomology import build_ring
-from .errors import FileFormatError, ToricError
+from .errors import FileFormatError, ToricError, TooManyDigits
 from .exprparse import parse_expression
 from .novikov import NovScalar, check_cutoff
 from .obstructions import analyze
@@ -91,7 +91,7 @@ def polytope_to_json(poly):
         "name": poly.name,
         "dim": poly.n,
         "facets": [
-            {"normal": list(f.normal), "support": str(f.support),
+            {"normal": list(f.normal), "support": frac_str(f.support),
              **({"label": f.label} if f.label else {})}
             for f in poly.facets],
     }
@@ -165,10 +165,12 @@ def load_y_table(path, poly, cutoff):
 def to_plain(value):
     """Report data made JSON-ready: Fractions become "p/q" strings, tuples
     and lists become lists, dicts keep their keys, and anything else is
-    returned unchanged."""
+    returned unchanged.  Every int and Fraction passes `frac_str`."""
     kind = type(value)
     if kind is Fraction:
-        return str(value)
+        return frac_str(value)
+    if kind is int:  # which JSON writes as frac_str does
+        frac_str(value)
     if kind is dict:
         return {k: to_plain(v) for k, v in value.items()}
     if kind is list or kind is tuple:
@@ -182,7 +184,13 @@ def print_structured(report):
 
 
 def frac_str(x):
-    return str(Fraction(x))
+    """x as "p" or "p/q", the one conversion of every number printed;
+    TooManyDigits past Python's limit on the digits of an int as text."""
+    try:
+        return str(x if type(x) is int else Fraction(x))
+    except ValueError:
+        raise TooManyDigits(f"a number in the answer has more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _exp_str(base, e):
@@ -192,8 +200,8 @@ def _exp_str(base, e):
     if e == 1:
         return base
     if e.denominator == 1 and e >= 0:
-        return f"{base}^{e}"
-    return f"{base}^{{{e}}}"
+        return f"{base}^{frac_str(e)}"
+    return f"{base}^{{{frac_str(e)}}}"
 
 
 def nov_monomial_str(d, kappa):
@@ -348,7 +356,7 @@ def cmd_quantum(args):
         lhs = "*".join(f"x{i + 1}" for i in p.indices)
         correction = QClass(qp.corrections[p.key], qp.cutoff)
         print(f"  {lhs} = {qclass_text(correction, qp.ring)}"
-              f"   [c1 {p.beta.c1()}, energy "
+              f"   [c1 {frac_str(p.beta.c1())}, energy "
               f"{frac_str(p.energy)}]")
     return 0
 
@@ -407,7 +415,8 @@ def cmd_seidel(args):
     except ToricError as err:
         print(f"  homology report unavailable: {err}")
     print(f"  F_max on facets {[i + 1 for i in report['f_max']]}: "
-          f"m_max {report['m_max']}, K_max {frac_str(report['K_max'])}")
+          f"m_max {frac_str(report['m_max'])}, "
+          f"K_max {frac_str(report['K_max'])}")
     print(f"  leading term check: {'ok' if report['leading_ok'] else 'MISMATCH'}")
     if report["exactness"]:
         exact_ok = report["exact_ok"]
@@ -426,9 +435,9 @@ def cmd_fixed(args):
     print(f"fixed components of xi = {list(xi)} on {poly.name or args.file}")
     for c in circle.components:
         face = sorted(i + 1 for i in c.facets)
-        weights = {i + 1: w for i, w in sorted(c.weights.items())}
+        weights = to_plain({i + 1: w for i, w in sorted(c.weights.items())})
         print(f"  face {face}: K = {frac_str(c.K)}, weights {weights}, "
-              f"m = {c.m}, index {c.index}, "
+              f"m = {frac_str(c.m)}, index {c.index}, "
               f"{'semifree' if c.semifree else 'not semifree'}")
     print("  isotropy orders on non-fixed faces:")
     for key in sorted(poly.faces, key=lambda s: (len(s), sorted(s))):
@@ -437,8 +446,8 @@ def cmd_fixed(args):
             continue
         if order > 1:
             label = sorted(i + 1 for i in key)
-            print(f"    face {label}: Z/{order}")
-    print(f"  global isotropy bound: {circle.isotropy_bound}")
+            print(f"    face {label}: Z/{frac_str(order)}")
+    print(f"  global isotropy bound: {frac_str(circle.isotropy_bound)}")
     return 0
 
 

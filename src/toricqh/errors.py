@@ -166,3 +166,8 @@ class ExprSyntaxError(ToricError):
 
 class FileFormatError(ToricError):
     pass
+
+
+class TooManyDigits(ToricError):
+    # an answer with a number longer than Python turns into text
+    pass

@@ -6,16 +6,17 @@ kernel:
 
 - `adjugate_times`, fraction-free (Bareiss) Gauss-Jordan over the integers,
   finds the first feasible basis of `validate_delzant`'s pivot walk with
-  its inverse and, through `unimodular_dual`, the dual bases of a polytope
-  built by hand or by `dataclasses.replace`;
+  its inverse, the edge directions of `kernel_line` and, through
+  `unimodular_dual`, the dual bases of a polytope built by hand or by
+  `dataclasses.replace`;
+- `reduce_row`, one fraction-free elimination step, builds the echelons of
+  the walk's start and of `kernel_line`, so that a dependent row is found
+  before any solve;
 - `gauss_jordan` solves every system over the rationals: `solve_rational`,
-  `rank` and `in_span` here, and the unit system of `quantum.qinv`;
-- `kernel_basis_int`, a Hermite reduction, answers every lattice question:
-  the edge directions of a polytope.
+  `rank` and `in_span` here, and the unit system of `quantum.qinv`.
 """
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import NotSmooth
@@ -23,14 +24,6 @@ from .errors import NotSmooth
 
 def vec_dot(u, v):
     return sum(map(mul, u, v))
-
-
-def vec_content(u):
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for a in u:
-        g = gcd(g, abs(a))
-    return g
 
 
 def adjugate_times(m, rhs):
@@ -61,6 +54,38 @@ def adjugate_times(m, rhs):
                         for x, y in zip(a[i], pivot_row)]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def reduce_row(v, echelon):
+    """(first nonzero column or None, v reduced) of the integer row v
+    against the echelon ((pivot column, row), ...), each row 0 on the pivots
+    before its own; fraction-free, so the reduced row stays integral and is
+    0 on every pivot.  The column is None iff v lies in the rows' span."""
+    for p, row in echelon:
+        if v[p]:
+            v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+    return next((c for c, x in enumerate(v) if x), None), v
+
+
+def kernel_line(rows):
+    """An integer vector spanning the kernel of n - 1 integer n-vectors,
+    None when the rows are dependent and the kernel is no line.
+
+    Completed by the unit vector e_k of the one column no pivot of their
+    echelon took, the rows form an invertible matrix M; M adj(M) = det M * I
+    puts the last column of adj(M) in the kernel, and e_k gives it the
+    entry det M != 0."""
+    echelon = ()
+    for row in rows:
+        p, v = reduce_row(row, echelon)
+        if p is None:
+            return None
+        echelon += ((p, v),)
+    n = len(rows) + 1
+    k = (set(range(n)) - {p for p, _ in echelon}).pop()
+    _, adj = adjugate_times([*rows, [int(c == k) for c in range(n)]],
+                            [[int(r == n - 1)] for r in range(n)])
+    return [x for x, in adj]
 
 
 def unimodular_dual(cols):
@@ -146,60 +171,3 @@ def in_span(vectors, v):
     """True if v lies in the rational span of `vectors`."""
     base = [list(u) for u in vectors]
     return rank(base + [list(v)]) == rank(base)
-
-
-def kernel_basis_int(m):
-    """Basis of the integer kernel lattice {x : m x = 0} of an int matrix.
-
-    Column-style Hermite reduction: apply unimodular column operations to
-    [m; I] until the top block has pivot columns followed by zero columns;
-    the bottom parts of the zero columns form a lattice basis of the kernel.
-    """
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
-    work = [list(r) for r in m] + [[1 if i == j else 0 for j in range(cols)]
-                                   for i in range(cols)]
-    top = rows
-
-    def col(j):
-        return [work[i][j] for i in range(len(work))]
-
-    def swap(j, k):
-        for i in range(len(work)):
-            work[i][j], work[i][k] = work[i][k], work[i][j]
-
-    def addmul(j, k, c):
-        # col_j += c * col_k
-        for i in range(len(work)):
-            work[i][j] += c * work[i][k]
-
-    pivot_row = 0
-    pivot_col = 0
-    while pivot_row < top and pivot_col < cols:
-        # gcd-reduce entries of this row across columns >= pivot_col
-        while True:
-            nz = [j for j in range(pivot_col, cols) if work[pivot_row][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(work[pivot_row][j]))
-            swap(pivot_col, jmin)
-            done = True
-            for j in range(pivot_col + 1, cols):
-                if work[pivot_row][j] != 0:
-                    q = work[pivot_row][j] // work[pivot_row][pivot_col]
-                    addmul(j, pivot_col, -q)
-                    if work[pivot_row][j] != 0:
-                        done = False
-            if done:
-                break
-        if any(work[pivot_row][j] != 0 for j in range(pivot_col, cols)):
-            pivot_col += 1
-        pivot_row += 1
-
-    basis = []
-    for j in range(pivot_col, cols):
-        if all(work[i][j] == 0 for i in range(top)):
-            basis.append(tuple(work[i][j] for i in range(top, top + cols)))
-    return basis
-

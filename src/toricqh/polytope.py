@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from . import linalg
@@ -65,7 +65,7 @@ class Facet:
         if type(self.support) not in (int, Fraction):
             raise InexactNumber(
                 f"the support {self.support!r} is not an int or a Fraction")
-        if linalg.vec_content(self.normal) != 1:
+        if gcd(*self.normal) != 1:
             raise NonPrimitiveNormal(f"normal {self.normal} is not primitive")
         object.__setattr__(self, "support", Fraction(self.support))
 
@@ -178,13 +178,9 @@ class DelzantPolytope:
                     primitive_found.add(fs)
                     v = tuple(sum(self.normal(i)[k] for i in sub)
                               for k in range(self.n))
-                    _, support = dual_cone_face(self, v)
+                    _, support = dual_cone_face(self, v)  # c_j > 0, ints
                     j_sorted = tuple(sorted(support))
                     coeffs = tuple(support[j] for j in j_sorted)
-                    if any(Fraction(c).denominator != 1 or c <= 0
-                           for c in coeffs):
-                        raise NonIntegralCoefficient(
-                            f"dual-cone coefficients for I={sub} are {coeffs}")
                     if fs & frozenset(j_sorted):
                         raise NonIntegralCoefficient(
                             f"I={sub} meets its complement set {j_sorted}")
@@ -277,12 +273,10 @@ def _check_edges_bounded(vlist, normals, n):
     for point, active in vlist:
         for sub in combinations(sorted(active), n - 1):
             if len(active) > n:
-                kernel = linalg.kernel_basis_int(
-                    [normals[i] for i in sub]) if sub else [(1,)]
-                if len(kernel) != 1:
+                line = linalg.kernel_line([normals[i] for i in sub])
+                if line is None:
                     continue
-                dots = [linalg.vec_dot(normals[i], kernel[0])
-                        for i in active]
+                dots = [linalg.vec_dot(normals[i], line) for i in active]
                 if min(dots) < 0 < max(dots):
                     continue
             if on_facets[sub] < 2:
@@ -424,11 +418,7 @@ def _start_vertex(normals, bounds, n):
             return
         for i in range(chosen[-1] + 1 if chosen else 0,
                        N - n + len(chosen) + 1):
-            v = normals[i]
-            for p, row in echelon:  # fraction-free reduction
-                if v[p]:
-                    v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
-            p = next((c for c, x in enumerate(v) if x), None)
+            p, v = linalg.reduce_row(normals[i], echelon)
             if p is not None:
                 yield from bases(chosen + (i,), echelon + ((p, v),))
 

@@ -226,7 +226,7 @@ def test_action_invariant_antisymmetry(blow, square):
     # the invariants of xi and -xi are negatives modulo the (omega, c1)
     # lattice of spherical classes
     from test_exact_kernels import reference_in_rational_lattice
-    from toricqh.linalg import kernel_basis_int
+    from test_polytope import kernel_basis_int
     from toricqh.polytope import H2Class
 
     def h2_lattice(poly):

@@ -24,8 +24,9 @@ from toricqh.cli import (
     qclass_from_json,
     qclass_to_json,
     lift_expression,
+    to_plain,
 )
-from toricqh.errors import ExprSyntaxError
+from toricqh.errors import ExprSyntaxError, TooManyDigits
 from toricqh.exprparse import parse_expression
 from toricqh.polytope import validate_delzant
 from toricqh.quantum import fano_presentation, qprod, qsub
@@ -849,6 +850,41 @@ def test_a_deeply_nested_json_file_is_a_typed_error(tmp_path, capsys, which):
     assert captured.out == ""
     assert captured.err == \
         f"error: FileFormatError: {deep} is nested too deeply\n"
+
+
+@pytest.fixture()
+def digit_limit():
+    """Python's default limit on the digits of an int turned into text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python turns ints of any length into text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_number_too_long_to_print_is_a_typed_error(tmp_path, capsys,
+                                                     digit_limit, fmt):
+    """(10^3000 - 1)^2 has 6,000 digits: the product is made, and printing
+    it ends in a typed error, not a ValueError traceback."""
+    poly = tmp_path / "cp2.json"
+    main(["example", "cp2", "-o", str(poly)])
+    capsys.readouterr()
+    nines = "9" * 3000
+    assert main(["product", str(poly), f"{nines}*{nines}", "x1",
+                 "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: TooManyDigits: a number in the answer "
+                            f"has more than {digit_limit} digits\n")
+
+
+def test_a_structured_int_too_long_to_print_is_a_typed_error(digit_limit):
+    with pytest.raises(TooManyDigits):
+        to_plain({"q": [1, 10 ** digit_limit]})
+    assert to_plain({"q": [1, 10 ** (digit_limit - 1)]}) == \
+        {"q": [1, 10 ** (digit_limit - 1)]}
 
 
 # ------------------------------------------------------------- closed pipes

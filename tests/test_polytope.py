@@ -432,6 +432,62 @@ def det(m):
     return total
 
 
+def kernel_basis_int(m):
+    """Basis of the integer kernel lattice {x : m x = 0} of an int matrix.
+
+    Column-style Hermite reduction: apply unimodular column operations to
+    [m; I] until the top block has pivot columns followed by zero columns;
+    the bottom parts of the zero columns form a lattice basis of the kernel.
+    """
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
+    work = [list(r) for r in m] + [[1 if i == j else 0 for j in range(cols)]
+                                   for i in range(cols)]
+    top = rows
+
+    def col(j):
+        return [work[i][j] for i in range(len(work))]
+
+    def swap(j, k):
+        for i in range(len(work)):
+            work[i][j], work[i][k] = work[i][k], work[i][j]
+
+    def addmul(j, k, c):
+        # col_j += c * col_k
+        for i in range(len(work)):
+            work[i][j] += c * work[i][k]
+
+    pivot_row = 0
+    pivot_col = 0
+    while pivot_row < top and pivot_col < cols:
+        # gcd-reduce entries of this row across columns >= pivot_col
+        while True:
+            nz = [j for j in range(pivot_col, cols) if work[pivot_row][j] != 0]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: abs(work[pivot_row][j]))
+            swap(pivot_col, jmin)
+            done = True
+            for j in range(pivot_col + 1, cols):
+                if work[pivot_row][j] != 0:
+                    q = work[pivot_row][j] // work[pivot_row][pivot_col]
+                    addmul(j, pivot_col, -q)
+                    if work[pivot_row][j] != 0:
+                        done = False
+            if done:
+                break
+        if any(work[pivot_row][j] != 0 for j in range(pivot_col, cols)):
+            pivot_col += 1
+        pivot_row += 1
+
+    basis = []
+    for j in range(pivot_col, cols):
+        if all(work[i][j] == 0 for i in range(top)):
+            basis.append(tuple(work[i][j] for i in range(top, top + cols)))
+    return basis
+
+
 def _reference_validate(specs):
     """validate_delzant with a Fraction solve per invertible n-subset, a
     Fraction feasibility test, a scan of all vertices for the second end
@@ -458,7 +514,7 @@ def _reference_validate(specs):
     for vid, (point, active) in enumerate(vlist):
         for sub in itertools.combinations(sorted(active), n - 1):
             if len(active) > n:
-                kernel = linalg.kernel_basis_int(
+                kernel = kernel_basis_int(
                     [normals[i] for i in sub]) if sub else [(1,)]
                 if len(kernel) != 1:
                     continue
@@ -606,6 +662,13 @@ def test_a_replaced_polytope_solves_its_dual_bases_again(monkeypatch):
     assert len(solved) == len(poly.vertices) == 12
 
 
+def cone(n):
+    """The cone |y_j| <= t in n dimensions: its apex, its one vertex, lies
+    on 2n - 2 facets, and each edge there runs to infinity."""
+    return [(tuple(s * int(i == j) for i in range(n - 1)) + (-1,), 0)
+            for j in range(n - 1) for s in (1, -1)]
+
+
 @pytest.mark.parametrize("specs, error, feasible", [
     # the first basis, facets 0 and 1, is feasible at (1, -1) with det -2
     ([((2, 1), 1), ((0, -1), 1), ((-1, 0), 1)], NotSmooth, True),
@@ -630,8 +693,14 @@ def test_a_replaced_polytope_solves_its_dual_bases_again(monkeypatch):
     # the unit square with x <= 5, which no vertex lies on: a clean walk
     ([((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((1, 0), 5)],
      RedundantFacet, True),
+    # every edge search reads `kernel_line`, one per 3-, 5- or 7-subset of
+    # the apex's facets until an edge has no second vertex
+    (cone(4), Unbounded, True),
+    (cone(6), Unbounded, True),
+    (cone(8), Unbounded, True),
 ], ids=["non-unimodular start", "start on n + 1 facets", "empty",
-        "ratio tie", "pivot of 2", "unbounded edge", "untouched facet"])
+        "ratio tie", "pivot of 2", "unbounded edge", "untouched facet",
+        "cone 4", "cone 6", "cone 8"])
 def test_a_defect_is_diagnosed_as_before(specs, error, feasible):
     """The walk starts wherever some basis is feasible and goes on through
     every defect, which leaves it not clean; the error and its message are
@@ -713,19 +782,53 @@ def test_an_apex_on_many_facets_keeps_no_rows_past_the_defect():
 def test_a_bounded_rejection_searches_no_edge(monkeypatch):
     """The pyramid |y_j| <= t <= 1 over the 9-cube: its apex lies on 18
     facets.  The walk meets no ray, so no edge is searched for a second
-    vertex, where the search made one Hermite reduction per 9-subset of the
-    facets at the apex."""
+    vertex, a search that reads one `kernel_line` per 9-subset of the facets
+    at the apex."""
     n = 10
     specs = [(tuple(s * int(i == j) for i in range(n - 1)) + (-1,), 0)
              for j in range(n - 1) for s in (1, -1)]
     specs.append(((0,) * (n - 1) + (1,), 1))
     reductions = []
-    kernel = linalg.kernel_basis_int
-    monkeypatch.setattr(linalg, "kernel_basis_int",
-                        lambda rows: reductions.append(rows) or kernel(rows))
+    line = linalg.kernel_line
+    monkeypatch.setattr(linalg, "kernel_line",
+                        lambda rows: reductions.append(rows) or line(rows))
     with pytest.raises(NotSimple, match=r"lies on 18 facets"):
         validate_delzant(specs)
     assert reductions == []
+
+
+@st.composite
+def kernel_rows(draw):
+    """n - 1 integer n-vectors, n = 1..6, entries in [-3, 3], some rows
+    planted as combinations of the others."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-3, 3)
+    rows = []
+    for _ in range(n - 1):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(entries) for _ in rows]
+            rows.append([sum(c * row[k] for c, row in zip(coeffs, rows))
+                         for k in range(n)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=kernel_rows())
+def test_kernel_line_spans_the_hermite_kernel(rows):
+    """kernel_line is None iff the Hermite reduction finds a kernel of rank
+    other than 1, and otherwise a nonzero multiple of its one vector."""
+    # the reduction reads the width off the rows, so n = 1 is the line Z
+    basis = kernel_basis_int(rows) if rows else [(1,)]
+    line = linalg.kernel_line(rows)
+    if len(basis) != 1:
+        assert line is None
+        return
+    (b,) = basis
+    assert line is not None and any(line)
+    k = next(i for i, x in enumerate(b) if x)
+    assert [x * b[k] for x in line] == [line[k] * x for x in b]
 
 
 @settings(max_examples=300, deadline=None)
