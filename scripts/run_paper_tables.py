@@ -7,20 +7,25 @@ battery.  Everything is exact; the output is the reference table the
 acceptance suite pins down term by term.
 """
 
+import os
+import sys
 from fractions import Fraction
 
-from toricqh import examples
-from toricqh.cli import homology_text, qclass_text
-from toricqh.novikov import NovScalar
-from toricqh.obstructions import analyze
-from toricqh.quantum import (
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+
+from toricqh import examples  # noqa: E402
+from toricqh.cli import homology_text, qclass_text  # noqa: E402
+from toricqh.novikov import NovScalar  # noqa: E402
+from toricqh.obstructions import analyze  # noqa: E402
+from toricqh.quantum import (  # noqa: E402
     QClass,
     default_cutoff,
     fano_presentation,
     nef_presentation,
     qprod,
 )
-from toricqh.seidel import (
+from toricqh.seidel import (  # noqa: E402
     build_dictionary,
     facet_seidel,
     seidel_element,

@@ -32,13 +32,12 @@ from math import gcd
 from operator import mul
 
 from .errors import (
-    DimensionMismatch,
     InconsistentWeights,
     MomentNotConstant,
-    NonIntegralCoefficient,
     StratumNotClosed,
     ZeroVector,
 )
+from .polytope import _check_int_vector
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,7 @@ class FixedComponentData:
 
 def _check_xi(xi, n):
     """xi as a tuple of n ints, not all zero."""
-    xi = tuple(xi)
-    if len(xi) != n:
-        raise DimensionMismatch(
-            f"the circle direction has {len(xi)} entries, not {n}")
-    for x in xi:
-        if type(x) is not int:
-            raise NonIntegralCoefficient(
-                f"the circle direction has the non-integer entry {x!r}")
+    xi = _check_int_vector(xi, n)
     if not any(xi):
         raise ZeroVector("the circle direction must be nonzero")
     return xi

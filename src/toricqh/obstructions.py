@@ -17,9 +17,9 @@ from itertools import islice
 from math import lcm
 
 from .actions import CircleTable
-from .cohomology import build_ring, restrict_to_face
+from .cohomology import build_ring
 from .errors import MomentDataMismatch, NotMeanNormalized
-from .polynomials import monomial, poly_monomial
+from .polynomials import monomial
 from .polytope import centroid
 from .seidel import seidel_element, verify_leading_term
 
@@ -56,13 +56,14 @@ def _euler_class_nonzero(ring, comp):
     powers = {i: -w - 1 for i, w in comp.weights.items() if w <= -2}
     if not powers:
         return True  # rank-zero bundle: the Euler class is the unit
-    return bool(restrict_to_face(
-        ring, poly_monomial(powers, ring.polytope.num_facets), comp.face))
+    # its restriction to the face is its product with [F]: x^powers * x_F
+    return bool(_classical_class(
+        ring, {i: powers.get(i, 0) + 1 for i in comp.facets}))
 
 
 def _classical_class(ring, facet_powers):
     """The reduced class of prod x_i^e_i, from the ring's memo of reduced
-    monomials, which P4 and R5 share."""
+    monomials, which T2, P4 and R5 share."""
     return ring.monomial_nf(monomial(facet_powers, ring.polytope.num_facets))
 
 

@@ -9,8 +9,6 @@ compared exactly.
 import random
 from fractions import Fraction
 
-from .actions import fixed_maximum
-from .cohomology import betti_morse, generic_vector
 from .errors import NonGenericVector, ToricError
 from .novikov import NovScalar
 from .polynomials import mono_degree
@@ -80,38 +78,35 @@ def _random_xi(rng, n):
             return xi
 
 
+def _law_violations(qp, pairs):
+    """The pairs (xi1, xi2) at which S(xi1) * S(xi2) differs from
+    S(xi1 + xi2), or from the unit when xi1 + xi2 = 0."""
+    for xi1, xi2 in pairs:
+        product = qprod(seidel_element(qp, xi1).qclass,
+                        seidel_element(qp, xi2).qclass, qp)
+        total = tuple(a + b for a, b in zip(xi1, xi2))
+        expected = seidel_element(qp, total).qclass if any(total) \
+            else qp.one()
+        if not _agree(qp, product, expected):
+            yield xi1, xi2
+
+
 def check_homomorphism(qp, trials=20, seed=DEFAULT_SEED):
     """Violations of S(xi1 + xi2) = S(xi1) * S(xi2) on random directions."""
     rng = random.Random(seed)
-    poly = qp.polytope
-    violations = []
-    for _ in range(trials):
-        xi1 = _random_xi(rng, poly.n)
-        xi2 = _random_xi(rng, poly.n)
-        total = tuple(a + b for a, b in zip(xi1, xi2))
-        product = qprod(seidel_element(qp, xi1).qclass,
-                        seidel_element(qp, xi2).qclass, qp)
-        if any(total):
-            expected = seidel_element(qp, total).qclass
-        else:
-            expected = qp.one()
-        if not _agree(qp, product, expected):
-            violations.append({"xi1": xi1, "xi2": xi2})
-    return violations
+    n = qp.polytope.n
+    pairs = [(_random_xi(rng, n), _random_xi(rng, n)) for _ in range(trials)]
+    return [{"xi1": xi1, "xi2": xi2}
+            for xi1, xi2 in _law_violations(qp, pairs)]
 
 
 def check_inverse_law(qp, trials=10, seed=DEFAULT_SEED):
-    """Violations of S(xi) * S(-xi) = 1 on random directions."""
+    """Violations of S(xi) * S(-xi) = 1 on random directions: the
+    homomorphism law at the pair (xi, -xi)."""
     rng = random.Random(seed + 1)
-    poly = qp.polytope
-    violations = []
-    for _ in range(trials):
-        xi = _random_xi(rng, poly.n)
-        product = qprod(seidel_element(qp, xi).qclass,
-                        seidel_element(qp, tuple(-x for x in xi)).qclass, qp)
-        if not _agree(qp, product, qp.one()):
-            violations.append({"xi": xi})
-    return violations
+    xis = [_random_xi(rng, qp.polytope.n) for _ in range(trials)]
+    return [{"xi": xi} for xi, _ in _law_violations(
+        qp, [(xi, tuple(-x for x in xi)) for xi in xis])]
 
 
 def check_vertex_independence(qp, trials=6, seed=DEFAULT_SEED):
@@ -148,9 +143,7 @@ def check_vertex_independence(qp, trials=6, seed=DEFAULT_SEED):
 def check_classical_limit(qp):
     """Quantum minus classical product of degree-2 basis classes has
     valuation at least hbar."""
-    one = NovScalar.one(qp.cutoff)
-    deg2 = [QClass({m: one}, qp.cutoff)
-            for m in qp.ring.standard_monomials if mono_degree(m) == 1]
+    deg2 = [a for a in _basis_classes(qp) if a.degree() == 2]
     for a in deg2:
         for b in deg2:
             defect = classical_limit_defect(a, b, qp)
@@ -176,7 +169,7 @@ def check_grading_and_betti(poly, qp):
             if prod.degree() != a.degree() + b.degree():
                 return False
     try:
-        morse = betti_morse(poly, generic_vector(poly))
+        morse = poly.morse_betti(poly.face(frozenset()))
     except NonGenericVector:
         return False
     return morse == qp.ring.betti
@@ -200,13 +193,10 @@ def check_leading_terms(qp):
     violations = []
     poly = qp.polytope
     for i in range(poly.num_facets):
-        el = facet_seidel(qp, i)
-        fmax = fixed_maximum(poly, poly.normal(i))
-        if el.qclass.valuation() != -fmax.K:
-            violations.append({"facet": i + 1})
-            continue
-        lead = el.qclass.slice_at(-fmax.K)
-        if any(d != fmax.m for (_, d) in lead):
+        # facet i maximizes <eta_i, .>, at K = support_i, with weight -1
+        el, minus_k = facet_seidel(qp, i).qclass, -poly.support(i)
+        if el.valuation() != minus_k or any(
+                d != -1 for (_, d) in el.slice_at(minus_k)):
             violations.append({"facet": i + 1})
     return violations
 

@@ -33,6 +33,7 @@ from operator import itemgetter, mul
 from . import linalg
 from .errors import (
     DegenerateEdge,
+    DimensionMismatch,
     InexactNumber,
     NonGenericVector,
     NonIntegralCoefficient,
@@ -488,14 +489,29 @@ def _build_faces(n, vertices):
 
 # ---------------------------------------------------------------- dual cones
 
+def _check_int_vector(v, n):
+    """v as a tuple of n ints, zero allowed: a circle direction before its
+    nonzero check, or a vector of the normal fan."""
+    v = tuple(v)
+    if len(v) != n:
+        raise DimensionMismatch(
+            f"the circle direction has {len(v)} entries, not {n}")
+    for x in v:
+        if type(x) is not int:
+            raise NonIntegralCoefficient(
+                f"the circle direction has the non-integer entry {x!r}")
+    return v
+
+
 def dual_cone_face(poly, v):
     """The unique face whose dual cone contains integer vector v, plus the
     coefficient map over the facets of that face.
 
-    Locates a vertex cone containing v, solves in the vertex's unimodular
-    normal basis, and drops zero coefficients.
+    Checks v as n ints (the zero vector gives the whole polytope), locates a
+    vertex cone containing v, solves in the vertex's unimodular normal
+    basis, and drops zero coefficients.
     """
-    v = tuple(int(x) for x in v)
+    v = _check_int_vector(v, poly.n)
     for vid in range(len(poly.vertices)):
         coeffs = poly.coordinates(vid, v)
         if all(c >= 0 for c in coeffs.values()):

@@ -29,6 +29,7 @@ Fraction exponent is made.  The base D and, per refined D, the plans live in
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
@@ -256,16 +257,12 @@ def nef_presentation(poly, y_table, cutoff=None):
 
     corrections = {}
     energies = []
+    unit = {(0,) * ring.width: NovScalar.one(cutoff)}
     for p in ring.prims:
         lead = qpoly_from_poly(ring.substitute(ring.sr_gens[p.key]), cutoff)
-        prod_i = None
-        for i in p.indices:
-            prod_i = y_classes[i] if prod_i is None \
-                else qpoly_mul(prod_i, y_classes[i])
-        prod_j = {(0,) * ring.width: NovScalar.one(cutoff)}
-        for j, c in zip(p.j_indices, p.coeffs):
-            for _ in range(c):
-                prod_j = qpoly_mul(prod_j, y_classes[j])
+        j_keys = [j for j, c in zip(p.j_indices, p.coeffs) for _ in range(c)]
+        prod_i, prod_j = (reduce(qpoly_mul, [y_classes[k] for k in keys], unit)
+                          for keys in (p.indices, j_keys))
         energy = NovScalar.monomial(1, p.beta.c1(), p.energy, cutoff)
         q_gen = qpoly_add(prod_i, qpoly_scale(prod_j, -energy))
         delta = qpoly_add(lead, qpoly_scale(q_gen, NovScalar.monomial(

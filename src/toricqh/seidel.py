@@ -12,7 +12,7 @@ and x_F once.  The dictionary identifies degree-0 and degree-2 classes
 with named facet classes in every dimension, and lifts the point class in
 dimension two, where a Seidel element of an eligible vertex determines it.
 
-The facet elements S(eta_i), their inverses, the chains of their powers and
+The facet elements S(eta_i), the chains of their powers of each sign and
 the dictionary are cached on the presentation, a value: each entry is
 computed once and never rebuilt.  A `GeometricDictionary` is a value too,
 built whole by `build_dictionary`; it derives its decode data from its
@@ -68,7 +68,7 @@ def facet_seidel(qp, i):
     In Fano mode it is `seidel_element` of the facet normal eta_i, whose
     maximum is facet i with weight -1 and K = support_i: the lift of
     x_i q^-1 t^-support_i.  NEF mode reads Y_i q^-1 t^-support_i off the
-    Y-table.  Its inverse and powers are cached by `facet_power`."""
+    Y-table.  Its powers, its inverse first, are cached by `facet_power`."""
     key = ("facet_seidel", i)
     if key in qp._cache:
         return qp._cache[key]
@@ -89,27 +89,22 @@ def facet_seidel(qp, i):
     return element
 
 
-def _facet_seidel_inverse(qp, i):
-    """S(eta_i)^-1, cached."""
-    key = ("facet_seidel_inv", i)
-    if key not in qp._cache:
-        qp._cache[key] = qinv(facet_seidel(qp, i).qclass, qp)
-    return qp._cache[key]
-
-
 def facet_power(qp, i, a):
     """S(eta_i)^a for a nonzero integer a, cached.
 
     The powers of one sign are built as `qpow` builds them: from the unit
     up, each the product of the one below with the base, S(eta_i) or its
-    inverse.  The entry is the tuple (base^0, base^1, ...); a longer chain
-    is written as a new entry, never appended to the cached one."""
+    inverse, solved once per facet; a longer chain multiplies by its first
+    power, qprod(1, base), the base in value and flag.  The entry is the
+    tuple (base^0, base^1, ...); a longer chain is written as a new entry,
+    never appended to the cached one."""
     key = ("facet_power", i, a > 0)
     powers = qp._cache.get(key, ())
     k = abs(a)
     if k >= len(powers):
-        base = facet_seidel(qp, i).qclass if a > 0 \
-            else _facet_seidel_inverse(qp, i)
+        base = powers[1] if powers else facet_seidel(qp, i).qclass
+        if not powers and a < 0:
+            base = qinv(base, qp)
         powers = list(powers) or [qp.one()]
         while len(powers) <= k:
             powers.append(qprod(powers[-1], base, qp))

@@ -18,6 +18,7 @@ from test_kept_variables import FANO
 from test_quantum import hirz_y_table
 from test_quantum_nf import snapshot
 from toricqh import examples
+from toricqh import seidel as seidel_module
 from toricqh.actions import fixed_components
 from toricqh.errors import ToricError, WrongDegree
 from toricqh.oracle import DEFAULT_SEED, _random_xi
@@ -73,6 +74,36 @@ def reference_seidel_element(qp, xi, inverses):
     return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
                          leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K,
                          semifree=fmax.semifree)
+
+
+# ------------------------------------------- the former cached facet inverse
+
+def _former_facet_seidel_inverse(qp, i):
+    """S(eta_i)^-1, cached."""
+    key = ("facet_seidel_inv", i)
+    if key not in qp._cache:
+        qp._cache[key] = qinv(facet_seidel(qp, i).qclass, qp)
+    return qp._cache[key]
+
+
+def former_facet_power(qp, i, a):
+    """S(eta_i)^a for a nonzero integer a, cached.
+
+    The powers of one sign are built as `qpow` builds them: from the unit
+    up, each the product of the one below with the base, S(eta_i) or its
+    inverse.  The entry is the tuple (base^0, base^1, ...); a longer chain
+    is written as a new entry, never appended to the cached one."""
+    key = ("facet_power", i, a > 0)
+    powers = qp._cache.get(key, ())
+    k = abs(a)
+    if k >= len(powers):
+        base = facet_seidel(qp, i).qclass if a > 0 \
+            else _former_facet_seidel_inverse(qp, i)
+        powers = list(powers) or [qp.one()]
+        while len(powers) <= k:
+            powers.append(qprod(powers[-1], base, qp))
+        powers = qp._cache[key] = tuple(powers)
+    return powers[k]
 
 
 # ------------------------------------------------------------------ outcomes
@@ -152,3 +183,38 @@ def test_facet_power_is_the_qpow_power():
             assert class_outcome(facet_power(qp, i, a)) == \
                 class_outcome(qpow(base, k, qp)), (i, a)
     assert facet_product(qp, {0: 0, 1: 0}) == qp.one()
+
+
+POWER_ORDERS = {
+    "negative first": (-3, -2, -1, 3, 2, 1),
+    "positive first": (3, 2, 1, -3, -2, -1),
+    "extended": (-1, 1, -2, 2, -3, 3),
+}
+
+
+@pytest.mark.parametrize("order", sorted(POWER_ORDERS))
+@pytest.mark.parametrize("cutoff", NEF_CUTOFFS, ids=NEF_CUTOFF_IDS)
+def test_the_facet_inverse_starts_its_power_chain(monkeypatch, cutoff, order):
+    """One inverse solve per facet, when its negative chain is first built;
+    a longer chain multiplies by its first power, qprod(1, S^-1), and every
+    power equals the former chain's in value and flag."""
+    solved = []
+
+    def counted(a, qp):
+        solved.append(a)
+        return qinv(a, qp)
+
+    monkeypatch.setattr(seidel_module, "qinv", counted)
+    qp, former = hirzebruch2_nef(cutoff), hirzebruch2_nef(cutoff)
+    for i in range(qp.polytope.num_facets):
+        for a in POWER_ORDERS[order]:
+            want = outcome(lambda: class_outcome(former_facet_power(
+                former, i, a)))
+            assert outcome(lambda: class_outcome(facet_power(qp, i, a))) \
+                == want, (i, a)
+        assert len(solved) == i + 1
+        powers = qp._cache[("facet_power", i, False)]
+        assert class_outcome(powers[1]) == class_outcome(
+            former._cache[("facet_seidel_inv", i)])
+    assert not any(key[0] == "facet_seidel_inv" for key in qp._cache
+                   if isinstance(key, tuple))

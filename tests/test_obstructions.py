@@ -15,9 +15,15 @@ from toricqh.actions import (
     q_pair,
     q_pairs,
 )
-from toricqh.cohomology import ClassicalRing
+from toricqh.cohomology import ClassicalRing, build_ring, restrict_to_face
 from toricqh.errors import DimensionMismatch, NotMeanNormalized, ZeroVector
-from toricqh.obstructions import _rule_c, analyze, chain_bound
+from toricqh.obstructions import (
+    _euler_class_nonzero,
+    _rule_c,
+    analyze,
+    chain_bound,
+)
+from toricqh.polynomials import poly_monomial
 from toricqh.polytope import DelzantPolytope, normalize, validate_delzant
 from toricqh.quantum import fano_presentation
 
@@ -390,3 +396,34 @@ def test_p4_and_r5_reduce_each_facet_monomial_once(monkeypatch):
     assert len(reduced) == 15 and len(set(reduced)) == 8
     analyze(cube3, (1, 1, 1))  # each analyze builds its own ring
     assert len(reduced) == 30
+
+
+def former_euler_class_nonzero(ring, comp):
+    """Euler class of the obstruction bundle along a fixed face: the product
+    of the restricted facet classes to the powers (weight magnitude - 1)
+    over the negative-weight facets."""
+    powers = {i: -w - 1 for i, w in comp.weights.items() if w <= -2}
+    if not powers:
+        return True  # rank-zero bundle: the Euler class is the unit
+    return bool(restrict_to_face(
+        ring, poly_monomial(powers, ring.polytope.num_facets), comp.face))
+
+
+def test_the_euler_class_reads_the_ring_memo_as_restrict_to_face_reduces():
+    """T2's Euler class x^p * x_F, read off the ring's monomial memo, is
+    nonzero exactly where the former route through `restrict_to_face` found
+    it so, on every component with a weight <= -2."""
+    from test_kept_variables import CORPUS
+    seen = Counter()
+    for name, poly in sorted(CORPUS.items()):
+        ring = build_ring(poly)
+        for xi in product(range(-2, 3), repeat=poly.n):
+            if not any(xi):
+                continue
+            for comp in fixed_components(poly, xi):
+                if any(w <= -2 for w in comp.weights.values()):
+                    nonzero = _euler_class_nonzero(ring, comp)
+                    assert nonzero == former_euler_class_nonzero(
+                        ring, comp), (name, xi, sorted(comp.facets))
+                    seen[nonzero] += 1
+    assert seen[True] > 100 and seen[False] > 1000

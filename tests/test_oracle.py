@@ -1,14 +1,20 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from toricqh import examples
+from toricqh import oracle as oracle_module
 from toricqh import quantum as quantum_module
 from toricqh import seidel as seidel_module
+from toricqh.actions import fixed_maximum
 from toricqh.novikov import NovScalar
 from toricqh.oracle import (
+    DEFAULT_SEED,
+    _agree,
+    _random_xi,
     check_associativity,
     check_classical_limit,
     check_grading_and_betti,
@@ -23,10 +29,12 @@ from toricqh.quantum import (
     default_cutoff,
     fano_presentation,
     nef_presentation,
+    qprod,
     qscale,
 )
 from toricqh.seidel import facet_seidel, seidel_element
 
+from test_kept_variables import FANO
 from test_obstructions import box, simplex
 from test_quantum import hirz_y_table
 
@@ -166,3 +174,115 @@ def test_vertex_independence_catches_a_corrupted_facet_element():
         element, qclass=qscale(element.qclass,
                                NovScalar.monomial(2, 0, 0, qp.cutoff)))
     assert check_vertex_independence(qp) != []
+
+
+# ------------------------------------------- the former two law checks
+
+def former_check_homomorphism(qp, trials=20, seed=DEFAULT_SEED):
+    """Violations of S(xi1 + xi2) = S(xi1) * S(xi2) on random directions."""
+    rng = random.Random(seed)
+    poly = qp.polytope
+    violations = []
+    for _ in range(trials):
+        xi1 = _random_xi(rng, poly.n)
+        xi2 = _random_xi(rng, poly.n)
+        total = tuple(a + b for a, b in zip(xi1, xi2))
+        product = qprod(seidel_element(qp, xi1).qclass,
+                        seidel_element(qp, xi2).qclass, qp)
+        if any(total):
+            expected = seidel_element(qp, total).qclass
+        else:
+            expected = qp.one()
+        if not _agree(qp, product, expected):
+            violations.append({"xi1": xi1, "xi2": xi2})
+    return violations
+
+
+def former_check_inverse_law(qp, trials=10, seed=DEFAULT_SEED):
+    """Violations of S(xi) * S(-xi) = 1 on random directions."""
+    rng = random.Random(seed + 1)
+    poly = qp.polytope
+    violations = []
+    for _ in range(trials):
+        xi = _random_xi(rng, poly.n)
+        product = qprod(seidel_element(qp, xi).qclass,
+                        seidel_element(qp, tuple(-x for x in xi)).qclass, qp)
+        if not _agree(qp, product, qp.one()):
+            violations.append({"xi": xi})
+    return violations
+
+
+LAW_CORPUS = dict(FANO, hirzebruch2_nef=None)
+
+
+def law_presentation(name):
+    if name == "hirzebruch2_nef":
+        poly = examples.hirzebruch2(F(2))
+        return nef_presentation(poly, hirz_y_table(default_cutoff(poly)))
+    return fano_presentation(LAW_CORPUS[name])
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CORPUS))
+def test_the_laws_are_one_law_at_the_former_draws(monkeypatch, name):
+    """The inverse law is the homomorphism law at (xi, -xi): each check
+    reports what the former one reported, from the same Seidel elements
+    asked for in the same order."""
+    qp = law_presentation(name)
+    asked = []
+
+    def recorded(qp, xi):
+        asked.append(tuple(xi))
+        return seidel_module.seidel_element(qp, xi)
+
+    for seed, trials in itertools.product((DEFAULT_SEED, 11), (4, 20)):
+        for new, former in ((check_homomorphism, former_check_homomorphism),
+                            (check_inverse_law, former_check_inverse_law)):
+            del asked[:]
+            monkeypatch.setattr(oracle_module, "seidel_element", recorded)
+            got, got_asked = new(qp, trials, seed), list(asked)
+            monkeypatch.undo()
+            del asked[:]
+            monkeypatch.setitem(globals(), "seidel_element", recorded)
+            want, want_asked = former(qp, trials, seed), list(asked)
+            monkeypatch.undo()
+            assert got == want, (new.__name__, seed, trials)
+            assert got_asked == want_asked, (new.__name__, seed, trials)
+    if name == "hirzebruch2_nef":  # the known NEF defect
+        assert len(check_homomorphism(qp, 4, DEFAULT_SEED)) == 1
+        assert len(check_inverse_law(qp, 4, DEFAULT_SEED)) == 4
+
+
+def test_each_law_check_runs_alone(monkeypatch, blow):
+    """Neither public check calls the other, so a tracer that wraps both
+    names times each one apart."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other law check was called")
+
+    monkeypatch.setattr(oracle_module, "check_homomorphism", refuse)
+    assert check_inverse_law(blow, trials=5) == []
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle_module, "check_inverse_law", refuse)
+    assert check_homomorphism(blow, trials=5) == []
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CORPUS))
+def test_a_facet_maximum_is_read_off_the_polytope(name):
+    """Facet i maximizes <eta_i, .> at K = support_i with weight -1, the
+    data `check_leading_terms` expects without a search."""
+    poly = law_presentation(name).polytope
+    for i in range(poly.num_facets):
+        fmax = fixed_maximum(poly, poly.normal(i))
+        assert (fmax.facets, fmax.K, fmax.m) == \
+            (frozenset({i}), poly.support(i), -1)
+
+
+def test_leading_terms_catch_a_shifted_facet_element():
+    qp = fano_presentation(examples.blowup_cp2(F(1, 2)))
+    assert check_leading_terms(qp) == []
+    for d, kappa in ((1, 0), (0, 1)):
+        bad = fano_presentation(qp.polytope)
+        element = facet_seidel(bad, 1)
+        bad._cache[("facet_seidel", 1)] = dataclasses.replace(
+            element, qclass=qscale(element.qclass, NovScalar.monomial(
+                1, d, kappa, bad.cutoff)))
+        assert check_leading_terms(bad) == [{"facet": 2}], (d, kappa)

@@ -14,6 +14,7 @@ import toricqh
 from toricqh import examples
 from toricqh import linalg
 from toricqh.errors import (
+    DimensionMismatch,
     InexactNumber,
     NonIntegralCoefficient,
     NotFullDimensional,
@@ -134,6 +135,28 @@ def test_dual_cone_face_square_interior_vector():
     face, coeffs = dual_cone_face(poly, (1, 2))
     assert face.facets == frozenset({0, 2})
     assert coeffs == {0: 1, 2: 2}
+
+
+@pytest.mark.parametrize("v, error, message", [
+    ((F(1, 2), 0), NonIntegralCoefficient,
+     "the circle direction has the non-integer entry Fraction(1, 2)"),
+    ((0.9, 0), NonIntegralCoefficient,
+     "the circle direction has the non-integer entry 0.9"),
+    ((1,), DimensionMismatch, "the circle direction has 1 entries, not 2"),
+    ((1, 0, 5), DimensionMismatch,
+     "the circle direction has 3 entries, not 2"),
+    ((True, False), NonIntegralCoefficient,
+     "the circle direction has the non-integer entry True"),
+], ids=["half", "float", "short", "long", "bools"])
+def test_dual_cone_face_checks_its_vector_as_a_circle_direction(
+        v, error, message):
+    with pytest.raises(error) as info:
+        dual_cone_face(examples.cp2(), v)
+    assert str(info.value) == message
+    # the zero vector, the sum of a primitive pair of opposite facets, is
+    # still the whole polytope
+    face, coeffs = dual_cone_face(examples.cp2(), (0, 0))
+    assert (face.facets, coeffs) == (frozenset(), {})
 
 
 def test_dual_cone_disjoint_from_primitive_set():
