@@ -16,7 +16,8 @@ gcd of 0 means the face is fixed.  A table lives for one call (one per
 `analyze`) and reads the polytope's shared dual bases and scaled vertices.
 The q-stratum, the faces whose order q divides, is checked for closure and
 split into components through the immediate subfaces key | {i} alone, by
-union-find, with no pairwise search over faces.
+union-find, with no pairwise search over faces; a table builds each
+q-stratum once, so S2 and P6 share it.
 
 F_max needs no table: `fixed_maximum` is one integer pass, the levels
 <xi, .> on the scaled vertices, their argmax, xi's coordinates at the
@@ -34,6 +35,7 @@ from operator import mul
 from .errors import (
     InconsistentWeights,
     MomentNotConstant,
+    NonIntegralCoefficient,
     StratumNotClosed,
     ZeroVector,
 )
@@ -108,7 +110,7 @@ def _order(coords, face):
 class CircleTable:
     """The circle xi on poly: xi's coordinates and moment level at every
     vertex, and, each on first use, the fixed components and the isotropy
-    order of every face.  A table lives for one call."""
+    order of every face, and each q-stratum.  A table lives for one call."""
 
     def __init__(self, poly, xi):
         self.poly = poly
@@ -117,6 +119,7 @@ class CircleTable:
                        for vid in range(len(poly.vertices))]
         self.scale, points = poly.scaled_vertices
         self.levels = [sum(map(mul, xi, p)) for p in points]
+        self.strata = {}  # q -> IsotropyStratum, each built on first use
 
     @property
     def values(self):
@@ -159,7 +162,13 @@ class CircleTable:
                           if order is not FIXED])
 
     def stratum(self, q):
-        return _stratum(self.orders, q)
+        # checked before the memo is read: 2.0 and True hash like 2 and 1
+        if type(q) is not int or q < 1:
+            raise NonIntegralCoefficient(
+                f"the stratum order q must be an int >= 1, not {q!r}")
+        if q not in self.strata:
+            self.strata[q] = _stratum(self.orders, q)
+        return self.strata[q]
 
     def q_pairs(self, faces):
         """The q of each pair of faces, tried over the gcd-closure of the

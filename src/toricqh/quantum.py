@@ -493,6 +493,7 @@ def qinv(a, qp):
             monos.append((m, d))
     hi = qp.cutoff - vala
 
+    products = {}  # slot -> column, once: an extension holds the last's slots
     for extension in (0, 1, 2):
         lo = -vala - extension * qp.cutoff
         if step is None:
@@ -509,8 +510,12 @@ def qinv(a, qp):
                 k += 1
             slot_exps.sort()
         slots = [(m, d, k) for k in slot_exps for (m, d) in monos]
-        columns = [qprod(a, QClass({m: NovScalar.monomial(1, d, k, qp.cutoff)},
-                                   qp.cutoff), qp) for (m, d, k) in slots]
+        for m, d, k in slots:
+            if (m, d, k) not in products:
+                products[m, d, k] = qprod(a, QClass(
+                    {m: NovScalar.monomial(1, d, k, qp.cutoff)}, qp.cutoff),
+                    qp)
+        columns = [products[slot] for slot in slots]
         for strict in (True, False):
             sol = _solve_unit_system(qp, slots, columns, strict_cut=strict,
                                      vala=vala)

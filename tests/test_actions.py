@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,10 +11,11 @@ import pytest
 
 import toricqh
 
-from toricqh import examples
+from toricqh import actions, examples, obstructions
 from toricqh.actions import (
     FIXED,
     CircleTable,
+    IsotropyStratum,
     _check_xi,
     _stratum,
     _weights,
@@ -28,7 +31,9 @@ from toricqh.cli import main
 from toricqh.errors import (
     DimensionMismatch,
     MomentNotConstant,
+    NonIntegralCoefficient,
     StratumNotClosed,
+    ToricError,
     ZeroVector,
 )
 from toricqh.obstructions import analyze, chain_bound
@@ -378,3 +383,133 @@ def test_the_cli_checks_the_length_of_xi_first(tmp_path, capsys):
         assert main([command, str(path), "--xi=2,1,5"]) == 1
         assert capsys.readouterr().err == \
             "error: FileFormatError: --xi needs 2 components\n"
+
+
+# --------------------------------------------------- each q-stratum once
+
+def former_stratum(self, q):
+    # the former `CircleTable.stratum`, verbatim: a new stratum on every
+    # call, kept as the reference of the table's one stratum per q
+    return _stratum(self.orders, q)
+
+
+def _stratum_circles():
+    """Name -> (polytope, circles): the bundled examples, cp3, cube3 and cp4
+    with xi in [-2, 2]^n, cube4 with xi in [-1, 1]^4 and (1, 2, 3, 4), and
+    two circles of the 12-gon whose S2 and P6 both ask for the 2-stratum."""
+    from test_obstructions import box, simplex
+    from test_polytope import GON12
+
+    def cube(n, r):
+        return [xi for xi in product(range(-r, r + 1), repeat=n) if any(xi)]
+
+    corpus = {name: (examples.build(name), cube(examples.build(name).n, 2))
+              for name in examples.BUILDERS}
+    corpus.update(
+        cp3=(simplex(3), cube(3, 2)), cube3=(box(3), cube(3, 2)),
+        cp4=(simplex(4), cube(4, 2)),
+        cube4=(box(4), cube(4, 1) + [(1, 2, 3, 4)]),
+        gon12=(validate_delzant(GON12, name="gon12"), [(1, 0), (0, 1)]))
+    return corpus
+
+
+STRATUM_CIRCLES = _stratum_circles()
+# the circles whose S2 and P6 both ask for the 2-stratum, which the former
+# code built twice
+ASKED_TWICE = dict(s2=2, cp2=12, blowup_cp2=12, s2xs2=16, hirzebruch2=8,
+                   cp3=50, cube3=98, cp4=180, cube4=0, gon12=2)
+
+
+def _findings(poly, xis):
+    out = []
+    for xi in xis:
+        try:
+            out.append(repr(analyze(poly, xi).findings))
+        except ToricError as err:
+            out.append((type(err).__name__, str(err)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(STRATUM_CIRCLES))
+def test_a_table_builds_each_q_stratum_once_for_the_former_findings(
+        name, monkeypatch):
+    """Over a battery per circle, `_stratum` runs at most once for each q on
+    each table, asking again returns the very stratum it built, and the
+    findings are those of the former strata."""
+    poly, xis = STRATUM_CIRCLES[name]
+    built, tables, asked = [], [], Counter()
+    build = _stratum
+
+    def counted(orders, q):
+        built.append((orders, q, build(orders, q)))
+        return built[-1][-1]
+
+    class Recorded(CircleTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+        def stratum(self, q):
+            asked[self, q] += 1
+            return super().stratum(q)
+
+    monkeypatch.setattr(actions, "_stratum", counted)
+    monkeypatch.setattr(obstructions, "CircleTable", Recorded)
+    got = _findings(poly, xis)
+    assert len({table for (table, q), k in asked.items() if k > 1}) == \
+        ASKED_TWICE[name]
+    keys = [(id(orders), q) for orders, q, _ in built]
+    assert len(keys) == len(set(keys))
+    count = len(built)
+    for table in tables:
+        for orders, q, stratum in built:
+            if orders is table.orders:
+                assert table.stratum(q) is stratum
+    assert len(built) == count
+    monkeypatch.undo()
+    monkeypatch.setattr(CircleTable, "stratum", former_stratum)
+    assert got == _findings(poly, xis)
+
+
+def test_two_tables_of_one_circle_build_their_own_strata(cp2, monkeypatch):
+    built = []
+    build = _stratum
+
+    def counted(orders, q):
+        built.append(q)
+        return build(orders, q)
+
+    monkeypatch.setattr(actions, "_stratum", counted)
+    first, second = CircleTable(cp2, (1, 0)), CircleTable(cp2, (1, 0))
+    for table in (first, second, first, second):
+        table.stratum(2)
+    assert built == [2, 2]
+    assert first.stratum(2) == second.stratum(2)
+    assert first.stratum(2) is not second.stratum(2)
+    assert isotropy_components(cp2, (1, 0), 2) is not \
+        isotropy_components(cp2, (1, 0), 2)
+
+
+@pytest.mark.parametrize("q", [0, -2, 2.0, True],
+                         ids=["zero", "negative", "float", "bool"])
+def test_a_stratum_order_that_is_not_a_positive_int_is_a_typed_error(
+        cp2, q):
+    """Formerly q = 0 ended in a ZeroDivisionError, q = -2 gave a stratum
+    labelled -2, and 2.0 and True answered as 2 and 1."""
+    message = re.escape(f"the stratum order q must be an int >= 1, not {q!r}")
+    with pytest.raises(NonIntegralCoefficient, match=f"^{message}$"):
+        isotropy_components(cp2, (1, 0), q)
+    table = CircleTable(cp2, (1, 0))
+    table.stratum(1), table.stratum(2)  # the ints that q hashes like
+    with pytest.raises(NonIntegralCoefficient, match=f"^{message}$"):
+        table.stratum(q)
+
+
+def test_the_stratum_orders_one_and_two_still_answer(cp2):
+    whole = isotropy_components(cp2, (1, 0), 1)
+    assert isinstance(whole, IsotropyStratum) and whole.q == 1
+    assert whole.faces == frozenset(cp2.faces)
+    assert whole.components == (frozenset(cp2.faces),)
+    two = isotropy_components(cp2, (1, 0), 2)
+    assert two.q == 2 and type(two.q) is int
+    assert two == _stratum(CircleTable(cp2, (1, 0)).orders, 2)

@@ -1,5 +1,6 @@
 """The shared exact kernels against the code they replaced: gauss_jordan
-against the unit-system elimination of quantum.qinv, solve_rational and
+against the unit-system elimination of quantum.qinv, qinv against its
+former one product per slot of each extension, solve_rational and
 rank against their dense eliminations, the expression parser against its
 own arithmetic, and the token pattern against the former character loop.
 Each former version is kept here verbatim as the reference.  The former
@@ -23,8 +24,25 @@ from toricqh import examples, linalg
 from toricqh import quantum as quantum_module
 from toricqh.errors import ExprSyntaxError, NotAUnit
 from toricqh.exprparse import _tokenize, parse_expression
-from toricqh.polynomials import poly_const, poly_mul, poly_pow, poly_substitute
-from toricqh.quantum import default_cutoff, nef_presentation, qinv, qpoly_atoms
+from toricqh.novikov import NovScalar
+from toricqh.polynomials import (
+    mono_degree,
+    poly_const,
+    poly_mul,
+    poly_pow,
+    poly_substitute,
+)
+from toricqh.quantum import (
+    QClass,
+    _exponent_step,
+    _solve_unit_system,
+    default_cutoff,
+    fano_presentation,
+    nef_presentation,
+    qinv,
+    qpoly_atoms,
+    qprod,
+)
 from toricqh.seidel import facet_seidel
 
 F = Fraction
@@ -522,6 +540,151 @@ def test_qinv_matches_the_former_unit_solver_on_hirzebruch2_nef(
                         reference_solve_unit_system)
     assert got == [_qinv_outcome(a, qp) for a in elements]
     assert all(isinstance(g[0], dict) for g in got)
+
+
+def former_qinv(a, qp):
+    """The former `quantum.qinv`, one qprod per slot of every extension it
+    tries, kept as the reference of the one column per slot.
+
+    Inverse of a homogeneous even-degree unit, up to the cutoff.
+
+    Unknown coefficients are placed on (standard monomial, t-exponent) slots
+    whose q-exponents are pinned by the grading; the exact linear system
+    qprod(a, u) = 1 is solved level by level in valuation.  Slots live on
+    the exponent lattice generated by a's exponent differences and the
+    correction energies; the bottom of the range is extended when leading
+    slices cancel classically and the inverse valuation drops.
+    """
+    deg = a.degree()
+    if deg == "inhomogeneous" or deg % 2:
+        raise NotAUnit("inversion needs a homogeneous even-degree class")
+    if a.is_zero():
+        raise NotAUnit("zero is not a unit")
+    vala = a.valuation()
+    exps = sorted({k for _, _, k, _ in qpoly_atoms(a.coeffs)})
+    corr_exps = sorted({k for delta in qp.corrections.values()
+                        for _, _, k, _ in qpoly_atoms(delta)})
+    step = _exponent_step([e - vala for e in exps] + corr_exps)
+    deg_u = -deg
+    monos = []
+    for m in qp.ring.standard_monomials:
+        d = (deg_u - 2 * mono_degree(m)) // 2
+        if 2 * mono_degree(m) + 2 * d == deg_u:
+            monos.append((m, d))
+    hi = qp.cutoff - vala
+
+    for extension in (0, 1, 2):
+        lo = -vala - extension * qp.cutoff
+        if step is None:
+            slot_exps = [-vala]
+        else:
+            slot_exps = []
+            k = 0
+            while -vala + k * step <= min(hi, qp.cutoff):
+                slot_exps.append(-vala + k * step)
+                k += 1
+            k = 1
+            while -vala - k * step >= lo:
+                slot_exps.append(-vala - k * step)
+                k += 1
+            slot_exps.sort()
+        slots = [(m, d, k) for k in slot_exps for (m, d) in monos]
+        columns = [qprod(a, QClass({m: NovScalar.monomial(1, d, k, qp.cutoff)},
+                                   qp.cutoff), qp) for (m, d, k) in slots]
+        for strict in (True, False):
+            sol = _solve_unit_system(qp, slots, columns, strict_cut=strict,
+                                     vala=vala)
+            if sol is not None:
+                coeffs = {}
+                used_truncated = False
+                for (m, d, k), c, col in zip(slots, sol, columns):
+                    if not c:
+                        continue
+                    used_truncated = used_truncated or col.truncated
+                    s = NovScalar.monomial(c, d, k, qp.cutoff)
+                    coeffs[m] = coeffs[m] + s if m in coeffs else s
+                truncated = (not strict) or a.truncated or used_truncated
+                if truncated:
+                    coeffs = {m: s.with_truncated(True)
+                              for m, s in coeffs.items()}
+                return QClass(coeffs, qp.cutoff)
+    raise NotAUnit("no inverse exists at this cutoff")
+
+
+def _unit_classes():
+    """hirzebruch2 NEF's facet elements at cutoffs 4 and 8, the Fano facet
+    elements of the bundled 2-D examples, one and a monomial unit."""
+    poly = examples.hirzebruch2(F(2))
+    for cutoff in (F(4), F(8)):
+        qp = nef_presentation(poly, hirz_y_table(cutoff), cutoff)
+        for i in range(poly.num_facets):
+            yield (f"hirzebruch2 nef {cutoff} D{i}",
+                   facet_seidel(qp, i).qclass, qp)
+    for name in sorted(examples.BUILDERS):
+        poly = examples.build(name)
+        if poly.n != 2 or name == "hirzebruch2":
+            continue
+        qp = fano_presentation(poly)
+        for i in range(poly.num_facets):
+            yield f"{name} D{i}", facet_seidel(qp, i).qclass, qp
+    yield "one", qp.one(), qp
+    (unit_monomial,) = qp.one().coeffs
+    unit = QClass({unit_monomial: NovScalar.monomial(
+        F(-3, 2), 0, F(1, 2), qp.cutoff)}, qp.cutoff)
+    yield "monomial unit", unit, qp
+
+
+UNITS = list(_unit_classes())
+
+
+@pytest.mark.parametrize("name,a,qp", UNITS, ids=[u[0] for u in UNITS])
+def test_qinv_matches_the_former_qinv(name, a, qp):
+    want = former_qinv(a, qp)
+    got = qinv(a, qp)
+    assert _snapshot(got) == _snapshot(want)
+
+
+@pytest.mark.parametrize("name,a,qp", UNITS, ids=[u[0] for u in UNITS])
+def test_qinv_computes_one_product_per_distinct_slot(name, a, qp,
+                                                     monkeypatch):
+    products, slots = [], set()
+
+    def counted_qprod(a, b, qp):
+        products.append(b)
+        return qprod(a, b, qp)
+
+    def recorded_solve(qp, tried, columns, **kwargs):
+        slots.update(tried)
+        return _solve_unit_system(qp, tried, columns, **kwargs)
+
+    monkeypatch.setattr(quantum_module, "qprod", counted_qprod)
+    monkeypatch.setattr(quantum_module, "_solve_unit_system", recorded_solve)
+    qinv(a, qp)
+    assert len(products) == len(slots)
+
+
+def test_qinv_saves_the_repeated_columns_on_hirzebruch2_nef(monkeypatch):
+    """The four facet inverses of hirzebruch2 NEF at its default cutoff
+    reach the extended slot range, where the former code computed each
+    column of the range before again."""
+    poly = examples.hirzebruch2(F(2))
+    cutoff = default_cutoff(poly)
+    qp = nef_presentation(poly, hirz_y_table(cutoff), cutoff)
+    elements = [facet_seidel(qp, i).qclass for i in range(poly.num_facets)]
+    calls, product, answers = [], qprod, {}
+
+    def counted_qprod(a, b, qp):
+        calls.append(b)
+        return product(a, b, qp)
+
+    monkeypatch.setattr(quantum_module, "qprod", counted_qprod)
+    monkeypatch.setitem(former_qinv.__globals__, "qprod", counted_qprod)
+    for name, invert in (("former", former_qinv), ("qinv", qinv)):
+        calls.clear()
+        answers[name] = [_snapshot(invert(a, qp)) for a in elements], \
+            len(calls)
+    assert answers["qinv"][0] == answers["former"][0]
+    assert (answers["former"][1], answers["qinv"][1]) == (176, 120)
 
 
 # ------------------------------------------------------------ the parser
