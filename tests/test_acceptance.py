@@ -10,18 +10,17 @@ from fractions import Fraction
 
 import pytest
 
+from cases import fexpr, hirz_y_table
+from reference import weights
 from toricqh import examples
-from test_actions import weights
 from toricqh.actions import fixed_components, isotropy_order
 from toricqh.novikov import NovScalar
 from toricqh.obstructions import analyze, chain_bound
 from toricqh.oracle import verify_all
 from toricqh.polytope import centroid
 from toricqh.quantum import (
-    QClass,
     default_cutoff,
     fano_presentation,
-    lift,
     nef_presentation,
     qadd,
     qinv,
@@ -35,8 +34,6 @@ from toricqh.seidel import (
     seidel_element,
     to_homology_report,
 )
-
-from test_quantum import hirz_y_table
 
 F = Fraction
 MU = F(1, 2)
@@ -78,13 +75,6 @@ def hirz():
 def hirz5():
     poly = examples.hirzebruch2(F(2))
     return nef_presentation(poly, hirz_y_table(F(5)), cutoff=F(5))
-
-
-def fexpr(qp, powers, d=0, kappa=0, coeff=1):
-    full = [0] * qp.polytope.num_facets
-    for i, e in powers.items():
-        full[i] = e
-    return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
 def hom_entries(qp, qclass):

@@ -11,14 +11,19 @@ import pytest
 
 import toricqh
 
+from cases import GON12, box, box_vectors, simplex
+from reference import (
+    former_table_stratum,
+    kernel_basis_int,
+    reference_in_rational_lattice,
+    weights,
+)
 from toricqh import actions, examples, obstructions
 from toricqh.actions import (
     FIXED,
     CircleTable,
     IsotropyStratum,
-    _check_xi,
     _stratum,
-    _weights,
     fixed_components,
     fixed_maximum,
     global_isotropy_bound,
@@ -44,21 +49,6 @@ from toricqh.polytope import validate_delzant
 
 F = Fraction
 EPS = F(7, 20)  # blowup at mu = 1/2
-
-
-def weights(poly, xi, face):
-    """The former `actions.weights`, kept as the reference that the circle
-    table's components and `fixed_maximum` are held to.
-
-    Weight data of the circle xi along a fixed face.
-
-    Reads xi's coordinates at every vertex of the face and checks the
-    answers agree; nonzero weights sit exactly on the facets containing the
-    face.
-    """
-    xi = _check_xi(xi, poly.n)
-    return _weights({vid: poly.coordinates(vid, xi)
-                     for vid in face.vertex_ids}, face)
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +220,6 @@ def test_action_invariant_square_diagonal(square):
 def test_action_invariant_antisymmetry(blow, square):
     # the invariants of xi and -xi are negatives modulo the (omega, c1)
     # lattice of spherical classes
-    from test_exact_kernels import reference_in_rational_lattice
-    from test_polytope import kernel_basis_int
     from toricqh.polytope import H2Class
 
     def h2_lattice(poly):
@@ -254,7 +242,7 @@ def test_weight_multiset_vertex_independent(blow, hirz):
 
 
 def test_component_weights_equal_the_reference_weights():
-    for poly, xi in _reference_corpus():
+    for poly, xi in _bundled_circles():
         comps = CircleTable(poly, xi).components
         for comp in comps:
             assert comp.weights == weights(poly, xi, comp.face), (poly.name,
@@ -262,7 +250,7 @@ def test_component_weights_equal_the_reference_weights():
         assert fixed_maximum(poly, xi).weights == comps[0].weights
 
 
-def _reference_corpus():
+def _bundled_circles():
     """Bundled examples with xi in [-2, 2]^n, plus cp3 and the 3-cube with
     xi in [-1, 1]^3."""
     cp3 = validate_delzant(
@@ -285,7 +273,7 @@ def test_isotropy_order_matches_span_reference():
     """Fixed iff xi lies in the span of the face's normals (rank test), and
     a finite order is the same gcd of off-face coordinates at every vertex
     of the face."""
-    for poly, xi in _reference_corpus():
+    for poly, xi in _bundled_circles():
         for key, face in poly.faces.items():
             order = isotropy_order(poly, xi, face)
             fixed = in_span([poly.normal(i) for i in sorted(key)], xi)
@@ -387,28 +375,18 @@ def test_the_cli_checks_the_length_of_xi_first(tmp_path, capsys):
 
 # --------------------------------------------------- each q-stratum once
 
-def former_stratum(self, q):
-    # the former `CircleTable.stratum`, verbatim: a new stratum on every
-    # call, kept as the reference of the table's one stratum per q
-    return _stratum(self.orders, q)
-
-
 def _stratum_circles():
     """Name -> (polytope, circles): the bundled examples, cp3, cube3 and cp4
     with xi in [-2, 2]^n, cube4 with xi in [-1, 1]^4 and (1, 2, 3, 4), and
     two circles of the 12-gon whose S2 and P6 both ask for the 2-stratum."""
-    from test_obstructions import box, simplex
-    from test_polytope import GON12
-
-    def cube(n, r):
-        return [xi for xi in product(range(-r, r + 1), repeat=n) if any(xi)]
-
-    corpus = {name: (examples.build(name), cube(examples.build(name).n, 2))
+    corpus = {name: (examples.build(name),
+                     box_vectors(examples.build(name).n, 2))
               for name in examples.BUILDERS}
     corpus.update(
-        cp3=(simplex(3), cube(3, 2)), cube3=(box(3), cube(3, 2)),
-        cp4=(simplex(4), cube(4, 2)),
-        cube4=(box(4), cube(4, 1) + [(1, 2, 3, 4)]),
+        cp3=(simplex(3), box_vectors(3, 2)),
+        cube3=(box(3), box_vectors(3, 2)),
+        cp4=(simplex(4), box_vectors(4, 2)),
+        cube4=(box(4), box_vectors(4, 1) + [(1, 2, 3, 4)]),
         gon12=(validate_delzant(GON12, name="gon12"), [(1, 0), (0, 1)]))
     return corpus
 
@@ -467,7 +445,7 @@ def test_a_table_builds_each_q_stratum_once_for_the_former_findings(
                 assert table.stratum(q) is stratum
     assert len(built) == count
     monkeypatch.undo()
-    monkeypatch.setattr(CircleTable, "stratum", former_stratum)
+    monkeypatch.setattr(CircleTable, "stratum", former_table_stratum)
     assert got == _findings(poly, xis)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricqh
+from reference import reference_parse
 from toricqh import examples
 from toricqh.cli import (
     COMMANDS,
@@ -671,31 +672,7 @@ def test_a_command_parser_prints_what_the_full_tree_prints(
     assert _exit_and_streams(main, argv, capsys) == full
 
 
-# ------------------------------------ the former parse, as a reference
-
-def reference_build_arg_parser(command=None):
-    """The former `build_arg_parser`, verbatim."""
-    parser = argparse.ArgumentParser(
-        prog="toricqh",
-        description="Exact quantum cohomology of toric manifolds from "
-                    "moment polytopes")
-    # the metavar would rename `command` in the full tree's errors
-    metavar = {"metavar": "{%s}" % ",".join(COMMANDS)} if command else {}
-    subs = parser.add_subparsers(dest="command", required=True, **metavar)
-    for name in [command] if command else COMMANDS:
-        help_text, handler, specs = COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
-        for flags, kwargs in specs:
-            sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(func=handler, usage_error=sub.error)
-    return parser
-
-
-def reference_parse(argv):
-    """The former parse in `main`: the invoked command's tree alone."""
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    return reference_build_arg_parser(command).parse_args(argv)
-
+# ---------------------------------------- the former parse, the reference
 
 def _parse_outcome(parse, argv):
     """(exit status, stdout, stderr, parsed values) of parse(argv), with

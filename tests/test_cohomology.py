@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricqh
+from cases import GON12, box, simplex
+from reference import det
 from toricqh import examples
 from toricqh.cohomology import (
     betti_morse,
@@ -152,7 +154,6 @@ def test_poincare_pairing_blowup(blow):
 
 
 def test_pd_matrices_nondegenerate(blow, square, cp2):
-    from test_polytope import det
     for ring in (blow, square, cp2):
         n = ring.polytope.n
         for k in range(0, n + 1):
@@ -266,7 +267,6 @@ def test_face_betti_perfection(blow, square):
 def _restriction_corpus():
     """The bundled examples with proper faces of positive dimension (all
     but s2), cp3, cube3, cp4 and cube4."""
-    from test_obstructions import box, simplex
     polys = [examples.build(name) for name in sorted(examples.BUILDERS)]
     return [p for p in polys if p.n > 1] + [simplex(3), box(3), simplex(4),
                                             box(4)]
@@ -309,7 +309,6 @@ def test_restriction_ranks_are_the_face_betti_numbers(poly):
 
 
 def _self_intersection_corpus():
-    from test_polytope import GON12
     from toricqh.polytope import validate_delzant
     polys = [examples.build(name) for name in sorted(examples.BUILDERS)]
     return [p for p in polys if p.n == 2] + [validate_delzant(GON12,
@@ -469,7 +468,6 @@ class Normals:
 def _elimination_corpus():
     """The ten corpus polytopes: the bundled examples, cp3, cube3, cp4,
     cube4 and gon12."""
-    from test_polytope import GON12
     from toricqh.polytope import validate_delzant
     return _restriction_corpus() + [validate_delzant(GON12, name="gon12")]
 

@@ -8,9 +8,10 @@ same elements, cofactors and leading monomials, and the same normal form
 and trace for every kept-variable monomial of degree at most 2n and for
 drawn polynomials.
 
-The classical layer without search is held to the code it replaced, kept
-below verbatim too: the breadth-first `standard_monomials`, the pairwise
-`_stratum` and the Fraction vertex sums of `integrate` and `pd_matrix`.
+The classical layer without search is held to the code it replaced: the
+breadth-first `standard_monomials` and the pairwise `_stratum`, which are
+the references of their jobs, and the Fraction vertex sums of `integrate`
+and `pd_matrix`, kept below verbatim.
 Bases (whose reduction now divides only when it must), standard monomials
 and pairings must match by repr on the corpus, cube5, cube6 and drawn
 Delzant polytopes, and strata on every q of the gcd-closure of the orders
@@ -29,11 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_kept_variables import CORPUS
-from test_obstructions import box as cube
-from test_polytope import smooth_polytopes
+from cases import POLYTOPES, box, exact, smooth_polytopes
+from reference import former_standard_monomials, former_stratum
 from toricqh import polynomials
-from toricqh.actions import FIXED, CircleTable, IsotropyStratum, _stratum
+from toricqh.actions import FIXED, CircleTable, _stratum
 from toricqh.cohomology import ClassicalRing, build_ring
 from toricqh.errors import DegenerateRing, StratumNotClosed, WrongDegree
 from toricqh.polytope import validate_delzant
@@ -243,13 +243,8 @@ class TracedBasis:
 def bases(name):
     """(engine basis, former basis) of the corpus ring `name`, both built
     from the ring's kept-variable Stanley-Reisner generators."""
-    engine = build_ring(CORPUS[name]).basis
+    engine = build_ring(POLYTOPES[name]).basis
     return engine, TracedBasis(engine.generators)
-
-
-def exact(value):
-    """repr, so that the types and the order of the terms count too."""
-    return repr(value)
 
 
 def monomials_up_to(width, degree):
@@ -257,7 +252,7 @@ def monomials_up_to(width, degree):
             if sum(m) <= degree]
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_the_basis_is_the_former_basis(name):
     engine, former = bases(name)
     assert exact(engine.elements) == exact(former.elements)
@@ -266,11 +261,11 @@ def test_the_basis_is_the_former_basis(name):
     assert engine.standard_monomials(100) == former.standard_monomials(100)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_normal_forms_of_monomials_are_the_former_ones(name):
     engine, former = bases(name)
     width = len(engine.lms[0])
-    for m in monomials_up_to(width, 2 * CORPUS[name].n):
+    for m in monomials_up_to(width, 2 * POLYTOPES[name].n):
         f = {m: F(1)}
         assert exact(engine.normal_form_traced(f)) == \
             exact(former.normal_form_traced(f)), (name, m)
@@ -278,9 +273,9 @@ def test_normal_forms_of_monomials_are_the_former_ones(name):
 
 @st.composite
 def kept_polynomials(draw):
-    name = draw(st.sampled_from(sorted(CORPUS)))
+    name = draw(st.sampled_from(sorted(POLYTOPES)))
     width = len(bases(name)[0].lms[0])
-    n = CORPUS[name].n
+    n = POLYTOPES[name].n
     mono = st.tuples(*[st.integers(0, n)] * width)
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     return name, draw(st.dictionaries(mono, coeff.filter(bool), max_size=6))
@@ -315,69 +310,6 @@ def test_leading_monomials_is_a_new_list_each_call():
 
 # ----------------------------- the classical layer before the staircase
 
-def former_standard_monomials(self, limit):
-    """All monomials not divisible by any leading monomial, found by
-    breadth-first growth from 1.  `limit` caps the search as a safety
-    net against a non-zero-dimensional quotient."""
-    if not self.elements:
-        raise ValueError("empty basis has infinite quotient")
-    lms = self.lms
-    width = len(lms[0])
-    start = (0,) * width
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for i in range(width):
-                cand = tuple(e + (1 if j == i else 0)
-                             for j, e in enumerate(m))
-                if cand in seen:
-                    continue
-                if any(mono_divides(lm, cand) for lm in lms):
-                    continue
-                seen.add(cand)
-                nxt.append(cand)
-        frontier = nxt
-        if len(seen) > limit:
-            raise ValueError(
-                f"quotient dimension exceeds {limit}; ideal is not "
-                "zero-dimensional as expected")
-    return tuple(sorted(seen, key=grevlex_key))
-
-
-def former_stratum(orders, q):
-    qualifying = [key for key, order in orders.items()
-                  if order is FIXED or order % q == 0]
-    qual = set(qualifying)
-    # closure under subfaces: a subface has facet set containing the face's,
-    # and its stabilizer order is a multiple, so it must qualify too
-    for key in qual:
-        for other in orders:
-            if key < other and other not in qual:
-                raise StratumNotClosed(f"the {q}-stratum holds {sorted(key)}"
-                                       f" but not its subface {sorted(other)}")
-    seen = set()
-    components = []
-    for key in sorted(qualifying, key=sorted):
-        if key in seen:
-            continue
-        comp = {key}
-        frontier = [key]
-        while frontier:
-            cur = frontier.pop()
-            for other in qualifying:
-                if other in comp:
-                    continue
-                if cur <= other or other <= cur:
-                    comp.add(other)
-                    frontier.append(other)
-        seen |= comp
-        components.append(frozenset(comp))
-    return IsotropyStratum(q=q, faces=frozenset(qualifying),
-                           components=tuple(components))
-
-
 class FractionVertexSums(ClassicalRing):
     """A classical ring that integrates and pairs as the former code did,
     with one Fraction per vertex."""
@@ -410,7 +342,7 @@ class FractionVertexSums(ClassicalRing):
 
 # --------------------------------------------- the engine against them
 
-CLASSICAL = dict(CORPUS, cube5=cube(5), cube6=cube(6))
+CLASSICAL = dict(POLYTOPES, cube5=box(5), cube6=box(6))
 
 
 def assert_the_classical_layer_is_the_former_one(poly, integrals=True):
@@ -462,9 +394,9 @@ def gcd_closure(orders):
     return sorted(candidates | {1})
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_strata_are_the_former_ones_on_every_corpus_circle(name):
-    poly = CORPUS[name]
+    poly = POLYTOPES[name]
     for xi in itertools.product(range(-2, 3) if poly.n < 4 else (-1, 0, 1),
                                 repeat=poly.n):
         if not any(xi):
@@ -477,7 +409,7 @@ def test_strata_are_the_former_ones_on_every_corpus_circle(name):
 def test_a_stratum_that_is_not_closed_is_rejected_by_both():
     """cube3's face lattice with every order 1, but order 2 on the facet
     {0}: the 2-stratum holds that facet and none of its edges."""
-    orders = dict.fromkeys(cube(3).faces, 1)
+    orders = dict.fromkeys(box(3).faces, 1)
     orders[frozenset({0})] = 2
     for stratum in (_stratum, former_stratum):
         with pytest.raises(StratumNotClosed):

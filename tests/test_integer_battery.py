@@ -5,250 +5,44 @@ vertex and builds a `Fraction` only for a component's K; `chain_bound` runs
 its hop costs, Dijkstra, tightness test and m-sums in ints scaled by D * Q;
 `poly_substitute` keeps int coefficients, so the kept-variable images and
 their normal forms carry ints; `primitive_sets` is computed once per
-polytope.  `FormerCircleTable`, `former_chain_bound`,
-`former_poly_substitute` and `former_primitive_sets` below are the former
-code, verbatim but for their names.  On the bundled examples, the corpus
-and seeded draws with isotropy and Q above 1, both must give the same
-tables, bounds and certificates, and no float may appear anywhere.
+polytope.  The references are the former code: `FormerCircleTable`,
+`former_chain_bound`, `former_poly_substitute` and `former_primitive_sets`.
+On the bundled examples, the corpus and seeded draws with isotropy and Q
+above 1, both must give the same tables, bounds and certificates, and no
+float may appear anywhere.
 """
 
 import functools
-import heapq
 import itertools
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
 from math import lcm
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from test_kept_variables import CORPUS
-from test_seidel_reads import box_vectors
-from toricqh import examples, linalg
-from toricqh.actions import (
-    FIXED,
-    CircleTable,
-    _check_xi,
-    _component,
-    _order,
-    _stratum,
-    _weights,
+from cases import POLYTOPES, box_vectors
+from reference import (
+    FormerCircleTable,
+    former_chain_bound,
+    former_poly_substitute,
+    former_primitive_sets,
 )
+from toricqh import examples
+from toricqh.actions import CircleTable
 from toricqh.cohomology import build_ring
-from toricqh.errors import (
-    InconsistentWeights,
-    MomentNotConstant,
-    NonIntegralCoefficient,
-    ToricError,
-)
+from toricqh.errors import ToricError
 from toricqh.obstructions import ChainBound, chain_bound
 from toricqh.polynomials import (
     TracedBasis,
     divmod_basis,
     poly_add,
-    poly_const,
     poly_mul,
-    poly_scale,
     poly_substitute,
 )
-from toricqh.polytope import (
-    PrimitiveSet,
-    beta_class,
-    dual_cone_face,
-    normalize,
-    primitive_sets,
-    validate_delzant,
-)
+from toricqh.polytope import normalize, primitive_sets, validate_delzant
 
 F = Fraction
-
-
-# ------------------------------------------------- the former code, verbatim
-
-class FormerCircleTable:
-    """The circle xi on poly: xi's coordinates and moment value at every
-    vertex, and, each on first use, the fixed components and the isotropy
-    order of every face.  A table lives for one call."""
-
-    def __init__(self, poly, xi):
-        self.poly = poly
-        self.xi = xi = _check_xi(xi, poly.n)
-        self.coords = [poly.coordinates(vid, xi)
-                       for vid in range(len(poly.vertices))]
-        scale, points = poly.scaled_vertices
-        self.values = [Fraction(linalg.vec_dot(xi, p), scale)
-                       for p in points]
-
-    def moment_value(self, face):
-        """Value of <xi, .> on a face on which it is constant."""
-        values = {self.values[vid] for vid in face.vertex_ids}
-        if len(values) != 1:
-            raise MomentNotConstant(
-                f"<xi, .> is not constant on face {sorted(face.facets)}")
-        return values.pop()
-
-    @cached_property
-    def components(self):
-        # the fixed component through a vertex is cut out by the facets on
-        # which xi has a nonzero coordinate there
-        keys = {frozenset(i for i, c in coords.items() if c != 0)
-                for coords in self.coords}
-        comps = []
-        for key in keys:
-            face = self.poly.faces[key]
-            comps.append(_component(face, self.moment_value(face),
-                                    _weights(self.coords, face)))
-        comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
-        if len({v for c in comps for v in c.face.vertex_ids}) != \
-                sum(len(c.face.vertex_ids) for c in comps):
-            raise InconsistentWeights("fixed faces overlap")
-        return comps
-
-    @cached_property
-    def orders(self):
-        """Face key -> isotropy order, read at each face's first vertex."""
-        return {key: _order(self.coords[face.vertex_ids[0]], face)
-                for key, face in self.poly.faces.items()}
-
-    @cached_property
-    def isotropy_bound(self):
-        return max([1] + [order for order in self.orders.values()
-                          if order is not FIXED])
-
-    def stratum(self, q):
-        return _stratum(self.orders, q)
-
-    def q_pairs(self, faces):
-        candidates = {d for order in self.orders.values()
-                      if order is not FIXED
-                      for d in range(2, order + 1) if order % d == 0}
-        pairs = dict.fromkeys(combinations(range(len(faces)), 2), 1)
-        for q in sorted(candidates):  # ascending: a larger q overwrites
-            for comp in self.stratum(q).components:
-                inside = [k for k, face in enumerate(faces)
-                          if face.facets in comp]
-                for pair in combinations(inside, 2):
-                    pairs[pair] = q
-        return pairs
-
-    def superlevel_bounds(self, levels):
-        tops = [(max(self.values[v] for v in self.poly.faces[key].vertex_ids),
-                 order)
-                for key, order in self.orders.items() if order is not FIXED]
-        return {c: max([1] + [order for top, order in tops if top > c])
-                for c in levels}
-
-
-def former_chain_bound(poly, xi, circle=None):
-    """Cheapest chain of fixed components from the maximum to the minimum,
-    with cost |dK| / q over each hop, and whether some cheapest chain also
-    realizes the weight-sum condition.
-
-    Hop costs are positive and symmetric, so one Dijkstra from the minimum
-    gives each component's cheapest remaining cost `rest`.  The cheapest
-    chains are exactly the walks from the maximum along tight hops (those
-    with cost(u, v) + rest[v] == rest[u]); `rest` falls strictly along them,
-    so they visit each component at most once.  `circle` is the circle
-    table of (poly, xi), when the caller holds one.
-    """
-    circle = circle or FormerCircleTable(poly, xi)
-    comps = circle.components
-    n = len(comps)
-    fmax = comps[0]
-    keys = [tuple(sorted(c.facets)) for c in comps]
-    qs = circle.q_pairs([c.face for c in comps])
-    # comps run by decreasing K, so a hop i -> j with i < j goes down; the
-    # cost and the m-step (m_i - m_j) / q are the same in both directions
-    hops = {u: [] for u in range(n)}  # u -> [(v, cost, m-step)], v ascending
-    for (i, j), q in qs.items():
-        if comps[i].K != comps[j].K:
-            hop = ((comps[i].K - comps[j].K) / q,
-                   Fraction(comps[i].m - comps[j].m, q))
-            hops[i].append((j, *hop))
-            hops[j].append((i, *hop))
-    rest = {}
-    heap = [(Fraction(0), n - 1)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in rest:
-            continue
-        rest[u] = d
-        for v, cost, _ in hops[u]:
-            if v not in rest:
-                heapq.heappush(heap, (d + cost, v))
-    tight = {u: [(v, step) for v, cost, step in edges
-                 if cost + rest[v] == rest[u]] for u, edges in hops.items()}
-    walks = []
-
-    def walk(u, path, m):
-        if u == n - 1:
-            walks.append((path, m))
-        for v, step in tight[u]:
-            walk(v, path + (keys[v],), m + step)
-
-    walk(0, (keys[0],), Fraction(0))
-    return ChainBound(min_cost=rest[0], K_max=fmax.K,
-                      optimal_paths=tuple(path for path, _ in walks),
-                      m_condition_achievable=any(m == fmax.m
-                                                 for _, m in walks),
-                      q_values={(keys[i], keys[j]): q
-                                for (i, j), q in qs.items()})
-
-
-def former_poly_substitute(f, images, width):
-    """Substitute variable i by the polynomial images[i], producing a
-    polynomial of the given variable width.  It multiplies once per unit
-    of exponent, so its cost grows with the exponents themselves: the Fano
-    Seidel element of a circle with large entries lifts x^a with large a."""
-    out = {}
-    for m, c in f.items():
-        term = poly_const(1, width)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                term = poly_mul(term, images[i])
-        out = poly_add(out, poly_scale(term, c))
-    return out
-
-
-def former_primitive_sets(poly):
-    """All primitive facet subsets with their dual-cone data, by size.
-
-    Every proper subset of a primitive collection spans a cone of the
-    simplicial fan, which has at most n rays, so no primitive collection
-    has more than n + 1 elements (Batyrev)."""
-    N = poly.num_facets
-    results = []
-    primitive_found = set()
-    for size in range(2, min(N, poly.n + 1) + 1):
-        for sub in combinations(range(N), size):
-            fs = frozenset(sub)
-            if fs in poly.faces:  # a cone of the normal fan
-                continue
-            if any(p <= fs for p in primitive_found):
-                continue  # a proper subset already fails to intersect
-            if all(frozenset(s) in poly.faces
-                   for s in combinations(sub, size - 1)):
-                primitive_found.add(fs)
-                v = tuple(sum(poly.normal(i)[k] for i in sub)
-                          for k in range(poly.n))
-                _, support = dual_cone_face(poly, v)
-                j_sorted = tuple(sorted(support))
-                coeffs = tuple(support[j] for j in j_sorted)
-                if any(Fraction(c).denominator != 1 or c <= 0 for c in coeffs):
-                    raise NonIntegralCoefficient(
-                        f"dual-cone coefficients for I={sub} are {coeffs}")
-                if fs & frozenset(j_sorted):
-                    raise NonIntegralCoefficient(
-                        f"I={sub} meets its complement set {j_sorted}")
-                beta, energy = beta_class(poly, sub, j_sorted, coeffs)
-                results.append(PrimitiveSet(indices=tuple(sub),
-                                            j_indices=j_sorted,
-                                            coeffs=coeffs, beta=beta,
-                                            energy=energy))
-    results.sort(key=lambda p: (len(p.indices), p.indices))
-    return results
 
 
 # ------------------------------------------------------------------- helpers
@@ -296,19 +90,19 @@ def full_monomials(N, degree):
 
 BUNDLED = {name: normalize(examples.build(name))
            for name in sorted(examples.BUILDERS)}
-SIZED = [(name, CORPUS[name], r) for name, r in
+SIZED = [(name, POLYTOPES[name], r) for name, r in
          (("cp3", 1), ("cube3", 1), ("cp4", 1), ("cube4", 1), ("gon12", 1))]
 CASES = [(name, poly, xi) for name, poly in BUNDLED.items()
          for xi in box_vectors(poly.n, 2)] + \
     [(name, poly, xi)
      for name, poly, r in SIZED for xi in box_vectors(poly.n, r)]
-DRAWN = {name: normalize(CORPUS[name])
+DRAWN = {name: normalize(POLYTOPES[name])
          for name in ("blowup_cp2", "s2xs2", "cube3")}
 
 
 @functools.lru_cache(maxsize=None)
 def ring_of(name):
-    return build_ring(CORPUS[name])
+    return build_ring(POLYTOPES[name])
 
 
 def compare_circle(poly, xi):
@@ -378,9 +172,9 @@ def test_the_drawn_range_reaches_isotropy_and_q_above_one():
 
 # ------------------------------------------------- images and normal forms
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_images_are_the_former_images_in_ints(name):
-    poly = CORPUS[name]
+    poly = POLYTOPES[name]
     ring = ring_of(name)
     for mono in full_monomials(poly.num_facets, poly.n + 1):
         want = former_poly_substitute({mono: 1}, ring.images, ring.width)
@@ -413,9 +207,9 @@ def test_drawn_substitutions_are_the_former_ones(case):
     assert exact_coefficients(got) and not floats_in(got)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_no_float_in_a_corpus_ring(name):
-    poly = CORPUS[name]
+    poly = POLYTOPES[name]
     ring = ring_of(name)
     assert not floats_in(ring.images)
     for mono in full_monomials(poly.num_facets, poly.n + 1):
@@ -427,7 +221,7 @@ def test_no_float_in_a_corpus_ring(name):
                for g in ring.basis.generators for c in g.values())
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_int_generators_give_the_fraction_basis(name):
     """The basis of int copies of the generators, which divides by int
     leads, is the engine's basis, types and term order included."""
@@ -468,9 +262,9 @@ def test_the_division_by_an_int_lead_is_exact():
 
 # ------------------------------------------------------------ primitive sets
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_primitive_sets_are_the_former_list_on_every_call(name):
-    poly = CORPUS[name]
+    poly = POLYTOPES[name]
     fresh = validate_delzant([(f.normal, f.support, f.label)
                               for f in poly.facets], name=poly.name)
     want = former_primitive_sets(fresh)
@@ -482,7 +276,6 @@ def test_primitive_sets_are_the_former_list_on_every_call(name):
     second.append(None)
     third = primitive_sets(fresh)
     assert third == want and third is not second
-
 
 
 # ------------------------------------------ q over the gcd-closure of orders
@@ -502,12 +295,12 @@ def test_q_pairs_of_every_corpus_circle_are_the_former_ones():
 
 @settings(max_examples=80, deadline=None)
 @seed(20241)
-@given(st.sampled_from(sorted(CORPUS)).flatmap(
+@given(st.sampled_from(sorted(POLYTOPES)).flatmap(
     lambda name: st.tuples(st.just(name), st.integers(1, 60), st.tuples(
-        *[st.integers(-300, 300)] * CORPUS[name].n)).filter(
+        *[st.integers(-300, 300)] * POLYTOPES[name].n)).filter(
             lambda c: any(c[2]))))
 def test_drawn_circles_with_large_entries_have_the_former_q_pairs(case):
     """Large multiples of drawn directions, whose faces have large orders
     with many common divisors."""
     name, k, xi = case
-    check_q_pairs(CORPUS[name], tuple(k * x for x in xi))
+    check_q_pairs(POLYTOPES[name], tuple(k * x for x in xi))

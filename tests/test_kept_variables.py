@@ -3,195 +3,44 @@ replaced: the Fano facet Seidel element as `seidel_element` of the facet
 normal, the presentations with the Stanley-Reisner leads read off the ring,
 and the monomials of the obstruction rules from `poly_monomial`, reduced
 through the ring's memo and restricted to every face, a vertex included,
-as a product with the face's class.  Each former version is kept here
-verbatim as the reference."""
+as a product with the face's class.  The former versions are the
+references; the Euler class is held to the one Euler class reference of
+the tests, which restricts to the face by `restrict_to_face`."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from test_polytope import GON12
-from test_quantum import hirz_y_table
-from test_quantum_nf import CORPUS as PRESENTED
-from test_quantum_nf import snapshot
+from cases import FANO, GON12_POLY, hirz_y_table, snapshot
+from reference import (
+    former_euler_class_nonzero,
+    reference_classical_class,
+    reference_facet_seidel_fano,
+    reference_fano_presentation,
+    reference_nef_presentation,
+)
 from toricqh import examples
 from toricqh.actions import fixed_components
 from toricqh.cohomology import build_ring
-from toricqh.errors import BadCorrectionValuation, MissingYEntry, ToricError
+from toricqh.errors import ToricError
 from toricqh.novikov import NovScalar
 from toricqh.obstructions import _classical_class, _euler_class_nonzero
-from toricqh.polynomials import poly_const, poly_monomial, poly_mul
-from toricqh.polytope import validate_delzant
 from toricqh.quantum import (
     QClass,
-    QuantumPresentation,
-    _validate_y_correction,
     default_cutoff,
     fano_presentation,
-    lift,
     nef_presentation,
-    qpoly_add,
-    qpoly_from_poly,
-    qpoly_mul,
-    qpoly_scale,
-    qpoly_valuation,
 )
-from toricqh.seidel import SeidelElement, facet_seidel
+from toricqh.seidel import facet_seidel
 
 F = Fraction
 
 
-# ---------------------------------------------------------- the references
-
-def reference_facet_seidel_fano(qp, i):
-    """The former Fano branch of facet_seidel."""
-    poly = qp.polytope
-    support = poly.support(i)
-    full = [0] * poly.num_facets
-    full[i] = 1
-    qclass = lift(qp, {(tuple(full), -1, -support): 1})
-    return SeidelElement(qclass=qclass, xi=poly.normal(i), mode=qp.mode,
-                         leading_face=frozenset({i}), m_max=-1,
-                         K_max=support, semifree=True)
-
-
-def reference_fano_presentation(poly, cutoff=None):
-    """The former fano_presentation, with x^J built by hand."""
-    ring = build_ring(poly)
-    cutoff = Fraction(cutoff) if cutoff is not None else \
-        default_cutoff(poly)
-    corrections = {}
-    energies = []
-    for p in ring.prims:
-        mono = {tuple(p.coeffs[p.j_indices.index(j)] if j in p.j_indices
-                      else 0 for j in range(poly.num_facets)): Fraction(1)}
-        kept = ring.substitute(mono)
-        omega = p.beta.omega(poly)
-        corrections[p.key] = qpoly_from_poly(kept, cutoff,
-                                             d=p.beta.c1(), kappa=omega)
-        energies.append(omega)
-    return QuantumPresentation(ring=ring, corrections=corrections,
-                               hbar=min(energies), cutoff=cutoff, mode="fano")
-
-
-def reference_nef_presentation(poly, y_table, cutoff=None):
-    """The former nef_presentation, with x_I built by hand."""
-    ring = build_ring(poly)
-    cutoff = Fraction(cutoff) if cutoff is not None else \
-        default_cutoff(poly)
-    y_classes = {}
-    for i in range(poly.num_facets):
-        if i not in y_table:
-            raise MissingYEntry(
-                f"no Y entry for facet {i + 1}; supply one (possibly empty)")
-        corr = {m: (s if isinstance(s, NovScalar) else
-                    NovScalar.monomial(s, 0, 0, cutoff))
-                for m, s in y_table[i].items()}
-        kept_corr = _validate_y_correction(ring, i, corr, cutoff)
-        xi = qpoly_from_poly(ring.var(i), cutoff)
-        y_classes[i] = qpoly_add(xi, kept_corr)
-
-    corrections = {}
-    energies = []
-    for p in ring.prims:
-        lead = qpoly_from_poly(ring.substitute(
-            {tuple(1 if j in p.indices else 0
-                   for j in range(poly.num_facets)): Fraction(1)}), cutoff)
-        prod_i = None
-        for i in p.indices:
-            prod_i = y_classes[i] if prod_i is None \
-                else qpoly_mul(prod_i, y_classes[i])
-        prod_j = {(0,) * ring.width: NovScalar.one(cutoff)}
-        for j, c in zip(p.j_indices, p.coeffs):
-            for _ in range(c):
-                prod_j = qpoly_mul(prod_j, y_classes[j])
-        omega = p.beta.omega(poly)
-        energy = NovScalar.monomial(1, p.beta.c1(), omega, cutoff)
-        q_gen = qpoly_add(prod_i, qpoly_scale(prod_j, -energy))
-        delta = qpoly_add(lead, qpoly_scale(q_gen, NovScalar.monomial(
-            -1, 0, 0, cutoff)))
-        val = qpoly_valuation(delta)
-        if val is None or val <= 0:
-            raise BadCorrectionValuation(
-                f"relation correction for I={list(p.indices)} has "
-                f"valuation {val}")
-        corrections[p.key] = delta
-        energies.append(val)
-    return QuantumPresentation(ring=ring, corrections=corrections,
-                               hbar=min(energies), cutoff=cutoff, mode="nef",
-                               y_classes=y_classes)
-
-
-class PointRing:
-    """The ring of a vertex face: just Q."""
-
-    def __init__(self, face):
-        self.face = face
-
-    def integrate(self, poly):
-        return poly.get((), Fraction(0))
-
-
-def restrict_to_face(ring, full_poly, face):
-    """Restriction H*(M) -> H*(F) to the toric submanifold F over a face.
-
-    A class a|F is represented by its pushforward a * [F] in H*(M), the
-    normal form of a * x_F with x_F the product of the facet variables
-    containing F (x_F = 1 for the whole polytope).  The representation is
-    faithful: H*(F) is generated by restricted facet classes and F and M
-    both satisfy Poincare duality, so pushforward is injective on H*(F), and
-    `ring.integrate` of a result of top degree is the integral of a over F.
-    Returns (ring, class); a vertex returns (PointRing(face), {(): c}) with
-    c the constant term of a, or an empty class when c is 0.
-    """
-    poly = ring.polytope
-    N = poly.num_facets
-    if face.dim == 0:
-        c = full_poly.get((0,) * N, Fraction(0))
-        return PointRing(face), ({(): c} if c else {})
-    x_face = poly_monomial(dict.fromkeys(face.facets, 1), N)
-    return ring, ring.reduce_full(poly_mul(full_poly, x_face))
-
-
-def reference_euler_class_nonzero(ring, comp):
-    """The former _euler_class_nonzero, a poly_const/poly_mul chain, on the
-    former restrict_to_face above, with its vertex branch."""
-    poly = ring.polytope
-    face = comp.face
-    product_full = poly_const(1, poly.num_facets)
-    rank = 0
-    for i, w in comp.weights.items():
-        if w <= -2:
-            mono = [0] * poly.num_facets
-            mono[i] = -w - 1
-            rank += -w - 1
-            product_full = poly_mul(product_full, {tuple(mono): Fraction(1)})
-    if rank == 0:
-        return True  # rank-zero bundle: the Euler class is the unit
-    face_ring, value = restrict_to_face(ring, product_full, face)
-    return bool(value)
-
-
-def reference_classical_class(ring, facet_powers, classes):
-    """The former _classical_class, its exponent tuple built by hand."""
-    mono = [0] * ring.polytope.num_facets
-    for i, e in facet_powers.items():
-        mono[i] = e
-    mono = tuple(mono)
-    if mono not in classes:
-        classes[mono] = ring.reduce_full({mono: Fraction(1)})
-    return classes[mono]
-
-
 # ---------------------------------------------------------------- the corpus
 
-FANO = {name: poly for name, (poly, build) in PRESENTED.items()
-        if build is fano_presentation}
 CUTOFFS = [None, F(1), F(1, 2)]
 CUTOFF_IDS = ["default", "1", "1/2"]
-GON12_POLY = validate_delzant(GON12, name="gon12")
-CORPUS = dict(FANO, hirzebruch2=examples.hirzebruch2(F(2)), gon12=GON12_POLY)
 
 
 def qpoly_snapshot(qpoly):
@@ -257,7 +106,7 @@ def test_obstruction_monomials_match_the_former_builders(poly):
             continue
         for comp in fixed_components(poly, xi):
             assert _euler_class_nonzero(ring, comp) == \
-                reference_euler_class_nonzero(ring, comp), (xi, comp.facets)
+                former_euler_class_nonzero(ring, comp), (xi, comp.facets)
             for powers in ({i: 1 for i, w in comp.weights.items() if w == 1},
                            {i: 1 for i, w in comp.weights.items() if w == -1},
                            {i: w for i, w in comp.weights.items() if w > 0},

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_quantum_nf import CORPUS, CUTOFFS, presented, typed
-from test_seidel_reads import facet_monomials
+from cases import CUTOFFS, PRESENTED, facet_monomials, presented, typed_class
 from toricqh.errors import (
     DimensionMismatch,
     ExprSyntaxError,
@@ -85,7 +84,7 @@ def reference(qp, terms, truncated=False):
 
 
 def assert_same(got, want, qp, what):
-    assert typed(got) == typed(want), what
+    assert typed_class(got) == typed_class(want), what
     assert got.cutoff is qp.cutoff, what
     assert all(s.cutoff is qp.cutoff for s in got.coeffs.values()), what
 
@@ -108,7 +107,7 @@ def linear_relations(poly):
             for k in range(poly.n)]
 
 
-CASES = [(name, cutoff) for name in sorted(CORPUS)
+CASES = [(name, cutoff) for name in sorted(PRESENTED)
          for cutoff in CUTOFFS[name]]
 
 

@@ -1,8 +1,8 @@
 """`ClassicalRing.integrate` by localization at the vertices against the
 former integral, which read the coefficient of the one top standard
 monomial in a normal form and divided by that of the reference vertex
-monomial.  `FormerIntegral` below keeps the former `integrate`, with the two
-helpers only it used, verbatim."""
+monomial.  The reference `FormerIntegral` keeps the former `integrate`, with
+the two helpers only it used."""
 
 import dataclasses
 import functools
@@ -13,51 +13,18 @@ from fractions import Fraction
 
 import pytest
 
-from test_kept_variables import CORPUS
-from toricqh.cohomology import ClassicalRing, build_ring
-from toricqh.errors import DegenerateRing, WrongDegree
-from toricqh.polynomials import mono_degree, poly_monomial
+from cases import POLYTOPES, exact
+from reference import FormerIntegral
+from toricqh.cohomology import build_ring
+from toricqh.errors import WrongDegree
 
 F = Fraction
-
-
-class FormerIntegral(ClassicalRing):
-    """A classical ring that integrates as the former code did."""
-
-    def _top_monomial(self):
-        tops = [m for m in self.standard_monomials
-                if mono_degree(m) == self.polytope.n]
-        if len(tops) != 1:
-            raise DegenerateRing("top cohomology is not one dimensional")
-        return tops[0]
-
-    def reference_vertex_monomial(self):
-        """Product of the facet classes through the lex-least vertex."""
-        return self.substitute(poly_monomial(
-            dict.fromkeys(self.polytope.vertex_facets(0), 1),
-            self.polytope.num_facets))
-
-    def integrate(self, poly):
-        """Integral of a homogeneous top-degree class over the manifold."""
-        if not poly:
-            return Fraction(0)
-        n = self.polytope.n
-        if any(mono_degree(m) != n for m in poly):
-            raise WrongDegree(
-                f"integrand must be homogeneous of cohomological degree {2 * n}")
-        nf = self.nf(poly)
-        top = self._top_monomial()
-        ref = self.nf(self.reference_vertex_monomial())
-        if not ref or not set(ref) <= {top}:
-            raise DegenerateRing("reference vertex monomial is not a nonzero "
-                                 "multiple of the top class")
-        return nf.get(top, Fraction(0)) / ref[top]
 
 
 @functools.lru_cache(maxsize=None)
 def rings(name):
     """(engine ring, the same ring integrating the former way)."""
-    ring = build_ring(CORPUS[name])
+    ring = build_ring(POLYTOPES[name])
     return ring, FormerIntegral(**{f.name: getattr(ring, f.name)
                                    for f in fields(ring) if f.init})
 
@@ -68,12 +35,7 @@ def top_monomials(ring):
             if sum(m) == ring.polytope.n]
 
 
-def exact(value):
-    """repr, so that a Fraction and an int that are equal still differ."""
-    return repr(value)
-
-
-SMALL = sorted(name for name in CORPUS if name not in ("cube4", "gon12"))
+SMALL = sorted(name for name in POLYTOPES if name not in ("cube4", "gon12"))
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -96,14 +58,14 @@ def test_a_seeded_sample_integrates_as_before(name):
         assert exact(ring.integrate(f)) == exact(former.integrate(f)), f
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_the_pairing_matrices_are_the_former_ones(name):
     ring, former = rings(name)
     for k in range(ring.polytope.n + 1):
         assert exact(ring.pd_matrix(2 * k)) == exact(former.pd_matrix(2 * k))
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_a_wrong_degree_is_still_a_typed_error(name):
     ring, former = rings(name)
     n = ring.polytope.n
@@ -118,7 +80,7 @@ def test_a_wrong_degree_is_still_a_typed_error(name):
 
 
 def test_the_vertex_weights_are_built_once_per_polytope():
-    poly = dataclasses.replace(CORPUS["cp2"])
+    poly = dataclasses.replace(POLYTOPES["cp2"])
     ring = build_ring(poly)
     assert "localization" not in vars(ring) and "morse" not in vars(poly)
     ring.integrate({(2, 0): F(1)})

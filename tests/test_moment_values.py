@@ -4,105 +4,34 @@
 denominators and the vertices times D.  `CircleTable.values` is
 Fraction(<xi, point>, D), and `generic_vector`, `centroid` and `betti_morse`
 read the same pair.  Each must equal the former computation: a `Fraction`
-dot product per vertex for the moment values, and verbatim copies of the
-former private scalings below.  The corpus is the ten corpus polytopes and
+dot product per vertex for the moment values, and the former private
+scalings, the references.  The corpus is the ten corpus polytopes and
 translated copies whose supports carry denominators.  The centroid, a vertex
 sum by localization, is held to the former triangulation, copied verbatim
 with `_simplices_of_face`, on that corpus and on `smooth_polytopes` draws.
 """
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
 
-from test_kept_variables import CORPUS
-from test_polytope import det, smooth_polytopes, vec_sub
+from cases import POLYTOPES, box_vectors, smooth_polytopes
+from reference import (
+    reference_betti_morse,
+    reference_centroid,
+    reference_generic_vector,
+)
 from toricqh import linalg
 from toricqh.actions import CircleTable
 from toricqh.cohomology import betti_morse, generic_vector
-from toricqh.errors import NonGenericVector, NotFullDimensional
+from toricqh.errors import NonGenericVector
 from toricqh.polytope import centroid, validate_delzant
 
 F = Fraction
 
 SHIFT = (F(1, 3), F(-2, 5), F(3, 7), F(-1, 11))
-
-
-# ----------------------------------------------------- the former versions
-
-def reference_generic_vector(poly):
-    points = [poly.vertex_point(v) for v in range(len(poly.vertices))]
-    den = lcm(*(x.denominator for p in points for x in p))
-    points = [tuple(x.numerator * (den // x.denominator) for x in p)
-              for p in points]
-    M = 1 + max(abs(x) for p in points for x in p)
-    for _ in range(64):
-        xi = tuple(M ** j for j in range(poly.n))
-        if len({linalg.vec_dot(xi, p) for p in points}) == len(points):
-            return xi
-        M = 2 * M + 1
-    raise NonGenericVector("could not find a separating direction")
-
-
-def _simplices_of_face(poly, face):
-    """Recursive triangulation from the lex-least vertex of each face.
-
-    Returns simplices as tuples of vertex ids; each has dim(face)+1 entries.
-    The facets of a face F are the faces keyed F.facets | {i}.
-    """
-    if face.dim == 0:
-        return [(face.vertex_ids[0],)]
-    anchor = min(face.vertex_ids, key=poly.vertex_point)  # lex-least
-    simplices = []
-    for i in range(poly.num_facets):
-        sub = poly.faces.get(face.facets | {i})
-        if sub is None or sub.dim != face.dim - 1 or anchor in sub.vertex_ids:
-            continue
-        for s in _simplices_of_face(poly, sub):
-            simplices.append((anchor,) + s)
-    return simplices
-
-
-def reference_centroid(poly):
-    scale = lcm(*(x.denominator for point, _ in poly.vertices for x in point))
-    points = [tuple(x.numerator * (scale // x.denominator) for x in point)
-              for point, _ in poly.vertices]
-    total_vol = 0
-    weighted = [0] * poly.n
-    for simplex in _simplices_of_face(poly, poly.face(frozenset())):
-        base = points[simplex[0]]
-        vol = abs(det([vec_sub(points[v], base) for v in simplex[1:]]))
-        total_vol += vol
-        for k in range(poly.n):
-            weighted[k] += vol * sum(points[v][k] for v in simplex)
-    if total_vol == 0:
-        raise NotFullDimensional(
-            f"the triangulation of {poly.name or 'the polytope'} has volume 0")
-    return tuple(Fraction(w, total_vol * scale * (poly.n + 1))
-                 for w in weighted)
-
-
-def vertex_weights(poly, vid, xi):
-    """The former `cohomology.vertex_weights`, verbatim: the weights of the
-    circle xi at a vertex, minus the coefficients of xi in the vertex's
-    outward normal basis, keyed by facet index."""
-    return {i: -c for i, c in poly.coordinates(vid, xi).items()}
-
-
-def reference_betti_morse(poly, xi):
-    kvals = [linalg.vec_dot(xi, poly.vertex_point(v))
-             for v in range(len(poly.vertices))]
-    if len(set(kvals)) != len(kvals):
-        raise NonGenericVector(
-            f"{tuple(xi)} does not separate the vertices")
-    counts = [0] * (poly.n + 1)
-    for vid in range(len(poly.vertices)):
-        w = vertex_weights(poly, vid, xi)
-        counts[sum(1 for x in w.values() if x < 0)] += 1
-    return tuple(counts)
 
 
 # ------------------------------------------------------------------- corpus
@@ -117,7 +46,7 @@ def translated(poly):
 
 def _corpus():
     out = {}
-    for name, poly in CORPUS.items():
+    for name, poly in POLYTOPES.items():
         out[name] = poly
         out[f"{name} shifted"] = translated(poly)
     return out
@@ -127,9 +56,7 @@ MOMENT_CORPUS = _corpus()
 
 
 def xi_box(n):
-    r = 2 if n <= 2 else 1
-    return [xi for xi in itertools.product(range(-r, r + 1), repeat=n)
-            if any(xi)]
+    return box_vectors(n, 2 if n <= 2 else 1)
 
 
 def outcome(compute):

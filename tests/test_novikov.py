@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_quantum import hirz_y_table
+from cases import hirz_y_table
 from toricqh import cli, examples
 from toricqh.errors import (
     CutoffMismatch,
@@ -191,7 +191,6 @@ def test_exact_input_is_kept_exactly():
                for (d, k), c in a.terms.items())
     assert NovScalar.monomial(3, -2, Fraction(1, 2), 1) == \
         NovScalar({(-2, F(1, 2)): F(3)}, 1)
-
 
 
 # ------------------------------------- inexact cutoffs and factors are typed

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_quantum_nf import CORPUS
+from cases import PRESENTED
 from toricqh import examples, novikov
 from toricqh.errors import (
     CutoffMismatch,
@@ -341,7 +341,7 @@ def test_two_leading_terms_are_not_a_unit_on_any_grid():
 def test_qinv_of_every_fano_facet_element_has_exact_coefficients(name):
     """qinv solves its unit system with `/`: an int coefficient there
     would give a float, which `NovScalar.monomial` rejects."""
-    qp = fano_presentation(CORPUS[name][0])
+    qp = fano_presentation(PRESENTED[name][0])
     for i in range(qp.polytope.num_facets):
         inverse = qinv(facet_seidel(qp, i).qclass, qp)
         assert not inverse.is_zero()

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
+from cases import FANO, box, hirz_y_table, simplex
+from reference import former_check_homomorphism, former_check_inverse_law
 from toricqh import examples
 from toricqh import oracle as oracle_module
 from toricqh import quantum as quantum_module
@@ -13,8 +14,6 @@ from toricqh.actions import fixed_maximum
 from toricqh.novikov import NovScalar
 from toricqh.oracle import (
     DEFAULT_SEED,
-    _agree,
-    _random_xi,
     check_associativity,
     check_classical_limit,
     check_grading_and_betti,
@@ -29,14 +28,9 @@ from toricqh.quantum import (
     default_cutoff,
     fano_presentation,
     nef_presentation,
-    qprod,
     qscale,
 )
 from toricqh.seidel import facet_seidel, seidel_element
-
-from test_kept_variables import FANO
-from test_obstructions import box, simplex
-from test_quantum import hirz_y_table
 
 F = Fraction
 
@@ -178,40 +172,6 @@ def test_vertex_independence_catches_a_corrupted_facet_element():
 
 # ------------------------------------------- the former two law checks
 
-def former_check_homomorphism(qp, trials=20, seed=DEFAULT_SEED):
-    """Violations of S(xi1 + xi2) = S(xi1) * S(xi2) on random directions."""
-    rng = random.Random(seed)
-    poly = qp.polytope
-    violations = []
-    for _ in range(trials):
-        xi1 = _random_xi(rng, poly.n)
-        xi2 = _random_xi(rng, poly.n)
-        total = tuple(a + b for a, b in zip(xi1, xi2))
-        product = qprod(seidel_element(qp, xi1).qclass,
-                        seidel_element(qp, xi2).qclass, qp)
-        if any(total):
-            expected = seidel_element(qp, total).qclass
-        else:
-            expected = qp.one()
-        if not _agree(qp, product, expected):
-            violations.append({"xi1": xi1, "xi2": xi2})
-    return violations
-
-
-def former_check_inverse_law(qp, trials=10, seed=DEFAULT_SEED):
-    """Violations of S(xi) * S(-xi) = 1 on random directions."""
-    rng = random.Random(seed + 1)
-    poly = qp.polytope
-    violations = []
-    for _ in range(trials):
-        xi = _random_xi(rng, poly.n)
-        product = qprod(seidel_element(qp, xi).qclass,
-                        seidel_element(qp, tuple(-x for x in xi)).qclass, qp)
-        if not _agree(qp, product, qp.one()):
-            violations.append({"xi": xi})
-    return violations
-
-
 LAW_CORPUS = dict(FANO, hirzebruch2_nef=None)
 
 
@@ -242,7 +202,7 @@ def test_the_laws_are_one_law_at_the_former_draws(monkeypatch, name):
             got, got_asked = new(qp, trials, seed), list(asked)
             monkeypatch.undo()
             del asked[:]
-            monkeypatch.setitem(globals(), "seidel_element", recorded)
+            monkeypatch.setitem(former.__globals__, "seidel_element", recorded)
             want, want_asked = former(qp, trials, seed), list(asked)
             monkeypatch.undo()
             assert got == want, (new.__name__, seed, trials)

@@ -11,6 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricqh
+from cases import GON12, box, simplex, smooth_polytopes
+from reference import (
+    det,
+    kernel_basis_int,
+    reference_validate,
+    solve_unimodular,
+)
 from toricqh import examples
 from toricqh import linalg
 from toricqh.errors import (
@@ -26,9 +33,7 @@ from toricqh.errors import (
 )
 from toricqh.polytope import (
     DelzantPolytope,
-    Face,
     Facet,
-    beta_class,
     centroid,
     dual_cone_face,
     normalize,
@@ -333,17 +338,9 @@ def test_dual_cone_face_outside_an_incomplete_fan():
 
 # ------------------------------------------------------- vertex dual bases
 
-# a smooth 12-gon: the square with its four corners blown up twice each
-GON12 = [(ray, F(s)) for ray, s in zip(
-    ((1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-2, -1),
-     (-1, -1), (-1, -2), (0, -1), (1, -1)),
-    ("3", "13/2", "4", "13/2", "3", "5", "3", "13/2", "4", "13/2", "3", "5"))]
-
-
 def _dual_basis_corpus():
     """Name -> (polytope, box radius): the bundled examples, cp3, cube3,
     cp4, cube4 and the 12-gon."""
-    from test_obstructions import box, simplex
     corpus = {name: (examples.build(name), 2) for name in examples.BUILDERS}
     corpus.update(cp3=(simplex(3), 2), cube3=(box(3), 2), cp4=(simplex(4), 1),
                   cube4=(box(4), 1), gon12=(validate_delzant(GON12), 2))
@@ -351,23 +348,6 @@ def _dual_basis_corpus():
 
 
 DUAL_BASIS_CORPUS = _dual_basis_corpus()
-
-
-def solve_unimodular(cols, target):
-    """The former `linalg.solve_unimodular`, kept as the reference.
-
-    Solve sum_j a_j * cols[j] = target for an integer square system.
-
-    `cols` is a list of n integer n-vectors with |det| = 1; the solution is
-    integral.  Returns a tuple of ints.
-    """
-    n = len(cols)
-    m = [[cols[j][i] for j in range(n)] for i in range(n)]
-    sol = linalg.solve_rational(m, target)
-    if any(x.denominator != 1 for x in sol):
-        raise NotSmooth(f"the columns {cols} are not a unimodular basis: "
-                        f"{target} has coordinates {sol}")
-    return tuple(int(x) for x in sol)
 
 
 def _solved(poly, vid, xi):
@@ -435,147 +415,6 @@ def test_primitive_sets_equal_an_uncapped_enumeration(name):
 
 # ------------------------------------------- integer vertex enumeration
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def det(m):
-    """Exact determinant by fraction-free expansion (small n)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
-
-
-def kernel_basis_int(m):
-    """Basis of the integer kernel lattice {x : m x = 0} of an int matrix.
-
-    Column-style Hermite reduction: apply unimodular column operations to
-    [m; I] until the top block has pivot columns followed by zero columns;
-    the bottom parts of the zero columns form a lattice basis of the kernel.
-    """
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
-    work = [list(r) for r in m] + [[1 if i == j else 0 for j in range(cols)]
-                                   for i in range(cols)]
-    top = rows
-
-    def col(j):
-        return [work[i][j] for i in range(len(work))]
-
-    def swap(j, k):
-        for i in range(len(work)):
-            work[i][j], work[i][k] = work[i][k], work[i][j]
-
-    def addmul(j, k, c):
-        # col_j += c * col_k
-        for i in range(len(work)):
-            work[i][j] += c * work[i][k]
-
-    pivot_row = 0
-    pivot_col = 0
-    while pivot_row < top and pivot_col < cols:
-        # gcd-reduce entries of this row across columns >= pivot_col
-        while True:
-            nz = [j for j in range(pivot_col, cols) if work[pivot_row][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(work[pivot_row][j]))
-            swap(pivot_col, jmin)
-            done = True
-            for j in range(pivot_col + 1, cols):
-                if work[pivot_row][j] != 0:
-                    q = work[pivot_row][j] // work[pivot_row][pivot_col]
-                    addmul(j, pivot_col, -q)
-                    if work[pivot_row][j] != 0:
-                        done = False
-            if done:
-                break
-        if any(work[pivot_row][j] != 0 for j in range(pivot_col, cols)):
-            pivot_col += 1
-        pivot_row += 1
-
-    basis = []
-    for j in range(pivot_col, cols):
-        if all(work[i][j] == 0 for i in range(top)):
-            basis.append(tuple(work[i][j] for i in range(top, top + cols)))
-    return basis
-
-
-def _reference_validate(specs):
-    """validate_delzant with a Fraction solve per invertible n-subset, a
-    Fraction feasibility test, a scan of all vertices for the second end
-    of each edge, a rational rank for full dimension and a scan of all
-    vertices per face.  Returns (vertices, faces) or raises as
-    validate_delzant does."""
-    facets = [Facet(tuple(normal), support) for normal, support in specs]
-    n = len(facets[0].normal)
-    normals = [f.normal for f in facets]
-    points = {}
-    for subset in itertools.combinations(range(len(facets)), n):
-        m = [list(normals[i]) for i in subset]
-        if det(m) == 0:
-            continue
-        point = linalg.solve_rational(m, [facets[i].support for i in subset])
-        if any(linalg.vec_dot(f.normal, point) > f.support for f in facets):
-            continue
-        points[point] = frozenset(
-            i for i, f in enumerate(facets)
-            if linalg.vec_dot(f.normal, point) == f.support)
-    if not points:
-        raise Unbounded("no vertices; the region is empty or unbounded")
-    vlist = sorted(points.items())
-    for vid, (point, active) in enumerate(vlist):
-        for sub in itertools.combinations(sorted(active), n - 1):
-            if len(active) > n:
-                kernel = kernel_basis_int(
-                    [normals[i] for i in sub]) if sub else [(1,)]
-                if len(kernel) != 1:
-                    continue
-                dots = [linalg.vec_dot(normals[i], kernel[0])
-                        for i in active]
-                if min(dots) < 0 < max(dots):
-                    continue
-            if not any(other != vid and active_other.issuperset(sub)
-                       for other, (_, active_other) in enumerate(vlist)):
-                raise Unbounded(
-                    f"the edge of vertex ({', '.join(map(str, point))}) "
-                    f"along facets {list(sub)} has no second vertex")
-    base = vlist[0][0]
-    if linalg.rank([list(vec_sub(p, base))
-                    for p, _ in vlist[1:]]) < n:
-        raise NotFullDimensional("vertices span a proper affine subspace")
-    for point, active in vlist:
-        if len(active) > n:
-            raise NotSimple(f"vertex ({', '.join(map(str, point))}) lies on "
-                            f"{len(active)} facets {sorted(active)}")
-        d = abs(det([normals[i] for i in sorted(active)]))
-        if d != 1:
-            raise NotSmooth(
-                f"vertex ({', '.join(map(str, point))}) on facets "
-                f"{sorted(active)} has |det| = {d}")
-    missing = set(range(len(facets))) - set().union(*(a for _, a in vlist))
-    if missing:
-        raise RedundantFacet(
-            f"facets {sorted(missing)} support no vertex of the region")
-    keys = {frozenset(sub) for _, active in vlist
-            for size in range(n + 1)
-            for sub in itertools.combinations(sorted(active), size)}
-    faces = {key: Face(facets=key, dim=n - len(key), vertex_ids=tuple(
-        vid for vid, (_, active) in enumerate(vlist) if key <= active))
-        for key in keys}
-    return tuple(vlist), faces
-
-
 def _outcome(validate, specs):
     """(vertices, faces) of a valid polytope, else (error class, message)."""
     try:
@@ -592,7 +431,7 @@ def _outcome(validate, specs):
 def test_integer_enumeration_matches_fraction_solves(data):
     _, specs = data
     assert _outcome(validate_delzant, specs) == \
-        _outcome(_reference_validate, specs)
+        _outcome(reference_validate, specs)
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_BASIS_CORPUS))
@@ -603,59 +442,15 @@ def test_integer_enumeration_matches_fraction_solves_on_the_corpus(name):
                   [(f.normal, f.support + linalg.vec_dot(f.normal, shift))
                    for f in poly.facets]):
         ours = validate_delzant(specs)
-        assert (ours.vertices, ours.faces) == _reference_validate(specs)
+        assert (ours.vertices, ours.faces) == reference_validate(specs)
     assert any(x != 0 for x in centroid(ours))
-
-
-@st.composite
-def smooth_polytopes(draw):
-    """Facet data of a Delzant polytope: a box or a simplex with rational
-    supports, blown up at up to two faces, moved by a unimodular map,
-    translated and shuffled.
-
-    A face F_I of the n facets at a vertex is blown up by the facet
-    <sum_I eta_i, .> <= sum_I support_i - eps, with eps below the drop of
-    that functional from F_I to every other vertex, so that the cut meets
-    only the edges leaving F_I."""
-    n = draw(st.sampled_from((2, 3, 4, 1)))
-    rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
-    size = st.builds(F, st.integers(1, 6), st.integers(1, 4))
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    low = [draw(rational) for _ in range(n)]
-    if draw(st.booleans()):  # the box low <= x <= low + size
-        specs = [spec for i, e in enumerate(units) for spec in (
-            (e, low[i] + draw(size)), (tuple(-x for x in e), -low[i]))]
-    else:  # the simplex low <= x, sum(x) <= sum(low) + size
-        specs = [(tuple(-x for x in e), -c) for e, c in zip(units, low)]
-        specs.append(((1,) * n, sum(low) + draw(size)))
-    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
-        poly = validate_delzant(specs)
-        vid = draw(st.integers(0, len(poly.vertices) - 1))
-        face = draw(st.lists(st.sampled_from(sorted(poly.vertex_facets(vid))),
-                             min_size=2, max_size=n, unique=True))
-        normal = tuple(map(sum, zip(*(poly.normal(i) for i in face))))
-        top = sum(poly.support(i) for i in face)
-        drop = min(top - linalg.vec_dot(normal, point)
-                   for point, active in poly.vertices
-                   if not active.issuperset(face))
-        specs.append((normal, top - drop * F(draw(st.integers(1, 4)), 5)))
-    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
-        i, j = draw(st.permutations(range(n)))[:2]
-        c = draw(st.sampled_from((-2, -1, 1, 2)))
-        specs = [(tuple(x + c * normal[j] if k == i else x
-                        for k, x in enumerate(normal)), s)
-                 for normal, s in specs]  # eta -> (I + c E_ij) eta
-    shift = [draw(rational) for _ in range(n)]
-    specs = [(normal, s + linalg.vec_dot(normal, shift))
-             for normal, s in specs]
-    return draw(st.permutations(specs))
 
 
 @settings(max_examples=150, deadline=None)
 @given(specs=smooth_polytopes())
 def test_the_pivot_walk_matches_fraction_solves_on_delzant_polytopes(specs):
     poly = validate_delzant(specs)
-    assert (poly.vertices, poly.faces) == _reference_validate(specs)
+    assert (poly.vertices, poly.faces) == reference_validate(specs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -735,7 +530,7 @@ def test_a_defect_is_diagnosed_as_before(specs, error, feasible):
     assert (walk is not None and walk[1]) == (error is RedundantFacet)
     got = _outcome(validate_delzant, specs)
     assert got[0] is error
-    assert got == _outcome(_reference_validate, specs)
+    assert got == _outcome(reference_validate, specs)
 
 
 @st.composite
@@ -761,7 +556,7 @@ def planted_defects(draw):
 @given(specs=planted_defects())
 def test_a_planted_defect_is_named_as_the_enumeration_names_it(specs):
     assert _outcome(validate_delzant, specs) == \
-        _outcome(_reference_validate, specs)
+        _outcome(reference_validate, specs)
 
 
 def test_a_box_with_a_facet_through_its_top_is_rejected_without_search(
@@ -799,7 +594,7 @@ def test_an_apex_on_many_facets_keeps_no_rows_past_the_defect():
     assert len(apex) <= comb(2 * n - 2, n)
     got = _outcome(validate_delzant, specs)
     assert got[0] is NotSimple and "lies on 10 facets" in got[1]
-    assert got == _outcome(_reference_validate, specs)
+    assert got == _outcome(reference_validate, specs)
 
 
 def test_a_bounded_rejection_searches_no_edge(monkeypatch):

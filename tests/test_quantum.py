@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cases import fexpr, hirz_y_table
 from toricqh import examples
 from toricqh.errors import (
     BadCorrectionDegree,
@@ -19,9 +20,7 @@ from toricqh.quantum import (
     nef_presentation,
     qadd,
     qinv,
-    qpow,
     qprod,
-    qpoly_from_poly,
     qscale,
     qsub,
     quantum_nf,
@@ -53,13 +52,6 @@ def fvar(qp, i, d=0, kappa=0, coeff=1):
     return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
-def fmono(qp, powers, d=0, kappa=0, coeff=1):
-    full = [0] * qp.polytope.num_facets
-    for i, e in powers.items():
-        full[i] = e
-    return lift(qp, {(tuple(full), d, kappa): coeff})
-
-
 def nov_mono(qp, c, d, kappa):
     return NovScalar.monomial(c, d, kappa, qp.cutoff)
 
@@ -78,38 +70,38 @@ def test_hbar(blow, square, cp2):
 
 def test_fano_relations_blowup(blow):
     # x3 x4 reduces to q^2 t^{1 - mu^2}
-    got = fmono(blow, {2: 1, 3: 1})
-    assert got == fmono(blow, {}, d=2, kappa=1 - MU ** 2)
+    got = fexpr(blow, {2: 1, 3: 1})
+    assert got == fexpr(blow, {}, d=2, kappa=1 - MU ** 2)
     # x1 x2 reduces to x4 q t^{mu^2}
-    got = fmono(blow, {0: 1, 1: 1})
+    got = fexpr(blow, {0: 1, 1: 1})
     assert got == fvar(blow, 3, d=1, kappa=MU ** 2)
 
 
 def test_fano_relations_square(square):
-    assert fmono(square, {0: 1, 1: 1}) == fmono(square, {}, d=2, kappa=2)
-    assert fmono(square, {2: 1, 3: 1}) == fmono(square, {}, d=2, kappa=1)
+    assert fexpr(square, {0: 1, 1: 1}) == fexpr(square, {}, d=2, kappa=2)
+    assert fexpr(square, {2: 1, 3: 1}) == fexpr(square, {}, d=2, kappa=1)
 
 
 def test_fano_relation_cp2(cp2):
-    assert fmono(cp2, {0: 1, 1: 1, 2: 1}) == fmono(cp2, {}, d=3, kappa=1)
+    assert fexpr(cp2, {0: 1, 1: 1, 2: 1}) == fexpr(cp2, {}, d=3, kappa=1)
 
 
 def test_quantum_nf_is_idempotent(blow):
-    z = fmono(blow, {0: 1, 2: 1})
+    z = fexpr(blow, {0: 1, 2: 1})
     assert quantum_nf(z, blow) == z
 
 
 def test_quantum_relation_reduces_to_zero(blow):
     # x3^2 + x4^2 - x4 q t^{mu^2} - 2 q^2 t^{1-mu^2} is a quantum relation
-    z = qsub(qadd(fmono(blow, {2: 2}), fmono(blow, {3: 2})),
+    z = qsub(qadd(fexpr(blow, {2: 2}), fexpr(blow, {3: 2})),
              qadd(fvar(blow, 3, d=1, kappa=MU ** 2),
-                  fmono(blow, {}, d=2, kappa=1 - MU ** 2, coeff=2)))
+                  fexpr(blow, {}, d=2, kappa=1 - MU ** 2, coeff=2)))
     assert z.is_zero()
 
 
 def test_quantum_nf_point_lift_blowup(blow):
     # nf(x1 x3) = -x4^2 + x4 q t^{mu^2} + q^2 t^{1-mu^2}
-    got = fmono(blow, {0: 1, 2: 1})
+    got = fexpr(blow, {0: 1, 2: 1})
     expected = {}
     width = blow.ring.width
     expected[(0, 2)] = nov_mono(blow, -1, 0, 0)
@@ -120,11 +112,11 @@ def test_quantum_nf_point_lift_blowup(blow):
 
 def test_qprod_square_diagonal_relation(square):
     assert qprod(fvar(square, 0), fvar(square, 0), square) == \
-        fmono(square, {}, d=2, kappa=2)
+        fexpr(square, {}, d=2, kappa=2)
 
 
 def test_qprod_unit(blow):
-    a = fmono(blow, {0: 1, 2: 1})
+    a = fexpr(blow, {0: 1, 2: 1})
     assert qprod(blow.one(), a, blow) == a
 
 
@@ -139,11 +131,11 @@ def test_qprod_grading(blow):
 
 def test_blowup_products_through_point_lift(blow):
     # p = nf(x1 x3); p * p = x3 q^3 t, p * B = q^3 t with B = x1
-    p = fmono(blow, {0: 1, 2: 1})
+    p = fexpr(blow, {0: 1, 2: 1})
     pp = qprod(p, p, blow)
     assert pp == fvar(blow, 2, d=3, kappa=1)
     pb = qprod(p, fvar(blow, 0), blow)
-    assert pb == fmono(blow, {}, d=3, kappa=1)
+    assert pb == fexpr(blow, {}, d=3, kappa=1)
     ep = qprod(fvar(blow, 3), p, blow)
     assert ep == fvar(blow, 0, d=2, kappa=1 - MU ** 2)
 
@@ -213,30 +205,6 @@ def test_associativity_on_basis(blow):
 
 # ------------------------------------------------------------------- NEF
 
-def hirz_y_table(cutoff, mu=F(2)):
-    """Corrections for the projectivized degree-2 bundle: Y1 = x1,
-    Y2 = x2/(1 - t^{mu-1}), Y3 = Y4 = x3 - x2 t^{mu-1}/(1 - t^{mu-1})."""
-    one = NovScalar.one(cutoff)
-    h = one - NovScalar.monomial(1, 0, mu - 1, cutoff)
-    g = h.invert()  # 1 + t^{mu-1} + ...
-    series = g - one  # t^{mu-1} + t^{2(mu-1)} + ...
-    x2 = (0, 1, 0, 0)
-    x3 = (0, 0, 1, 0)
-    x4 = (0, 0, 0, 1)
-    minus = NovScalar.monomial(-1, 0, 0, cutoff)
-    table = {
-        0: {},
-        1: {x2: series},
-        2: {x2: series * minus * g * h},  # == -x2 t^{mu-1} g
-        3: {x3: one, x4: minus, x2: minus * series * g * h},
-    }
-    # simplify: corrections for Y3 use -x2 t^{mu-1} g directly
-    tmg = NovScalar.monomial(-1, 0, mu - 1, cutoff) * g
-    table[2] = {x2: tmg}
-    table[3] = {x3: one, x4: minus, x2: tmg}
-    return table
-
-
 @pytest.fixture(scope="module")
 def hirz():
     poly = examples.hirzebruch2(F(2))
@@ -252,12 +220,12 @@ def test_nef_presentation_accepted(hirz):
 def test_nef_relation_values(hirz):
     mu = F(2)
     # class of x1 x2 is q^2 t (1 - t^{mu-1}); class of x3^2 is q^2 t^mu
-    got = fmono(hirz, {0: 1, 1: 1})
-    expected = qsub(fmono(hirz, {}, d=2, kappa=1),
-                    fmono(hirz, {}, d=2, kappa=mu))
+    got = fexpr(hirz, {0: 1, 1: 1})
+    expected = qsub(fexpr(hirz, {}, d=2, kappa=1),
+                    fexpr(hirz, {}, d=2, kappa=mu))
     assert qsub(got, expected).is_zero()
-    got = fmono(hirz, {2: 2})
-    assert qsub(got, fmono(hirz, {}, d=2, kappa=mu)).is_zero()
+    got = fexpr(hirz, {2: 2})
+    assert qsub(got, fexpr(hirz, {}, d=2, kappa=mu)).is_zero()
 
 
 def test_nef_rejects_bad_valuation():

@@ -3,7 +3,6 @@ and qprod on the integer grid against the Fraction-level versions before
 it, and the invariants of the NovScalar arithmetic."""
 
 import dataclasses
-import functools
 import random
 from fractions import Fraction
 
@@ -11,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_obstructions import box, simplex
-from test_quantum import hirz_y_table
+from cases import (
+    CUTOFFS,
+    PRESENTED,
+    monomial_class,
+    presented,
+    snapshot,
+    typed_class,
+)
+from reference import reference_nf
 from toricqh import examples, quantum
 from toricqh.errors import BadCorrectionValuation, NonPositiveEnergy
 from toricqh.novikov import NovScalar
@@ -24,11 +30,8 @@ from toricqh.quantum import (
     fano_presentation,
     kept_qpoly,
     lift,
-    nef_presentation,
     qinv,
-    qpoly_atoms,
     qpoly_mul,
-    qpoly_scale,
     qpoly_truncated,
     qprod,
     qscale,
@@ -37,90 +40,6 @@ from toricqh.quantum import (
 from toricqh.seidel import facet_seidel
 
 F = Fraction
-
-
-def reference_nf(z, qp):
-    """The former quantum_nf: one NovScalar per atom and partial sum."""
-    if isinstance(z, QClass):
-        pending = dict(z.coeffs)
-    else:
-        pending = dict(z)
-    result = {}
-    truncated = qpoly_truncated(pending)
-    pending = [(m, d, kappa, c) for m, d, kappa, c in qpoly_atoms(pending)]
-    guard = 0
-    while pending:
-        guard += 1
-        if guard >= 10000:
-            raise BadCorrectionValuation("quantum reduction diverged")
-        level = min(kappa for _, _, kappa, _ in pending)
-        batch = [(m, d, c) for m, d, kappa, c in pending if kappa == level]
-        pending = [atom for atom in pending if atom[2] != level]
-        # group by q-degree; classical reduction is q-linear
-        slices = {}
-        for m, d, c in batch:
-            slices.setdefault(d, {})
-            slices[d][m] = slices[d].get(m, Fraction(0)) + c
-        for d, poly in slices.items():
-            for mono, coeff in poly.items():
-                if not coeff:
-                    continue
-                nf, trace = _nf_traced_cached(qp, mono)
-                for m2, c2 in nf.items():
-                    s = NovScalar.monomial(coeff * c2, d, level, qp.cutoff)
-                    cur = result.get(m2)
-                    result[m2] = s if cur is None else cur + s
-                for key, cof in trace.items():
-                    delta = qp.corrections[key]
-                    for mc, cc in cof.items():
-                        shifted = qpoly_scale(
-                            delta, NovScalar.monomial(coeff * cc, d, level,
-                                                      qp.cutoff))
-                        for m3, d3, k3, c3 in qpoly_atoms(
-                                {mono_mul(mc, mm): ss
-                                 for mm, ss in shifted.items()}):
-                            if k3 > qp.cutoff:
-                                truncated = True
-                                continue
-                            if k3 <= level:
-                                raise NonPositiveEnergy(
-                                    "a correction failed to raise the "
-                                    "valuation; relation energies must be "
-                                    "positive")
-                            pending.append((m3, d3, k3, c3))
-                        truncated = truncated or qpoly_truncated(shifted)
-    coeffs = {}
-    for m, s in result.items():
-        if not s.is_zero():
-            coeffs[m] = s.with_truncated(s.truncated or truncated)
-    if truncated and coeffs:
-        coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
-    if truncated and not coeffs:
-        # preserve the flag on a zero class via an explicitly flagged zero
-        return QClass({(0,) * qp.ring.width:
-                       NovScalar({}, qp.cutoff, True)}, qp.cutoff)
-    return QClass(coeffs, qp.cutoff)
-
-
-def _corpus():
-    """Name -> (polytope, presentation builder taking a cutoff)."""
-    out = {name: examples.build(name)
-           for name in ("s2", "cp2", "blowup_cp2", "s2xs2")}
-    out.update(cp3=simplex(3), cp4=simplex(4), cube3=box(3), cube4=box(4))
-    corpus = {name: (poly, fano_presentation) for name, poly in out.items()}
-    corpus["hirzebruch2 nef"] = (
-        examples.hirzebruch2(F(2)),
-        lambda poly, c: nef_presentation(poly, hirz_y_table(c), cutoff=c))
-    return corpus
-
-
-CORPUS = _corpus()
-
-
-def snapshot(qclass):
-    """Everything a class says: each scalar's terms, cutoff and flag."""
-    return qclass.cutoff, {m: (s.terms, s.cutoff, s.truncated)
-                           for m, s in qclass.coeffs.items()}
 
 
 def random_qpoly(rng, qp, monos):
@@ -136,11 +55,11 @@ def random_qpoly(rng, qp, monos):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(PRESENTED))
 @pytest.mark.parametrize("fraction", [1, F(1, 2), F(1, 4)],
                          ids=["C", "C/2", "C/4"])
 def test_quantum_nf_matches_reference(name, fraction):
-    poly, present = CORPUS[name]
+    poly, present = PRESENTED[name]
     qp = present(poly, default_cutoff(poly) * fraction)
     rng = random.Random(f"{name} {fraction}")
     # standard monomials and their products, which the relations reduce
@@ -349,40 +268,8 @@ def parent_qprod(a, b, qp):
     return parent_quantum_nf(qpoly_mul(a.coeffs, b.coeffs), qp)
 
 
-def typed(qclass):
-    """`snapshot` plus the type of every exponent, coefficient and cutoff."""
-    return snapshot(qclass), type(qclass.cutoff), {
-        m: (type(s.cutoff), sorted(((d, k), (type(d), type(k), type(c)))
-                                   for (d, k), c in s.terms.items()))
-        for m, s in qclass.coeffs.items()}
-
-
-@functools.lru_cache(maxsize=None)
-def presented(name, cutoff=None):
-    """One shared presentation per corpus entry and cutoff (None: default);
-    a test that replaces corrections builds its own."""
-    poly, present = CORPUS[name]
-    return present(poly, default_cutoff(poly) if cutoff is None else cutoff)
-
-
-# (coefficient, q-exponent, t-exponent) of the Novikov monomial factors
-NOVIKOV = [(1, 0, F(0)), (F(-3, 2), 1, F(-1, 2)), (2, -1, F(2, 3))]
-
-
-def monomial_class(qp, mono, i):
-    c, d, kappa = NOVIKOV[i % len(NOVIKOV)]
-    return QClass({mono: NovScalar.monomial(c, d, kappa, qp.cutoff)},
-                  qp.cutoff)
-
-
-# hirzebruch2 NEF has no presentation at cutoff 1/2 (BadCorrectionValuation:
-# a relation correction lies wholly above it), so it is taken at 2 instead
-CUTOFFS = {name: (None, F(1), F(2) if "nef" in name else F(1, 2))
-           for name in CORPUS}
-
-
 @pytest.mark.parametrize("name, cutoff", [
-    (name, cutoff) for name in sorted(CORPUS) for cutoff in CUTOFFS[name]])
+    (name, cutoff) for name in sorted(PRESENTED) for cutoff in CUTOFFS[name]])
 def test_products_of_standard_monomials_match_the_parent(name, cutoff):
     qp = presented(name, cutoff)
     std = qp.ring.standard_monomials
@@ -391,9 +278,10 @@ def test_products_of_standard_monomials_match_the_parent(name, cutoff):
         for j, m2 in enumerate(std):
             a, b = monomial_class(qp, m1, i), monomial_class(qp, m2, i + j)
             want = parent_qprod(a, b, qp)
-            assert typed(qprod(a, b, qp)) == typed(want)
-            assert typed(quantum_nf(qpoly_mul(a.coeffs, b.coeffs), qp)) == \
-                typed(want)
+            assert typed_class(qprod(a, b, qp)) == typed_class(want)
+            assert typed_class(
+                quantum_nf(qpoly_mul(a.coeffs, b.coeffs), qp)) == \
+                typed_class(want)
             flagged += want.truncated
     assert flagged or cutoff is None
 
@@ -406,15 +294,18 @@ def test_off_grid_exponents_refine_the_grid():
         for kappa in (F(1, 7), F(-3, 14), F(5, 21)):
             z = {m: NovScalar({(0, kappa): F(1), (1, kappa + F(1, 3)):
                                F(-2, 5)}, qp.cutoff) for m in std[-3:]}
-            assert typed(quantum_nf(z, qp)) == typed(parent_quantum_nf(z, qp))
+            assert typed_class(quantum_nf(z, qp)) == \
+                typed_class(parent_quantum_nf(z, qp))
             a, b = QClass(z, qp.cutoff), monomial_class(qp, std[-1], 1)
-            assert typed(qprod(a, b, qp)) == typed(parent_qprod(a, b, qp))
+            assert typed_class(qprod(a, b, qp)) == \
+                typed_class(parent_qprod(a, b, qp))
             full = {(1,) * qp.polytope.num_facets: F(1)}
             want = parent_quantum_nf(kept_qpoly(qp.ring, [(
                 m, NovScalar.monomial(F(3, 2) * c, -1, kappa, qp.cutoff))
                 for m, c in full.items()]), qp)
-            assert typed(lift(qp, {(m, -1, kappa): F(3, 2) * c
-                                   for m, c in full.items()})) == typed(want)
+            assert typed_class(lift(qp, {(m, -1, kappa): F(3, 2) * c
+                                         for m, c in full.items()})) == \
+                typed_class(want)
         assert any(D % 7 == 0 for D in qp._cache["grid"][1])
 
 
@@ -431,7 +322,7 @@ def test_a_flagged_factor_flags_the_product_unless_the_other_is_empty():
         for b in others:
             for x, y in ((a, b), (b, a)):
                 got = qprod(x, y, qp)
-                assert typed(got) == typed(parent_qprod(x, y, qp))
+                assert typed_class(got) == typed_class(parent_qprod(x, y, qp))
                 assert got.truncated == bool(b.coeffs)
 
 
@@ -456,7 +347,7 @@ def test_cancelling_atoms_above_the_cutoff_flag_a_product():
     for a, b, flag in cases:
         got = qprod(a, b, qp)
         assert got.is_zero() and got.truncated == flag
-        assert typed(got) == typed(parent_qprod(a, b, qp))
+        assert typed_class(got) == typed_class(parent_qprod(a, b, qp))
 
 
 def test_the_grid_follows_a_replaced_cutoff_and_correction():
@@ -473,7 +364,7 @@ def test_the_grid_follows_a_replaced_cutoff_and_correction():
     flagged = 0
     for a, b in pairs:
         want = parent_qprod(a, b, low)
-        assert typed(qprod(a, b, low)) == typed(want)
+        assert typed_class(qprod(a, b, low)) == typed_class(want)
         flagged += want.truncated
     assert flagged
     key, delta = next(iter(low.corrections.items()))
@@ -484,7 +375,8 @@ def test_the_grid_follows_a_replaced_cutoff_and_correction():
         for a, b in pairs:
             qprod(a, b, bad)
     for a, b in pairs:
-        assert typed(qprod(a, b, qp)) == typed(parent_qprod(a, b, qp))
+        assert typed_class(qprod(a, b, qp)) == \
+            typed_class(parent_qprod(a, b, qp))
 
 
 def test_correction_atoms_of_one_monomial_that_cancel_still_flag():
@@ -510,7 +402,8 @@ def test_correction_atoms_of_one_monomial_that_cancel_still_flag():
                    for m, c in cof1.items()}})
         got = quantum_nf(z, cancelling)
         assert got.truncated == flag
-        assert typed(got) == typed(parent_quantum_nf(z, cancelling))
+        assert typed_class(got) == \
+            typed_class(parent_quantum_nf(z, cancelling))
 
 
 def test_results_share_the_presentation_cutoff():
@@ -534,7 +427,7 @@ def test_qinv_matches_the_parent_product(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(quantum, "qprod", parent_qprod)
                 want = qinv(a, qp)
-            assert typed(got) == typed(want)
+            assert typed_class(got) == typed_class(want)
 
 
 def random_class(data, qp):
@@ -562,5 +455,6 @@ def random_class(data, qp):
 def test_random_classes_match_the_parent(data, name, which):
     qp = presented(name, CUTOFFS[name][which])
     a, b = random_class(data, qp), random_class(data, qp)
-    assert typed(quantum_nf(a, qp)) == typed(parent_quantum_nf(a, qp))
-    assert typed(qprod(a, b, qp)) == typed(parent_qprod(a, b, qp))
+    assert typed_class(quantum_nf(a, qp)) == \
+        typed_class(parent_quantum_nf(a, qp))
+    assert typed_class(qprod(a, b, qp)) == typed_class(parent_qprod(a, b, qp))

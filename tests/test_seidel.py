@@ -1,9 +1,10 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import pytest
 
+from cases import box, box_vectors, fexpr, hirz_y_table, simplex
+from reference import solve_unimodular
 from toricqh import actions as actions_module
 from toricqh import examples
 from toricqh import seidel as seidel_module
@@ -37,10 +38,6 @@ from toricqh.seidel import (
     verify_leading_term,
 )
 
-from test_obstructions import box, simplex
-from test_polytope import solve_unimodular
-from test_quantum import hirz_y_table
-
 F = Fraction
 MU = F(1, 2)
 EPS = F(7, 20)
@@ -70,13 +67,6 @@ def hirz():
 @pytest.fixture(scope="module")
 def s2():
     return fano_presentation(examples.s2(F(3)))
-
-
-def fexpr(qp, powers, d=0, kappa=0, coeff=1):
-    full = [0] * qp.polytope.num_facets
-    for i, e in powers.items():
-        full[i] = e
-    return lift(qp, {(tuple(full), d, kappa): coeff})
 
 
 def test_edge_classes_blowup(blow):
@@ -273,11 +263,6 @@ def _vertex_zero_inverse_formula(qp, xi, inverses):
     return out
 
 
-def _directions(n, r):
-    return [xi for xi in itertools.product(range(-r, r + 1), repeat=n)
-            if any(xi)]
-
-
 @pytest.mark.parametrize("poly, radius", [
     (examples.s2(F(3)), 2),
     (examples.cp2(), 2),
@@ -289,7 +274,7 @@ def _directions(n, r):
 def test_fano_element_matches_vertex_zero_inverse_formula(poly, radius):
     qp = fano_presentation(poly)
     inverses = {}
-    for xi in _directions(poly.n, radius):
+    for xi in box_vectors(poly.n, radius):
         got = seidel_element(qp, xi).qclass
         want = _vertex_zero_inverse_formula(qp, xi, inverses)
         assert got == want, xi
@@ -307,7 +292,7 @@ def test_leading_term_reads_f_max_off_the_element(monkeypatch, poly,
     if poly.n == 2:
         build_dictionary(qp)  # the point lift needs Seidel elements
     cases = [(xi, seidel_element(qp, xi), fixed_components(poly, xi)[0])
-             for xi in _directions(poly.n, radius)]
+             for xi in box_vectors(poly.n, radius)]
 
     def refuse(*args):
         raise AssertionError("fixed components computed again")

@@ -2,115 +2,35 @@
 integer argmax against the first of every fixed component, the edge classes
 stored on the polytope against the former per-call `edge_classes_through`,
 and the kept-variable images and normal forms memoized on the ring against
-`poly_substitute` and `nf`.  Each former version is kept here verbatim as
-the reference.  A value read from a cache is handed out so that mutating
-it leaves the next read unchanged."""
+`poly_substitute` and `nf`.  The former versions are the references.  A
+value read from a cache is handed out so that mutating it leaves the next
+read unchanged."""
 
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from test_kept_variables import CORPUS as POLYTOPES
-from test_quantum_nf import CORPUS as PRESENTED
+from cases import POLYTOPES, PRESENTED, box_vectors, facet_monomials
+from reference import (
+    reference_edge_classes_through,
+    reference_reduce_full,
+    reference_seidel_element,
+)
 from toricqh import examples
 from toricqh.actions import CircleTable, fixed_components, fixed_maximum
 from toricqh.cohomology import build_ring
 from toricqh.errors import (
-    DegenerateEdge,
     MomentNotConstant,
     NonIntegralCoefficient,
-    NotAnEdge,
-    WrongDegree,
     ZeroVector,
 )
 from toricqh.polynomials import poly_monomial, poly_substitute
-from toricqh.polytope import (
-    Face,
-    H2Class,
-    edge_classes_through,
-    validate_delzant,
-)
-from toricqh.quantum import default_cutoff, fano_presentation, lift
-from toricqh.seidel import (
-    SeidelElement,
-    facet_product,
-    seidel_element,
-)
+from toricqh.polytope import Face, edge_classes_through, validate_delzant
+from toricqh.quantum import default_cutoff, fano_presentation
+from toricqh.seidel import seidel_element
 
 F = Fraction
-
-
-# ---------------------------------------------------------- the references
-
-def reference_seidel_element(qp, xi):
-    """The former `seidel_element`, F_max from every fixed component (the
-    former `extrema`)."""
-    poly = qp.polytope
-    xi = tuple(int(x) for x in xi)
-    fmax = fixed_components(poly, xi)[0]
-    if qp.mode == "fano":
-        x_a = poly_monomial({i: -w for i, w in fmax.weights.items()},
-                            poly.num_facets)
-        out = lift(qp, {(m, fmax.m, -fmax.K): c for m, c in x_a.items()})
-    else:
-        out = facet_product(qp, poly.coordinates(0, xi))
-    if out.degree() != 0:
-        raise WrongDegree(f"the Seidel element of {xi} has degree "
-                          f"{out.degree()}, not zero")
-    return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
-                         leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K,
-                         semifree=fmax.semifree)
-
-
-def reference_edge_class(poly, edge):
-    """Spherical class of the sphere over an edge: pairing 1 with the two
-    facets cutting its endpoints, solved through a vertex basis elsewhere."""
-    if edge.dim != 1:
-        raise NotAnEdge(f"face {sorted(edge.facets)} has dimension "
-                        f"{edge.dim}, not 1")
-    va, vb = edge.vertex_ids
-    (fa,) = poly.vertex_facets(va) - edge.facets
-    (fb,) = poly.vertex_facets(vb) - edge.facets
-    by_facet = poly.coordinates(va, poly.normal(fb))
-    if fa == fb or by_facet.get(fa) != -1:
-        raise DegenerateEdge(
-            f"at the edge {sorted(edge.facets)}, the normal of facet {fb} "
-            f"has coordinate {by_facet.get(fa)} on facet {fa}, not -1")
-    pairings = [0] * poly.num_facets
-    pairings[fa] = 1
-    pairings[fb] = 1
-    for i in edge.facets:
-        pairings[i] = -by_facet[i]
-    return H2Class(tuple(pairings))
-
-
-def reference_edge_classes_through(poly, face):
-    """Classes of the edges meeting a face (including edges inside it)."""
-    out = []
-    for e in poly.faces.values():
-        if e.dim != 1:
-            continue
-        if (e.facets | face.facets) in poly.faces or face.facets <= e.facets:
-            out.append((e, reference_edge_class(poly, e)))
-    return out
-
-
-def reference_reduce_full(ring, full_poly):
-    """The former `reduce_full`: one substitution, then one normal form."""
-    return ring.nf(poly_substitute(full_poly, ring.images, ring.width))
-
-
-def box_vectors(n, r=2):
-    return [xi for xi in itertools.product(range(-r, r + 1), repeat=n)
-            if any(xi)]
-
-
-def facet_monomials(N, top):
-    """Every exponent tuple of width N and degree at most `top`."""
-    return [m for m in itertools.product(range(top + 1), repeat=N)
-            if sum(m) <= top]
 
 
 # ------------------------------------------------------------- F_max alone

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_quantum_nf import CORPUS
+from cases import PRESENTED, box_vectors
 from toricqh import seidel
 from toricqh.actions import fixed_maximum
 from toricqh.obstructions import analyze
@@ -80,9 +80,7 @@ def sample(group):
 
 
 def circles(poly):
-    r = 2 if poly.n <= 2 else 1
-    return [xi for xi in itertools.product(range(-r, r + 1), repeat=poly.n)
-            if any(xi)]
+    return box_vectors(poly.n, 2 if poly.n <= 2 else 1)
 
 
 def violations(qp):
@@ -111,7 +109,7 @@ INTERLEAVED = "s2xs2, interleaved"
 
 @pytest.fixture(scope="module")
 def presented():
-    cases = {name: fano_presentation(CORPUS[name][0].normalized)
+    cases = {name: fano_presentation(PRESENTED[name][0].normalized)
              for name in FANO}
     cases[INTERLEAVED] = fano_presentation(interleaved_s2xs2())
     return cases
@@ -209,7 +207,7 @@ def analyze_violations(poly, qp, group):
 
 @pytest.mark.parametrize("name", FANO)
 def test_analyze_is_invariant_without_quantum(name):
-    poly = CORPUS[name][0].normalized
+    poly = PRESENTED[name][0].normalized
     group = automorphisms(poly)
     bad, checks = analyze_violations(poly, None, group)
     assert bad == []
@@ -217,7 +215,7 @@ def test_analyze_is_invariant_without_quantum(name):
 
 
 @pytest.mark.parametrize("name", [name for name in FANO
-                                  if CORPUS[name][0].n <= 3])
+                                  if PRESENTED[name][0].n <= 3])
 def test_analyze_is_invariant_with_the_fano_presentation(presented, name):
     """The SD rule reads the Seidel element's valuation and leading term."""
     qp = presented[name]

@@ -21,10 +21,16 @@ from types import MappingProxyType
 
 import pytest
 
-from test_facet_powers import class_outcome, hirzebruch2_nef, outcome
-from test_kept_variables import CORPUS
-from test_quantum_nf import monomial_class, typed
-from test_warm_seidel import point_and_facet, reference_to_homology_report
+from cases import (
+    POLYTOPES,
+    class_outcome,
+    hirzebruch2_nef,
+    monomial_class,
+    point_and_facet,
+    typed_class,
+    value_or_error,
+)
+from reference import reference_to_homology_report
 import toricqh
 from toricqh import examples
 from toricqh.cohomology import build_ring
@@ -70,12 +76,14 @@ def answers(qp):
     for a in classes:
         for b in classes:
             product = qprod(a, b, qp)
-            out.append(typed(product))
-            out.append(typed(quantum_nf(qscale(product, NovScalar.monomial(
-                F(-2, 3), 1, F(1, 2), qp.cutoff)), qp)))
+            out.append(typed_class(product))
+            out.append(typed_class(quantum_nf(qscale(
+                product, NovScalar.monomial(F(-2, 3), 1, F(1, 2), qp.cutoff)),
+                qp)))
     for i in range(qp.polytope.num_facets):
         for a in (2, -1, 1, -2):
-            out.append(outcome(lambda: class_outcome(facet_power(qp, i, a))))
+            out.append(value_or_error(
+                lambda: class_outcome(facet_power(qp, i, a))))
     return out
 
 
@@ -183,7 +191,7 @@ def test_every_engine_dataclass_is_frozen():
 
 @pytest.mark.parametrize("name", ["cp2", "blowup_cp2", "cube3"])
 def test_a_polytope_and_its_ring_cannot_be_assigned(name):
-    ring = build_ring(CORPUS[name])
+    ring = build_ring(POLYTOPES[name])
     for value in (ring.polytope, ring):
         assert_frozen(value)
     assert not any(f.name in ("_scaled", "_centroid", "_prims",
@@ -241,7 +249,7 @@ def ring_answers(ring):
 
 @pytest.mark.parametrize("name", ["cp2", "blowup_cp2", "cube3"])
 def test_a_replaced_polytope_or_ring_starts_empty_and_answers_alike(name):
-    ring = build_ring(CORPUS[name])
+    ring = build_ring(POLYTOPES[name])
     poly = ring.polytope
     before = polytope_answers(poly), ring_answers(ring)
     assert poly._duals and poly._edge_classes and ring._reduced
