@@ -230,9 +230,11 @@ def typed(value):
     tuple and a list, read as different."""
     if isinstance(value, dict):
         return ("dict", [(typed(k), typed(v)) for k, v in value.items()])
-    if isinstance(value, (list, tuple, frozenset)):
-        items = sorted(value) if isinstance(value, frozenset) else value
-        return (type(value).__name__, [typed(v) for v in items])
+    if isinstance(value, frozenset):
+        # `<` on sets is inclusion, not a total order: sort by a total key
+        return ("frozenset", sorted(map(typed, value), key=repr))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [typed(v) for v in value])
     if isinstance(value, NovScalar):
         return ("scalar", typed(value.terms), typed(value.cutoff),
                 value.truncated)

@@ -1,13 +1,72 @@
 """References for the differential tests: the former code of each engine
 function that a change replaced, verbatim but for its name, and
-recomputations that take another route than the engine.  Where several
-tests held copies of one job, one copy is kept here, and
-`unchecked_verify_leading_term` reads the answer `verify_leading_term`
-gave before it checked its arguments off the checked copy.  A test module
-imports references from here and shared cases from `cases`, and imports
-nothing from another test module.  When a change replaces engine code,
-the former code comes here, beside the reference of its job or in its
-place."""
+recomputations that take another route than the engine.  A test module
+imports references from here and shared cases from `cases`, imports
+nothing from another test module, and defines no reference of its own.
+When a change replaces engine code, the former code comes here, beside the
+reference of its job or in its place.
+
+One reference per job, by the engine code it checks (helpers that only
+references read are left out):
+
+- the determinants of normal bases: det
+- `linalg.kernel_line` and the integer lattice of H2: kernel_basis_int
+- `DelzantPolytope.coordinates`: solve_unimodular
+- `linalg.gauss_jordan`: reference_eliminate
+- `linalg.solve_rational`: reference_solve_rational
+- `linalg.rank`: reference_rank
+- the lattice of spherical (omega, c1) values: reference_in_rational_lattice
+- `quantum._solve_unit_system`: reference_solve_unit_system
+- `polytope.validate_delzant`: reference_validate
+- `polytope.primitive_sets`: former_primitive_sets
+- `polytope.generic_vector`: reference_generic_vector
+- `polytope.centroid`: reference_centroid
+- `cohomology.betti_morse`: reference_betti_morse
+- `polytope.edge_classes_through`: reference_edge_classes_through
+- `polytope._eliminate`: former_eliminate
+- `DelzantPolytope.elimination`: former_ring_inputs
+- `polynomials.divmod_basis`: former_divmod_basis
+- `polynomials.TracedBasis`: FormerTracedBasis
+- `TracedBasis.standard_monomials`: former_standard_monomials
+- `ClassicalRing.monomial_nf`: former_monomial_nf
+- `polynomials.poly_substitute`: former_poly_substitute
+- `ClassicalRing.reduce_full`: reference_reduce_full
+- `ClassicalRing.integrate` and `pd_matrix`: FormerIntegral
+- the weights of a fixed face in `actions`: weights
+- `actions.fixed_maximum`: former_fixed_maximum
+- `actions._stratum`: former_stratum
+- `actions.CircleTable`: FormerCircleTable
+- `obstructions.chain_bound`: former_chain_bound, and reference_chains,
+  a brute force over every simple chain, on the circles with few fixed
+  components; it would not end on cube4's 16 fixed points
+- `obstructions._rule_s2`: former_rule_s2
+- `obstructions._euler_class_nonzero`: former_euler_class_nonzero
+- `obstructions._classical_class`: reference_classical_class
+- `obstructions._rule_sd`: reference_rule_sd
+- `novikov.NovScalar`: FormerNovScalar
+- `quantum.quantum_nf` and `qprod`: reference_nf, and former_quantum_nf
+  and former_qprod, which alone answer as the engine where a correction
+  or an input carries another cutoff than the presentation
+- `quantum.lift` as the former `lift`: former_lift
+- `quantum.lift` as the former `qclass_from_json`: reference_from_terms
+- `quantum.fano_presentation`: reference_fano_presentation
+- `quantum.nef_presentation`: reference_nef_presentation
+- `quantum.qsub`: reference_qsub
+- `quantum.qinv`: former_qinv
+- `seidel.facet_seidel` in Fano mode: reference_facet_seidel_fano
+- `seidel.facet_power` and `facet_product`: reference_facet_power and
+  reference_facet_product
+- `seidel.seidel_element`: reference_seidel_element
+- `seidel.verify_leading_term`: former_verify_leading_term, and
+  unchecked_verify_leading_term, the answer it gave before it checked its
+  arguments, read off the checked copy
+- `seidel.to_homology_report`: reference_to_homology_report
+- `oracle.check_homomorphism`: former_check_homomorphism
+- `oracle.check_inverse_law`: former_check_inverse_law
+- `exprparse._tokenize`: former_tokenize
+- `exprparse.parse_expression`: ReferenceParser
+- the parse in `cli.main`: reference_parse
+"""
 
 import argparse
 import heapq
@@ -26,14 +85,16 @@ from toricqh.actions import (
     _check_xi,
     _component,
     _order,
-    _stratum,
     _weights,
     fixed_components,
+    global_isotropy_bound,
+    isotropy_components,
 )
 from toricqh.cli import COMMANDS
 from toricqh.cohomology import ClassicalRing, build_ring, restrict_to_face
 from toricqh.errors import (
     BadCorrectionValuation,
+    CutoffMismatch,
     DegenerateEdge,
     DegenerateRing,
     DictionaryIncomplete,
@@ -54,22 +115,28 @@ from toricqh.errors import (
     StratumNotClosed,
     Unbounded,
     WrongDegree,
+    ZeroElement,
     ZeroVector,
 )
-from toricqh.novikov import NovScalar
+from toricqh.novikov import NovScalar, check_term, int_if_integral
 from toricqh.obstructions import ChainBound, Finding
 from toricqh.oracle import DEFAULT_SEED, _agree, _random_xi
 from toricqh.polynomials import (
     grevlex_key,
+    leading_monomial,
     mono_degree,
+    mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
     poly_add,
     poly_const,
     poly_monomial,
     poly_mul,
     poly_scale,
+    poly_sub,
     poly_substitute,
+    poly_term_mul,
 )
 from toricqh.polytope import (
     Face,
@@ -104,6 +171,7 @@ from toricqh.quantum import (
     qpow,
     qprod,
     qscale,
+    quantum_nf,
 )
 from toricqh.seidel import (
     HomologyReport,
@@ -617,25 +685,24 @@ def former_classical_generators(poly):
 
 
 def former_eliminate(poly):
-    """Choose one variable per linear relation to eliminate.
+    """The former `_eliminate`, every row entry a Fraction.
 
-    Pivot preference per row: the first variable with coefficient -1, then
-    the first with +1, then the first nonzero.  Returns (kept indices,
-    images) where images maps every full variable index to its expression in
-    the kept variables.  The rows are the integer normal coordinates; a +-1
-    pivot keeps them integral, and only a pivot c with |c| > 1 divides into
-    Fractions.  An integral image coefficient is an int.
-    """
+    Choose one variable per linear relation to eliminate.  Pivot preference
+    per row: the first variable with coefficient -1, then the first with +1,
+    then the first nonzero.  Returns (kept indices, images) where images maps
+    every full variable index to its expression in the kept variables."""
     N, n = poly.num_facets, poly.n
+    rows = [[Fraction(poly.normal(i)[j]) for i in range(N)]
+            for j in range(n)]
     elim = {}  # var index -> full-width row (its expression, pivot zeroed)
     order = []
-    for j in range(n):
-        r = [poly.normal(i)[j] for i in range(N)]
+    for row in rows:
+        r = list(row)
         for e, expr in elim.items():
-            c = r[e]
-            if c:
+            if r[e]:
+                c = r[e]
                 r = [a + c * b for a, b in zip(r, expr)]
-                r[e] = 0
+                r[e] = Fraction(0)
         pivot = next((i for i, c in enumerate(r) if c == -1 and i not in elim),
                      None)
         if pivot is None:
@@ -648,10 +715,8 @@ def former_eliminate(poly):
             raise Unbounded("linear relations are not independent: the "
                             "facet normals do not span")
         c = r[pivot]
-        # -a / c is -a * c for c = +-1
-        expr = [-c * a for a in r] if c in (1, -1) else \
-            [Fraction(-a, c) for a in r]
-        expr[pivot] = 0
+        expr = [-a / c for a in r]
+        expr[pivot] = Fraction(0)
         elim[pivot] = expr
         order.append(pivot)
     # back-substitution: later rules may appear inside earlier expressions
@@ -660,22 +725,24 @@ def former_eliminate(poly):
             if e2 == e:
                 continue
             expr = elim[e2]
-            c = expr[e]
-            if c:
+            if expr[e]:
+                c = expr[e]
                 elim[e2] = [a + c * b for a, b in zip(expr, elim[e])]
-                elim[e2][e] = 0
+                elim[e2][e] = Fraction(0)
     kept = tuple(i for i in range(N) if i not in elim)
     width = len(kept)
-    units = {i: tuple(1 if k == pos else 0 for k in range(width))
-             for pos, i in enumerate(kept)}
+    pos = {i: k for k, i in enumerate(kept)}
     images = {}
     for i in range(N):
         if i in elim:
-            images[i] = {units[k]: c.numerator if type(c) is Fraction
-                         and c.denominator == 1 else c
-                         for k, c in enumerate(elim[i]) if c}
+            img = {}
+            for k, c in enumerate(elim[i]):
+                if c:
+                    img = poly_add(img, poly_scale(
+                        poly_monomial({pos[k]: 1}, width), c))
+            images[i] = img
         else:
-            images[i] = {units[i]: 1}
+            images[i] = poly_monomial({pos[i]: 1}, width)
     return kept, images
 
 
@@ -685,6 +752,9 @@ def former_ring_inputs(poly):
     prims = primitive_sets(poly)
     linear, monomials = former_classical_generators(poly)
     kept, images = former_eliminate(poly)
+    # the former `build_ring` kept an integral image coefficient as an int
+    images = {i: {m: int_if_integral(c) for m, c in image.items()}
+              for i, image in images.items()}
     gen_keys = tuple(p.key for p in prims)
     # substituted in ints; Fraction coefficients, as `substitute` writes them
     basis = [{m: Fraction(c) for m, c in poly_substitute(
@@ -693,6 +763,193 @@ def former_ring_inputs(poly):
     return dict(prims=tuple(prims), linear_gens=tuple(linear),
                 sr_gens=monomials, kept=kept, images=images,
                 gen_keys=gen_keys, basis=basis)
+
+
+def former_divmod_basis(f, basis):
+    """The former `polynomials.divmod_basis`.
+
+    Multivariate division: f = sum_k q_k * basis[k] + r, with no monomial
+    of r divisible by any leading monomial of the basis.
+
+    Returns (quotients, remainder); quotients are polynomials.
+    """
+    width = None
+    for g in basis:
+        if g:
+            width = len(next(iter(g)))
+            break
+    quotients = [dict() for _ in basis]
+    remainder = {}
+    work = dict(f)
+    while work:
+        m = leading_monomial(work)
+        c = work[m]
+        for k, g in enumerate(basis):
+            if not g:
+                continue
+            lm = leading_monomial(g)
+            if mono_divides(lm, m):
+                factor_m = mono_div(m, lm)
+                factor_c = c / g[lm]
+                quotients[k] = poly_add(
+                    quotients[k], {factor_m: factor_c})
+                work = poly_sub(work, poly_term_mul(g, factor_m, factor_c))
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return quotients, remainder
+
+
+def former_standard_monomials(self, limit):
+    """The former `TracedBasis.standard_monomials`, of an engine basis or a
+    `FormerTracedBasis`: all monomials not divisible by any leading
+    monomial, found by breadth-first growth from 1.  `limit` caps the
+    search as a safety net against a non-zero-dimensional quotient."""
+    if not self.elements:
+        raise ValueError("empty basis has infinite quotient")
+    lms = self.leading_monomials()
+    width = len(lms[0])
+    start = (0,) * width
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(width):
+                cand = tuple(e + (1 if j == i else 0)
+                             for j, e in enumerate(m))
+                if cand in seen:
+                    continue
+                if any(mono_divides(lm, cand) for lm in lms):
+                    continue
+                seen.add(cand)
+                nxt.append(cand)
+        frontier = nxt
+        if len(seen) > limit:
+            raise ValueError(
+                f"quotient dimension exceeds {limit}; ideal is not "
+                "zero-dimensional as expected")
+    return tuple(sorted(seen, key=grevlex_key))
+
+
+class FormerTracedBasis:
+    """The former `polynomials.TracedBasis`.
+
+    A Groebner basis whose elements carry cofactors over the original
+    generators: element[k] == sum_i cofactors[k][i] * generators[i]."""
+
+    def __init__(self, generators):
+        self.generators = [dict(g) for g in generators]
+        self.elements = []
+        self.cofactors = []  # list of dicts: generator index -> poly
+        self._buchberger()
+        self._reduce_basis()
+
+    # -- construction --------------------------------------------------------
+
+    def _append(self, poly, cof):
+        self.elements.append(poly)
+        self.cofactors.append(cof)
+
+    def _reduce_traced(self, f, cof):
+        """Fully reduce f against the current elements, updating the cofactor
+        expression alongside."""
+        quotients, remainder = former_divmod_basis(f, self.elements)
+        for k, q in enumerate(quotients):
+            if not q:
+                continue
+            for gi, gpoly in self.cofactors[k].items():
+                delta = poly_mul(q, gpoly)
+                cof[gi] = poly_sub(cof.get(gi, {}), delta)
+        return remainder, cof
+
+    def _buchberger(self):
+        width = None
+        for i, g in enumerate(self.generators):
+            if g:
+                width = len(next(iter(g)))
+                self._append(dict(g), {i: poly_const(1, width)})
+        pairs = list(combinations(range(len(self.elements)), 2))
+        while pairs:
+            i, j = pairs.pop(0)
+            fi, fj = self.elements[i], self.elements[j]
+            mi, mj = leading_monomial(fi), leading_monomial(fj)
+            lcm = mono_lcm(mi, mj)
+            if mono_mul(mi, mj) == lcm:
+                continue  # coprime leading terms: S-poly reduces to zero
+            ci, cj = fi[mi], fj[mj]
+            s = poly_sub(
+                poly_term_mul(fi, mono_div(lcm, mi), 1 / ci),
+                poly_term_mul(fj, mono_div(lcm, mj), 1 / cj))
+            cof = {}
+            for gi, gpoly in self.cofactors[i].items():
+                cof[gi] = poly_add(cof.get(gi, {}),
+                                   poly_term_mul(gpoly, mono_div(lcm, mi), 1 / ci))
+            for gi, gpoly in self.cofactors[j].items():
+                cof[gi] = poly_sub(cof.get(gi, {}),
+                                   poly_term_mul(gpoly, mono_div(lcm, mj), 1 / cj))
+            remainder, cof = self._reduce_traced(s, cof)
+            if remainder:
+                self._append(remainder, cof)
+                new = len(self.elements) - 1
+                pairs.extend((k, new) for k in range(new))
+
+    def _reduce_basis(self):
+        # minimal basis: drop elements whose LM is divisible by another LM
+        keep = []
+        lms = [leading_monomial(e) for e in self.elements]
+        for k, lm in enumerate(lms):
+            if any(mono_divides(lms[j], lm) for j in keep):
+                continue
+            keep = [j for j in keep if not mono_divides(lm, lms[j])]
+            keep.append(k)
+        elements = [self.elements[k] for k in keep]
+        cofactors = [self.cofactors[k] for k in keep]
+        # tail-reduce and normalize monic
+        reduced, reduced_cof = [], []
+        for k in range(len(elements)):
+            others = reduced + elements[k + 1:]
+            others_cof = reduced_cof + cofactors[k + 1:]
+            quotients, remainder = former_divmod_basis(elements[k], others)
+            cof = {gi: dict(p) for gi, p in cofactors[k].items()}
+            for q, ocof in zip(quotients, others_cof):
+                if not q:
+                    continue
+                for gi, gpoly in ocof.items():
+                    cof[gi] = poly_sub(cof.get(gi, {}), poly_mul(q, gpoly))
+            lc = remainder[leading_monomial(remainder)]
+            remainder = poly_scale(remainder, 1 / lc)
+            cof = {gi: poly_scale(p, 1 / lc) for gi, p in cof.items() if p}
+            reduced.append(remainder)
+            reduced_cof.append(cof)
+        self.elements = reduced
+        self.cofactors = reduced_cof
+
+    # -- queries ---------------------------------------------------------------
+
+    def leading_monomials(self):
+        return [leading_monomial(e) for e in self.elements]
+
+    def normal_form_traced(self, f):
+        """Reduce f to normal form; return (nf, trace) where trace maps each
+        original generator index to its polynomial cofactor:
+        f - nf == sum_i trace[i] * generators[i]."""
+        quotients, remainder = former_divmod_basis(f, self.elements)
+        trace = {}
+        for k, q in enumerate(quotients):
+            if not q:
+                continue
+            for gi, gpoly in self.cofactors[k].items():
+                contrib = poly_mul(q, gpoly)
+                if contrib:
+                    trace[gi] = poly_add(trace.get(gi, {}), contrib)
+        return remainder, {gi: p for gi, p in trace.items() if p}
+
+    def normal_form(self, f):
+        return self.normal_form_traced(f)[0]
+
+    standard_monomials = former_standard_monomials
 
 
 def former_monomial_nf(ring, mono):
@@ -721,39 +978,11 @@ def reference_reduce_full(ring, full_poly):
     return ring.nf(poly_substitute(full_poly, ring.images, ring.width))
 
 
-def former_standard_monomials(self, limit):
-    """All monomials not divisible by any leading monomial, found by
-    breadth-first growth from 1.  `limit` caps the search as a safety
-    net against a non-zero-dimensional quotient."""
-    if not self.elements:
-        raise ValueError("empty basis has infinite quotient")
-    lms = self.lms
-    width = len(lms[0])
-    start = (0,) * width
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for i in range(width):
-                cand = tuple(e + (1 if j == i else 0)
-                             for j, e in enumerate(m))
-                if cand in seen:
-                    continue
-                if any(mono_divides(lm, cand) for lm in lms):
-                    continue
-                seen.add(cand)
-                nxt.append(cand)
-        frontier = nxt
-        if len(seen) > limit:
-            raise ValueError(
-                f"quotient dimension exceeds {limit}; ideal is not "
-                "zero-dimensional as expected")
-    return tuple(sorted(seen, key=grevlex_key))
-
-
 class FormerIntegral(ClassicalRing):
-    """A classical ring that integrates as the former code did."""
+    """A classical ring that integrates and pairs as the former code did:
+    an integral reads the coefficient of the one top standard monomial in a
+    normal form, over that of the reference vertex monomial, and a pairing
+    is one such integral per entry."""
 
     def _top_monomial(self):
         tops = [m for m in self.standard_monomials
@@ -783,6 +1012,16 @@ class FormerIntegral(ClassicalRing):
             raise DegenerateRing("reference vertex monomial is not a nonzero "
                                  "multiple of the top class")
         return nf.get(top, Fraction(0)) / ref[top]
+
+    def pd_matrix(self, degree):
+        """Pairing matrix between standard monomials of cohomological degree
+        `degree` and those of complementary degree."""
+        k = degree // 2
+        n = self.polytope.n
+        rows = [m for m in self.standard_monomials if mono_degree(m) == k]
+        cols = [m for m in self.standard_monomials if mono_degree(m) == n - k]
+        return [[self.integrate(poly_mul({r: Fraction(1)}, {c: Fraction(1)}))
+                 for c in cols] for r in rows]
 
 
 # -------------------------------------------------- the circle and the battery
@@ -895,12 +1134,6 @@ def former_stratum(orders, q):
                            components=tuple(components))
 
 
-def former_table_stratum(self, q):
-    # the former `CircleTable.stratum`: a new stratum on every call, kept as
-    # the reference of the table's one stratum per q, by the pairwise search
-    return former_stratum(self.orders, q)
-
-
 class FormerCircleTable:
     """The circle xi on poly: xi's coordinates and moment value at every
     vertex, and, each on first use, the fixed components and the isotropy
@@ -952,7 +1185,8 @@ class FormerCircleTable:
                           if order is not FIXED])
 
     def stratum(self, q):
-        return _stratum(self.orders, q)
+        # a new stratum on every call, by the pairwise search
+        return former_stratum(self.orders, q)
 
     def q_pairs(self, faces):
         candidates = {d for order in self.orders.values()
@@ -973,17 +1207,6 @@ class FormerCircleTable:
                 for key, order in self.orders.items() if order is not FIXED]
         return {c: max([1] + [order for top, order in tops if top > c])
                 for c in levels}
-
-
-def former_superlevel_bounds(self, values):
-    """Isotropy bound above each moment value c = a / b (a value, not a
-    level) in values: a level lies above c when level * b > a * D."""
-    tops = [(max(self.levels[v] for v in self.poly.faces[key].vertex_ids),
-             order)
-            for key, order in self.orders.items() if order is not FIXED]
-    return {c: max([1] + [k for top, k in tops if
-                          top * c.denominator > c.numerator * self.scale])
-            for c in values}
 
 
 def former_chain_bound(poly, xi, circle=None):
@@ -1040,6 +1263,53 @@ def former_chain_bound(poly, xi, circle=None):
                                                  for _, m in walks),
                       q_values={(keys[i], keys[j]): q
                                 for (i, j), q in qs.items()})
+
+
+def reference_chains(poly, xi):
+    """Every simple chain from the maximum to the minimum, by brute force:
+    (min cost, the cheapest chains in lexicographic order of component
+    indices, whether one of them meets the weight-sum condition, the q of
+    each pair).  A pair's q is the largest q whose stratum has a component
+    holding both faces, found by trying every q from the global bound down."""
+    comps = fixed_components(poly, xi)
+    n = len(comps)
+    strata = [(k, isotropy_components(poly, xi, k).components)
+              for k in range(global_isotropy_bound(poly, xi), 1, -1)]
+    q = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[(i, j)] = q[(j, i)] = next(
+                (k for k, components in strata
+                 if any(comps[i].facets in c and comps[j].facets in c
+                        for c in components)), 1)
+    chains = []
+
+    def extend(path):
+        if path[-1] == n - 1:
+            chains.append(path)
+            return
+        for v in range(n):
+            if v not in path and comps[v].K != comps[path[-1]].K:
+                extend(path + [v])
+
+    extend([0])
+
+    def cost(path):
+        return sum(abs(comps[u].K - comps[v].K) / q[(u, v)]
+                   for u, v in zip(path, path[1:]))
+
+    def m_sum(path):
+        return sum(Fraction(comps[u].m - comps[v].m, q[(u, v)])
+                   * (1 if comps[u].K > comps[v].K else -1)
+                   for u, v in zip(path, path[1:]))
+
+    best = min(cost(path) for path in chains)
+    optimal = sorted(path for path in chains if cost(path) == best)
+    keys = [tuple(sorted(c.facets)) for c in comps]
+    return (best,
+            tuple(tuple(keys[v] for v in path) for path in optimal),
+            any(m_sum(path) == comps[0].m for path in optimal),
+            {(i, j): q[(i, j)] for i in range(n) for j in range(i + 1, n)})
 
 
 def former_rule_s2(circle):
@@ -1107,6 +1377,182 @@ def reference_classical_class(ring, facet_powers, classes):
 
 # ------------------------------------------------------------ the quantum ring
 
+class FormerNovScalar:
+    """The former `novikov.NovScalar`, keyed by Fraction t-exponents with
+    Fraction coefficients.  Immutable by convention; do not mutate `terms`
+    after construction."""
+
+    __slots__ = ("terms", "cutoff", "truncated")
+
+    def __init__(self, terms, cutoff, truncated=False):
+        cutoff = Fraction(cutoff)
+        clean = {}
+        for (d, kappa), c in terms.items():
+            check_term(d, kappa, c)
+            if c == 0:
+                continue
+            c, kappa = Fraction(c), Fraction(kappa)
+            if kappa > cutoff:
+                truncated = True
+                continue
+            clean[(d, kappa)] = c
+        self.terms = clean
+        self.cutoff = cutoff
+        self.truncated = truncated
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def trusted(cls, terms, cutoff, truncated):
+        """A scalar on `terms` as given; see the module docstring."""
+        self = object.__new__(cls)
+        self.terms, self.cutoff, self.truncated = terms, cutoff, truncated
+        return self
+
+    @classmethod
+    def zero(cls, cutoff):
+        return cls({}, cutoff)
+
+    @classmethod
+    def one(cls, cutoff):
+        return cls({(0, Fraction(0)): Fraction(1)}, cutoff)
+
+    @classmethod
+    def monomial(cls, coeff, d, kappa, cutoff):
+        return cls({(d, kappa): coeff}, cutoff)
+
+    # -- structure ----------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, FormerNovScalar):
+            return NotImplemented
+        return self.terms == other.terms and self.cutoff == other.cutoff
+
+    def __hash__(self):
+        return hash((frozenset(self.terms.items()), self.cutoff))
+
+    def _check(self, other):
+        if self.cutoff != other.cutoff:
+            raise CutoffMismatch(
+                f"cutoffs differ: {self.cutoff} vs {other.cutoff}")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return FormerNovScalar.trusted({k: c for k, c in terms.items() if c},
+                                       self.cutoff,
+                                       self.truncated or other.truncated)
+
+    def __neg__(self):
+        return FormerNovScalar.trusted({k: -c for k, c in self.terms.items()},
+                                       self.cutoff, self.truncated)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        self._check(other)
+        terms, cutoff = {}, self.cutoff
+        truncated = self.truncated or other.truncated
+        for (d1, k1), c1 in self.terms.items():
+            for (d2, k2), c2 in other.terms.items():
+                kappa = k1 + k2
+                if kappa > cutoff:
+                    truncated = True
+                    continue
+                key = (d1 + d2, kappa)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return FormerNovScalar.trusted({k: c for k, c in terms.items() if c},
+                                       cutoff, truncated)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        c = Fraction(c)
+        terms = {k: c * v for k, v in self.terms.items()} if c else {}
+        return FormerNovScalar.trusted(terms, self.cutoff, self.truncated)
+
+    def with_truncated(self, flag):
+        return FormerNovScalar.trusted(self.terms, self.cutoff, flag)
+
+    # -- queries -------------------------------------------------------------
+
+    def valuation(self):
+        if not self.terms:
+            raise ZeroElement("valuation of zero")
+        return min(k for _, k in self.terms)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: (item[0][1], item[0][0]))
+
+    # -- inversion ------------------------------------------------------------
+
+    def invert(self):
+        """Inverse, when the minimal-kappa slice is a single monomial.
+
+        Factors the leading monomial and expands the geometric series in the
+        positive-valuation remainder, truncating at the cutoff.
+
+        Precision: the product a * a.invert() stores exactly 1 whenever the
+        valuation of a is >= 0 (the residue lives above the cutoff and is
+        dropped, with the flag set).  For a unit of negative valuation -s the
+        stored residue can reach down to cutoff - s, because the cancelling
+        partners sit above the cutoff and cannot be stored.  Monomials invert
+        exactly in every case.
+        """
+        if not self.terms:
+            raise ZeroElement("cannot invert zero")
+        v = self.valuation()
+        lead = [(d, c) for (d, k), c in self.terms.items() if k == v]
+        if len(lead) != 1:
+            raise NotAUnit(
+                "scalar has several terms of minimal t-exponent; not a unit "
+                "of the Laurent ring")
+        (d0, c0), = lead
+        base = FormerNovScalar.monomial(Fraction(1, 1) / c0, -d0, -v,
+                                        self.cutoff)
+        # self = c0 q^d0 t^v (1 - r) with val(r) > 0
+        r = (FormerNovScalar.one(self.cutoff) - base * self).with_truncated(
+            False)
+        result = FormerNovScalar.one(self.cutoff)
+        power = FormerNovScalar.one(self.cutoff)
+        truncated = self.truncated
+        if r:
+            rv = r.valuation()
+            if rv <= 0:  # the inverse of the leading monomial was dropped
+                raise NotAUnit(f"no inverse below the cutoff {self.cutoff}: "
+                               f"t^{-v} lies above it")
+            steps = int((self.cutoff - (-v)) // rv) + 1
+            for _ in range(max(steps, 0)):
+                power = power * r
+                if not power:
+                    break
+                result = result + power
+            truncated = True  # a genuine series continues above the cutoff
+        return (base * result).with_truncated(truncated or base.truncated)
+
+    # -- rendering -------------------------------------------------------------
+
+    def __repr__(self):
+        if not self.terms:
+            return "NovScalar(0)"
+        bits = []
+        for (d, k), c in self.sorted_terms():
+            bits.append(f"{c}*q^{d}*t^{k}")
+        return "NovScalar(" + " + ".join(bits) + ")"
+
+
+
 def reference_nf(z, qp):
     """The former quantum_nf: one NovScalar per atom and partial sum."""
     if isinstance(z, QClass):
@@ -1168,6 +1614,117 @@ def reference_nf(z, qp):
         return QClass({(0,) * qp.ring.width:
                        NovScalar({}, qp.cutoff, True)}, qp.cutoff)
     return QClass(coeffs, qp.cutoff)
+
+
+def former_quantum_nf(z, qp):
+    """`quantum_nf` as it was before the integer grid, verbatim: pending
+    atoms keyed by Fraction levels, corrections read per trace entry."""
+    coeffs = z.coeffs if isinstance(z, QClass) else z
+    cutoff = Fraction(qp.cutoff)
+    truncated = qpoly_truncated(coeffs)
+    pending = {}
+    for m, s in coeffs.items():
+        for (d, kappa), c in s.terms.items():
+            if kappa > cutoff:  # an input scalar with a larger cutoff
+                truncated = True
+                continue
+            atoms = pending.setdefault(kappa, {})
+            atoms[d, m] = atoms.get((d, m), 0) + c
+    result = {}
+    guard = 0
+    while pending:
+        guard += 1
+        if guard >= 10000:
+            raise BadCorrectionValuation("quantum reduction diverged")
+        level = min(pending)
+        for (d, mono), coeff in pending.pop(level).items():
+            if not coeff:
+                continue
+            nf, trace = _nf_traced_cached(qp, mono)
+            for m2, c2 in nf.items():
+                terms = result.setdefault(m2, {})
+                terms[d, level] = terms.get((d, level), 0) + coeff * c2
+            for key, cof in trace.items():
+                delta = qp.corrections[key]
+                for mc, cc in cof.items():
+                    scale = coeff * cc
+                    for mm, s in delta.items():
+                        truncated = truncated or s.truncated
+                        m3 = mono_mul(mc, mm)
+                        for (d3, k3), c3 in s.terms.items():
+                            k3 += level
+                            if k3 > cutoff:
+                                truncated = True
+                                continue
+                            if k3 <= level:
+                                raise NonPositiveEnergy(
+                                    "a correction failed to raise the "
+                                    "valuation; relation energies must be "
+                                    "positive")
+                            atoms = pending.setdefault(k3, {})
+                            key3 = (d3 + d, m3)
+                            atoms[key3] = atoms.get(key3, 0) + c3 * scale
+    out = {}
+    for m, terms in result.items():
+        terms = {k: c for k, c in terms.items() if c}
+        if terms:
+            out[m] = NovScalar.trusted(terms, cutoff, truncated)
+    if truncated and not out:
+        # preserve the flag on a zero class via an explicitly flagged zero
+        out = {(0,) * qp.ring.width: NovScalar.trusted({}, cutoff, True)}
+    return QClass(out, qp.cutoff)
+
+
+def former_qprod(a, b, qp):
+    """`qprod` as it was: the normal form of the multiplied-out product."""
+    return former_quantum_nf(qpoly_mul(a.coeffs, b.coeffs), qp)
+
+
+def former_kept_qpoly(ring, terms):
+    """Sum of (full-variable monomial, NovScalar) terms as a quantum
+    polynomial in the kept variables; truncation flags carry over."""
+    out = {}
+    for mono, s in terms:
+        if s.is_zero() and not s.truncated:
+            continue
+        for m, c in ring.monomial_image(mono).items():
+            out[m] = out[m] + s.scale(c) if m in out else s.scale(c)
+    return out
+
+
+def former_lift(qp, full_poly, d=0, kappa=0, coeff=1):
+    """Quantum class of a polynomial expression in the full facet variables,
+    times an optional Novikov monomial."""
+    return quantum_nf(former_kept_qpoly(qp.ring, [
+        (m, NovScalar.monomial(Fraction(coeff) * c, d, kappa, qp.cutoff))
+        for m, c in full_poly.items()]), qp)
+
+
+def former_kept_terms(qp, terms):
+    """Kept-variable form of {(full monomial, d, kappa): coefficient}."""
+    return former_kept_qpoly(qp.ring, [
+        (mono, NovScalar.monomial(c, d, kappa, qp.cutoff))
+        for (mono, d, kappa), c in terms.items()])
+
+
+def former_from_terms(qp, terms, truncated=False):
+    """The former `qclass_from_json` after parsing its terms."""
+    coeffs = former_kept_terms(qp, terms)
+    if truncated:
+        coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
+    return quantum_nf(coeffs, qp)
+
+
+def reference_from_terms(qp, terms, truncated=False):
+    """`former_from_terms`, except that a flagged input whose kept
+    coefficients are all gone is a flagged zero: the former route set the
+    flag on those coefficients and so dropped it."""
+    want = former_from_terms(qp, terms, truncated)
+    if truncated and not want.truncated:
+        assert not want.coeffs
+        want = QClass({(0,) * qp.ring.width:
+                       NovScalar.trusted({}, qp.cutoff, True)}, qp.cutoff)
+    return want
 
 
 def reference_fano_presentation(poly, cutoff=None):
@@ -1333,44 +1890,20 @@ def reference_inverse(qp, i, inverses):
     return inverses[i]
 
 
+def reference_facet_power(qp, i, a, inverses):
+    """S(eta_i)^a for a nonzero integer a, rebuilt with `qpow`."""
+    base = facet_seidel(qp, i).qclass if a > 0 \
+        else reference_inverse(qp, i, inverses)
+    return qpow(base, abs(a), qp)
+
+
 def reference_facet_product(qp, coords, inverses):
     """The former `facet_product`: every power rebuilt with `qpow`."""
     out = qp.one()
     for i, a in coords.items():
-        if a > 0:
-            out = qprod(out, qpow(facet_seidel(qp, i).qclass, a, qp), qp)
-        elif a < 0:
-            out = qprod(out, qpow(reference_inverse(qp, i, inverses), -a, qp),
-                        qp)
+        if a:
+            out = qprod(out, reference_facet_power(qp, i, a, inverses), qp)
     return out
-
-
-def _former_facet_seidel_inverse(qp, i):
-    """S(eta_i)^-1, cached."""
-    key = ("facet_seidel_inv", i)
-    if key not in qp._cache:
-        qp._cache[key] = qinv(facet_seidel(qp, i).qclass, qp)
-    return qp._cache[key]
-
-
-def former_facet_power(qp, i, a):
-    """S(eta_i)^a for a nonzero integer a, cached.
-
-    The powers of one sign are built as `qpow` builds them: from the unit
-    up, each the product of the one below with the base, S(eta_i) or its
-    inverse.  The entry is the tuple (base^0, base^1, ...); a longer chain
-    is written as a new entry, never appended to the cached one."""
-    key = ("facet_power", i, a > 0)
-    powers = qp._cache.get(key, ())
-    k = abs(a)
-    if k >= len(powers):
-        base = facet_seidel(qp, i).qclass if a > 0 \
-            else _former_facet_seidel_inverse(qp, i)
-        powers = list(powers) or [qp.one()]
-        while len(powers) <= k:
-            powers.append(qprod(powers[-1], base, qp))
-        powers = qp._cache[key] = tuple(powers)
-    return powers[k]
 
 
 def reference_seidel_element(qp, xi, inverses=None):

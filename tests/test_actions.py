@@ -13,7 +13,7 @@ import toricqh
 
 from cases import GON12, box, box_vectors, simplex
 from reference import (
-    former_table_stratum,
+    FormerCircleTable,
     kernel_basis_int,
     reference_in_rational_lattice,
     weights,
@@ -445,7 +445,7 @@ def test_a_table_builds_each_q_stratum_once_for_the_former_findings(
                 assert table.stratum(q) is stratum
     assert len(built) == count
     monkeypatch.undo()
-    monkeypatch.setattr(CircleTable, "stratum", former_table_stratum)
+    monkeypatch.setattr(CircleTable, "stratum", FormerCircleTable.stratum)
     assert got == _findings(poly, xis)
 
 

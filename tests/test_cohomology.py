@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import toricqh
 from cases import GON12, box, simplex
-from reference import det
+from reference import det, former_eliminate
 from toricqh import examples
 from toricqh.cohomology import (
     betti_morse,
@@ -393,67 +393,6 @@ def test_the_ring_checks_still_fire_under_python_O():
 
 # ------------------------------------------ elimination in integers
 
-def fraction_eliminate(poly):
-    """The former `_eliminate`, verbatim: every row entry a Fraction."""
-    from toricqh.polynomials import poly_monomial
-
-    def poly_var(i, width):
-        return poly_monomial({i: 1}, width)
-
-    N, n = poly.num_facets, poly.n
-    rows = [[Fraction(poly.normal(i)[j]) for i in range(N)]
-            for j in range(n)]
-    elim = {}  # var index -> full-width row (its expression, pivot zeroed)
-    order = []
-    for row in rows:
-        r = list(row)
-        for e, expr in elim.items():
-            if r[e]:
-                c = r[e]
-                r = [a + c * b for a, b in zip(r, expr)]
-                r[e] = Fraction(0)
-        pivot = next((i for i, c in enumerate(r) if c == -1 and i not in elim),
-                     None)
-        if pivot is None:
-            pivot = next((i for i, c in enumerate(r)
-                          if c == 1 and i not in elim), None)
-        if pivot is None:
-            pivot = next((i for i, c in enumerate(r)
-                          if c != 0 and i not in elim), None)
-        if pivot is None:
-            raise Unbounded("linear relations are not independent: the "
-                            "facet normals do not span")
-        c = r[pivot]
-        expr = [-a / c for a in r]
-        expr[pivot] = Fraction(0)
-        elim[pivot] = expr
-        order.append(pivot)
-    # back-substitution: later rules may appear inside earlier expressions
-    for e in reversed(order):
-        for e2 in order:
-            if e2 == e:
-                continue
-            expr = elim[e2]
-            if expr[e]:
-                c = expr[e]
-                elim[e2] = [a + c * b for a, b in zip(expr, elim[e])]
-                elim[e2][e] = Fraction(0)
-    kept = tuple(i for i in range(N) if i not in elim)
-    width = len(kept)
-    pos = {i: k for k, i in enumerate(kept)}
-    images = {}
-    for i in range(N):
-        if i in elim:
-            img = {}
-            for k, c in enumerate(elim[i]):
-                if c:
-                    img = poly_add(img, poly_scale(poly_var(pos[k], width), c))
-            images[i] = img
-        else:
-            images[i] = poly_var(pos[i], width)
-    return kept, images
-
-
 class Normals:
     """The facet normals of a polytope, all that `_eliminate` reads."""
 
@@ -477,7 +416,7 @@ ELIMINATION_CORPUS = _elimination_corpus()
 
 def assert_eliminates_as_fractions(poly):
     kept, images = _eliminate(poly)
-    assert (kept, images) == fraction_eliminate(poly)
+    assert (kept, images) == former_eliminate(poly)
     for image in images.values():
         for c in image.values():
             assert type(c) is (int if Fraction(c).denominator == 1

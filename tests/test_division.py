@@ -1,17 +1,16 @@
 """The Groebner division on cached leading monomials, with one traced
 division, against the former version, which recomputed every basis
 element's leading monomial at every division step and folded quotients
-through cofactors in three places.  `divmod_basis` and `TracedBasis` below
-are the former code, verbatim; the engine's are `polynomials.divmod_basis`
-and `polynomials.TracedBasis`.  On the ten corpus rings both must give the
-same elements, cofactors and leading monomials, and the same normal form
-and trace for every kept-variable monomial of degree at most 2n and for
-drawn polynomials.
+through cofactors in three places.  The references `former_divmod_basis`
+and `FormerTracedBasis` are the former code, verbatim; the engine's are
+`polynomials.divmod_basis` and `polynomials.TracedBasis`.  On the ten
+corpus rings both must give the same elements, cofactors and leading
+monomials, and the same normal form and trace for every kept-variable
+monomial of degree at most 2n and for drawn polynomials.
 
 The classical layer without search is held to the code it replaced: the
-breadth-first `standard_monomials` and the pairwise `_stratum`, which are
-the references of their jobs, and the Fraction vertex sums of `integrate`
-and `pd_matrix`, kept below verbatim.
+breadth-first `standard_monomials`, the pairwise `_stratum`, and
+`FormerIntegral`, whose integral and pairing read normal forms.
 Bases (whose reduction now divides only when it must), standard monomials
 and pairings must match by repr on the corpus, cube5, cube6 and drawn
 Delzant polytopes, and strata on every q of the gcd-closure of the orders
@@ -23,218 +22,27 @@ import math
 import random
 from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations
-from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cases import POLYTOPES, box, exact, smooth_polytopes
-from reference import former_standard_monomials, former_stratum
+from reference import (
+    FormerIntegral,
+    FormerTracedBasis,
+    former_divmod_basis,
+    former_standard_monomials,
+    former_stratum,
+)
 from toricqh import polynomials
 from toricqh.actions import FIXED, CircleTable, _stratum
-from toricqh.cohomology import ClassicalRing, build_ring
-from toricqh.errors import DegenerateRing, StratumNotClosed, WrongDegree
+from toricqh.cohomology import build_ring
+from toricqh.errors import DegenerateRing, StratumNotClosed
 from toricqh.polytope import validate_delzant
-from toricqh.polynomials import (
-    grevlex_key,
-    leading_monomial,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    poly_add,
-    poly_const,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-    poly_term_mul,
-)
+from toricqh.polynomials import poly_add, poly_mul, poly_sub
 
 F = Fraction
-
-
-# ------------------------------------------------- the former code, verbatim
-
-def divmod_basis(f, basis):
-    """Multivariate division: f = sum_k q_k * basis[k] + r, with no monomial
-    of r divisible by any leading monomial of the basis.
-
-    Returns (quotients, remainder); quotients are polynomials.
-    """
-    width = None
-    for g in basis:
-        if g:
-            width = len(next(iter(g)))
-            break
-    quotients = [dict() for _ in basis]
-    remainder = {}
-    work = dict(f)
-    while work:
-        m = leading_monomial(work)
-        c = work[m]
-        for k, g in enumerate(basis):
-            if not g:
-                continue
-            lm = leading_monomial(g)
-            if mono_divides(lm, m):
-                factor_m = mono_div(m, lm)
-                factor_c = c / g[lm]
-                quotients[k] = poly_add(
-                    quotients[k], {factor_m: factor_c})
-                work = poly_sub(work, poly_term_mul(g, factor_m, factor_c))
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    return quotients, remainder
-
-
-class TracedBasis:
-    """A Groebner basis whose elements carry cofactors over the original
-    generators: element[k] == sum_i cofactors[k][i] * generators[i]."""
-
-    def __init__(self, generators):
-        self.generators = [dict(g) for g in generators]
-        self.elements = []
-        self.cofactors = []  # list of dicts: generator index -> poly
-        self._buchberger()
-        self._reduce_basis()
-
-    # -- construction --------------------------------------------------------
-
-    def _append(self, poly, cof):
-        self.elements.append(poly)
-        self.cofactors.append(cof)
-
-    def _reduce_traced(self, f, cof):
-        """Fully reduce f against the current elements, updating the cofactor
-        expression alongside."""
-        quotients, remainder = divmod_basis(f, self.elements)
-        for k, q in enumerate(quotients):
-            if not q:
-                continue
-            for gi, gpoly in self.cofactors[k].items():
-                delta = poly_mul(q, gpoly)
-                cof[gi] = poly_sub(cof.get(gi, {}), delta)
-        return remainder, cof
-
-    def _buchberger(self):
-        width = None
-        for i, g in enumerate(self.generators):
-            if g:
-                width = len(next(iter(g)))
-                self._append(dict(g), {i: poly_const(1, width)})
-        pairs = list(combinations(range(len(self.elements)), 2))
-        while pairs:
-            i, j = pairs.pop(0)
-            fi, fj = self.elements[i], self.elements[j]
-            mi, mj = leading_monomial(fi), leading_monomial(fj)
-            lcm = mono_lcm(mi, mj)
-            if mono_mul(mi, mj) == lcm:
-                continue  # coprime leading terms: S-poly reduces to zero
-            ci, cj = fi[mi], fj[mj]
-            s = poly_sub(
-                poly_term_mul(fi, mono_div(lcm, mi), 1 / ci),
-                poly_term_mul(fj, mono_div(lcm, mj), 1 / cj))
-            cof = {}
-            for gi, gpoly in self.cofactors[i].items():
-                cof[gi] = poly_add(cof.get(gi, {}),
-                                   poly_term_mul(gpoly, mono_div(lcm, mi), 1 / ci))
-            for gi, gpoly in self.cofactors[j].items():
-                cof[gi] = poly_sub(cof.get(gi, {}),
-                                   poly_term_mul(gpoly, mono_div(lcm, mj), 1 / cj))
-            remainder, cof = self._reduce_traced(s, cof)
-            if remainder:
-                self._append(remainder, cof)
-                new = len(self.elements) - 1
-                pairs.extend((k, new) for k in range(new))
-
-    def _reduce_basis(self):
-        # minimal basis: drop elements whose LM is divisible by another LM
-        keep = []
-        lms = [leading_monomial(e) for e in self.elements]
-        for k, lm in enumerate(lms):
-            if any(mono_divides(lms[j], lm) for j in keep):
-                continue
-            keep = [j for j in keep if not mono_divides(lm, lms[j])]
-            keep.append(k)
-        elements = [self.elements[k] for k in keep]
-        cofactors = [self.cofactors[k] for k in keep]
-        # tail-reduce and normalize monic
-        reduced, reduced_cof = [], []
-        for k in range(len(elements)):
-            others = reduced + elements[k + 1:]
-            others_cof = reduced_cof + cofactors[k + 1:]
-            quotients, remainder = divmod_basis(elements[k], others)
-            cof = {gi: dict(p) for gi, p in cofactors[k].items()}
-            for q, ocof in zip(quotients, others_cof):
-                if not q:
-                    continue
-                for gi, gpoly in ocof.items():
-                    cof[gi] = poly_sub(cof.get(gi, {}), poly_mul(q, gpoly))
-            lc = remainder[leading_monomial(remainder)]
-            remainder = poly_scale(remainder, 1 / lc)
-            cof = {gi: poly_scale(p, 1 / lc) for gi, p in cof.items() if p}
-            reduced.append(remainder)
-            reduced_cof.append(cof)
-        self.elements = reduced
-        self.cofactors = reduced_cof
-
-    # -- queries ---------------------------------------------------------------
-
-    def leading_monomials(self):
-        return [leading_monomial(e) for e in self.elements]
-
-    def normal_form_traced(self, f):
-        """Reduce f to normal form; return (nf, trace) where trace maps each
-        original generator index to its polynomial cofactor:
-        f - nf == sum_i trace[i] * generators[i]."""
-        quotients, remainder = divmod_basis(f, self.elements)
-        trace = {}
-        for k, q in enumerate(quotients):
-            if not q:
-                continue
-            for gi, gpoly in self.cofactors[k].items():
-                contrib = poly_mul(q, gpoly)
-                if contrib:
-                    trace[gi] = poly_add(trace.get(gi, {}), contrib)
-        return remainder, {gi: p for gi, p in trace.items() if p}
-
-    def normal_form(self, f):
-        return self.normal_form_traced(f)[0]
-
-    def standard_monomials(self, limit):
-        """All monomials not divisible by any leading monomial, found by
-        breadth-first growth from 1.  `limit` caps the search as a safety
-        net against a non-zero-dimensional quotient."""
-        if not self.elements:
-            raise ValueError("empty basis has infinite quotient")
-        width = len(self.leading_monomials()[0])
-        lms = self.leading_monomials()
-        start = (0,) * width
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i in range(width):
-                    cand = tuple(e + (1 if j == i else 0)
-                                 for j, e in enumerate(m))
-                    if cand in seen:
-                        continue
-                    if any(mono_divides(lm, cand) for lm in lms):
-                        continue
-                    seen.add(cand)
-                    nxt.append(cand)
-            frontier = nxt
-            if len(seen) > limit:
-                raise ValueError(
-                    f"quotient dimension exceeds {limit}; ideal is not "
-                    "zero-dimensional as expected")
-        return tuple(sorted(seen, key=grevlex_key))
 
 
 # ------------------------------------------------------------------- tests
@@ -244,7 +52,7 @@ def bases(name):
     """(engine basis, former basis) of the corpus ring `name`, both built
     from the ring's kept-variable Stanley-Reisner generators."""
     engine = build_ring(POLYTOPES[name]).basis
-    return engine, TracedBasis(engine.generators)
+    return engine, FormerTracedBasis(engine.generators)
 
 
 def monomials_up_to(width, degree):
@@ -290,7 +98,7 @@ def test_normal_forms_of_drawn_polynomials_are_the_former_ones(case):
     assert exact((nf, trace)) == exact(former.normal_form_traced(f))
     assert exact(engine.normal_form(f)) == exact(nf)
     assert exact(polynomials.divmod_basis(f, engine.elements, engine.lms)) \
-        == exact(divmod_basis(f, former.elements))
+        == exact(former_divmod_basis(f, former.elements))
     # the trace is exact: f - nf == sum_i trace[i] * generators[i]
     combination = {}
     for gi, cof in trace.items():
@@ -308,38 +116,6 @@ def test_leading_monomials_is_a_new_list_each_call():
     assert engine.leading_monomials() is not engine.leading_monomials()
 
 
-# ----------------------------- the classical layer before the staircase
-
-class FractionVertexSums(ClassicalRing):
-    """A classical ring that integrates and pairs as the former code did,
-    with one Fraction per vertex."""
-
-    def integrate(self, poly):
-        """Integral of a homogeneous top-degree class over the manifold, by
-        localization at the vertices (Atiyah-Bott, Berline-Vergne): the sum
-        over v of f|_v / prod_{i in F(v)} w_i(v), where x_i restricts at v
-        to w_i(v) if facet i holds v, else to 0."""
-        if not poly:
-            return Fraction(0)
-        n = self.polytope.n
-        if any(mono_degree(m) != n for m in poly):
-            raise WrongDegree(
-                f"integrand must be homogeneous of cohomological degree {2 * n}")
-        return sum((Fraction(sum(c * prod(map(pow, weights, m))
-                                 for m, c in poly.items()), euler)
-                    for weights, euler in self.localization), Fraction(0))
-
-    def pd_matrix(self, degree):
-        """Pairing matrix between standard monomials of cohomological degree
-        `degree` and those of complementary degree."""
-        k = degree // 2
-        n = self.polytope.n
-        rows = [m for m in self.standard_monomials if mono_degree(m) == k]
-        cols = [m for m in self.standard_monomials if mono_degree(m) == n - k]
-        return [[self.integrate(poly_mul({r: Fraction(1)}, {c: Fraction(1)}))
-                 for c in cols] for r in rows]
-
-
 # --------------------------------------------- the engine against them
 
 CLASSICAL = dict(POLYTOPES, cube5=box(5), cube6=box(6))
@@ -348,7 +124,7 @@ CLASSICAL = dict(POLYTOPES, cube5=box(5), cube6=box(6))
 def assert_the_classical_layer_is_the_former_one(poly, integrals=True):
     """Basis, standard monomials and pairings of poly's ring, by repr."""
     ring = build_ring(poly)
-    engine, former = ring.basis, TracedBasis(ring.basis.generators)
+    engine, former = ring.basis, FormerTracedBasis(ring.basis.generators)
     limit = 4 * max(len(poly.vertices), 4)
     assert exact(engine.elements) == exact(former.elements)
     assert exact(engine.cofactors) == exact(former.cofactors)
@@ -356,8 +132,8 @@ def assert_the_classical_layer_is_the_former_one(poly, integrals=True):
     assert engine.standard_monomials(limit) == ring.standard_monomials \
         == former_standard_monomials(engine, limit) \
         == former.standard_monomials(limit)
-    reference = FractionVertexSums(**{f.name: getattr(ring, f.name)
-                                      for f in fields(ring) if f.init})
+    reference = FormerIntegral(**{f.name: getattr(ring, f.name)
+                                  for f in fields(ring) if f.init})
     for k in range(poly.n + 1):
         assert exact(ring.pd_matrix(2 * k)) == \
             exact(reference.pd_matrix(2 * k)), k

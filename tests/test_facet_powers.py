@@ -22,7 +22,7 @@ from cases import (
     value_or_error,
 )
 from reference import (
-    former_facet_power,
+    reference_facet_power,
     reference_facet_product,
     reference_seidel_element,
 )
@@ -124,15 +124,15 @@ def test_the_facet_inverse_starts_its_power_chain(monkeypatch, cutoff, order):
 
     monkeypatch.setattr(seidel_module, "qinv", counted)
     qp, former = hirzebruch2_nef(cutoff), hirzebruch2_nef(cutoff)
+    inverses = {}
     for i in range(qp.polytope.num_facets):
         for a in POWER_ORDERS[order]:
-            want = value_or_error(lambda: class_outcome(former_facet_power(
-                former, i, a)))
+            want = value_or_error(lambda: class_outcome(reference_facet_power(
+                former, i, a, inverses)))
             assert value_or_error(
                 lambda: class_outcome(facet_power(qp, i, a))) == want, (i, a)
         assert len(solved) == i + 1
         powers = qp._cache[("facet_power", i, False)]
-        assert class_outcome(powers[1]) == class_outcome(
-            former._cache[("facet_seidel_inv", i)])
+        assert class_outcome(powers[1]) == class_outcome(inverses[i])
     assert not any(key[0] == "facet_seidel_inv" for key in qp._cache
                    if isinstance(key, tuple))

@@ -1,7 +1,9 @@
 """`quantum.lift` on {(full monomial, q, t): coefficient} terms against the
 routes it replaced: the former `lift` (keywords d, kappa and coeff, one
 validating NovScalar per term scaled through `kept_qpoly`) and the former
-`cli._kept_terms`, both kept here verbatim as references.  Results are
+`cli._kept_terms`, both kept verbatim as references: `former_lift` and
+`former_from_terms`, and `reference_from_terms`, which flags a zero as
+`lift` does.  Results are
 compared by terms, the types of every exponent and coefficient, the flags,
 and the identity of the cutoff."""
 
@@ -11,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from cases import CUTOFFS, PRESENTED, facet_monomials, presented, typed_class
+from reference import former_from_terms, former_lift, reference_from_terms
 from toricqh.errors import (
     DimensionMismatch,
     ExprSyntaxError,
@@ -18,9 +21,8 @@ from toricqh.errors import (
     NonIntegralCoefficient,
 )
 from toricqh.exprparse import parse_expression
-from toricqh.novikov import NovScalar
 from toricqh.polynomials import mono_mul
-from toricqh.quantum import QClass, lift, quantum_nf
+from toricqh.quantum import lift
 
 F = Fraction
 
@@ -34,54 +36,7 @@ EXPRESSION_PAIRS = (
 )
 
 
-# ---------------------------------------------------------- the references
-
-def parent_kept_qpoly(ring, terms):
-    """Sum of (full-variable monomial, NovScalar) terms as a quantum
-    polynomial in the kept variables; truncation flags carry over."""
-    out = {}
-    for mono, s in terms:
-        if s.is_zero() and not s.truncated:
-            continue
-        for m, c in ring.monomial_image(mono).items():
-            out[m] = out[m] + s.scale(c) if m in out else s.scale(c)
-    return out
-
-
-def parent_lift(qp, full_poly, d=0, kappa=0, coeff=1):
-    """Quantum class of a polynomial expression in the full facet variables,
-    times an optional Novikov monomial."""
-    return quantum_nf(parent_kept_qpoly(qp.ring, [
-        (m, NovScalar.monomial(Fraction(coeff) * c, d, kappa, qp.cutoff))
-        for m, c in full_poly.items()]), qp)
-
-
-def parent_kept_terms(qp, terms):
-    """Kept-variable form of {(full monomial, d, kappa): coefficient}."""
-    return parent_kept_qpoly(qp.ring, [
-        (mono, NovScalar.monomial(c, d, kappa, qp.cutoff))
-        for (mono, d, kappa), c in terms.items()])
-
-
-def parent_from_terms(qp, terms, truncated=False):
-    """The former `qclass_from_json` after parsing its terms."""
-    coeffs = parent_kept_terms(qp, terms)
-    if truncated:
-        coeffs = {m: s.with_truncated(True) for m, s in coeffs.items()}
-    return quantum_nf(coeffs, qp)
-
-
-def reference(qp, terms, truncated=False):
-    """`parent_from_terms`, except that a flagged input whose kept
-    coefficients are all gone is a flagged zero: the former route set the
-    flag on those coefficients and so dropped it."""
-    want = parent_from_terms(qp, terms, truncated)
-    if truncated and not want.truncated:
-        assert not want.coeffs
-        want = QClass({(0,) * qp.ring.width:
-                       NovScalar.trusted({}, qp.cutoff, True)}, qp.cutoff)
-    return want
-
+# ------------------------------------------------------------------ checks
 
 def assert_same(got, want, qp, what):
     assert typed_class(got) == typed_class(want), what
@@ -122,9 +77,9 @@ def test_facet_monomials_with_shifts_match_both_former_routes(name, cutoff):
                                 for j, m in enumerate(monos)] + \
             [(monos[-1], shift) for shift in novikov]:
         got = lift(qp, {(mono, d, kappa): c})
-        want = parent_lift(qp, {mono: F(1)}, d=d, kappa=kappa, coeff=c)
+        want = former_lift(qp, {mono: F(1)}, d=d, kappa=kappa, coeff=c)
         assert_same(got, want, qp, (name, mono, d, kappa))
-        assert_same(got, reference(qp, {(mono, d, kappa): c}), qp,
+        assert_same(got, reference_from_terms(qp, {(mono, d, kappa): c}), qp,
                     (name, mono, d, kappa))
         flagged += got.truncated
     assert flagged  # the shift above the cutoff flags
@@ -156,9 +111,10 @@ def test_terms_above_the_cutoff_zero_coefficients_and_cancelling_images(
     for terms, flag in cases:
         got = lift(qp, terms)
         assert got.truncated == flag, (name, terms)
-        assert_same(got, reference(qp, terms), qp, (name, terms))
+        assert_same(got, reference_from_terms(qp, terms), qp, (name, terms))
         assert_same(lift(qp, terms, truncated=True),
-                    reference(qp, terms, truncated=True), qp, (name, terms))
+                    reference_from_terms(qp, terms, truncated=True), qp,
+                    (name, terms))
     for relation in linear_relations(poly):
         got = lift(qp, {(m, 0, F(0)): F(c) for m, c in relation.items()})
         assert got.is_zero() and not got.truncated, name
@@ -168,14 +124,14 @@ def test_terms_above_the_cutoff_zero_coefficients_and_cancelling_images(
 def test_empty_input(name, cutoff):
     qp = presented(name, cutoff)
     got = lift(qp, {})
-    assert_same(got, parent_from_terms(qp, {}), qp, name)
+    assert_same(got, former_from_terms(qp, {}), qp, name)
     assert got.is_zero() and not got.truncated and got == qp.zero()
     # a flagged empty input is a flagged zero; the former route dropped
     # the flag, since it set it on kept coefficients and there were none
     flagged = lift(qp, {}, truncated=True)
     assert flagged.is_zero() and flagged.truncated
     assert flagged.cutoff is qp.cutoff
-    assert not parent_from_terms(qp, {}, truncated=True).truncated
+    assert not former_from_terms(qp, {}, truncated=True).truncated
 
 
 @pytest.mark.parametrize("name, cutoff", CASES)
@@ -191,14 +147,14 @@ def test_the_digest_expressions_match_both_former_routes(name, cutoff):
         parsed += 1
         for flag in (False, True):
             assert_same(lift(qp, terms, truncated=flag),
-                        reference(qp, terms, truncated=flag), qp,
+                        reference_from_terms(qp, terms, truncated=flag), qp,
                         (name, text, flag))
         full = {}
         for (mono, d, kappa), c in terms.items():
             if (d, kappa) == (0, 0):
                 full[mono] = c
         if len(full) == len(terms):  # a classical expression
-            assert_same(lift(qp, terms), parent_lift(qp, full), qp,
+            assert_same(lift(qp, terms), former_lift(qp, full), qp,
                         (name, text))
     assert parsed >= 6
 

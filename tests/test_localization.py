@@ -2,7 +2,8 @@
 former integral, which read the coefficient of the one top standard
 monomial in a normal form and divided by that of the reference vertex
 monomial.  The reference `FormerIntegral` keeps the former `integrate`, with
-the two helpers only it used."""
+the two helpers only it used, and the former `pd_matrix`, one integral per
+entry."""
 
 import dataclasses
 import functools

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from cases import GON12, POLYTOPES, box, hirz_y_table, simplex
-from reference import former_euler_class_nonzero
+from reference import former_euler_class_nonzero, reference_chains
 from toricqh import actions as actions_module
 from toricqh import obstructions as obstructions_module
 from toricqh import examples
@@ -13,7 +13,6 @@ from toricqh.actions import (
     CircleTable,
     fixed_components,
     global_isotropy_bound,
-    isotropy_components,
     q_pair,
     q_pairs,
 )
@@ -188,53 +187,6 @@ def test_analyze_rejects_presentation_on_raw_moment_data():
         analyze(shifted, (1, 0), fano_presentation(shifted))
 
 
-def _chain_reference(poly, xi):
-    """Every simple chain from the maximum to the minimum, by brute force:
-    (min cost, the cheapest chains in lexicographic order of component
-    indices, whether one of them meets the weight-sum condition, the q of
-    each pair).  A pair's q is the largest q whose stratum has a component
-    holding both faces, found by trying every q from the global bound down."""
-    comps = fixed_components(poly, xi)
-    n = len(comps)
-    strata = [(k, isotropy_components(poly, xi, k).components)
-              for k in range(global_isotropy_bound(poly, xi), 1, -1)]
-    q = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[(i, j)] = q[(j, i)] = next(
-                (k for k, components in strata
-                 if any(comps[i].facets in c and comps[j].facets in c
-                        for c in components)), 1)
-    chains = []
-
-    def extend(path):
-        if path[-1] == n - 1:
-            chains.append(path)
-            return
-        for v in range(n):
-            if v not in path and comps[v].K != comps[path[-1]].K:
-                extend(path + [v])
-
-    extend([0])
-
-    def cost(path):
-        return sum(abs(comps[u].K - comps[v].K) / q[(u, v)]
-                   for u, v in zip(path, path[1:]))
-
-    def m_sum(path):
-        return sum(F(comps[u].m - comps[v].m, q[(u, v)])
-                   * (1 if comps[u].K > comps[v].K else -1)
-                   for u, v in zip(path, path[1:]))
-
-    best = min(cost(path) for path in chains)
-    optimal = sorted(path for path in chains if cost(path) == best)
-    keys = [tuple(sorted(c.facets)) for c in comps]
-    return (best,
-            tuple(tuple(keys[v] for v in path) for path in optimal),
-            any(m_sum(path) == comps[0].m for path in optimal),
-            {(i, j): q[(i, j)] for i in range(n) for j in range(i + 1, n)})
-
-
 def _chain_corpus():
     """The bundled examples with xi in [-2, 2]^n and the 3-box with xi in
     [-1, 1]^3, plus three circles with climbing cheapest chains."""
@@ -255,7 +207,7 @@ def _chain_corpus():
 
 def test_chain_bound_matches_brute_force():
     for poly, xi in _chain_corpus():
-        best, optimal, m_ok, qs = _chain_reference(poly, xi)
+        best, optimal, m_ok, qs = reference_chains(poly, xi)
         comps = fixed_components(poly, xi)
         assert q_pairs(poly, xi, [c.face for c in comps]) == qs, \
             (poly.name, xi)

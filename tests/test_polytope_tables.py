@@ -23,10 +23,10 @@ import pytest
 
 from cases import POLYTOPES, box_vectors
 from reference import (
+    FormerCircleTable,
     former_monomial_nf,
     former_ring_inputs,
     former_rule_s2,
-    former_superlevel_bounds,
 )
 from toricqh import examples
 from toricqh import polytope as polytope_module
@@ -164,7 +164,7 @@ def test_the_battery_reads_what_the_former_code_computed(name, monkeypatch):
         values = sorted({c.K for c in circle.components}
                         | {F(k, 3) for k in range(-4, 5)})
         assert circle.superlevel_bounds(values) == \
-            former_superlevel_bounds(circle, values), xi
+            FormerCircleTable(poly, xi).superlevel_bounds(values), xi
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
