@@ -19,10 +19,11 @@ split into components through the immediate subfaces key | {i} alone, by
 union-find, with no pairwise search over faces; a table builds each
 q-stratum once, so S2 and P6 share it.
 
-F_max needs no table: `fixed_maximum` is one integer pass, the levels
-<xi, .> on the scaled vertices, their argmax, xi's coordinates at the
-maximizing vertices and the weights, and makes one Fraction, K.  Every
-entry point checks xi once, in `_check_xi`: n ints, not all zero.
+F_max needs no table: `_maximum` is one integer pass, the levels <xi, .>
+on the scaled vertices, their argmax, xi's coordinates at the maximizing
+vertices and the weights, and returns the checked xi, the face, the weights
+and the top level; `fixed_maximum` wraps it and makes one Fraction, K.
+Every entry point checks xi once, in `_check_xi`: n ints, not all zero.
 """
 
 from dataclasses import dataclass
@@ -205,25 +206,37 @@ def fixed_components(poly, xi):
     return CircleTable(poly, xi).components
 
 
-def fixed_maximum(poly, xi):
-    """F_max, the first of `fixed_components`, from one integer pass: the
-    levels <xi, .> on the scaled vertices, their argmax, xi's coordinates
-    there, and the face of its nonzero ones, whose vertices must be exactly
-    the maximizing ones.  The weight check solves xi's coordinates at the
-    face's other vertices; K is the one Fraction made."""
+def _maximum(poly, xi):
+    """F_max of the circle xi in integers, as (xi, face, weights, top): xi
+    checked, as a tuple; the face of xi's nonzero coordinates at the first
+    vertex of largest level <xi, scaled vertex>, whose vertices must be
+    exactly the maximizing ones; the nonzero weights there; and that level,
+    top, so that K = Fraction(top, D).  The weights are read at the first
+    vertex and, unless F_max is a vertex, checked at its others."""
     xi = _check_xi(xi, poly.n)
-    scale, points = poly.scaled_vertices
-    levels = [sum(map(mul, xi, p)) for p in points]
+    levels = [sum(map(mul, xi, p)) for p in poly.scaled_vertices[1]]
     top = max(levels)
     vid = levels.index(top)  # the face's first vertex, if it is F_max
-    coords = {vid: poly.coordinates(vid, xi)}
-    face = poly.faces[frozenset(i for i, c in coords[vid].items() if c)]
+    coords = poly.coordinates(vid, xi)
+    weights = {i: -c for i, c in coords.items() if c}
+    face = poly.faces[frozenset(weights)]
     if levels.count(top) != len(face.vertex_ids) or any(
             levels[v] != top for v in face.vertex_ids):
         raise MomentNotConstant(
             f"the maximum of <xi, .> is not the face {sorted(face.facets)}")
-    coords.update((v, poly.coordinates(v, xi)) for v in face.vertex_ids[1:])
-    return _component(face, Fraction(top, scale), _weights(coords, face))
+    if len(face.vertex_ids) > 1:
+        coords = {vid: coords}
+        coords.update((v, poly.coordinates(v, xi))
+                      for v in face.vertex_ids[1:])
+        weights = _weights(coords, face)
+    return xi, face, weights, top
+
+
+def fixed_maximum(poly, xi):
+    """F_max, the first of `fixed_components`, from the one integer pass of
+    `_maximum`; K is the one Fraction made."""
+    _, face, weights, top = _maximum(poly, xi)
+    return _component(face, Fraction(top, poly.scaled_vertices[0]), weights)
 
 
 # ------------------------------------------------------------------ isotropy

@@ -4,19 +4,26 @@ geometric dictionary used for homology-flavored reporting.
 Everything internal is in cohomology orientation; reports flip the Novikov
 exponents termwise, once each, after sorting on the unflipped (kappa, d).
 
-A Seidel call keeps its circle bookkeeping in integers: F_max, its
-weights and m come from `actions.fixed_maximum`, whose K is the one
-Fraction of the circle; Fano mode lifts x^a, an exponent tuple with int
-coefficient 1, at the shift (m, -K), and `verify_leading_term` forms -K
-and x_F once.  The dictionary identifies degree-0 and degree-2 classes
-with named facet classes in every dimension, and lifts the point class in
-dimension two, where a Seidel element of an eligible vertex determines it.
+A Seidel call keeps its circle bookkeeping in integers: F_max, its weights
+and top level come from one pass of `actions._maximum`, which returns the
+checked xi; m and `semifree` are read off the weights, and K is the one
+Fraction of the circle.  Fano mode lifts x^a, an exponent tuple with int
+coefficient 1, at the shift (m, -K).  `verify_leading_term` tests the
+valuation -K and reads the -K slice in one pass over each scalar's integer
+levels, with no Fraction per scalar, and reads what depends on the F_max
+face alone from the presentation.  The dictionary identifies degree-0 and
+degree-2 classes with named facet classes in every dimension, and lifts
+the point class in dimension two, where a Seidel element of an eligible
+vertex determines it.
 
-The facet elements S(eta_i), the chains of their powers of each sign and
-the dictionary are cached on the presentation, a value: each entry is
-computed once and never rebuilt.  A `GeometricDictionary` is a value too,
-built whole by `build_dictionary`; it derives its decode data from its
-fields when it is made.  A `HomologyReport` is a frozen value as well.
+The facet elements S(eta_i), the chains of their powers of each sign, the
+dictionary and, per F_max face, the leading-term data (the sorted facets,
+the classical normal form of x_F, the edge-class criterion and, for a
+facet that meets it outside Fano mode, the unshifted lift of x_F) are
+cached on the presentation, a value: each entry is computed once and never
+rebuilt.  A `GeometricDictionary` is a value too, built whole by
+`build_dictionary`; it derives its decode data from its fields when it is
+made.  A `HomologyReport` is a frozen value as well.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from .actions import _check_xi, fixed_maximum
+from .actions import _check_xi, _maximum
 from .errors import (
     DegenerateRing,
     DictionaryIncomplete,
@@ -129,39 +136,92 @@ def seidel_element(qp, xi):
     of the facet elements over a decomposition of xi at one vertex; the
     result is independent of that choice (checked by the oracle suite).
 
-    F_max, its weights, m and K come from `actions.fixed_maximum`, one
-    integer argmax of <xi, .> over the vertices; no other fixed component
-    is built.  Fano mode decomposes at F_max, where the coordinates are
-    minus the weights, all positive: S(xi) is one normal form of
-    x^a q^m t^-K, with no inverse, and exact to the cutoff since reduction
-    only raises t-exponents.  NEF mode multiplies out the decomposition at
-    vertex 0 with `facet_product`, from the cached facet powers.  xi is
-    checked by `fixed_maximum`."""
+    F_max, its weights and top level come from `actions._maximum`, one
+    integer argmax of <xi, .> over the vertices, with xi checked; m and
+    `semifree` are read off the weights and K is the one Fraction made.
+    Fano mode decomposes at F_max, where the coordinates are minus the
+    weights, all positive: S(xi) is one normal form of x^a q^m t^-K, with
+    no inverse, and exact to the cutoff since reduction only raises
+    t-exponents.  NEF mode multiplies out the decomposition at vertex 0
+    with `facet_product`, from the cached facet powers."""
     poly = qp.polytope
-    fmax = fixed_maximum(poly, xi)
-    xi = tuple(xi)
+    xi, face, weights, top = _maximum(poly, xi)
+    m = sum(weights.values())
+    K = Fraction(top, poly.scaled_vertices[0])
     if qp.mode == "fano":
-        x_a = monomial({i: -w for i, w in fmax.weights.items()},
-                       poly.num_facets)
-        out = _lift(qp, [((x_a, fmax.m, -fmax.K), 1)], False)
+        x_a = monomial({i: -w for i, w in weights.items()}, poly.num_facets)
+        out = _lift(qp, [((x_a, m, -K), 1)], False)
     else:
         out = facet_product(qp, poly.coordinates(0, xi))
     if out.degree() != 0:
         raise WrongDegree(f"the Seidel element of {xi} has degree "
                           f"{out.degree()}, not zero")
     return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
-                         leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K,
-                         semifree=fmax.semifree)
+                         leading_face=face.facets, m_max=m, K_max=K,
+                         semifree=all(w in (1, -1) for w in weights.values()))
 
 
 # ------------------------------------------------------------- leading terms
+
+@dataclass(frozen=True, slots=True)
+class _Leading:
+    """What a leading-term check reads of its F_max face alone."""
+    f_max: tuple  # the face's facets, sorted
+    nf: dict  # the classical normal form of x_F, the ring's memo, read
+    fano_facet: bool  # a facet in Fano mode, exact iff the circle is semifree
+    edges_ok: bool  # otherwise: every edge class meeting F has 2c1 >= codim
+    x_face_lift: QClass  # for a facet with edges_ok, the lift of x_F; or None
+
+
+def _leading(qp, face):
+    """The ("leading", face key) entry of the presentation, built once per
+    face rather than once per circle."""
+    key = ("leading", face.facets)
+    entry = qp._cache.get(key)
+    if entry is None:
+        poly = qp.polytope
+        x_face = monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
+        facet = face.dim == poly.n - 1
+        fano_facet = facet and qp.mode == "fano"
+        codim = 2 * (poly.n - face.dim)
+        edges_ok = not fano_facet and all(
+            2 * b.c1() >= codim for _, b in edge_classes_through(poly, face))
+        entry = qp._cache[key] = _Leading(
+            f_max=tuple(sorted(face.facets)),
+            nf=qp.ring.monomial_nf(x_face), fano_facet=fano_facet,
+            edges_ok=edges_ok,
+            x_face_lift=_lift(qp, [((x_face, 0, 0), 1)], False)
+            if facet and edges_ok else None)
+    return entry
+
+
+def _leads_with(qclass, K, m, nf):
+    """Whether qclass has valuation -K and its slice there is nf q^m, in
+    one pass over each scalar's integer levels: a level l on the grid den
+    lies at -K = -a/b when l * b == -a * den, and below it when l * b is
+    less.  nf, the class of a face, is never empty."""
+    a, b = K.numerator, K.denominator
+    got = {}
+    for mono, s in qclass.coeffs.items():
+        bottom = -a * s.den
+        for (d, level), c in s.levels.items():
+            lb = level * b
+            if lb < bottom:
+                return False
+            if lb == bottom and c:
+                if d != m:
+                    return False
+                got[mono] = c
+    return got == nf
+
 
 def verify_leading_term(qp, xi, element=None):
     """Check the minimal-valuation part of the Seidel element against the
     maximal fixed component, read off the element, and assert exactness
     where a sufficient criterion applies.  Returns (ok, report dict).  An
-    element passed in must be that of xi in the mode of qp, or
-    ElementMismatch is raised."""
+    element passed in must be that of xi in the mode and at the cutoff of
+    qp, with a leading face of its polytope, or ElementMismatch is raised.
+    What depends on the face alone is read from its `_leading` entry."""
     poly = qp.polytope
     xi = _check_xi(xi, poly.n)
     if element is None:
@@ -169,50 +229,47 @@ def verify_leading_term(qp, xi, element=None):
     elif element.xi != xi or element.mode != qp.mode:
         raise ElementMismatch(f"the element of {element.xi} in {element.mode}"
                               f" mode, passed for {xi} in {qp.mode} mode")
-    face = poly.faces[element.leading_face]
+    elif element.qclass.cutoff != qp.cutoff:
+        raise ElementMismatch(f"the element of {xi} at cutoff "
+                              f"{element.qclass.cutoff}, passed at cutoff "
+                              f"{qp.cutoff}")
+    face = poly.faces.get(element.leading_face)
+    if face is None:
+        raise ElementMismatch(f"the leading face "
+                              f"{sorted(element.leading_face)} of the element"
+                              f" of {xi} is not a face of the polytope")
+    lead = _leading(qp, face)
     m_max, K_max = element.m_max, element.K_max
-    minus_k = -K_max
-    report = {"f_max": sorted(face.facets), "m_max": m_max, "K_max": K_max,
-              "assumptions": [], "exactness": None, "exact_ok": None}
-    x_face = monomial(dict.fromkeys(face.facets, 1), poly.num_facets)
-    lead_ok = element.qclass.valuation() == minus_k
-    if lead_ok:
-        lead_ok = element.qclass.slice_at(minus_k) == {
-            (m, m_max): c for m, c in qp.ring.monomial_nf(x_face).items()}
-    report["leading_ok"] = lead_ok
+    report = {"f_max": list(lead.f_max), "m_max": m_max, "K_max": K_max,
+              "assumptions": [], "exactness": None, "exact_ok": None,
+              "leading_ok": _leads_with(element.qclass, K_max, m_max,
+                                        lead.nf)}
 
     # exactness criteria
     exact_expected = None
-    codim = 2 * (poly.n - face.dim)
-    if qp.mode == "fano" and face.dim == poly.n - 1:
+    if lead.fano_facet:
         # S(xi) lifts x_F^k q^m t^-K, k = -weight: the lift of x_F q^m t^-K
         # iff k = 1, a verdict by construction (ROADMAP item 3)
         report["exact_ok"] = element.semifree
         report["exactness"] = "fano facet maximum"
         report["assumptions"].append("fano asserted by caller")
-    else:
-        edges = edge_classes_through(poly, face)
-        if element.semifree and all(2 * b.c1() >= codim for _, b in edges):
-            report["exactness"] = "semifree maximum, all edge classes have " \
-                                  "2c1 >= codim"
+    elif element.semifree and lead.edges_ok:
+        report["exactness"] = "semifree maximum, all edge classes have " \
+                              "2c1 >= codim"
+        report["assumptions"].append(
+            "sphere classes checked on toric edge classes only")
+        report["assumptions"].append(f"{qp.mode} asserted by caller")
+        if lead.x_face_lift is not None:
+            exact_expected = lead.x_face_lift
+        elif face.dim == 0 and poly.n <= 2:
+            exact_expected = build_dictionary(qp).point_lift
+        else:
             report["assumptions"].append(
-                "sphere classes checked on toric edge classes only")
-            report["assumptions"].append(f"{qp.mode} asserted by caller")
-            if face.dim == poly.n - 1:
-                exact_expected = qscale(
-                    _lift(qp, [((x_face, 0, 0), 1)], False),
-                    NovScalar.monomial(1, m_max, minus_k, qp.cutoff))
-            elif face.dim == 0 and poly.n <= 2:
-                dictionary = build_dictionary(qp)
-                exact_expected = qscale(
-                    dictionary.point_lift,
-                    NovScalar.monomial(1, m_max, minus_k, qp.cutoff))
-            else:
-                report["assumptions"].append(
-                    "no geometric lift available for a middle-dimensional "
-                    "maximum; exactness not checked")
+                "no geometric lift available for a middle-dimensional "
+                "maximum; exactness not checked")
     if exact_expected is not None:
-        report["exact_ok"] = element.qclass == exact_expected
+        report["exact_ok"] = element.qclass == qscale(
+            exact_expected, NovScalar.monomial(1, m_max, -K_max, qp.cutoff))
     ok = bool(report["leading_ok"]) and report["exact_ok"] is not False
     return ok, report
 

@@ -11,8 +11,11 @@ actions helpers they read (`valuation`, `slice_at`, `_check_xi`,
 references of the tests.  The new code must give the same classes (key
 and coefficient types included), flags, reports, homology entries and
 errors: on the corpus over box(n, 2), box(n, 1) in dimension 4; on
-hirzebruch2 in NEF mode; and at the cutoffs 1/2 and 1 of the `small
-cutoff` digest class.
+hirzebruch2 in NEF mode, at its default cutoff and at 1 and 8; at the
+cutoffs 1/2 and 1 of the `small cutoff` digest class; and on cp2 and
+blowup_cp2 at twice their default cutoff.  The other cutoffs put the
+scalars on other grids, which the leading-term check reads as integer
+levels.
 """
 
 import dataclasses
@@ -20,7 +23,13 @@ from fractions import Fraction
 
 import pytest
 
-from cases import PRESENTED, box_vectors, outcome, presentation
+from cases import (
+    PRESENTED,
+    box_vectors,
+    hirzebruch2_nef,
+    outcome,
+    presentation,
+)
 from reference import (
     former_fixed_maximum,
     former_verify_leading_term,
@@ -106,6 +115,20 @@ def test_the_fano_facet_exactness_is_the_verdict_of_the_second_lift():
 def test_a_nef_seidel_call_matches_the_former_code():
     qp = presentation("hirzebruch2 nef")
     assert qp.mode == "nef"
+    assert_matches(qp, box_vectors(2, 2))
+
+
+@pytest.mark.parametrize("cutoff", [F(1), F(8)], ids=["1", "8"])
+def test_a_nef_seidel_call_matches_at_other_cutoffs(cutoff):
+    qp = hirzebruch2_nef(cutoff)
+    assert (qp.mode, qp.cutoff) == ("nef", cutoff)
+    assert_matches(qp, box_vectors(2, 2))
+
+
+@pytest.mark.parametrize("name", ["cp2", "blowup_cp2"])
+def test_a_seidel_call_matches_at_twice_the_default_cutoff(name):
+    qp = presentation(name, 2)
+    assert qp.cutoff == 2 * presentation(name).cutoff
     assert_matches(qp, box_vectors(2, 2))
 
 

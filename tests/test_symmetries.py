@@ -10,11 +10,10 @@ the circle action, so its verdict and each finding's rule, triggered and
 definitive flags are the same at g xi as at xi.  Neither law reads the
 presentation's own algebra, so they test that no output depends on a
 label: the order of the kept variables, the argmax and its tie-breaks in
-`fixed_maximum` or `chain_bound`, or which facet of F_max a value is read
+`actions._maximum` or `chain_bound`, or which facet of F_max a value is read
 from.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -23,7 +22,7 @@ import pytest
 
 from cases import PRESENTED, box_vectors
 from toricqh import seidel
-from toricqh.actions import fixed_maximum
+from toricqh.actions import _maximum
 from toricqh.obstructions import analyze
 from toricqh.polytope import validate_delzant
 from toricqh.quantum import fano_presentation, lift
@@ -144,20 +143,22 @@ def test_the_seidel_element_is_natural(presented, name):
 
 
 # planted errors that depend on the facet labels of F_max; each returns
-# F_max as `seidel_element` would then read it
+# F_max as `seidel_element` would then read it from `actions._maximum`:
+# (xi, face, weights, top level), K being top / D
 
 def support_of_the_first_facet(poly, xi):
     """Every facet of F_max read as having the support of its first one,
     so K = sum a_i s_i becomes -m times that support."""
-    fmax = fixed_maximum(poly, xi)
-    return dataclasses.replace(fmax, K=-fmax.m * poly.support(min(fmax.facets)))
+    xi, face, weights, _ = _maximum(poly, xi)
+    K = -sum(weights.values()) * poly.support(min(face.facets))
+    return xi, face, weights, K * poly.scaled_vertices[0]
 
 
 def weights_in_label_order(poly, xi):
     """The weights at F_max sorted onto its facets in label order."""
-    fmax = fixed_maximum(poly, xi)
-    return dataclasses.replace(fmax, weights=dict(zip(
-        sorted(fmax.weights), sorted(fmax.weights.values()))))
+    xi, face, weights, top = _maximum(poly, xi)
+    return xi, face, dict(zip(sorted(weights),
+                              sorted(weights.values()))), top
 
 
 @pytest.mark.parametrize("planted", [support_of_the_first_facet,
@@ -170,7 +171,7 @@ def test_the_law_reports_a_value_read_by_label(presented, monkeypatch,
     read.  In the corpus it cannot: the permutations of cp2, cp3 and cp4
     move facets of one support and one class, and the sign flips of
     blowup_cp2, s2xs2 and the cubes keep the label order."""
-    monkeypatch.setattr(seidel, "fixed_maximum", planted)
+    monkeypatch.setattr(seidel, "_maximum", planted)
     assert {name for name, qp in presented.items()
             if violations(qp)[0]} == {INTERLEAVED}
 
