@@ -14,10 +14,17 @@ the isotropy order of every face.  A face's isotropy order is the gcd of
 xi's coordinates off the face's facets at any one of its vertices, and a
 gcd of 0 means the face is fixed.  A table lives for one call (one per
 `analyze`) and reads the polytope's shared dual bases and scaled vertices.
-The q-stratum, the faces whose order q divides, is checked for closure and
-split into components through the immediate subfaces key | {i} alone, by
-union-find, with no pairwise search over faces; a table builds each
-q-stratum once, so S2 and P6 share it.
+The fixed components sort by their integer level at their first vertex,
+and `component_levels` keeps those levels, which S2, C, T2 and
+`chain_bound` compare in place of K.
+
+Strata are walked on the polytope's face lattice table
+(`DelzantPolytope.face_lattice`, built on the first stratum): the
+q-stratum, the faces whose order q divides, is checked for closure and
+split into components through each face's immediate subfaces key | {i}
+alone, read off the table, with no pairwise search over faces, no key
+built and no sort; the components come in the table's order of keys.  A
+table builds each q-stratum once, so S2 and P6 share it.
 
 F_max needs no table: `_maximum` is one integer pass, the levels <xi, .>
 on the scaled vertices, their argmax, xi's coordinates at the maximizing
@@ -145,11 +152,18 @@ class CircleTable:
             face = self.poly.faces[key]
             comps.append(_component(face, self.moment_value(face),
                                     _weights(self.coords, face)))
-        comps.sort(key=lambda c: (-c.K, sorted(c.facets)))
+        levels = self.levels  # K is the level over the scale D > 0
+        comps.sort(key=lambda c: (-levels[c.face.vertex_ids[0]],
+                                  sorted(c.facets)))
         if len({v for c in comps for v in c.face.vertex_ids}) != \
                 sum(len(c.face.vertex_ids) for c in comps):
             raise InconsistentWeights("fixed faces overlap")
         return comps
+
+    @cached_property
+    def component_levels(self):
+        """The integer level of each fixed component, in their order."""
+        return [self.levels[c.face.vertex_ids[0]] for c in self.components]
 
     @cached_property
     def orders(self):
@@ -168,7 +182,8 @@ class CircleTable:
             raise NonIntegralCoefficient(
                 f"the stratum order q must be an int >= 1, not {q!r}")
         if q not in self.strata:
-            self.strata[q] = _stratum(self.orders, q)
+            self.strata[q] = _stratum(self.poly.face_lattice, self.orders,
+                                      q)
         return self.strata[q]
 
     def q_pairs(self, faces):
@@ -256,38 +271,42 @@ class IsotropyStratum:
     components: tuple  # tuple of frozensets of face keys
 
 
-def _stratum(orders, q):
+def _stratum(lattice, orders, q):
     """The faces whose order q divides, fixed ones included, and their
-    components under containment.  A subface's order is a multiple of its
-    face's, and every subface ends a chain of immediate subfaces key | {i}
-    (the face lattice is graded), so closure is checked on those, and the
-    components are joined through them by union-find; they come in the
-    order of their least key, as `sorted` orders keys."""
+    components under containment, on the `FaceLattice` of the keys of
+    orders.  A subface's order is a multiple of its face's, and every
+    subface ends a chain of immediate subfaces key | {i} (the face lattice
+    is graded), so closure is checked on those, and the components are
+    joined through them, each merged into the larger when two meet; they
+    come in the order of their least key, the lattice's order of keys."""
     qualifying = [key for key, order in orders.items()
                   if order is FIXED or order % q == 0]
-    root = {key: key for key in qualifying}
-
-    def find(key):
-        while root[key] is not key:
-            root[key] = key = root[root[key]]
-        return key
-
-    facets = frozenset().union(*orders)
+    member = dict.fromkeys(qualifying)  # key -> the list of its component
     for key in qualifying:
-        for i in facets - key:
-            sub = key | {i}
-            if sub not in orders:
-                continue
-            if sub not in root:
+        mine = member[key]
+        if mine is None:
+            mine = member[key] = [key]
+        for sub in lattice.subfaces[key]:
+            if sub not in member:
                 raise StratumNotClosed(f"the {q}-stratum holds {sorted(key)}"
                                        f" but not its subface {sorted(sub)}")
-            root[find(sub)] = find(key)
-    components = {}
-    for key in sorted(qualifying, key=sorted):
-        components.setdefault(find(key), []).append(key)
-    return IsotropyStratum(
-        q=q, faces=frozenset(qualifying),
-        components=tuple(map(frozenset, components.values())))
+            other = member[sub]
+            if other is None:
+                member[sub] = mine
+                mine.append(sub)
+            elif other is not mine:
+                if len(other) > len(mine):
+                    mine, other = other, mine
+                for k in other:
+                    member[k] = mine
+                mine.extend(other)
+    components = {}  # id of a component's list -> the component
+    for key in lattice.ordered:
+        comp = member.get(key)
+        if comp is not None and id(comp) not in components:
+            components[id(comp)] = frozenset(comp)
+    return IsotropyStratum(q=q, faces=frozenset(qualifying),
+                           components=tuple(components.values()))
 
 
 def isotropy_components(poly, xi, q):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from .actions import CircleTable
+from .actions import CircleTable, _check_xi
 from .cohomology import build_ring
 from .errors import MomentDataMismatch, NotMeanNormalized
 from .polynomials import monomial
@@ -80,7 +80,7 @@ def _rule_t1(comps):
 
 
 def _rule_t2(ring, circle):
-    comps = circle.components
+    comps, levels = circle.components, circle.component_levels
     fmax = comps[0]
     visible = [all(w == 1 for w in comp.weights.values() if w > 0)
                and _euler_class_nonzero(ring, comp) for comp in comps]
@@ -88,7 +88,7 @@ def _rule_t2(ring, circle):
           if vis and comp is not fmax]
     bounds = circle.superlevel_bounds(ks)
     details = []
-    for comp, vis in zip(comps, visible):
+    for comp, level, vis in zip(comps, levels, visible):
         entry = {"face": sorted(comp.facets), "K": comp.K, "m": comp.m,
                  "visible": vis, "semifree": comp.semifree}
         if vis and comp is fmax:
@@ -97,7 +97,7 @@ def _rule_t2(ring, circle):
             bound = bounds[comp.K]
             if bound <= 2:
                 case = "interior"
-                bad = comp.K != 0 or comp.m != 0 or not comp.semifree
+                bad = level != 0 or comp.m != 0 or not comp.semifree
             else:
                 case, bad = "interior, inapplicable (isotropy > 2)", False
             entry.update(superlevel_isotropy=bound, case=case, triggered=bad)
@@ -152,28 +152,32 @@ def _rule_s2(circle):
         return Finding(rule="S2", triggered=False, definitive=True,
                        certificate={"applicable": False,
                                     "isotropy_bound": bound})
+    # (K, m) compared as (level, m): K is the level over the scale D > 0
+    levels = circle.component_levels
     fmax, fmin = comps[0], comps[-1]
     problems = []
-    if fmax.K != -fmin.K:
+    if levels[0] != -levels[-1]:
         problems.append(f"K_max={fmax.K} != -K_min={-fmin.K}")
     if fmax.m != -fmin.m:
         problems.append(f"m_max={fmax.m} != -m_min={-fmin.m}")
     for component in circle.stratum(2).components:
-        members = [c for c in comps if c.facets in component]
+        members = [((level, c.m), c) for level, c in zip(levels, comps)
+                   if c.facets in component]
         if not members:
             continue
-        pairs = sorted({(c.K, c.m) for c in members})
-        for K, m in pairs:
+        for level, m in sorted({side for side, _ in members}):
             profile_l, profile_r = {}, {}
-            for profile, side, shift in ((profile_l, (K, m), "index"),
-                                         (profile_r, (-K, -m), "coindex")):
-                for c in (c for c in members if (c.K, c.m) == side):
+            for profile, side, shift in ((profile_l, (level, m), "index"),
+                                         (profile_r, (-level, -m),
+                                          "coindex")):
+                for c in (c for key, c in members if key == side):
                     for i, b in enumerate(poly.morse_betti(c.face)):
                         j = 2 * i + getattr(c, shift)
                         profile[j] = profile.get(j, 0) + b
             if profile_l != profile_r:
                 problems.append(
-                    f"homology profile at (K,m)=({K},{m}) is asymmetric: "
+                    f"homology profile at (K,m)="
+                    f"({Fraction(level, circle.scale)},{m}) is asymmetric: "
                     f"{profile_l} vs {profile_r}")
     return Finding(rule="S2", triggered=bool(problems), definitive=True,
                    certificate={"applicable": True, "isotropy_bound": bound,
@@ -182,15 +186,19 @@ def _rule_s2(circle):
 
 def _rule_c(circle):
     k = circle.isotropy_bound
-    a, b = circle.components[0].K, -circle.components[-1].K
-    if a <= 0 or b <= 0:
-        raise NotMeanNormalized(f"K_max = {a} and K_min = {-b} must have "
-                                "opposite signs on mean normalized data")
-    bad = max(a, b) > (k - 1) * min(a, b)
+    comps, levels = circle.components, circle.component_levels
+    top, low = levels[0], -levels[-1]  # K_max and |K_min| times D
+    if top <= 0 or low <= 0:
+        raise NotMeanNormalized(f"K_max = {comps[0].K} and K_min = "
+                                f"{comps[-1].K} must have opposite signs on "
+                                "mean normalized data")
+    bad = max(top, low) > (k - 1) * min(top, low)
     return Finding(rule="C", triggered=bad, definitive=True,
-                   certificate={"K_max": a, "abs_K_min": b,
+                   certificate={"K_max": comps[0].K,
+                                "abs_K_min": -comps[-1].K,
                                 "isotropy_bound": k,
-                                "bound": (k - 1) * min(a, b)})
+                                "bound": Fraction((k - 1) * min(top, low),
+                                                  circle.scale)})
 
 
 # the most cheapest chains a ChainBound lists; no pinned output lists more
@@ -221,14 +229,21 @@ def chain_bound(poly, xi, circle=None):
     walks to the minimum and collects their m-sums, and the first
     MAX_PATHS walks are listed depth first.  Costs run in ints times D*Q
     (D the scale, Q the lcm of the q values) and m-sums times Q.  `circle`
-    is the circle table of (poly, xi), when the caller holds one.
+    is the circle table of (poly, xi), when the caller holds one; a table
+    of another polytope or circle is refused with MomentDataMismatch.
     """
+    xi = _check_xi(xi, poly.n)
     circle = circle or CircleTable(poly, xi)
-    comps = circle.components
+    if circle.poly is not poly:
+        raise MomentDataMismatch("the circle table was built on another "
+                                 "polytope")
+    if circle.xi != xi:
+        raise MomentDataMismatch(f"the circle table of {circle.xi} was "
+                                 f"passed for {xi}")
+    comps, levels = circle.components, circle.component_levels
     n = len(comps)
     fmax = comps[0]
     keys = [tuple(sorted(c.facets)) for c in comps]
-    levels = [circle.levels[c.face.vertex_ids[0]] for c in comps]
     qs = circle.q_pairs([c.face for c in comps])
     big_q = lcm(*qs.values())
     # comps run by decreasing K, so a hop i -> j with i < j goes down; the

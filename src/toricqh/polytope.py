@@ -11,7 +11,9 @@ exact.
 
 A polytope is a value, built whole by `validate_delzant`: its derived data
 are cached properties or per-key memos, only this module writes them, and
-every classical ring and every circle of the polytope shares them.
+every classical ring and every circle of the polytope shares them.  One of
+them, the `FaceLattice`, is read off the face keys alone, on the first
+isotropy stratum of any circle of the polytope.
 
 `validate_delzant` walks the feasible bases by integer simplex pivots from
 the first one, carrying each basis's dual rows along.  A clean walk meets
@@ -234,6 +236,11 @@ class DelzantPolytope:
             betti = self._betti[face.facets] = face_betti(
                 self, face, self.morse.height)
         return betti
+
+    @cached_property
+    def face_lattice(self):
+        """The `FaceLattice` of the faces, built on the first stratum."""
+        return build_face_lattice(self.faces)
 
     def face(self, facet_set):
         return self.faces[frozenset(facet_set)]
@@ -485,6 +492,32 @@ def _build_faces(n, vertices):
                 members.setdefault(frozenset(sub), []).append(vid)
     return {s: Face(facets=s, dim=n - len(s), vertex_ids=tuple(vids))
             for s, vids in members.items()}
+
+
+@dataclass(frozen=True)
+class FaceLattice:
+    """What walking the face lattice needs of the face keys alone."""
+    ordered: tuple  # the keys in `sorted` order: a key's rank is its index
+    subfaces: dict  # key -> its immediate subfaces, the faces key | {i}
+
+
+def build_face_lattice(keys):
+    """The `FaceLattice` of the face keys `keys` (any iterable of facet
+    frozensets, such as a polytope's `faces`).  A key's immediate subfaces
+    come by increasing i, found from their side: sub is one of key's when
+    sub - {i} is key.  They are the very key objects of `keys`, so a dict
+    keyed by them finds each by identity."""
+    lookup = {key: key for key in keys}
+    subfaces = {key: [] for key in lookup}
+    for i in sorted(frozenset().union(*lookup)):
+        for sub in lookup:
+            if i in sub:
+                key = lookup.get(sub - {i})
+                if key is not None:
+                    subfaces[key].append(sub)
+    return FaceLattice(
+        ordered=tuple(sorted(lookup, key=sorted)),
+        subfaces={key: tuple(subs) for key, subs in subfaces.items()})
 
 
 # ---------------------------------------------------------------- dual cones

@@ -11,7 +11,9 @@ Fraction of the circle.  Fano mode lifts x^a, an exponent tuple with int
 coefficient 1, at the shift (m, -K).  `verify_leading_term` tests the
 valuation -K and reads the -K slice in one pass over each scalar's integer
 levels, with no Fraction per scalar, and reads what depends on the F_max
-face alone from the presentation.  The dictionary identifies degree-0 and
+face alone from the presentation; an element records the facets of its
+polytope, outside its value, and `verify_leading_term` refuses one made
+on another polytope.  The dictionary identifies degree-0 and
 degree-2 classes with named facet classes in every dimension, and lifts
 the point class in dimension two, where a Seidel element of an eligible
 vertex determines it.
@@ -65,6 +67,9 @@ class SeidelElement:
     m_max: int
     K_max: Fraction
     semifree: bool  # whether every weight at F_max is +-1
+    # the facets of the polytope it was made on, which verify_leading_term
+    # checks; not part of the value
+    polytope_facets: tuple = field(compare=False, repr=False)
 
 
 # --------------------------------------------------------------- the elements
@@ -91,7 +96,7 @@ def facet_seidel(qp, i):
         element = SeidelElement(
             qclass=quantum_nf(shifted, qp), xi=poly.normal(i), mode=qp.mode,
             leading_face=frozenset({i}), m_max=-1, K_max=support,
-            semifree=True)
+            semifree=True, polytope_facets=poly.facets)
     qp._cache[key] = element
     return element
 
@@ -158,7 +163,8 @@ def seidel_element(qp, xi):
                           f"{out.degree()}, not zero")
     return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
                          leading_face=face.facets, m_max=m, K_max=K,
-                         semifree=all(w in (1, -1) for w in weights.values()))
+                         semifree=all(w in (1, -1) for w in weights.values()),
+                         polytope_facets=poly.facets)
 
 
 # ------------------------------------------------------------- leading terms
@@ -220,7 +226,8 @@ def verify_leading_term(qp, xi, element=None):
     maximal fixed component, read off the element, and assert exactness
     where a sufficient criterion applies.  Returns (ok, report dict).  An
     element passed in must be that of xi in the mode and at the cutoff of
-    qp, with a leading face of its polytope, or ElementMismatch is raised.
+    qp, with a leading face of its polytope, and made on that polytope (the
+    same facets or equal ones), or ElementMismatch is raised.
     What depends on the face alone is read from its `_leading` entry."""
     poly = qp.polytope
     xi = _check_xi(xi, poly.n)
@@ -238,6 +245,10 @@ def verify_leading_term(qp, xi, element=None):
         raise ElementMismatch(f"the leading face "
                               f"{sorted(element.leading_face)} of the element"
                               f" of {xi} is not a face of the polytope")
+    if element.polytope_facets is not poly.facets and \
+            element.polytope_facets != poly.facets:
+        raise ElementMismatch(f"the element of {xi} was made on another "
+                              "polytope")
     lead = _leading(qp, face)
     m_max, K_max = element.m_max, element.K_max
     report = {"f_max": list(lead.f_max), "m_max": m_max, "K_max": K_max,

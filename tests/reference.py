@@ -40,6 +40,9 @@ references read are left out):
   a brute force over every simple chain, on the circles with few fixed
   components; it would not end on cube4's 16 fixed points
 - `obstructions._rule_s2`: former_rule_s2
+- `obstructions._rule_t2`, `_rule_c` and `_rule_p6`, which compared K as
+  Fractions: former_rule_t2, former_rule_c and former_rule_p6 (on
+  former_chain_bound)
 - `obstructions._euler_class_nonzero`: former_euler_class_nonzero
 - `obstructions._classical_class`: reference_classical_class
 - `obstructions._rule_sd`: reference_rule_sd
@@ -109,6 +112,7 @@ from toricqh.errors import (
     NotAUnit,
     NotAnEdge,
     NotFullDimensional,
+    NotMeanNormalized,
     NotSimple,
     NotSmooth,
     RedundantFacet,
@@ -119,7 +123,7 @@ from toricqh.errors import (
     ZeroVector,
 )
 from toricqh.novikov import NovScalar, check_term, int_if_integral
-from toricqh.obstructions import ChainBound, Finding
+from toricqh.obstructions import ChainBound, Finding, _euler_class_nonzero
 from toricqh.oracle import DEFAULT_SEED, _agree, _random_xi
 from toricqh.polynomials import (
     grevlex_key,
@@ -1353,6 +1357,68 @@ def former_rule_s2(circle):
                                 "violations": problems})
 
 
+def former_rule_t2(ring, circle):
+    """The former `_rule_t2`, which compared K as a Fraction."""
+    comps = circle.components
+    fmax = comps[0]
+    visible = [all(w == 1 for w in comp.weights.values() if w > 0)
+               and _euler_class_nonzero(ring, comp) for comp in comps]
+    ks = [comp.K for comp, vis in zip(comps, visible)
+          if vis and comp is not fmax]
+    bounds = circle.superlevel_bounds(ks)
+    details = []
+    for comp, vis in zip(comps, visible):
+        entry = {"face": sorted(comp.facets), "K": comp.K, "m": comp.m,
+                 "visible": vis, "semifree": comp.semifree}
+        if vis and comp is fmax:
+            entry.update(case="maximum", triggered=True)
+        elif vis:
+            bound = bounds[comp.K]
+            if bound <= 2:
+                case = "interior"
+                bad = comp.K != 0 or comp.m != 0 or not comp.semifree
+            else:
+                case, bad = "interior, inapplicable (isotropy > 2)", False
+            entry.update(superlevel_isotropy=bound, case=case, triggered=bad)
+        else:
+            entry["triggered"] = False
+        details.append(entry)
+    return Finding(rule="T2", triggered=any(e["triggered"] for e in details),
+                   definitive=True, certificate={"components": details})
+
+
+def former_rule_c(circle):
+    """The former `_rule_c`, which compared K as a Fraction."""
+    k = circle.isotropy_bound
+    a, b = circle.components[0].K, -circle.components[-1].K
+    if a <= 0 or b <= 0:
+        raise NotMeanNormalized(f"K_max = {a} and K_min = {-b} must have "
+                                "opposite signs on mean normalized data")
+    bad = max(a, b) > (k - 1) * min(a, b)
+    return Finding(rule="C", triggered=bad, definitive=True,
+                   certificate={"K_max": a, "abs_K_min": b,
+                                "isotropy_bound": k,
+                                "bound": (k - 1) * min(a, b)})
+
+
+def former_rule_p6(circle):
+    """`_rule_p6` on `former_chain_bound`, which lists every chain."""
+    bound = former_chain_bound(circle.poly, circle.xi, circle)
+    if bound.min_cost > bound.K_max:
+        bad, why = True, "every chain is more expensive than K_max"
+    elif bound.min_cost == bound.K_max and not bound.m_condition_achievable:
+        bad, why = True, ("chains matching K_max exist but none realizes "
+                          "the weight-sum condition")
+    else:
+        bad, why = False, "a compatible chain exists"
+    return Finding(rule="P6", triggered=bad, definitive=True,
+                   certificate={"min_cost": bound.min_cost,
+                                "K_max": bound.K_max,
+                                "m_condition": bound.m_condition_achievable,
+                                "optimal_paths": bound.optimal_paths,
+                                "note": why})
+
+
 def former_euler_class_nonzero(ring, comp):
     """Euler class of the obstruction bundle along a fixed face: the product
     of the restricted facet classes to the powers (weight magnitude - 1)
@@ -1880,7 +1946,8 @@ def reference_facet_seidel_fano(qp, i):
     qclass = lift(qp, {(tuple(full), -1, -support): 1})
     return SeidelElement(qclass=qclass, xi=poly.normal(i), mode=qp.mode,
                          leading_face=frozenset({i}), m_max=-1,
-                         K_max=support, semifree=True)
+                         K_max=support, semifree=True,
+                         polytope_facets=poly.facets)
 
 
 def reference_inverse(qp, i, inverses):
@@ -1925,7 +1992,7 @@ def reference_seidel_element(qp, xi, inverses=None):
                           f"{out.degree()}, not zero")
     return SeidelElement(qclass=out, xi=xi, mode=qp.mode,
                          leading_face=fmax.facets, m_max=fmax.m, K_max=fmax.K,
-                         semifree=fmax.semifree)
+                         semifree=fmax.semifree, polytope_facets=poly.facets)
 
 
 def former_valuation(qclass):

@@ -45,7 +45,7 @@ from toricqh.obstructions import analyze, chain_bound
 from toricqh.quantum import fano_presentation
 from toricqh.seidel import seidel_element, verify_leading_term
 from toricqh.linalg import in_span
-from toricqh.polytope import validate_delzant
+from toricqh.polytope import build_face_lattice, validate_delzant
 
 F = Fraction
 EPS = F(7, 20)  # blowup at mu = 1/2
@@ -297,8 +297,9 @@ def test_moment_value_off_a_fixed_face_is_a_typed_error(blow):
 
 def test_a_stratum_missing_a_subface_is_a_typed_error():
     # the edge {0} has order 3 but the whole polygon has order 2
+    orders = {frozenset(): 2, frozenset({0}): 3}
     with pytest.raises(StratumNotClosed):
-        _stratum({frozenset(): 2, frozenset({0}): 3}, 2)
+        _stratum(build_face_lattice(orders), orders, 2)
 
 
 def test_a_circle_check_still_fires_under_python_O():
@@ -418,8 +419,8 @@ def test_a_table_builds_each_q_stratum_once_for_the_former_findings(
     built, tables, asked = [], [], Counter()
     build = _stratum
 
-    def counted(orders, q):
-        built.append((orders, q, build(orders, q)))
+    def counted(lattice, orders, q):
+        built.append((orders, q, build(lattice, orders, q)))
         return built[-1][-1]
 
     class Recorded(CircleTable):
@@ -453,9 +454,9 @@ def test_two_tables_of_one_circle_build_their_own_strata(cp2, monkeypatch):
     built = []
     build = _stratum
 
-    def counted(orders, q):
+    def counted(lattice, orders, q):
         built.append(q)
-        return build(orders, q)
+        return build(lattice, orders, q)
 
     monkeypatch.setattr(actions, "_stratum", counted)
     first, second = CircleTable(cp2, (1, 0)), CircleTable(cp2, (1, 0))
@@ -490,4 +491,5 @@ def test_the_stratum_orders_one_and_two_still_answer(cp2):
     assert whole.components == (frozenset(cp2.faces),)
     two = isotropy_components(cp2, (1, 0), 2)
     assert two.q == 2 and type(two.q) is int
-    assert two == _stratum(CircleTable(cp2, (1, 0)).orders, 2)
+    assert two == _stratum(cp2.face_lattice, CircleTable(cp2, (1, 0)).orders,
+                           2)

@@ -179,18 +179,22 @@ def test_strata_are_the_former_ones_on_every_corpus_circle(name):
             continue
         orders = CircleTable(poly, xi).orders
         for q in gcd_closure(orders):
-            assert _stratum(orders, q) == former_stratum(orders, q), (xi, q)
+            assert _stratum(poly.face_lattice, orders, q) == \
+                former_stratum(orders, q), (xi, q)
 
 
 def test_a_stratum_that_is_not_closed_is_rejected_by_both():
     """cube3's face lattice with every order 1, but order 2 on the facet
     {0}: the 2-stratum holds that facet and none of its edges."""
-    orders = dict.fromkeys(box(3).faces, 1)
+    cube = box(3)
+    orders = dict.fromkeys(cube.faces, 1)
     orders[frozenset({0})] = 2
-    for stratum in (_stratum, former_stratum):
+    for stratum in (functools.partial(_stratum, cube.face_lattice),
+                    former_stratum):
         with pytest.raises(StratumNotClosed):
             stratum(orders, 2)
-    assert _stratum(orders, 1) == former_stratum(orders, 1)
+    assert _stratum(cube.face_lattice, orders, 1) == \
+        former_stratum(orders, 1)
 
 
 def test_standard_monomials_of_a_degenerate_basis_are_typed_errors():

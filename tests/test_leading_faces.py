@@ -12,16 +12,17 @@ does not have.
 """
 
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
 
 from cases import box_vectors, hirzebruch2_nef, presentation
 from reference import former_verify_leading_term
-from toricqh import seidel
+from toricqh import examples, seidel
 from toricqh.errors import ElementMismatch
 from toricqh.novikov import NovScalar
-from toricqh.quantum import QClass
+from toricqh.quantum import QClass, fano_presentation
 from toricqh.seidel import seidel_element, verify_leading_term
 
 
@@ -215,3 +216,32 @@ def test_an_element_with_a_face_of_another_polytope_is_refused():
                                                   "polytope"):
             verify_leading_term(s2xs2, xi, element=element)
     assert leading_keys(s2xs2) == set()
+
+
+def test_an_element_of_another_polytope_is_refused_on_a_shared_face():
+    """The cp2 element of (1, 0) at cutoff 8 leads with the edge {1, 2},
+    which is a face of s2xs2 as well: checked against s2xs2 at the same
+    cutoff, it read (False, {'f_max': [1, 2], ...}) before.  The element
+    keeps the facets of its polytope, outside its value and repr."""
+    cp2, s2xs2 = presentation("cp2", 2), presentation("s2xs2")
+    element = seidel_element(cp2, (1, 0))
+    assert element.leading_face in s2xs2.polytope.faces
+    assert former_verify_leading_term(s2xs2, (1, 0), element=element)[1][
+        "f_max"] == [1, 2]  # the former silent answer
+    message = "the element of (1, 0) was made on another polytope"
+    with pytest.raises(ElementMismatch, match=f"^{re.escape(message)}$"):
+        verify_leading_term(s2xs2, (1, 0), element=element)
+    foreign = dataclasses.replace(element,
+                                  polytope_facets=s2xs2.polytope.facets)
+    assert foreign == element and repr(foreign) == repr(element)
+    assert hash(foreign) == hash(element)
+    # its own presentation, copies of it and of the element, and an equal
+    # polytope built twice still pass
+    want = verify_leading_term(cp2, (1, 0))
+    assert want[0]
+    twice = fano_presentation(examples.cp2(), cutoff=cp2.cutoff)
+    assert twice.polytope.facets == cp2.polytope.facets
+    assert twice.polytope.facets is not cp2.polytope.facets
+    for qp in (cp2, dataclasses.replace(cp2), twice):
+        for copy in (element, dataclasses.replace(element)):
+            assert verify_leading_term(qp, (1, 0), element=copy) == want

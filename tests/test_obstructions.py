@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -5,7 +6,12 @@ from itertools import product
 import pytest
 
 from cases import GON12, POLYTOPES, box, hirz_y_table, simplex
-from reference import former_euler_class_nonzero, reference_chains
+from reference import (
+    FormerCircleTable,
+    former_chain_bound,
+    former_euler_class_nonzero,
+    reference_chains,
+)
 from toricqh import actions as actions_module
 from toricqh import obstructions as obstructions_module
 from toricqh import examples
@@ -17,7 +23,13 @@ from toricqh.actions import (
     q_pairs,
 )
 from toricqh.cohomology import ClassicalRing, build_ring
-from toricqh.errors import DimensionMismatch, NotMeanNormalized, ZeroVector
+from toricqh.errors import (
+    DimensionMismatch,
+    MomentDataMismatch,
+    NonIntegralCoefficient,
+    NotMeanNormalized,
+    ZeroVector,
+)
 from toricqh.obstructions import (
     _euler_class_nonzero,
     _rule_c,
@@ -218,6 +230,37 @@ def test_chain_bound_matches_brute_force():
         assert bound.optimal_paths == optimal, (poly.name, xi)
         assert bound.m_condition_achievable == m_ok, (poly.name, xi)
         assert bound.paths_total is None, (poly.name, xi)
+
+
+def test_chain_bound_refuses_a_table_of_another_circle():
+    """The table of (0, 1) passed for (1, 0) answered with the chains of
+    (0, 1)."""
+    cp2 = examples.cp2()
+    other = CircleTable(cp2, (0, 1))
+    assert former_chain_bound(cp2, (1, 0), FormerCircleTable(
+        cp2, (0, 1))).q_values == {((0, 2), (1,)): 1}  # the former answer
+    with pytest.raises(MomentDataMismatch, match=re.escape(
+            "the circle table of (0, 1) was passed for (1, 0)")):
+        chain_bound(cp2, (1, 0), other)
+    # xi is checked by `_check_xi` with a table too
+    for xi, error in (((1, 0, 0), DimensionMismatch), ((0, 0), ZeroVector),
+                      ((1.0, 0), NonIntegralCoefficient)):
+        with pytest.raises(error):
+            chain_bound(cp2, xi, CircleTable(cp2, (1, 0)))
+    # its own table answers, with xi as any sequence of ints
+    table = CircleTable(cp2, (1, 0))
+    assert chain_bound(cp2, [1, 0], table) == chain_bound(cp2, (1, 0))
+    assert chain_bound(cp2, (0, 1), other).q_values == {((0, 2), (1,)): 1}
+
+
+def test_chain_bound_refuses_a_table_of_another_polytope():
+    """A cp2 table passed with s2xs2 answered for cp2.  The table must be
+    the polytope's own, so one of an equal cp2 built twice is refused."""
+    cp2, s2xs2 = examples.cp2(), examples.s2xs2()
+    for poly in (s2xs2, examples.cp2()):
+        with pytest.raises(MomentDataMismatch, match=re.escape(
+                "the circle table was built on another polytope")):
+            chain_bound(poly, (1, 0), CircleTable(cp2, (1, 0)))
 
 
 def test_chain_bound_cube4_diagonal():

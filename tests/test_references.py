@@ -47,6 +47,8 @@ def test_equal_frozensets_of_frozensets_type_alike():
     a = frozenset([frozenset({1}), frozenset({0, 2})])
     b = frozenset([frozenset({0, 2}), frozenset({1})])
     assert a == b and typed(a) == typed(b)
-    orders = CircleTable(examples.cp2(), (-2, -2)).orders
-    got, want = _stratum(orders, 1), former_stratum(orders, 1)
+    cp2 = examples.cp2()
+    orders = CircleTable(cp2, (-2, -2)).orders
+    got = _stratum(cp2.face_lattice, orders, 1)
+    want = former_stratum(orders, 1)
     assert got == want and typed(got) == typed(want)
